@@ -332,21 +332,21 @@ def cmd_trapping(args) -> int:
         except DivisionByZeroDrive as exc:
             print(f"error: cannot solve: {exc}", file=sys.stderr)
             return EXIT_UNSOLVABLE
-        solved = system.with_drives(drives)
-        out = Path(args.out) if args.out else Path(str(args.config) + ".solved.json")
-        save_scenario(solved, out)
-        outputs.append(out)
         data["solved_fields"] = [{"mag": d.magnitude, "phase": d.phase}
                                  for d in drives]
-        data["solved_scenario"] = str(out)
+        if args.out:
+            out = Path(args.out)
+            save_scenario(system.with_drives(drives), out)
+            outputs.append(out)
+            data["solved_scenario"] = str(out)
     print(json.dumps(data, indent=2, sort_keys=True))
-    anchor = outputs[0] if outputs else Path(args.out or "trapping.json")
-    manifest = RunManifest(command="trapping", scenario=source,
-                           parameters=scenario_to_dict(system),
-                           version=__version__,
-                           wall_time_s=time.perf_counter() - t0,
-                           outputs=outputs)
-    manifest.write(anchor)
+    if args.out:
+        manifest = RunManifest(command="trapping", scenario=source,
+                               parameters=scenario_to_dict(system),
+                               version=__version__,
+                               wall_time_s=time.perf_counter() - t0,
+                               outputs=outputs)
+        manifest.write(Path(args.out))
     return EXIT_OK
 
 
@@ -576,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     tp = sub.add_parser("trapping", help="evaluate the trapping condition")
     common(tp, None)
     tp.add_argument("--solve", action="store_true",
-                    help="complete |Omega4| and phi3 so the condition holds")
+                    help="complete |Omega4| and phi3 so the condition holds; "
+                         "with --out, write the completed scenario there")
     tp.set_defaults(func=cmd_trapping)
 
     wp = sub.add_parser("sweep", help="sweep one parameter against a metric")

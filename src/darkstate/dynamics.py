@@ -6,6 +6,12 @@ Delta_i t), cross-damping terms carrying exp(-i omega t) factors) are
 integrated with an adaptive explicit Runge-Kutta method; the one-branch
 emission amplitude integral_0^inf exp(i x t) A_n(t) dt is evaluated with a
 Filon-type rule that treats the oscillatory factor exactly.
+
+The Filon sums are taken over a whole detuning grid at once.  On a uniform
+grid (every grid the CLI builds) they are one chirp-z transform per Filon
+pass, that is three FFTs of about samples + points length; any other grid,
+or a scalar, is summed directly in blocks of samples.  The path is chosen
+from the grid alone.
 """
 from __future__ import annotations
 
@@ -13,11 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.integrate import solve_ivp
 
 from .errors import NotConverged, StepSizeUnderflow
 from .model import D2System
-from .spectrum import BRANCH_SHIFT_SIGNS, SpectrumResult, coupling_matrix
+from .spectrum import (BRANCH_SHIFT_SIGNS, SpectrumResult, assemble_spectrum,
+                       coupling_matrix)
 
 DEFAULT_T_FINAL = 60.0
 DEFAULT_TOL = 1e-8
@@ -118,37 +126,91 @@ def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
 # ---------------------------------------------------------------------------
 
 def _filon_weights(theta):
-    """Exact integrals of 1 and u against exp(i*theta*u) on [0, 1]."""
-    theta = complex(theta)
-    if abs(theta) < 1e-2:
-        # the closed forms cancel catastrophically for small theta; the
-        # series truncation error at the threshold is ~1e-19
-        it = 1j * theta
-        w0 = w1 = 0.0
-        power = 1.0 + 0.0j
-        kfact = 1.0
-        for k in range(8):
-            w0 += power / (kfact * (k + 1))
-            w1 += power / (kfact * (k + 2))
-            power *= it
-            kfact *= k + 1
-        return w0, w1
-    e = np.exp(1j * theta)
-    w0 = (e - 1.0) / (1j * theta)
-    w1 = (e * (1j * theta - 1.0) + 1.0) / (1j * theta) ** 2
+    """Exact integrals of 1 and u against exp(i*theta*u) on [0, 1], per
+    element of theta (real or complex, any shape)."""
+    theta = np.asarray(theta, dtype=complex)
+    # the closed forms cancel catastrophically for small theta; there the
+    # series is used, whose truncation error at the threshold is ~1e-19
+    small = np.abs(theta) < 1e-2
+    it = 1j * np.where(small, 1.0, theta)
+    e = np.exp(it)
+    it_small = 1j * np.where(small, theta, 0.0)
+    s0 = s1 = 0.0
+    power = 1.0
+    kfact = 1.0
+    for k in range(8):
+        s0 = s0 + power / (kfact * (k + 1))
+        s1 = s1 + power / (kfact * (k + 2))
+        power = power * it_small
+        kfact *= k + 1
+    w0 = np.where(small, s0, (e - 1.0) / it)
+    w1 = np.where(small, s1, (e * (it - 1.0) + 1.0) / it ** 2)
     return w0, w1
+
+
+#: a grid x counts as uniform when its largest deviation from
+#: x0 + j*dx, times the largest sample time, is below this phase error
+UNIFORM_PHASE_TOL = 1e-10
+
+#: complex elements per block of the direct phase sum (16 MB)
+DIRECT_BLOCK = 1 << 20
+
+
+def _chirp_z(t0, h, rows, x, dx):
+    """Bluestein's chirp-z transform (Rabiner, Schafer & Rader, 1969):
+    sum_k rows[:, k] * exp(i x_j t_k) for t_k = t0 + k*h and
+    x_j = x[0] + j*dx, as one FFT convolution along the samples.
+
+    The chirp exp(i dx h q^2/2) is evaluated from its phase: the complex
+    power w**(q**2/2) that scipy.signal.czt uses is off by ~1e-9 at 8k
+    samples, which puts its sums ~3e-10 from the direct ones.
+    """
+    n, m = rows.shape[-1], x.size
+    q = np.arange(max(m, n), dtype=float)
+    chirp = np.exp(0.5j * (dx * h) * q ** 2)
+    size = next_fast_len(n + m - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = np.conj(chirp[:m])
+    kernel[size - n + 1:] = np.conj(chirp[n - 1:0:-1])
+    ramp = rows * (np.exp(1j * x[0] * h * q[:n]) * chirp[:n])
+    conv = ifft(fft(ramp, size) * fft(kernel), axis=-1)[:, :m]
+    return conv * (chirp[:m] * np.exp(1j * x * t0))
+
+
+def _phase_sums(times, h, rows, x):
+    """sum_k rows[:, k] * exp(i x_j t_k) for each x_j of a 1-D array x, with
+    times t_k uniform in steps of h.
+
+    A uniform x (real step) is one chirp-z transform along the samples; any
+    other x is summed directly, a block of samples at a time, so that no
+    (samples x grid) matrix is built.
+    """
+    m = x.size
+    if m >= 2:
+        dx = (x[-1] - x[0]).real / (m - 1)
+        drift = np.max(np.abs(x - (x[0] + dx * np.arange(m))))
+        if drift * np.max(np.abs(times)) <= UNIFORM_PHASE_TOL:
+            return _chirp_z(times[0], h, rows, x, dx)
+    sums = np.zeros((len(rows), m), dtype=complex)
+    block = max(1, DIRECT_BLOCK // m)
+    for k in range(0, len(times), block):
+        phase = np.exp(1j * np.outer(times[k:k + block], x))
+        sums += rows[:, k:k + block] @ phase
+    return sums
 
 
 def _filon_linear(times, values, x):
     """integral values(t) * exp(i x t) dt with values piecewise linear on a
-    uniform grid; x may be complex (damped transform)."""
+    uniform grid, for each element of x (real, or complex for a damped
+    transform); a scalar x gives a complex scalar."""
+    x = np.asarray(x, dtype=complex)
     h = times[1] - times[0]
     w0, w1 = _filon_weights(x * h)
-    phase = np.exp(1j * x * times[:-1])
-    v = values[:-1]
-    dv = values[1:] - values[:-1]
     # per interval: h * e^{i x t_k} * (v_k W0 + (v_{k+1}-v_k) W1)
-    return h * np.sum(phase * (v * w0 + dv * w1))
+    rows = np.stack([values[:-1], np.diff(values)])
+    s0, s1 = _phase_sums(times[:-1], h, rows, x.ravel())
+    out = h * (w0 * s0.reshape(x.shape) + w1 * s1.reshape(x.shape))
+    return complex(out) if out.ndim == 0 else out
 
 
 def _branch_transform(traj: AmplitudeTrajectory, branch: int, x):
@@ -178,15 +240,12 @@ def branch_amplitude_numeric(sys: D2System, branch: int, delta,
     traj = trajectory if trajectory is not None else propagate(sys, t_final, tol)
     scalar = np.isscalar(delta)
     deltas = np.atleast_1d(np.asarray(delta, dtype=float))
-    trapped = _is_trapped(traj, tol)
-    out = np.empty(len(deltas), dtype=complex)
-    for k, d in enumerate(deltas):
-        if trapped:
-            f1 = _branch_transform(traj, branch, d + 1j * TRAP_EPSILON)
-            f2 = _branch_transform(traj, branch, d + 1j * TRAP_EPSILON / 2.0)
-            out[k] = 2.0 * f2 - f1
-        else:
-            out[k] = _branch_transform(traj, branch, d)
+    if _is_trapped(traj, tol):
+        f1 = _branch_transform(traj, branch, deltas + 1j * TRAP_EPSILON)
+        f2 = _branch_transform(traj, branch, deltas + 1j * TRAP_EPSILON / 2.0)
+        out = 2.0 * f2 - f1
+    else:
+        out = _branch_transform(traj, branch, deltas)
     return complex(out[0]) if scalar else out
 
 
@@ -224,18 +283,10 @@ def spectrum_time_domain(sys: D2System, grid, include_cross: bool = False,
     """
     grid = np.asarray(grid, dtype=float)
     traj = propagate(sys, t_final, tol)
-    gammas = np.asarray(sys.gamma, dtype=float)
     amps = np.zeros((3, len(grid)), dtype=complex)
     for branch, sign in enumerate(BRANCH_SHIFT_SIGNS, start=1):
         local = grid + sign * sys.omega12
         amps[branch - 1] = branch_amplitude_numeric(
             sys, branch, local, t_final=t_final, tol=tol, trajectory=traj)
-    branch_intensity = (gammas[:, None] * np.abs(amps) ** 2) / (2.0 * np.pi)
-    if include_cross:
-        summed = np.sum(np.sqrt(gammas)[:, None] * amps, axis=0)
-        total = np.abs(summed) ** 2 / (2.0 * np.pi)
-    else:
-        total = branch_intensity.sum(axis=0)
-    return SpectrumResult(grid=grid, branch_intensity=branch_intensity,
-                          total=total, branch_poles=[[], [], []],
-                          method="timedomain", include_cross=include_cross)
+    return assemble_spectrum(sys, grid, amps, include_cross, "timedomain",
+                             [[], [], []])

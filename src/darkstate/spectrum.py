@@ -13,7 +13,6 @@ linear solve (`laplace_solve_oracle`).
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -361,6 +360,25 @@ def _reconstruct(terms, delta):
     return out
 
 
+def assemble_spectrum(sys: D2System, grid, amps, include_cross: bool,
+                      method: str, branch_poles: list) -> SpectrumResult:
+    """Spectrum from the branch amplitudes amps (shape (3, len(grid))).
+
+    Branch n intensity is Gamma_n |F_n|^2 / 2 pi; the total is their sum, or
+    with include_cross |sum_n sqrt(Gamma_n) F_n|^2 / 2 pi.
+    """
+    gammas = np.asarray(sys.gamma, dtype=float)
+    branch_intensity = (gammas[:, None] * np.abs(amps) ** 2) / (2.0 * np.pi)
+    if include_cross:
+        summed = np.sum(np.sqrt(gammas)[:, None] * amps, axis=0)
+        total = np.abs(summed) ** 2 / (2.0 * np.pi)
+    else:
+        total = branch_intensity.sum(axis=0)
+    return SpectrumResult(grid=grid, branch_intensity=branch_intensity,
+                          total=total, branch_poles=branch_poles,
+                          method=method, include_cross=include_cross)
+
+
 def spectrum_analytic(sys: D2System, grid, include_cross: bool = False) -> SpectrumResult:
     """Branch-resolved emission spectrum on a common detuning grid.
 
@@ -404,16 +422,8 @@ def spectrum_analytic(sys: D2System, grid, include_cross: bool = False) -> Spect
         amps[branch - 1] = vals
         branch_poles.append(terms)
 
-    gammas = np.asarray(sys.gamma, dtype=float)
-    branch_intensity = (gammas[:, None] * np.abs(amps) ** 2) / (2.0 * np.pi)
-    if include_cross:
-        summed = np.sum(np.sqrt(gammas)[:, None] * amps, axis=0)
-        total = np.abs(summed) ** 2 / (2.0 * np.pi)
-    else:
-        total = branch_intensity.sum(axis=0)
-    return SpectrumResult(grid=grid, branch_intensity=branch_intensity,
-                          total=total, branch_poles=branch_poles,
-                          method="analytic", include_cross=include_cross)
+    return assemble_spectrum(sys, grid, amps, include_cross, "analytic",
+                             branch_poles)
 
 
 def d1_spectrum(sys: D1System, grid, include_cross: bool = False) -> SpectrumResult:
@@ -423,7 +433,4 @@ def d1_spectrum(sys: D1System, grid, include_cross: bool = False) -> SpectrumRes
     central branch reproduces i*delta*(|Oo1||Om1| e^{i phi3} +
     |Om2||Oo2| e^{-i phi2}) over the chain quartic.
     """
-    chain = d1_to_chain(sys)
-    result = spectrum_analytic(chain, grid, include_cross=include_cross)
-    result.method = "analytic"
-    return result
+    return spectrum_analytic(d1_to_chain(sys), grid, include_cross=include_cross)

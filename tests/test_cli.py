@@ -143,6 +143,19 @@ class TestTrappingCommand:
         solved = load_scenario(out)
         assert solved.drives[3].magnitude == pytest.approx(2.0)
         assert solved.drives[2].phase == pytest.approx(0.0, abs=1e-12)
+        manifest = json.loads((tmp_path / "solved.json.manifest.json")
+                              .read_text())
+        assert manifest["outputs"] == [str(out)]
+
+    def test_nothing_written_without_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("trapping", "--preset", "fig2-notrapping") == 0
+        assert "solved_fields" not in json.loads(capsys.readouterr().out)
+        assert run("trapping", "--preset", "fig2-notrapping", "--solve") == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["solved_fields"][3]["mag"] == pytest.approx(2.0)
+        assert "solved_scenario" not in data
+        assert list(tmp_path.iterdir()) == []
 
     def test_solve_rejects_zero_inner_drive(self, tmp_path):
         from darkstate import D2System, DriveField

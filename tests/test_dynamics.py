@@ -14,6 +14,7 @@ from darkstate import (
     steady_state_amplitudes,
     trapped_fraction,
 )
+from darkstate import dynamics
 from darkstate.analysis import compare_spectra
 from darkstate.dynamics import _filon_linear, _filon_weights
 
@@ -66,16 +67,62 @@ class TestPropagate:
         assert np.allclose(a.amps, b.amps, atol=1e-9)
 
 
+def _reference_weights(theta):
+    def integral(f):
+        return quad(lambda u: f(u).real, 0, 1)[0] + \
+            1j * quad(lambda u: f(u).imag, 0, 1)[0]
+    return (integral(lambda u: np.exp(1j * theta * u)),
+            integral(lambda u: u * np.exp(1j * theta * u)))
+
+
+def _damped_trajectory(rng, times):
+    rates = rng.uniform(0.2, 1.0, 4) + 1j * rng.uniform(-15.0, 15.0, 4)
+    coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return np.exp(-np.outer(times, rates)) @ coeffs
+
+
 class TestFilonQuadrature:
     def test_weights_match_reference_integrals(self):
         for theta in (3.0, 0.3, 1e-3, 1e-6, 0.0):
             w0, w1 = _filon_weights(theta)
-            ref0 = quad(lambda u: np.cos(theta * u), 0, 1)[0] + \
-                1j * quad(lambda u: np.sin(theta * u), 0, 1)[0]
-            ref1 = quad(lambda u: u * np.cos(theta * u), 0, 1)[0] + \
-                1j * quad(lambda u: u * np.sin(theta * u), 0, 1)[0]
+            ref0, ref1 = _reference_weights(theta)
             assert w0 == pytest.approx(ref0, abs=1e-12)
             assert w1 == pytest.approx(ref1, abs=1e-12)
+        # one array call, real and complex, on both sides of the series
+        # threshold |theta| = 1e-2
+        thetas = np.array([9.9e-3, 1.01e-2, -9.9e-3, -1.01e-2,
+                           7e-3 + 7e-3j, 8e-3 + 8e-3j, 1e-3j, 0.4 + 1e-3j,
+                           -2.5 + 0.3j, 0.0])
+        w0, w1 = _filon_weights(thetas)
+        assert w0.shape == w1.shape == thetas.shape
+        for theta, got0, got1 in zip(thetas, w0, w1):
+            ref0, ref1 = _reference_weights(theta)
+            assert got0 == pytest.approx(ref0, abs=1e-12)
+            assert got1 == pytest.approx(ref1, abs=1e-12)
+
+    def test_chirp_z_matches_direct_sum(self, rng, monkeypatch):
+        times = np.linspace(0.0, 60.0, 6001)
+        vals = _damped_trajectory(rng, times)
+        chirp_calls = []
+        chirp_z = dynamics._chirp_z
+        monkeypatch.setattr(dynamics, "_chirp_z",
+                            lambda *a: chirp_calls.append(a) or chirp_z(*a))
+        base = np.linspace(-30.0, 30.0, 1201)
+        for x in (base + 13.0, base - 13.0, base + 1e-3j):
+            fast = _filon_linear(times, vals, x)
+            assert len(chirp_calls) == 1
+            # a shuffled grid is not uniform: summed directly
+            perm = rng.permutation(len(x))
+            direct = np.empty_like(fast)
+            direct[perm] = _filon_linear(times, vals, x[perm])
+            scale = np.max(np.abs(direct))
+            assert np.max(np.abs(fast - direct)) / scale < 1e-10
+            for k in (0, 457, 1200):
+                scalar = _filon_linear(times, vals, x[k])
+                assert isinstance(scalar, complex)
+                assert abs(scalar - fast[k]) / scale < 1e-10
+            assert len(chirp_calls) == 1
+            chirp_calls.clear()
 
     def test_transform_of_decaying_exponential(self):
         # integral_0^T e^{ixt} e^{-t/2} dt, T large -> 1/(1/2 - ix)
