@@ -7,9 +7,8 @@ non-trapping) and the single-loss loop presets.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from darkstate import D1System, preset, spectrum_analytic, d1_spectrum
+from darkstate.analysis import d1_grid, default_grid
 from darkstate.cli import FLOAT_FMT, svg_line_plot
 
 D2_PRESETS = ["two-level", "autler-townes-doublet", "at-quartet",
@@ -35,10 +34,10 @@ def main():
     for name in D2_PRESETS + D1_PRESETS:
         system = preset(name).system
         if isinstance(system, D1System):
-            grid = np.linspace(-25, 25, 10001)
+            grid = d1_grid()
             spec = d1_spectrum(system, grid)
         else:
-            grid = np.linspace(-30, 30, 6001)
+            grid = default_grid()
             spec = spectrum_analytic(system, grid)
         curves = [(f"branch {n + 1}", spec.branch_intensity[n])
                   for n in range(3)]

@@ -13,6 +13,7 @@ from .errors import (
     GridMismatch,
     GridTooCoarse,
     GridTooNarrow,
+    NonFiniteValue,
     NonPositiveRate,
     NotAnalyticAdmissible,
     NotConverged,

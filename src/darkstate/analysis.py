@@ -1,12 +1,15 @@
 """Spectrum post-processing: peaks, widths, areas, conservation and
-cross-method comparison."""
+cross-method comparison.
+
+Peak picking is numpy only: `_prominent_maxima` returns the indices SciPy's
+`find_peaks(x, prominence=...)` would, without the slow import of SciPy's
+signal processing package."""
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks as _scipy_find_peaks
 
 from .errors import GridMismatch, GridTooCoarse, GridTooNarrow
 from .model import D1System, D2System, d1_to_chain
@@ -18,10 +21,16 @@ DEFAULT_PROMINENCE = 1e-3
 #: default reporting grid: +-30 rate units, 6001 points
 DEFAULT_GRID = (-30.0, 30.0, 6001)
 
+#: reporting grid of the single-loss (D1) loop: +-25 rate units, 10001 points
+D1_GRID = (-25.0, 25.0, 10001)
+
 
 def default_grid():
-    lo, hi, n = DEFAULT_GRID
-    return np.linspace(lo, hi, n)
+    return np.linspace(*DEFAULT_GRID)
+
+
+def d1_grid():
+    return np.linspace(*D1_GRID)
 
 
 @dataclass
@@ -57,12 +66,43 @@ def _half_height_width(grid, total, idx):
     return right - left
 
 
-def find_peaks(spec: SpectrumResult, prominence: float = DEFAULT_PROMINENCE) -> PeakAnalysis:
-    """Local maxima above prominence * max(total), with interpolated widths
-    and dominant-branch attribution."""
+def _prominent_maxima(x, prominence):
+    """Indices of the local maxima of x whose prominence is >= prominence.
+
+    A maximum is a sample, or a run of equal samples, whose neighbours on
+    both sides are strictly lower; a run counts once, at its middle index
+    rounded down, and the two end samples never count.  A peak's base on
+    each side extends to the nearest strictly higher sample (or the array
+    end); its prominence is its height minus the larger of the two base
+    minima.  Same indices as SciPy's find_peaks(x, prominence=...).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size < 3:
+        return np.empty(0, dtype=np.intp)
+    start = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    end = np.append(start[1:], x.size) - 1
+    v = x[start]
+    inner = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    mids = (start[inner] + end[inner]) // 2
+    keep = []
+    for i in mids:
+        h = x[i]
+        # `not <=` also stops a base at NaN, as scipy's scan does
+        left = np.flatnonzero(~(x[:i] <= h))
+        right = np.flatnonzero(~(x[i + 1:] <= h))
+        lo = left[-1] + 1 if left.size else 0
+        hi = i + 1 + right[0] if right.size else x.size
+        base = max(x[lo:i + 1].min(), x[i:hi].min())
+        keep.append(h - base >= prominence)
+    return mids[np.array(keep, dtype=bool)]
+
+
+def spectral_areas(spec: SpectrumResult):
+    """Trapezoid integrals of the total and per-branch intensities.
+
+    Warns GridTooCoarse when the grid spacing exceeds a tenth of the
+    narrowest line width."""
     grid = spec.grid
-    total = spec.total
-    peak_max = float(np.max(total)) if len(total) else 0.0
     widths = [-2.0 * t.pole.imag
               for terms in spec.branch_poles for t in terms
               if not t.trapped and t.pole.imag < 0]
@@ -73,19 +113,28 @@ def find_peaks(spec: SpectrumResult, prominence: float = DEFAULT_PROMINENCE) -> 
             warnings.warn(
                 f"grid spacing {spacing:.3g} coarser than narrowest width/10 "
                 f"({narrow / 10.0:.3g})", GridTooCoarse)
+    total = float(np.trapezoid(spec.total, grid))
+    branches = tuple(float(np.trapezoid(b, grid)) for b in spec.branch_intensity)
+    return total, branches
+
+
+def find_peaks(spec: SpectrumResult, prominence: float = DEFAULT_PROMINENCE) -> PeakAnalysis:
+    """Local maxima above prominence * max(total), with interpolated widths
+    and dominant-branch attribution."""
+    grid = spec.grid
+    total = spec.total
+    total_area, branch_areas = spectral_areas(spec)
+    peak_max = float(np.max(total)) if len(total) else 0.0
     peaks = []
     if peak_max > 0.0:
-        idx, _ = _scipy_find_peaks(total, prominence=prominence * peak_max)
-        for i in idx:
+        for i in _prominent_maxima(total, prominence * peak_max):
             branch = int(np.argmax(spec.branch_intensity[:, i])) + 1
             peaks.append(Peak(location=float(grid[i]),
                               height=float(total[i]),
                               fwhm=float(_half_height_width(grid, total, i)),
                               branch=branch))
     peaks.sort(key=lambda p: p.location)
-    branch_areas = tuple(float(np.trapezoid(b, grid)) for b in spec.branch_intensity)
-    return PeakAnalysis(peaks=peaks,
-                        total_area=float(np.trapezoid(spec.total, grid)),
+    return PeakAnalysis(peaks=peaks, total_area=total_area,
                         branch_areas=branch_areas)
 
 
@@ -126,9 +175,7 @@ def integrated_area(spec: SpectrumResult):
     if peak > 0.0 and edge > 1e-4 * peak:
         raise GridTooNarrow(
             f"edge intensity {edge:.3g} exceeds 1e-4 of peak {peak:.3g}")
-    total = float(np.trapezoid(spec.total, spec.grid))
-    branches = tuple(float(np.trapezoid(b, spec.grid)) for b in spec.branch_intensity)
-    return total, branches
+    return spectral_areas(spec)
 
 
 @dataclass

@@ -9,7 +9,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -19,8 +18,10 @@ from . import __version__
 from .analysis import (
     compare_spectra,
     count_spectral_lines,
+    d1_grid,
     default_grid,
     find_peaks,
+    spectral_areas,
 )
 from .dynamics import spectrum_time_domain, trapped_fraction
 from .errors import DarkstateError, DivisionByZeroDrive
@@ -34,6 +35,8 @@ from .model import (
     preset_names,
     scenario_to_dict,
     save_scenario,
+    validate_d1_system,
+    validate_system,
 )
 from .spectrum import (
     d1_spectrum,
@@ -96,22 +99,36 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise _InputError(f"grid spec must be min:max:count, got {spec!r}")
     if n < 2:
         raise _InputError("grid count must be >= 2")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _InputError(f"grid bounds must be finite, got {spec!r}")
     if not hi > lo:
         raise _InputError("grid max must exceed min")
     return np.linspace(lo, hi, n)
 
 
+def _check_system(system, context):
+    """Raise _InputError listing every invariant the system violates."""
+    validate = validate_d1_system if isinstance(system, D1System) \
+        else validate_system
+    errors = validate(system).errors
+    if errors:
+        raise _InputError(context + "; ".join(str(e) for e in errors))
+
+
 def _load_system(args):
     if getattr(args, "preset", None):
-        return preset(args.preset).system, f"preset:{args.preset}"
-    if not args.config:
+        system, source = preset(args.preset).system, f"preset:{args.preset}"
+    elif not args.config:
         raise _InputError("provide --config <path> or --preset <name>")
-    try:
-        return load_scenario(args.config), str(args.config)
-    except FileNotFoundError:
-        raise _InputError(f"scenario file not found: {args.config}")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise _InputError(f"bad scenario file {args.config}: {exc}")
+    else:
+        try:
+            system, source = load_scenario(args.config), str(args.config)
+        except FileNotFoundError:
+            raise _InputError(f"scenario file not found: {args.config}")
+        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            raise _InputError(f"bad scenario file {args.config}: {exc}")
+    _check_system(system, f"invalid scenario {source}: ")
+    return system, source
 
 
 def _use_color() -> bool:
@@ -388,12 +405,10 @@ def _sweep_metric(system: D2System, metric: str, grid) -> float:
     if metric == "trapped_fraction":
         return trapped_fraction(system, require_plateau=False)
     spec = spectrum_analytic(system, grid)
-    pa = find_peaks(spec)
-    if metric == "total_area":
-        return pa.total_area
-    if metric == "central_area":
-        return pa.branch_areas[1]
-    return float(len(pa.peaks))
+    if metric == "peak_count":
+        return float(len(find_peaks(spec).peaks))
+    total_area, branch_areas = spectral_areas(spec)
+    return total_area if metric == "total_area" else branch_areas[1]
 
 
 def cmd_sweep(args) -> int:
@@ -408,9 +423,9 @@ def cmd_sweep(args) -> int:
     values = _parse_grid(args.range)
     grid = _parse_grid(args.grid)
     systems = [_apply_sweep_value(system, args.vary, v) for v in values]
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        results = list(pool.map(
-            lambda s: _sweep_metric(s, args.metric, grid), systems))
+    for v, s in zip(values, systems):
+        _check_system(s, f"{args.vary} = {v:g}: ")
+    results = [_sweep_metric(s, args.metric, grid) for s in systems]
     out = Path(args.out)
     lines = [
         f"# darkstate {__version__} sweep vary={args.vary} metric={args.metric}",
@@ -433,15 +448,11 @@ def cmd_sweep(args) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _d1_grid():
-    return np.linspace(-25.0, 25.0, 10001)
-
-
 def _signature_checks(name: str, system, signature: dict):
     """Yield (check name, ok, detail) per expected-signature entry."""
     checks = []
     if isinstance(system, D1System):
-        spec = d1_spectrum(system, _d1_grid())
+        spec = d1_spectrum(system, d1_grid())
         chain = d1_to_chain(system)
     else:
         spec = spectrum_analytic(system, default_grid())

@@ -162,7 +162,7 @@ def _chirp_z(t0, h, rows, x, dx):
     x_j = x[0] + j*dx, as one FFT convolution along the samples.
 
     The chirp exp(i dx h q^2/2) is evaluated from its phase: the complex
-    power w**(q**2/2) that scipy.signal.czt uses is off by ~1e-9 at 8k
+    power w**(q**2/2) that SciPy's `czt` uses is off by ~1e-9 at 8k
     samples, which puts its sums ~3e-10 from the direct ones.
     """
     n, m = rows.shape[-1], x.size

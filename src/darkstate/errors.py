@@ -6,7 +6,12 @@ class DarkstateError(Exception):
 
 
 class NonPositiveRate(DarkstateError):
-    """A decay rate or level splitting that must be positive is not."""
+    """A decay rate or level splitting that must be positive and finite is
+    not."""
+
+
+class NonFiniteValue(DarkstateError):
+    """A drive magnitude, drive phase or detuning is NaN or infinite."""
 
 
 class UnnormalizedInitialState(DarkstateError):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     AlignmentOutOfRange,
+    NonFiniteValue,
     NonPositiveRate,
     UnknownPreset,
     UnnormalizedInitialState,
@@ -182,35 +183,53 @@ def analytic_admissible(sys: D2System) -> bool:
     return abs(sys.omega12 - sys.omega23) <= SPLITTING_RTOL * scale
 
 
-def validate_system(sys: D2System) -> ValidationReport:
-    """Check all D2System invariants; collect one error per violation."""
+def _rate_errors(name, value):
+    # written so that NaN fails too
+    if not 0.0 < value < math.inf:
+        return [NonPositiveRate(f"{name} = {value} must be finite and > 0")]
+    return []
+
+
+def _drive_and_initial_errors(drives, initial):
     errors = []
-    for j, g in enumerate(sys.gamma, start=1):
-        if g <= 0:
-            errors.append(NonPositiveRate(f"Gamma{j} = {g} must be > 0"))
-    if sys.omega12 <= 0:
-        errors.append(NonPositiveRate(f"omega12 = {sys.omega12} must be > 0"))
-    if sys.omega23 <= 0:
-        errors.append(NonPositiveRate(f"omega23 = {sys.omega23} must be > 0"))
-    for i, p in enumerate(sys.alignments, start=1):
-        if abs(p) > 1.0:
-            errors.append(AlignmentOutOfRange(f"p{i} = {p} outside [-1, 1]"))
+    for i, d in enumerate(drives, start=1):
+        if not (math.isfinite(d.magnitude) and math.isfinite(d.phase)):
+            errors.append(NonFiniteValue(
+                f"field {i} = (mag {d.magnitude}, phase {d.phase}) "
+                "must be finite"))
     try:
-        vec = sys.initial_vector()
-        norm = float(np.sum(np.abs(vec) ** 2))
-        if abs(norm - 1.0) > 1e-9:
+        norm = float(np.sum(np.abs(_coerce_initial(initial)) ** 2))
+        if not abs(norm - 1.0) <= 1e-9:
             errors.append(
                 UnnormalizedInitialState(f"initial state norm^2 = {norm}, expected 1")
             )
     except ValueError as exc:
         errors.append(UnnormalizedInitialState(str(exc)))
+    return errors
+
+
+def validate_system(sys: D2System) -> ValidationReport:
+    """Check all D2System invariants, non-finite values included; collect
+    one error per violation."""
+    errors = []
+    for j, g in enumerate(sys.gamma, start=1):
+        errors += _rate_errors(f"Gamma{j}", g)
+    errors += _rate_errors("omega12", sys.omega12)
+    errors += _rate_errors("omega23", sys.omega23)
+    for i, d in enumerate(sys.detunings, start=1):
+        if not math.isfinite(d):
+            errors.append(NonFiniteValue(f"detuning {i} = {d} must be finite"))
+    for i, p in enumerate(sys.alignments, start=1):
+        if not abs(p) <= 1.0:
+            errors.append(AlignmentOutOfRange(f"p{i} = {p} outside [-1, 1]"))
+    errors += _drive_and_initial_errors(sys.drives, sys.initial)
     return ValidationReport(sys, analytic_admissible(sys), errors)
 
 
 def validate_d1_system(sys: D1System) -> ValidationReport:
-    errors = []
-    if sys.gamma <= 0:
-        errors.append(NonPositiveRate(f"Gamma = {sys.gamma} must be > 0"))
+    """Check all D1System invariants, as validate_system does for the chain."""
+    errors = _rate_errors("Gamma", sys.gamma)
+    errors += _drive_and_initial_errors(sys.drives, sys.initial)
     return ValidationReport(sys, True, errors)
 
 

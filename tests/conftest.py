@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from darkstate import D2System, DriveField
+
+#: child processes import darkstate from this checkout, as pytest does
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                  os.environ.get("PYTHONPATH")]))}
 
 
 def random_admissible_system(rng, omega=13.0, initial="B"):

@@ -2,7 +2,6 @@
 pass/fail line with the measured value next to its threshold."""
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -11,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_admissible_system
+from conftest import CHILD_ENV, random_admissible_system
 from darkstate import (
     D1System,
     D2System,
@@ -35,12 +34,6 @@ from darkstate import (
 )
 from darkstate.dynamics import branch_amplitude_numeric
 from darkstate.spectrum import _poly_scale
-
-
-#: child processes import darkstate from this checkout, as pytest does
-_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
-    filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
-                  os.environ.get("PYTHONPATH")]))}
 
 
 def report(num, name, ok, detail):
@@ -223,7 +216,7 @@ def test_criterion_09_reproduction_report(tmp_path):
         "reproduction_report.py"
     out = tmp_path / "reproduction.json"
     proc = subprocess.run([sys.executable, str(script), "--out", str(out)],
-                          capture_output=True, text=True, env=_CHILD_ENV)
+                          capture_output=True, text=True, env=CHILD_ENV)
     data = json.loads(out.read_text()) if out.exists() else None
     ok = proc.returncode == 0 and data is not None and len(data["entries"]) >= 3
     flagged = [e["quantity"] for e in data["entries"] if e["flagged"]] \
@@ -244,14 +237,14 @@ def test_criterion_10_determinism_and_runtime(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "darkstate.cli", "spectrum",
              "--config", str(cfg), "--grid=-30:30:2001", "--out", str(out)],
-            capture_output=True, text=True, env=_CHILD_ENV)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     identical = outs[0] == outs[1]
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "darkstate.cli",
                            "validate", "all"], capture_output=True, text=True,
-                          env=_CHILD_ENV)
+                          env=CHILD_ENV)
     elapsed = time.perf_counter() - t0
     ok = identical and proc.returncode == 0 and elapsed < 300.0
     report(10, "determinism & runtime", ok,

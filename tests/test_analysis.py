@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.signal import find_peaks as scipy_find_peaks
 
 from conftest import random_admissible_system
 from darkstate import (
+    D1System,
     D2System,
     DriveField,
     GridMismatch,
@@ -14,10 +16,56 @@ from darkstate import (
     find_peaks,
     integrated_area,
     preset,
+    preset_names,
     spectrum_analytic,
     spectrum_time_domain,
 )
+from darkstate.analysis import (
+    DEFAULT_PROMINENCE,
+    _prominent_maxima,
+    d1_grid,
+    default_grid,
+    spectral_areas,
+)
 from darkstate.errors import GridTooCoarse
+
+
+class TestProminentMaxima:
+    """The numpy peak picker returns scipy.signal.find_peaks' indices."""
+
+    def test_plateaus_ends_and_bases(self):
+        x = np.array([0, 2, 2, 2, 1, 3, 3, 0, 1], dtype=float)
+        # plateau 1..3 counts at 2, plateau 5..6 at 5, the end sample never;
+        # the peak at 2 has its right base up to the higher index 5
+        assert _prominent_maxima(x, 0.0).tolist() == [2, 5]
+        assert _prominent_maxima(x, 1.0).tolist() == [2, 5]
+        assert _prominent_maxima(x, 1.5).tolist() == [5]
+        assert _prominent_maxima(x[:2], 0.0).tolist() == []
+
+    def test_matches_scipy_on_small_integer_arrays(self):
+        rng = np.random.default_rng(7)
+        for _ in range(3000):
+            # few distinct levels: plateaus and equal-height bases are common
+            size, levels = rng.integers(0, 30), rng.integers(1, 6)
+            x = rng.integers(0, levels, size).astype(float)
+            for prominence in (0.0, 0.5, 1.0, 2.0, 4.0):
+                np.testing.assert_array_equal(
+                    _prominent_maxima(x, prominence),
+                    scipy_find_peaks(x, prominence=prominence)[0])
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_matches_scipy_on_preset_spectra(self, name):
+        system = preset(name).system
+        if isinstance(system, D1System):
+            spec = d1_spectrum(system, d1_grid())
+        else:
+            spec = spectrum_analytic(system, default_grid())
+        for curve in (spec.total, *spec.branch_intensity):
+            for scale in (float(np.max(curve)), float(np.max(spec.total))):
+                for prominence in (0.0, DEFAULT_PROMINENCE * scale):
+                    np.testing.assert_array_equal(
+                        _prominent_maxima(curve, prominence),
+                        scipy_find_peaks(curve, prominence=prominence)[0])
 
 
 class TestFindPeaks:
@@ -53,9 +101,12 @@ class TestFindPeaks:
         assert all(p.branch != 2 for p in pa.peaks)
 
     def test_coarse_grid_warns(self):
+        spec = spectrum_analytic(preset("two-level").system,
+                                 np.linspace(-30, 30, 101))
         with pytest.warns(GridTooCoarse):
-            find_peaks(spectrum_analytic(preset("two-level").system,
-                                         np.linspace(-30, 30, 101)))
+            find_peaks(spec)
+        with pytest.warns(GridTooCoarse):
+            spectral_areas(spec)
 
     def test_count_invariant_under_refinement(self):
         s = preset("fig2-notrapping").system

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from darkstate import load_scenario, preset, save_scenario
+from conftest import CHILD_ENV
+from darkstate import load_scenario, preset, save_scenario, scenario_to_dict
 from darkstate.cli import main
 
 
@@ -247,6 +250,69 @@ class TestValidateCommand:
         # unknown preset is an input-shaped failure surfaced as an error
         code = run("validate", "definitely-not-a-preset")
         assert code != 0
+
+
+def _set_gamma1(d):
+    d["gamma"][0] = -1.0
+
+
+def _set_omega12(d):
+    d["omega12"] = 0.0
+
+
+def _set_initial(d):
+    d["initial"] = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
+
+def _set_nan_mag(d):
+    d["fields"][0]["mag"] = math.nan
+
+
+class TestInputValidation:
+    """Invalid systems exit 2 with one error line and write nothing."""
+
+    @pytest.mark.parametrize("corrupt", [_set_gamma1, _set_omega12,
+                                         _set_initial, _set_nan_mag])
+    @pytest.mark.parametrize("command", ["spectrum", "trapping", "sweep"])
+    def test_invalid_scenario_rejected(self, corrupt, command, tmp_path,
+                                       monkeypatch, capsys):
+        data = scenario_to_dict(preset("fig2-notrapping").system)
+        corrupt(data)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
+        argv = {"spectrum": ["--grid=-5:5:11"], "trapping": [],
+                "sweep": ["--vary", "phase2", "--range", "0:1:3",
+                          "--metric", "total_area"]}[command]
+        code = run(command, "--config", str(cfg), *argv,
+                   "--out", str(tmp_path / "out.csv"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    def test_sweep_into_negative_rate_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run("sweep", "--preset", "fig2-trapping", "--vary", "gamma1",
+                   "--range=-1:1:3", "--metric", "total_area",
+                   "--out", str(out))
+        assert code == 2
+        assert "Gamma1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nonfinite_grid_rejected(self, tmp_path):
+        code = run("spectrum", "--preset", "two-level", "--grid=-inf:5:11",
+                   "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_import_leaves_scipy_signal_out():
+    code = ("import sys, darkstate.cli; print(sorted(m for m in "
+            "('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=CHILD_ENV, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestGridParsing:

@@ -16,6 +16,7 @@ from darkstate import (
     preset_names,
     scenario_from_dict,
     scenario_to_dict,
+    validate_d1_system,
     validate_system,
 )
 from darkstate.model import wrap_phase, wrap_signed
@@ -76,6 +77,29 @@ class TestValidation:
         bad = D2System(gamma=s.gamma, omega12=13, omega23=13, drives=s.drives,
                        initial=[0.5, 0, 0, 0])
         assert not validate_system(bad).ok
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_values_flagged(self, bad):
+        s = preset("two-level").system
+        for kwargs in ({"gamma": (bad, 1.0, 1.0)}, {"omega23": bad},
+                       {"detunings": (bad, 0, 0, 0)},
+                       {"alignments": (bad, 0, 0)},
+                       {"drives": (DriveField(bad),) + s.drives[1:]}):
+            fields = dict(gamma=s.gamma, omega12=13, omega23=13,
+                          drives=s.drives, initial="A1")
+            fields.update(kwargs)
+            assert not validate_system(D2System(**fields)).ok, kwargs
+
+    def test_d1_invariants_flagged(self):
+        s = preset("d1-fig3a").system
+        assert validate_d1_system(s).ok
+        for bad in (D1System(gamma=-1.0, optical1=s.optical1,
+                             optical2=s.optical2),
+                    D1System(gamma=1.0, optical1=DriveField(math.nan),
+                             optical2=s.optical2),
+                    D1System(gamma=1.0, optical1=s.optical1,
+                             optical2=s.optical2, initial=[1, 1, 0, 0])):
+            assert not validate_d1_system(bad).ok
 
     def test_detuned_system_not_analytic_admissible(self):
         s = preset("fig2-trapping").system
