@@ -9,19 +9,11 @@ from pathlib import Path
 
 from darkstate import D1System, preset, spectrum_analytic, d1_spectrum
 from darkstate.analysis import d1_grid, default_grid
-from darkstate.cli import FLOAT_FMT, svg_line_plot
+from darkstate.cli import SPECTRUM_CSV_HEADER, svg_line_plot, write_csv
 
 D2_PRESETS = ["two-level", "autler-townes-doublet", "at-quartet",
               "fig2-trapping", "fig2-notrapping"]
 D1_PRESETS = ["d1-trapping", "d1-fig3a", "d1-fig3b", "d1-fig3d", "d1-fig3e"]
-
-
-def write_csv(path, spec):
-    lines = ["delta,branch1,branch2,branch3,total"]
-    for k in range(len(spec.grid)):
-        row = (spec.grid[k], *spec.branch_intensity[:, k], spec.total[k])
-        lines.append(",".join(FLOAT_FMT % v for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def main():
@@ -43,7 +35,8 @@ def main():
                   for n in range(3)]
         curves.append(("total", spec.total))
         svg_line_plot(outdir / f"{name}.svg", grid, curves, title=name)
-        write_csv(outdir / f"{name}.csv", spec)
+        write_csv(outdir / f"{name}.csv", [SPECTRUM_CSV_HEADER],
+                  [spec.grid, *spec.branch_intensity, spec.total])
         print(f"wrote {outdir / name}.svg / .csv "
               f"(max intensity {spec.total.max():.3e})")
 

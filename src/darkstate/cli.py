@@ -24,7 +24,7 @@ from .analysis import (
     spectral_areas,
 )
 from .dynamics import spectrum_time_domain, trapped_fraction
-from .errors import DarkstateError, DivisionByZeroDrive
+from .errors import DarkstateError, DivisionByZeroDrive, UnknownPreset
 from .model import (
     D1System,
     D2System,
@@ -54,6 +54,8 @@ EXIT_UNSOLVABLE = 4
 
 #: fixed scientific float formatting: 17 significant digits
 FLOAT_FMT = "%.16e"
+
+SPECTRUM_CSV_HEADER = "delta,branch1,branch2,branch3,total"
 
 
 class _InputError(Exception):
@@ -125,6 +127,9 @@ def _load_system(args):
             system, source = load_scenario(args.config), str(args.config)
         except FileNotFoundError:
             raise _InputError(f"scenario file not found: {args.config}")
+        except OSError as exc:
+            raise _InputError(f"cannot read scenario file {args.config}: "
+                              f"{exc.strerror}")
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             raise _InputError(f"bad scenario file {args.config}: {exc}")
     _check_system(system, f"invalid scenario {source}: ")
@@ -143,18 +148,19 @@ def _tag(ok: bool) -> str:
     return label
 
 
+def write_csv(path, header, columns):
+    """Write the header lines, then one row of FLOAT_FMT values per index
+    of the equal-length columns."""
+    np.savetxt(path, np.column_stack(columns), fmt=FLOAT_FMT, delimiter=",",
+               header="\n".join(header), comments="", encoding="utf-8")
+
+
 def _write_csv_spectrum(path: Path, spec, sys_dict, method):
-    lines = [
+    write_csv(path, [
         f"# darkstate {__version__} spectrum method={method}",
         "# scenario: " + json.dumps(sys_dict, sort_keys=True),
-        "delta,branch1,branch2,branch3,total",
-    ]
-    for k in range(len(spec.grid)):
-        row = [spec.grid[k], spec.branch_intensity[0][k],
-               spec.branch_intensity[1][k], spec.branch_intensity[2][k],
-               spec.total[k]]
-        lines.append(",".join(FLOAT_FMT % v for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        SPECTRUM_CSV_HEADER,
+    ], [spec.grid, *spec.branch_intensity, spec.total])
 
 
 def _pole_tables(spec):
@@ -427,14 +433,11 @@ def cmd_sweep(args) -> int:
         _check_system(s, f"{args.vary} = {v:g}: ")
     results = [_sweep_metric(s, args.metric, grid) for s in systems]
     out = Path(args.out)
-    lines = [
+    write_csv(out, [
         f"# darkstate {__version__} sweep vary={args.vary} metric={args.metric}",
         "# scenario: " + json.dumps(scenario_to_dict(system), sort_keys=True),
         f"value,{args.metric}",
-    ]
-    for v, r in zip(values, results):
-        lines.append(",".join(FLOAT_FMT % x for x in (v, r)))
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ], [values, results])
     manifest = RunManifest(command="sweep", scenario=source,
                            parameters=scenario_to_dict(system),
                            version=__version__,
@@ -539,9 +542,12 @@ def _signature_checks(name: str, system, signature: dict):
 
 def cmd_validate(args) -> int:
     names = preset_names() if args.preset == "all" else [args.preset]
+    try:
+        presets = [preset(name) for name in names]
+    except UnknownPreset as exc:
+        raise _InputError(str(exc))
     failures = 0
-    for name in names:
-        p = preset(name)
+    for name, p in zip(names, presets):
         for check, ok, detail in _signature_checks(name, p.system,
                                                    p.expected_signature):
             print(f"{_tag(ok)}  {name}: {check} ({detail})")
@@ -612,6 +618,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        # a failed scenario read is an _InputError from _load_system, so
+        # what reaches here is a failed output write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DarkstateError as exc:
         op = type(exc).__name__

@@ -3,9 +3,13 @@ emission-amplitude oracle.
 
 The equations of motion (rotating frame, drive terms carrying exp(+-i
 Delta_i t), cross-damping terms carrying exp(-i omega t) factors) are
-integrated with an adaptive explicit Runge-Kutta method; the one-branch
-emission amplitude integral_0^inf exp(i x t) A_n(t) dt is evaluated with a
-Filon-type rule that treats the oscillatory factor exactly.
+integrated with an adaptive explicit Runge-Kutta method (DOP853); the
+one-branch emission amplitude integral_0^inf exp(i x t) A_n(t) dt is
+evaluated with a Filon-type rule that treats the oscillatory factor exactly.
+
+The trajectory is sampled only where it is read: `propagate` on its whole
+uniform grid, `trapped_fraction` on the plateau window at the grid's end.
+Integrator steps that hold no sample build no interpolant.
 
 The Filon sums are taken over a whole detuning grid at once.  On a uniform
 grid (every grid the CLI builds) they are one chirp-z transform per Filon
@@ -86,39 +90,42 @@ def _rhs_builder(sys: D2System):
     return rhs
 
 
-def _sample_step(sys: D2System) -> float:
-    """Resampling step: resolve the fastest retained phase factor."""
+def _sample_times(sys: D2System, t_final: float) -> np.ndarray:
+    """Uniform sample grid on [0, t_final] that resolves the fastest
+    retained phase factor, with an even interval count so the
+    half-resolution Richardson pass lines up."""
+    if t_final <= 0:
+        raise ValueError("t_final must be positive")
     fast = max(abs(sys.omega12), abs(sys.omega23),
                *(abs(d) for d in sys.detunings), 1.0)
-    return min(0.01, 0.1 / fast)
+    n = int(math.ceil(t_final / min(0.01, 0.1 / fast)))
+    return np.linspace(0.0, t_final, n + n % 2 + 1)
+
+
+def _sample(sys: D2System, times: np.ndarray, tol: float) -> np.ndarray:
+    """Amplitudes at the ascending sample times, integrating from t=0 to
+    times[-1]; only the steps that hold a sample are interpolated."""
+    sol = solve_ivp(_rhs_builder(sys), (0.0, times[-1]),
+                    sys.initial_vector(), method="DOP853", rtol=tol,
+                    atol=tol * 1e-2, t_eval=times)
+    if not sol.success:
+        # sol.t holds only the samples reached, possibly none
+        t_reached = float(sol.t[-1]) if len(sol.t) else None
+        raise StepSizeUnderflow(f"integrator failed; last sample reached: "
+                                f"t={t_reached}: {sol.message}",
+                                t_reached=t_reached)
+    return np.ascontiguousarray(sol.y.T)
 
 
 def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
               tol: float = DEFAULT_TOL) -> AmplitudeTrajectory:
     """Integrate the amplitude equations from t=0 to t_final.
 
-    The returned trajectory is resampled on a uniform grid fine enough for
+    The returned trajectory is sampled on a uniform grid fine enough for
     the oscillatory quadrature downstream.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    rhs = _rhs_builder(sys)
-    y0 = sys.initial_vector()
-    sol = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, dense_output=True)
-    if not sol.success:
-        raise StepSizeUnderflow(
-            f"integrator failed at t={sol.t[-1]:.6g}: {sol.message}",
-            t_reached=float(sol.t[-1]),
-        )
-    h = _sample_step(sys)
-    n = int(math.ceil(t_final / h))
-    # even sample count so the half-resolution Richardson pass lines up
-    if n % 2:
-        n += 1
-    times = np.linspace(0.0, t_final, n + 1)
-    amps = sol.sol(times).T
-    return AmplitudeTrajectory(times=times, amps=np.ascontiguousarray(amps))
+    times = _sample_times(sys, t_final)
+    return AmplitudeTrajectory(times=times, amps=_sample(sys, times, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +261,15 @@ def trapped_fraction(sys: D2System, t_final: float = 150.0,
                      require_plateau: bool = True) -> float:
     """Plateau value of the surviving population |A1|^2+|A2|^2+|A3|^2+|B|^2.
 
-    The last 10% of the window is split in two; their means must agree to
-    plateau_tol, else NotConverged is raised (or, with require_plateau=False,
-    the late-window mean is returned anyway).
+    The population is sampled only on the last 10% of propagate's uniform
+    grid of n samples, from sample int(0.9 n) on.  That window is split in
+    two; their means must agree to plateau_tol, else NotConverged is raised
+    (or, with require_plateau=False, the late-window mean is returned
+    anyway).
     """
-    traj = propagate(sys, t_final, tol)
-    norms = traj.norm()
-    n = len(norms)
-    tail = norms[int(0.9 * n):]
+    times = _sample_times(sys, t_final)
+    window = times[int(0.9 * len(times)):]
+    tail = AmplitudeTrajectory(window, _sample(sys, window, tol)).norm()
     half = len(tail) // 2
     m1 = float(np.mean(tail[:half]))
     m2 = float(np.mean(tail[half:]))

@@ -90,6 +90,15 @@ class TestSpectrumCommand:
                    "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    def test_unreadable_config_is_input_error(self, tmp_path, capsys):
+        # a directory as scenario file is a failed read, not a failed write
+        code = run("spectrum", "--config", str(tmp_path),
+                   "--out", str(tmp_path / "x.csv"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot read scenario file ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_grid_is_input_error(self, fig2_config, tmp_path):
         code = run("spectrum", "--config", str(fig2_config),
                    "--grid", "oops", "--out", str(tmp_path / "x.csv"))
@@ -247,9 +256,12 @@ class TestValidateCommand:
         assert "\x1b[" not in capsys.readouterr().out
 
     def test_unknown_preset_numerical_path_not_taken(self, capsys):
-        # unknown preset is an input-shaped failure surfaced as an error
+        # unknown preset is bad input, not a numerical failure
         code = run("validate", "definitely-not-a-preset")
-        assert code != 0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: unknown preset ")
+        assert err.count("\n") == 1
 
 
 def _set_gamma1(d):
@@ -305,6 +317,21 @@ class TestInputValidation:
                    "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--preset", "two-level", "--grid=-5:5:11"],
+    ["sweep", "--preset", "fig2-trapping", "--vary", "phase2",
+     "--range", "0:1:2", "--metric", "total_area"],
+    ["trapping", "--preset", "fig2-trapping"],
+    ["trapping", "--preset", "fig2-trapping", "--solve"],
+])
+def test_unwritable_out_is_input_error(argv, tmp_path, capsys):
+    code = run(*argv, "--out", str(tmp_path / "missing" / "x"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_import_leaves_scipy_signal_out():

@@ -1,12 +1,17 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from conftest import random_admissible_system
 from darkstate import (
     D2System,
     DriveField,
+    StepSizeUnderflow,
     branch_amplitude_numeric,
+    d1_to_chain,
     preset,
     propagate,
     spectrum_analytic,
@@ -16,6 +21,7 @@ from darkstate import (
 )
 from darkstate import dynamics
 from darkstate.analysis import compare_spectra
+from darkstate.cli import main
 from darkstate.dynamics import _filon_linear, _filon_weights
 
 
@@ -193,6 +199,82 @@ class TestTrappedFraction:
         # the non-strict mode still returns the late-window mean
         val = trapped_fraction(s, t_final=30.0, require_plateau=False)
         assert 0.0 < val < 1.0
+
+
+def _dense_reference(sys, t_final):
+    """Samples and plateau value computed from scipy's dense output on the
+    whole uniform grid, then the tail of it: the route that sampling through
+    t_eval replaces."""
+    tol = dynamics.DEFAULT_TOL
+    sol = solve_ivp(dynamics._rhs_builder(sys), (0.0, t_final),
+                    sys.initial_vector(), method="DOP853", rtol=tol,
+                    atol=tol * 1e-2, dense_output=True)
+    fast = max(abs(sys.omega12), abs(sys.omega23),
+               *(abs(d) for d in sys.detunings), 1.0)
+    n = int(math.ceil(t_final / min(0.01, 0.1 / fast)))
+    n += n % 2
+    times = np.linspace(0.0, t_final, n + 1)
+    amps = sol.sol(times).T
+    norms = np.sum(np.abs(amps) ** 2, axis=1)
+    tail = norms[int(0.9 * len(norms)):]
+    return times, amps, min(max(float(np.mean(tail[len(tail) // 2:])), 0.0),
+                            1.0)
+
+
+def _reference_systems():
+    rng = np.random.default_rng(7)
+    systems = [d1_to_chain(preset(name).system)
+               for name in ("d1-trapping", "d1-fig3c", "d1-fig3f")]
+    systems.append(preset("fig2-trapping").system)
+    systems += [random_admissible_system(rng) for _ in range(3)]
+    return systems
+
+
+class TestSampling:
+    @pytest.mark.parametrize("k", range(7))
+    def test_matches_dense_output(self, k):
+        s = _reference_systems()[k]
+        times, amps, trapped = _dense_reference(s, 150.0)
+        traj = propagate(s, t_final=150.0)
+        assert np.array_equal(traj.times, times)
+        assert np.max(np.abs(traj.amps - amps)) <= 1e-14
+        assert abs(trapped_fraction(s, require_plateau=False) - trapped) \
+            <= 1e-14
+
+    def test_trapped_fraction_samples_only_the_window(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", spy)
+        s = preset("fig2-trapping").system
+        times = propagate(s, t_final=20.0).times
+        calls.clear()
+        trapped_fraction(s, t_final=20.0, require_plateau=False)
+        (kwargs,) = calls
+        assert not kwargs.get("dense_output", False)
+        assert np.array_equal(kwargs["t_eval"],
+                              times[int(0.9 * len(times)):])
+
+    @pytest.mark.parametrize("reached", [[], [0.0, 0.01]])
+    def test_integrator_failure(self, reached, monkeypatch, tmp_path,
+                                capsys):
+        failed = SimpleNamespace(success=False, t=reached, nfev=0,
+                                 message="Required step size is less than "
+                                         "spacing between numbers.")
+        monkeypatch.setattr(dynamics, "solve_ivp", lambda *a, **k: failed)
+        with pytest.raises(StepSizeUnderflow) as info:
+            trapped_fraction(_bare("A1"), t_final=20.0)
+        assert info.value.t_reached == (reached[-1] if reached else None)
+        code = main(["sweep", "--preset", "fig2-trapping", "--vary", "phase2",
+                     "--range", "0:1:2", "--metric", "trapped_fraction",
+                     "--out", str(tmp_path / "sweep.csv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTimeDomainSpectrum:
