@@ -87,7 +87,7 @@ def _prominent_maxima(x, prominence):
     keep = []
     for i in mids:
         h = x[i]
-        # `not <=` also stops a base at NaN, as scipy's scan does
+        # `not <=` also stops a base at NaN, as SciPy's scan does
         left = np.flatnonzero(~(x[:i] <= h))
         right = np.flatnonzero(~(x[i + 1:] <= h))
         lo = left[-1] + 1 if left.size else 0

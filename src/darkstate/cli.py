@@ -9,6 +9,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from .analysis import (
     spectral_areas,
 )
 from .dynamics import spectrum_time_domain, trapped_fraction
-from .errors import DarkstateError, DivisionByZeroDrive, UnknownPreset
+from .errors import (DarkstateError, DivisionByZeroDrive, GridTooCoarse,
+                     UnknownPreset)
 from .model import (
     D1System,
     D2System,
@@ -134,6 +136,19 @@ def _load_system(args):
             raise _InputError(f"bad scenario file {args.config}: {exc}")
     _check_system(system, f"invalid scenario {source}: ")
     return system, source
+
+
+def _check_outputs(*paths):
+    """Raise _InputError unless every given output path (None is skipped)
+    can be created: its directory exists and the path is no directory.
+    Commands call this before any work, so a bad path writes nothing."""
+    for path in filter(None, paths):
+        path = Path(path)
+        if path.is_dir():
+            raise _InputError(f"cannot write output: {path} is a directory")
+        if not path.parent.is_dir():
+            raise _InputError(f"cannot write output: no directory "
+                              f"{path.parent} for {path}")
 
 
 def _use_color() -> bool:
@@ -280,8 +295,11 @@ def _compute_spectrum(system, grid, method, tol):
 
 def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
+    _check_outputs(args.out, args.svg)
     system, source = _load_system(args)
     grid = _parse_grid(args.grid)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise _InputError(f"--tol must be positive and finite, got {args.tol}")
     spec, oracle = _compute_spectrum(system, grid, args.method, args.tol)
     sys_dict = scenario_to_dict(system)
     out = Path(args.out)
@@ -331,6 +349,7 @@ def _report_to_dict(rep) -> dict:
 
 def cmd_trapping(args) -> int:
     t0 = time.perf_counter()
+    _check_outputs(args.out)
     system, source = _load_system(args)
     if isinstance(system, D1System):
         rep = d1_trapping_check(system)
@@ -419,6 +438,7 @@ def _sweep_metric(system: D2System, metric: str, grid) -> float:
 
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
+    _check_outputs(args.out)
     system, source = _load_system(args)
     if isinstance(system, D1System):
         raise _InputError("sweep operates on the chain (d2) system")
@@ -612,22 +632,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warnings():
+    """A warnings.showwarning that prints each distinct GridTooCoarse
+    message once as a `warning:` line on stderr and passes any other
+    warning on."""
+    shown = set()
+    fallback = warnings.showwarning
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        if not issubclass(category, GridTooCoarse):
+            fallback(message, category, filename, lineno, file, line)
+        elif str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+    return show
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        # a failed scenario read is an _InputError from _load_system, so
-        # what reaches here is a failed output write
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DarkstateError as exc:
-        op = type(exc).__name__
-        print(f"error: numerical failure in {op}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", GridTooCoarse)
+        warnings.showwarning = _show_warnings()
+        try:
+            return args.func(args)
+        except _InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except OSError as exc:
+            # a failed scenario read is an _InputError from _load_system, so
+            # what reaches here is a failed output write
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except DarkstateError as exc:
+            op = type(exc).__name__
+            print(f"error: numerical failure in {op}: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@ emission-amplitude oracle.
 
 The equations of motion (rotating frame, drive terms carrying exp(+-i
 Delta_i t), cross-damping terms carrying exp(-i omega t) factors) are
-integrated with an adaptive explicit Runge-Kutta method (DOP853); the
+integrated with the adaptive explicit Runge-Kutta pair DOP853 (`_dop853`,
+a port of SciPy's, bound here as `solve_ivp`); the
 one-branch emission amplitude integral_0^inf exp(i x t) A_n(t) dt is
 evaluated with a Filon-type rule that treats the oscillatory factor exactly.
 
@@ -13,9 +14,9 @@ Integrator steps that hold no sample build no interpolant.
 
 The Filon sums are taken over a whole detuning grid at once.  On a uniform
 grid (every grid the CLI builds) they are one chirp-z transform per Filon
-pass, that is three FFTs of about samples + points length; any other grid,
-or a scalar, is summed directly in blocks of samples.  The path is chosen
-from the grid alone.
+pass, that is three `numpy.fft` transforms of the smallest 5-smooth length
+>= samples + points - 1; any other grid, or a scalar, is summed directly in
+blocks of samples.  The path is chosen from the grid alone.
 """
 from __future__ import annotations
 
@@ -23,9 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.integrate import solve_ivp
+from numpy.fft import fft, ifft
 
+from ._dop853 import solve_ivp
 from .errors import NotConverged, StepSizeUnderflow
 from .model import D2System
 from .spectrum import (BRANCH_SHIFT_SIGNS, SpectrumResult, assemble_spectrum,
@@ -106,8 +107,8 @@ def _sample(sys: D2System, times: np.ndarray, tol: float) -> np.ndarray:
     """Amplitudes at the ascending sample times, integrating from t=0 to
     times[-1]; only the steps that hold a sample are interpolated."""
     sol = solve_ivp(_rhs_builder(sys), (0.0, times[-1]),
-                    sys.initial_vector(), method="DOP853", rtol=tol,
-                    atol=tol * 1e-2, t_eval=times)
+                    sys.initial_vector(), rtol=tol, atol=tol * 1e-2,
+                    t_eval=times)
     if not sol.success:
         # sol.t holds only the samples reached, possibly none
         t_reached = float(sol.t[-1]) if len(sol.t) else None
@@ -163,6 +164,20 @@ UNIFORM_PHASE_TOL = 1e-10
 DIRECT_BLOCK = 1 << 20
 
 
+def _fft_length(n):
+    """Smallest 5-smooth integer >= n (a product of 2s, 3s and 5s)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2**k >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _chirp_z(t0, h, rows, x, dx):
     """Bluestein's chirp-z transform (Rabiner, Schafer & Rader, 1969):
     sum_k rows[:, k] * exp(i x_j t_k) for t_k = t0 + k*h and
@@ -175,7 +190,7 @@ def _chirp_z(t0, h, rows, x, dx):
     n, m = rows.shape[-1], x.size
     q = np.arange(max(m, n), dtype=float)
     chirp = np.exp(0.5j * (dx * h) * q ** 2)
-    size = next_fast_len(n + m - 1)
+    size = _fft_length(n + m - 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = np.conj(chirp[:m])
     kernel[size - n + 1:] = np.conj(chirp[n - 1:0:-1])

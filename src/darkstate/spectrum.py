@@ -54,10 +54,7 @@ class QuarticPoly:
         object.__setattr__(self, "coefficients", coeffs)
 
     def __call__(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=complex))
-        for c in self.coefficients:
-            out = out * x + c
-        return out
+        return _polyval(self.coefficients, x)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,16 @@ class TestSpectrumCommand:
                    "--grid", "oops", "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
+    def test_bad_tol_is_input_error(self, tol, tmp_path, capsys):
+        code = run("spectrum", "--preset", "two-level", "--grid=-5:5:11",
+                   "--method", "timedomain", f"--tol={tol}",
+                   "--out", str(tmp_path / "x.csv"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --tol") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_emission_warning(self, tmp_path, capsys):
         from darkstate import D2System, DriveField
         s = D2System(gamma=(1, 1, 1), omega12=13, omega23=13,
@@ -319,24 +329,45 @@ class TestInputValidation:
         assert list(tmp_path.iterdir()) == []
 
 
+SPECTRUM_ARGV = ["spectrum", "--preset", "two-level", "--grid=-5:5:11"]
+
+
 @pytest.mark.parametrize("argv", [
-    ["spectrum", "--preset", "two-level", "--grid=-5:5:11"],
+    [*SPECTRUM_ARGV, "--out", "missing/x"],
+    [*SPECTRUM_ARGV, "--out", "s.csv", "--svg", "missing/x.svg"],
+    [*SPECTRUM_ARGV, "--out", "s.csv", "--svg", "."],
     ["sweep", "--preset", "fig2-trapping", "--vary", "phase2",
-     "--range", "0:1:2", "--metric", "total_area"],
-    ["trapping", "--preset", "fig2-trapping"],
-    ["trapping", "--preset", "fig2-trapping", "--solve"],
+     "--range", "0:1:2", "--metric", "total_area", "--out", "missing/x"],
+    ["trapping", "--preset", "fig2-trapping", "--out", "missing/x.json"],
+    ["trapping", "--preset", "fig2-trapping", "--solve", "--out",
+     "missing/x"],
 ])
-def test_unwritable_out_is_input_error(argv, tmp_path, capsys):
-    code = run(*argv, "--out", str(tmp_path / "missing" / "x"))
-    err = capsys.readouterr().err
+def test_unwritable_out_is_input_error(argv, tmp_path, monkeypatch, capsys):
+    # every output path is checked before any work: nothing is printed or
+    # written, not even the outputs whose directory exists
+    monkeypatch.chdir(tmp_path)
+    code = run(*argv)
+    out, err = capsys.readouterr()
     assert code == 2
+    assert out == ""
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
+def test_coarse_grid_warnings_are_message_lines(tmp_path, capsys):
+    code = run("sweep", "--preset", "fig2-trapping", "--vary", "phase2",
+               "--range", "0:1:11", "--metric", "central_area",
+               "--grid=-30:30:101", "--out", str(tmp_path / "s.csv"))
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 0
+    assert lines and len(set(lines)) == len(lines)
+    assert all(l.startswith("warning: grid spacing ") for l in lines)
+    assert not any("analysis.py" in l for l in lines)
+
+
 def test_import_leaves_scipy_signal_out():
-    code = ("import sys, darkstate.cli; print(sorted(m for m in "
-            "('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    code = ("import sys, darkstate.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=CHILD_ENV, check=True)
     assert proc.stdout.strip() == "[]"

@@ -4,22 +4,25 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 from conftest import random_admissible_system
 from darkstate import (
+    D1System,
     D2System,
     DriveField,
     StepSizeUnderflow,
     branch_amplitude_numeric,
     d1_to_chain,
     preset,
+    preset_names,
     propagate,
     spectrum_analytic,
     spectrum_time_domain,
     steady_state_amplitudes,
     trapped_fraction,
 )
-from darkstate import dynamics
+from darkstate import _dop853, dynamics
 from darkstate.analysis import compare_spectra
 from darkstate.cli import main
 from darkstate.dynamics import _filon_linear, _filon_weights
@@ -129,6 +132,18 @@ class TestFilonQuadrature:
                 assert abs(scalar - fast[k]) / scale < 1e-10
             assert len(chirp_calls) == 1
             chirp_calls.clear()
+
+    def test_fft_length_is_smallest_5_smooth(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+        # all small lengths, and those of 1201/6001-point spectra at t=60
+        lengths = [*range(1, 3001), 5100, 9000, 9900, 13800, 16385]
+        want = [next(k for k in range(n, 2 * n + 1) if smooth(k))
+                for n in lengths]
+        assert [dynamics._fft_length(n) for n in lengths] == want
 
     def test_transform_of_decaying_exponential(self):
         # integral_0^T e^{ixt} e^{-t/2} dt, T large -> 1/(1/2 - ix)
@@ -243,10 +258,11 @@ class TestSampling:
 
     def test_trapped_fraction_samples_only_the_window(self, monkeypatch):
         calls = []
+        integrate = dynamics.solve_ivp
 
         def spy(*args, **kwargs):
             calls.append(kwargs)
-            return solve_ivp(*args, **kwargs)
+            return integrate(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "solve_ivp", spy)
         s = preset("fig2-trapping").system
@@ -275,6 +291,92 @@ class TestSampling:
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+def _integrator_cases():
+    cases = []
+    for name in preset_names():
+        s = preset(name).system
+        chain = d1_to_chain(s) if isinstance(s, D1System) else s
+        cases.append((name, chain))
+    rng = np.random.default_rng(11)
+    cases += [(f"random{k}", random_admissible_system(rng)) for k in range(3)]
+    for k in range(2):
+        s = random_admissible_system(rng)
+        cases.append((f"detuned{k}", D2System(
+            gamma=s.gamma, omega12=s.omega12, omega23=s.omega23,
+            drives=s.drives, detunings=tuple(rng.uniform(-2.0, 2.0, 4)),
+            alignments=tuple(rng.uniform(-1.0, 1.0, 3)))))
+    return cases
+
+
+_INTEGRATOR_CASES = dict(_integrator_cases())
+
+
+def _same_solution(ours, ref):
+    return (np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
+            and ours.nfev == ref.nfev and ours.success == ref.success
+            and ours.message == ref.message)
+
+
+class TestDop853:
+    """The in-package DOP853 reproduces SciPy's, sample for sample."""
+
+    def test_tables_match_scipy(self):
+        for name in ("C", "A", "B", "E3", "E5", "D"):
+            assert np.array_equal(getattr(_dop853, name),
+                                  getattr(dop853_coefficients, name)), name
+
+    @pytest.mark.parametrize("name", list(_INTEGRATOR_CASES))
+    def test_samples_match_scipy(self, name):
+        system = _INTEGRATOR_CASES[name]
+        tol = dynamics.DEFAULT_TOL
+        rhs = dynamics._rhs_builder(system)
+        full = dynamics._sample_times(system, 60.0)
+        late = dynamics._sample_times(system, 150.0)
+        for times in (full, late[int(0.9 * len(late)):]):
+            kwargs = dict(rtol=tol, atol=tol * 1e-2, t_eval=times)
+            ours = dynamics.solve_ivp(rhs, (0.0, times[-1]),
+                                      system.initial_vector(), **kwargs)
+            ref = solve_ivp(rhs, (0.0, times[-1]), system.initial_vector(),
+                            method="DOP853", **kwargs)
+            assert ours.y.shape == (4, len(times))
+            assert ours.success and _same_solution(ours, ref)
+
+    def test_blow_up_fails_like_scipy(self):
+        # y' = y**2, y(0) = 1 blows up at t = 1
+        times = np.linspace(0.0, 2.0, 201)
+        kwargs = dict(rtol=1e-8, atol=1e-10, t_eval=times)
+        ours = dynamics.solve_ivp(lambda t, y: y ** 2, (0.0, 2.0),
+                                  np.array([1.0 + 0j]), **kwargs)
+        ref = solve_ivp(lambda t, y: y ** 2, (0.0, 2.0),
+                        np.array([1.0 + 0j]), method="DOP853", **kwargs)
+        assert not ours.success and not ref.success
+        assert 0 < len(ours.t) < len(times)
+        assert ours.t[-1] == ref.t[-1] and ours.y[0, -1] == ref.y[0, -1]
+        assert _same_solution(ours, ref)
+
+    @pytest.mark.parametrize("atol", [-1e-10, math.nan])
+    def test_bad_atol_rejected(self, atol):
+        with pytest.raises(ValueError):
+            dynamics.solve_ivp(lambda t, y: -y, (0.0, 1.0),
+                               np.ones(1, dtype=complex), rtol=1e-8,
+                               atol=atol, t_eval=[1.0])
+
+    @pytest.mark.parametrize("rtol,atol", [(0.0, 0.0), (math.nan, 1e-10),
+                                           (math.inf, 1e-10)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_step_size_fails(self, rtol, atol):
+        # a zero component with zero atol, or a NaN or infinite rtol, makes
+        # the initial step size NaN: the integration fails, it does not
+        # step forever
+        sol = dynamics.solve_ivp(lambda t, y: -y, (0.0, 1.0),
+                                 np.array([1.0, 0.0], dtype=complex),
+                                 rtol=rtol, atol=atol, t_eval=[0.5, 1.0])
+        assert not sol.success and len(sol.t) == 0
+        if atol == rtol * 1e-2:
+            with pytest.raises(StepSizeUnderflow):
+                propagate(_bare("A1"), t_final=1.0, tol=rtol)
 
 
 class TestTimeDomainSpectrum:
