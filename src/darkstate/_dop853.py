@@ -11,9 +11,11 @@ hold the same values as SciPy's DOP853 coefficient table
 `solve_ivp` follows SciPy's `DOP853` solver driven by its `solve_ivp(...,
 t_eval=...)`: the same initial step, step control and error norm, and the
 interpolant built only for steps that hold a sample, with the same numpy
-operations in the same order, so its samples and evaluation counts are
-identical to SciPy's.  It integrates a complex
-state forward from t=0 with scalar tolerances and nothing else.
+operations in the same order (the real tables are cast to complex once, as
+np.dot would cast them on each call), so its samples and evaluation counts
+are identical to SciPy's.  It integrates a complex state forward from t=0
+with scalar tolerances, optionally until a predicate of the state holds,
+and nothing else.
 """
 from __future__ import annotations
 
@@ -230,6 +232,7 @@ ERROR_EXPONENT = -1 / 8
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 REACHED_END = ("The solver successfully reached the end of the integration "
                "interval.")
+STOPPED = "A termination event occurred."
 
 
 @dataclass
@@ -263,22 +266,36 @@ def _initial_step(fun, y0, f0, t_bound, rtol, atol):
     return min(100 * h0, h1, t_bound)
 
 
+def _stage_rows(stages):
+    """(s, a_s, c_s) for each stage s, with a_s = A[s, :s] cast to complex
+    once here: np.dot would cast it on every call, to the same values."""
+    return tuple((s, A[s, :s].astype(complex), C[s]) for s in stages)
+
+
+_METHOD_STAGES = _stage_rows(range(1, N_STAGES))
+_EXTRA_STAGES = _stage_rows(range(N_STAGES + 1, N_STAGES_EXTENDED))
+_B = B.astype(complex)
+_E3 = E3.astype(complex)
+_E5 = E5.astype(complex)
+_D = D.astype(complex)
+
+
 def _rk_step(fun, t, y, f, h, K):
     """One DOP853 step; K receives the 12 stages and f(t + h, y_new)."""
     K[0] = f
-    for s, (a, c) in enumerate(zip(A[1:N_STAGES, :N_STAGES], C[1:N_STAGES]),
-                               start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
+    KT = K.T
+    for s, a, c in _METHOD_STAGES:
+        dy = np.dot(KT[:, :s], a) * h
         K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, B)
+    y_new = y + h * np.dot(KT[:, :-1], _B)
     f_new = fun(t + h, y_new)
     K[-1] = f_new
     return y_new, f_new
 
 
 def _error_norm(K, h, scale):
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
+    err5 = np.dot(K.T, _E5) / scale
+    err3 = np.dot(K.T, _E3) / scale
     err5_norm_2 = np.linalg.norm(err5)**2
     err3_norm_2 = np.linalg.norm(err3)**2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
@@ -322,9 +339,9 @@ def _interpolate(fun, t_old, y_old, y, f, h, K, times):
     """The 7th-order continuous extension over the step [t_old, t_old + h]
     at times, shape (state size, len(times)); K holds the step's stages
     and receives the 3 extra ones."""
-    for s, (a, c) in enumerate(zip(A[N_STAGES + 1:], C[N_STAGES + 1:]),
-                               start=N_STAGES + 1):
-        dy = np.dot(K[:s].T, a[:s]) * h
+    KT = K.T
+    for s, a, c in _EXTRA_STAGES:
+        dy = np.dot(KT[:, :s], a) * h
         K[s] = fun(t_old + c * h, y_old + dy)
     F = np.empty((INTERPOLATOR_POWER, len(y_old)), dtype=y_old.dtype)
     f_old = K[0]
@@ -332,7 +349,7 @@ def _interpolate(fun, t_old, y_old, y, f, h, K, times):
     F[0] = delta_y
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(D, K)
+    F[3:] = h * np.dot(_D, K)
 
     x = ((times - t_old) / h)[:, None]
     out = np.zeros((len(x), len(y_old)), dtype=y_old.dtype)
@@ -346,9 +363,14 @@ def _interpolate(fun, t_old, y_old, y, f, h, K, times):
     return out.T
 
 
-def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval):
+def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, stop=None):
     """Integrate y' = fun(t, y) from t_span[0] = 0 to t_span[1] and return
     the state at the ascending times t_eval, which lie within t_span.
+
+    With a predicate stop, the integration ends successfully after the
+    first accepted step whose end state y satisfies stop(y); the solution
+    then holds the samples up to that step's end.  The steps before it are
+    those of a run without stop.
 
     On failure (a step size below 10 ulp of t, or NaN) the solution holds
     the samples reached so far and success is False.
@@ -377,11 +399,11 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval):
     K = K_extended[:N_STAGES + 1]
     ts, ys = [], []
     sampled = 0
-    success = True
+    message = REACHED_END
     while t < t_bound:
         step = _step(rhs, t, y, f, h_abs, t_bound, rtol, atol, K)
         if step is None:
-            success = False
+            message = TOO_SMALL_STEP
             break
         t_new, y_new, f_new, h, h_abs = step
         reached = np.searchsorted(t_eval, t_new, side="right")
@@ -392,8 +414,11 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval):
                                    times))
             sampled = reached
         t, y, f = t_new, y_new, f_new
+        if stop is not None and stop(y):
+            message = STOPPED
+            break
     return Solution(t=np.hstack(ts) if ts else np.empty(0),
                     y=np.hstack(ys) if ys else np.empty((y.size, 0), complex),
-                    success=success,
-                    message=REACHED_END if success else TOO_SMALL_STEP,
+                    success=message != TOO_SMALL_STEP,
+                    message=message,
                     nfev=nfev)

@@ -24,6 +24,13 @@ DEFAULT_GRID = (-30.0, 30.0, 6001)
 #: reporting grid of the single-loss (D1) loop: +-25 rate units, 10001 points
 D1_GRID = (-25.0, 25.0, 10001)
 
+#: absolute floor of compare_spectra's denominator.  A spectrum's area is
+#: the emitted population, at most 1, so a fully emitting spectrum peaks
+#: near 1 (0.18 to 2.8 on the lit presets) and its 1e-3 * peak floor lies
+#: far above this one; on a dark spectrum (peak ~1e-29) it keeps two
+#: roundoff spectra from reading as a relative error of order 1
+COMPARE_FLOOR = 1e-6
+
 
 def default_grid():
     return np.linspace(*DEFAULT_GRID)
@@ -222,8 +229,8 @@ def compare_spectra(a: SpectrumResult, b: SpectrumResult) -> dict:
     """Pointwise error metrics over points carrying signal.
 
     Points where max(a, b) <= 1e-8 * peak are ignored; the per-point relative
-    error uses max(|a|, |b|, 1e-3 * peak) as denominator so that near-zero
-    valleys do not dominate.
+    error uses max(|a|, |b|, 1e-3 * peak, COMPARE_FLOOR) as denominator so
+    that near-zero valleys, or a whole dark spectrum, do not dominate.
     """
     if a.grid.shape != b.grid.shape or not np.allclose(a.grid, b.grid,
                                                        rtol=0, atol=1e-12):
@@ -233,7 +240,8 @@ def compare_spectra(a: SpectrumResult, b: SpectrumResult) -> dict:
     if not np.any(mask):
         return {"max_rel_err": 0.0, "rms_err": 0.0}
     num = np.abs(a.total[mask] - b.total[mask])
-    den = np.maximum(np.maximum(a.total[mask], b.total[mask]), 1e-3 * peak)
+    den = np.maximum(np.maximum(a.total[mask], b.total[mask]),
+                     max(1e-3 * peak, COMPARE_FLOOR))
     rel = num / den
     return {"max_rel_err": float(np.max(rel)),
             "rms_err": float(np.sqrt(np.mean(rel ** 2)))}

@@ -11,6 +11,10 @@ evaluated with a Filon-type rule that treats the oscillatory factor exactly.
 The trajectory is sampled only where it is read: `propagate` on its whole
 uniform grid, `trapped_fraction` on the plateau window at the grid's end.
 Integrator steps that hold no sample build no interpolant.
+`trapped_fraction` stops integrating once the population has provably
+decayed: when the decay matrix Gamma is positive semidefinite the norm
+never grows, so once it falls below a floor far under `plateau_tol` every
+later sample lies between 0 and that floor.
 
 The Filon sums are taken over a whole detuning grid at once.  On a uniform
 grid (every grid the CLI builds) they are one chirp-z transform per Filon
@@ -37,6 +41,15 @@ DEFAULT_TOL = 1e-8
 
 #: convergence factor for the Laplace integral of trapped components
 TRAP_EPSILON = 1e-3
+
+#: trapped_fraction stops once the population is below this fraction of
+#: plateau_tol, where the norm provably never grows
+DECAY_FLOOR = 1e-3
+
+#: eigenvalues of the decay matrix down to -PSD_ROUNDOFF * max(Gamma) count
+#: as roundoff of 0: such a norm could grow by at most that relative rate,
+#: about 1e-10 of itself over t = 150
+PSD_ROUNDOFF = 1e-12
 
 
 @dataclass
@@ -91,6 +104,27 @@ def _rhs_builder(sys: D2System):
     return rhs
 
 
+def _norm_never_grows(sys: D2System) -> bool:
+    """Whether d/dt sum |A|^2 <= 0 for every state, judged from the decay
+    matrix Gamma (Gamma_n on the diagonal, p * sqrt(Gamma_i Gamma_j) off
+    it) being positive semidefinite.
+
+    The drive terms conserve the norm, and d/dt sum |A|^2 = -A^H G(t) A,
+    where G(t) is Gamma with its off-diagonal entries multiplied by the
+    cosines of the rotating-frame phases omega_ij t.  Those cosines form a
+    Gram matrix (of the unit vectors exp(i phase_n)), so by the Schur
+    product theorem G(t) is positive semidefinite at every t when Gamma is.
+    """
+    g = np.array(sys.gamma)
+    p1, p2, p3 = sys.alignments
+    if not (np.all(g >= 0.0) and np.all(np.isfinite([*g, p1, p2, p3]))):
+        return False
+    root = np.sqrt(g)
+    gamma = np.diag(g) + np.outer(root, root) * np.array(
+        [[0.0, p1, p2], [p1, 0.0, p3], [p2, p3, 0.0]])
+    return bool(np.linalg.eigvalsh(gamma)[0] >= -PSD_ROUNDOFF * g.max())
+
+
 def _sample_times(sys: D2System, t_final: float) -> np.ndarray:
     """Uniform sample grid on [0, t_final] that resolves the fastest
     retained phase factor, with an even interval count so the
@@ -103,12 +137,14 @@ def _sample_times(sys: D2System, t_final: float) -> np.ndarray:
     return np.linspace(0.0, t_final, n + n % 2 + 1)
 
 
-def _sample(sys: D2System, times: np.ndarray, tol: float) -> np.ndarray:
+def _sample(sys: D2System, times: np.ndarray, tol: float,
+            stop=None) -> np.ndarray:
     """Amplitudes at the ascending sample times, integrating from t=0 to
-    times[-1]; only the steps that hold a sample are interpolated."""
+    times[-1], or only up to the first step whose end state satisfies
+    stop; only the steps that hold a sample are interpolated."""
     sol = solve_ivp(_rhs_builder(sys), (0.0, times[-1]),
                     sys.initial_vector(), rtol=tol, atol=tol * 1e-2,
-                    t_eval=times)
+                    t_eval=times, stop=stop)
     if not sol.success:
         # sol.t holds only the samples reached, possibly none
         t_reached = float(sol.t[-1]) if len(sol.t) else None
@@ -142,17 +178,21 @@ def _filon_weights(theta):
     small = np.abs(theta) < 1e-2
     it = 1j * np.where(small, 1.0, theta)
     e = np.exp(it)
-    it_small = 1j * np.where(small, theta, 0.0)
-    s0 = s1 = 0.0
-    power = 1.0
-    kfact = 1.0
-    for k in range(8):
-        s0 = s0 + power / (kfact * (k + 1))
-        s1 = s1 + power / (kfact * (k + 2))
-        power = power * it_small
-        kfact *= k + 1
-    w0 = np.where(small, s0, (e - 1.0) / it)
-    w1 = np.where(small, s1, (e * (it - 1.0) + 1.0) / it ** 2)
+    # (arrays also for a 0-d theta, for which numpy returns scalars)
+    w0 = np.asarray((e - 1.0) / it)
+    w1 = np.asarray((e * (it - 1.0) + 1.0) / it ** 2)
+    if np.any(small):
+        it_small = 1j * theta[small]
+        s0 = s1 = 0.0
+        power = 1.0
+        kfact = 1.0
+        for k in range(8):
+            s0 = s0 + power / (kfact * (k + 1))
+            s1 = s1 + power / (kfact * (k + 2))
+            power = power * it_small
+            kfact *= k + 1
+        w0[small] = s0
+        w1[small] = s1
     return w0, w1
 
 
@@ -281,10 +321,21 @@ def trapped_fraction(sys: D2System, t_final: float = 150.0,
     two; their means must agree to plateau_tol, else NotConverged is raised
     (or, with require_plateau=False, the late-window mean is returned
     anyway).
+
+    When the decay matrix is positive semidefinite (see _norm_never_grows)
+    the population never grows, and the integration stops at the first
+    step that ends with it below DECAY_FLOOR * plateau_tol.  The window
+    samples not reached then count as 0, each within that floor of its
+    value; a stop before the window returns 0.0.
     """
     times = _sample_times(sys, t_final)
     window = times[int(0.9 * len(times)):]
-    tail = AmplitudeTrajectory(window, _sample(sys, window, tol)).norm()
+    floor = DECAY_FLOOR * plateau_tol
+    stop = ((lambda y: np.vdot(y, y).real < floor)
+            if _norm_never_grows(sys) else None)
+    amps = _sample(sys, window, tol, stop)
+    tail = np.zeros(len(window))
+    tail[:len(amps)] = AmplitudeTrajectory(window[:len(amps)], amps).norm()
     half = len(tail) // 2
     m1 = float(np.mean(tail[:half]))
     m2 = float(np.mean(tail[half:]))

@@ -13,6 +13,7 @@ from darkstate import (
     conservation_check,
     count_spectral_lines,
     d1_spectrum,
+    d1_to_chain,
     find_peaks,
     integrated_area,
     preset,
@@ -191,6 +192,42 @@ class TestCompareSpectra:
         b.total = b.total * 1.5
         metrics = compare_spectra(a, b)
         assert metrics["max_rel_err"] > 0.3
+
+
+    @staticmethod
+    def _relative_floor_only(a, b):
+        """compare_spectra with the denominator floored at 1e-3 * peak
+        only, without the absolute floor."""
+        peak = max(float(np.max(a.total)), float(np.max(b.total)), 1e-300)
+        mask = np.maximum(a.total, b.total) > 1e-8 * peak
+        num = np.abs(a.total[mask] - b.total[mask])
+        den = np.maximum(np.maximum(a.total[mask], b.total[mask]),
+                         1e-3 * peak)
+        rel = num / den
+        return {"max_rel_err": float(np.max(rel)),
+                "rms_err": float(np.sqrt(np.mean(rel ** 2)))}
+
+    def test_dark_spectra_compare_near_zero(self):
+        # both routes give roundoff spectra (peaks ~1e-29) for the trapped
+        # D1 chain; relative to each other they differ by order 1
+        chain = d1_to_chain(preset("d1-trapping").system)
+        grid = np.linspace(-25.0, 25.0, 401)
+        a = spectrum_analytic(chain, grid)
+        b = spectrum_time_domain(chain, grid)
+        assert max(np.max(a.total), np.max(b.total)) < 1e-20
+        assert self._relative_floor_only(a, b)["max_rel_err"] > 0.5
+        metrics = compare_spectra(a, b)
+        assert metrics["max_rel_err"] < 1e-12
+        assert metrics["rms_err"] < 1e-12
+
+    @pytest.mark.parametrize("name", ["fig2-notrapping", "d1-fig3a"])
+    def test_lit_spectra_unchanged_by_floor(self, name):
+        s = preset(name).system
+        chain = d1_to_chain(s) if isinstance(s, D1System) else s
+        grid = np.linspace(-30.0, 30.0, 401)
+        a = spectrum_analytic(chain, grid)
+        b = spectrum_time_domain(chain, grid)
+        assert compare_spectra(a, b) == self._relative_floor_only(a, b)
 
 
 class TestD1SpectrumShape:

@@ -84,6 +84,28 @@ def _reference_weights(theta):
             integral(lambda u: u * np.exp(1j * theta * u)))
 
 
+def _whole_array_weights(theta):
+    """The weights with the series evaluated on every element and selected
+    by np.where: the formula _filon_weights evaluates on the small elements
+    only."""
+    theta = np.asarray(theta, dtype=complex)
+    small = np.abs(theta) < 1e-2
+    it = 1j * np.where(small, 1.0, theta)
+    e = np.exp(it)
+    it_small = 1j * np.where(small, theta, 0.0)
+    s0 = s1 = 0.0
+    power = 1.0
+    kfact = 1.0
+    for k in range(8):
+        s0 = s0 + power / (kfact * (k + 1))
+        s1 = s1 + power / (kfact * (k + 2))
+        power = power * it_small
+        kfact *= k + 1
+    w0 = np.where(small, s0, (e - 1.0) / it)
+    w1 = np.where(small, s1, (e * (it - 1.0) + 1.0) / it ** 2)
+    return w0, w1
+
+
 def _damped_trajectory(rng, times):
     rates = rng.uniform(0.2, 1.0, 4) + 1j * rng.uniform(-15.0, 15.0, 4)
     coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -108,6 +130,23 @@ class TestFilonQuadrature:
             ref0, ref1 = _reference_weights(theta)
             assert got0 == pytest.approx(ref0, abs=1e-12)
             assert got1 == pytest.approx(ref1, abs=1e-12)
+
+    def test_weights_equal_whole_array_series(self, rng):
+        # real and complex theta on both sides of the series threshold
+        # 1e-2, and scalars of each kind
+        thetas = np.concatenate([
+            rng.uniform(-2e-2, 2e-2, 200),
+            rng.uniform(-2e-2, 2e-2, 200) + 1j * rng.uniform(-1e-2, 1e-2, 200),
+            [9.9e-3, 1e-2, -1e-2, 1.01e-2, 7e-3 + 7e-3j, 0.0, 1e-3j, 1e-2j],
+            (np.linspace(-30.0, 30.0, 1201) + 13.0) * 0.01,
+            (np.linspace(-30.0, 30.0, 1201) + 1e-3j) * 0.01])
+        for theta in (thetas, thetas.reshape(2, -1), 0.0, 3e-3, 0.4,
+                      2e-3 + 1e-3j, -0.7 + 0.2j):
+            got = _filon_weights(theta)
+            want = _whole_array_weights(theta)
+            for g, w in zip(got, want):
+                assert g.shape == np.shape(theta)
+                assert np.array_equal(g, w)
 
     def test_chirp_z_matches_direct_sum(self, rng, monkeypatch):
         times = np.linspace(0.0, 60.0, 6001)
@@ -214,6 +253,103 @@ class TestTrappedFraction:
         # the non-strict mode still returns the late-window mean
         val = trapped_fraction(s, t_final=30.0, require_plateau=False)
         assert 0.0 < val < 1.0
+
+
+def _phase2_sweep():
+    s = preset("fig2-trapping").system
+    return [s.with_drives([d if k != 1 else DriveField(d.magnitude, phase)
+                           for k, d in enumerate(s.drives)])
+            for phase in np.linspace(0.0, 2.0 * np.pi, 21)]
+
+
+class TestTrappedFractionEarlyExit:
+    """trapped_fraction stops once the population is below 1e-3 plateau_tol
+    when the decay matrix is positive semidefinite."""
+
+    @staticmethod
+    def _spy(monkeypatch, force_full):
+        calls = []
+        integrate = dynamics.solve_ivp
+
+        def spy(*args, **kwargs):
+            stop = kwargs["stop"]
+            if force_full:
+                kwargs["stop"] = None
+            sol = integrate(*args, **kwargs)
+            calls.append((stop, sol.nfev, sol.message))
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_ivp", spy)
+        return calls
+
+    def test_early_value_within_floor_of_full_window(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        systems = [random_admissible_system(rng) for _ in range(20)]
+        systems += _phase2_sweep()
+        floor = 1e-3 * 1e-6
+        early_calls = []
+        full_calls = []
+        for s in systems:
+            with monkeypatch.context() as m:
+                calls = self._spy(m, force_full=False)
+                early = trapped_fraction(s, require_plateau=False)
+            early_calls += calls
+            with monkeypatch.context() as m:
+                calls = self._spy(m, force_full=True)
+                full = trapped_fraction(s, require_plateau=False)
+            full_calls += calls
+            assert abs(early - full) <= floor
+        assert all(stop is not None for stop, _, _ in early_calls)
+        stopped = [k for k, (_, _, message) in enumerate(early_calls)
+                   if message == _dop853.STOPPED]
+        # every phase2 value decays; the early exit fires on it
+        assert set(range(20, 41)) <= set(stopped)
+        for k in stopped:
+            assert early_calls[k][1] < full_calls[k][1]
+        for k in set(range(len(systems))) - set(stopped):
+            assert early_calls[k][1] == full_calls[k][1]
+
+    def test_decayed_value_is_exactly_zero(self):
+        assert trapped_fraction(_bare("A1"), t_final=60.0) == 0.0
+        for s in _phase2_sweep()[::5]:
+            assert trapped_fraction(s) == 0.0
+
+    def test_indefinite_decay_matrix_runs_to_the_window(self, monkeypatch):
+        # p = (1, 1, -1) with equal rates: Gamma has eigenvalues 2, 2, -1
+        s = D2System(gamma=(1.0, 1.0, 1.0), omega12=13, omega23=13,
+                     drives=preset("fig2-notrapping").system.drives,
+                     alignments=(1.0, 1.0, -1.0))
+        assert not dynamics._norm_never_grows(s)
+        calls = self._spy(monkeypatch, force_full=False)
+        trapped_fraction(s, t_final=20.0, require_plateau=False)
+        ((stop, _, message),) = calls
+        assert stop is None and message == _dop853.REACHED_END
+
+    @pytest.mark.parametrize("gamma,p,never_grows", [
+        ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), True),
+        ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), True),    # eigenvalues 3, 0, 0
+        ((0.0, 1.0, 0.0), (1.0, -1.0, 1.0), True),   # D1 chain rates: p idle
+        ((0.5, 2.0, 1.0), (0.5, -0.3, 0.2), True),
+        ((1.0, 1.0, 1.0), (1.0, 1.0, -1.0), False),
+        ((1.0, 4.0, 1.0), (1.0, 0.0, 1.0), False),
+        # unvalidated library input takes the full window
+        ((-0.5, 1.0, 1.0), (0.0, 0.0, 0.0), False),
+        ((1.0, 1.0, 1.0), (math.nan, 0.0, 0.0), False),
+    ])
+    def test_decay_matrix_check(self, gamma, p, never_grows):
+        s = D2System(gamma=gamma, omega12=13, omega23=13,
+                     drives=(DriveField(1.0),) * 4, alignments=p)
+        assert dynamics._norm_never_grows(s) is never_grows
+        if never_grows:
+            # the norm of the trajectory indeed never grows
+            norms = propagate(s, t_final=10.0).norm()
+            assert np.all(np.diff(norms) <= 1e-10)
+
+    def test_d1_chains_qualify(self):
+        for name in preset_names():
+            s = preset(name).system
+            if isinstance(s, D1System):
+                assert dynamics._norm_never_grows(d1_to_chain(s))
 
 
 def _dense_reference(sys, t_final):
@@ -377,6 +513,90 @@ class TestDop853:
         if atol == rtol * 1e-2:
             with pytest.raises(StepSizeUnderflow):
                 propagate(_bare("A1"), t_final=1.0, tol=rtol)
+
+
+def _decaying_system():
+    """A random draw whose population falls below 1e-9 by t = 60."""
+    return random_admissible_system(np.random.default_rng(3))
+
+
+def _recorded_run(system, times, stop):
+    """Integrate with stop, recording at each accepted step (each call of
+    stop) the evaluation count and the latest time fun was evaluated at."""
+    rhs = dynamics._rhs_builder(system)
+    calls = {"nfev": 0, "t": 0.0}
+    steps = []
+
+    def fun(t, y):
+        calls["nfev"] += 1
+        calls["t"] = max(calls["t"], t)
+        return rhs(t, y)
+
+    def record(y):
+        steps.append((calls["nfev"], calls["t"], y.copy()))
+        return stop(y)
+
+    tol = dynamics.DEFAULT_TOL
+    sol = dynamics.solve_ivp(fun, (0.0, times[-1]), system.initial_vector(),
+                             rtol=tol, atol=tol * 1e-2, t_eval=times,
+                             stop=record)
+    return sol, steps
+
+
+class TestStop:
+    """solve_ivp(..., stop=predicate) ends after the first accepted step
+    whose end state satisfies it, and is a prefix of the run without it."""
+
+    @pytest.mark.parametrize("name", ["fig2-trapping", "random0",
+                                      "detuned1"])
+    def test_none_matches_scipy(self, name):
+        system = _INTEGRATOR_CASES[name]
+        tol = dynamics.DEFAULT_TOL
+        times = dynamics._sample_times(system, 60.0)
+        kwargs = dict(rtol=tol, atol=tol * 1e-2, t_eval=times)
+        ours = dynamics.solve_ivp(dynamics._rhs_builder(system),
+                                  (0.0, times[-1]), system.initial_vector(),
+                                  stop=None, **kwargs)
+        ref = solve_ivp(dynamics._rhs_builder(system), (0.0, times[-1]),
+                        system.initial_vector(), method="DOP853", **kwargs)
+        assert _same_solution(ours, ref)
+
+    @pytest.mark.parametrize("floor", [1e-9, 1e-3, math.inf])
+    @pytest.mark.parametrize("grid", ["full", "window"])
+    def test_stopped_run_is_prefix(self, floor, grid):
+        system = _decaying_system()
+        times = dynamics._sample_times(system, 150.0)
+        if grid == "window":
+            times = times[int(0.9 * len(times)):]
+        full, steps = _recorded_run(system, times, lambda y: False)
+        norms = [np.vdot(y, y).real for _, _, y in steps]
+        first = next(k for k, n in enumerate(norms) if n < floor)
+        stopped, stopped_steps = _recorded_run(
+            system, times, lambda y: np.vdot(y, y).real < floor)
+        nfev, t_stop, _ = steps[first]
+        assert len(stopped_steps) == first + 1
+        assert stopped.success and stopped.message == _dop853.STOPPED
+        assert stopped.nfev == nfev
+        n = len(stopped.t)
+        assert n == np.searchsorted(times, t_stop, side="right")
+        assert np.array_equal(stopped.t, full.t[:n])
+        assert np.array_equal(stopped.y, full.y[:, :n])
+        if grid == "window" and floor == 1e-9:
+            assert n == 0 and stopped.y.shape == (4, 0)
+        if grid == "full" and floor == 1e-3:
+            assert 0 < n < len(times)
+
+    def test_predicate_that_never_fires_changes_nothing(self):
+        for system in (_decaying_system(), _INTEGRATOR_CASES["detuned0"]):
+            times = dynamics._sample_times(system, 60.0)
+            never, steps = _recorded_run(system, times, lambda y: False)
+            tol = dynamics.DEFAULT_TOL
+            ref = dynamics.solve_ivp(dynamics._rhs_builder(system),
+                                     (0.0, times[-1]),
+                                     system.initial_vector(), rtol=tol,
+                                     atol=tol * 1e-2, t_eval=times)
+            assert len(steps) > 0 and _same_solution(never, ref)
+            assert never.message == _dop853.REACHED_END
 
 
 class TestTimeDomainSpectrum:
