@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DEFAULT_GRID,
     compare_spectra,
     count_spectral_lines,
     d1_grid,
@@ -39,6 +40,7 @@ from .model import (
     save_scenario,
     validate_d1_system,
     validate_system,
+    write_json,
 )
 from .spectrum import (
     d1_spectrum,
@@ -58,6 +60,12 @@ EXIT_UNSOLVABLE = 4
 FLOAT_FMT = "%.16e"
 
 SPECTRUM_CSV_HEADER = "delta,branch1,branch2,branch3,total"
+
+#: rows per formatted block of write_csv
+CSV_BLOCK_ROWS = 1024
+
+#: --grid default of spectrum and sweep, as a min:max:count spec
+DEFAULT_GRID_SPEC = ":".join(map(str, DEFAULT_GRID))
 
 
 class _InputError(Exception):
@@ -85,9 +93,7 @@ class RunManifest:
             "wall_time_s": self.wall_time_s,
             "outputs": [str(p) for p in self.outputs],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, data)
         return path
 
 
@@ -164,10 +170,16 @@ def _tag(ok: bool) -> str:
 
 
 def write_csv(path, header, columns):
-    """Write the header lines, then one row of FLOAT_FMT values per index
-    of the equal-length columns."""
-    np.savetxt(path, np.column_stack(columns), fmt=FLOAT_FMT, delimiter=",",
-               header="\n".join(header), comments="", encoding="utf-8")
+    """Write the header lines, then one row of comma-separated FLOAT_FMT
+    values per index of the equal-length columns: the bytes of np.savetxt
+    with that format, formatted CSV_BLOCK_ROWS rows per % operation."""
+    table = np.column_stack(columns)
+    row = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(header) + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_csv_spectrum(path: Path, spec, sys_dict, method):
@@ -194,17 +206,14 @@ def _pole_tables(spec):
 
 
 def _write_json_spectrum(path: Path, spec, sys_dict, method):
-    data = {
+    write_json(path, {
         "scenario": sys_dict,
         "method": method,
-        "delta": np.asarray(spec.grid).tolist(),
-        "branch_intensity": np.asarray(spec.branch_intensity).tolist(),
-        "total": np.asarray(spec.total).tolist(),
+        "delta": np.asarray(spec.grid),
+        "branch_intensity": np.asarray(spec.branch_intensity),
+        "total": np.asarray(spec.total),
         "poles": _pole_tables(spec),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +226,10 @@ _SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#000000")
 def svg_line_plot(path, x, curves, title="", xlabel="delta (rate units)",
                   ylabel="intensity (1/rate)"):
     """Write a minimal SVG line plot: axes, ticks, one polyline per curve,
-    legend.  curves is a sequence of (label, y-array)."""
+    legend.  curves is a sequence of (label, y-array), each as long as x.
+
+    Plot coordinates are computed a whole array at a time and each
+    polyline is formatted with one % operation."""
     width, height = 640.0, 400.0
     ml, mr, mt, mb = 60.0, 20.0, 30.0, 45.0
     pw, ph = width - ml - mr, height - mt - mb
@@ -237,23 +249,27 @@ def svg_line_plot(path, x, curves, title="", xlabel="delta (rate units)",
         f'<rect x="{ml:g}" y="{mt:g}" width="{pw:g}" height="{ph:g}" '
         'fill="none" stroke="black"/>',
     ]
-    for tick in np.linspace(x0, x1, 7):
-        px = sx(tick)
+    xticks = np.linspace(x0, x1, 7)
+    for tick, px in zip(xticks, sx(xticks)):
         parts.append(f'<line x1="{px:.2f}" y1="{mt + ph:.2f}" '
                      f'x2="{px:.2f}" y2="{mt + ph + 5:.2f}" stroke="black"/>')
         parts.append(f'<text x="{px:.2f}" y="{mt + ph + 18:.2f}" '
                      'font-size="11" text-anchor="middle">'
                      f'{tick:.3g}</text>')
-    for tick in np.linspace(y0, y1, 6):
-        py = sy(tick)
+    yticks = np.linspace(y0, y1, 6)
+    for tick, py in zip(yticks, sy(yticks)):
         parts.append(f'<line x1="{ml - 5:.2f}" y1="{py:.2f}" '
                      f'x2="{ml:.2f}" y2="{py:.2f}" stroke="black"/>')
         parts.append(f'<text x="{ml - 8:.2f}" y="{py + 4:.2f}" '
                      'font-size="11" text-anchor="end">'
                      f'{tick:.3g}</text>')
+    points = np.empty((len(x), 2))
+    points[:, 0] = sx(x)
+    points_fmt = " ".join(["%.2f,%.2f"] * len(x))
     for i, (label, y) in enumerate(curves):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, y))
+        points[:, 1] = sy(ys[i])
+        pts = points_fmt % tuple(points.ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.2"/>')
         ly = mt + 14 + 14 * i
@@ -271,7 +287,8 @@ def svg_line_plot(path, x, curves, title="", xlabel="delta (rate units)",
                  f'text-anchor="middle" '
                  f'transform="rotate(-90 14 {mt + ph / 2:.2f})">{ylabel}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        print(*parts, sep="\n", file=fh)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="compute an emission spectrum")
     common(sp, "spectrum.csv")
-    sp.add_argument("--grid", default="-30:30:6001", help="min:max:count")
+    sp.add_argument("--grid", default=DEFAULT_GRID_SPEC, help="min:max:count")
     sp.add_argument("--method", choices=("analytic", "timedomain", "both"),
                     default="analytic")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -623,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="parameter: phase2, phase3, mag1..mag4, gamma1..gamma3")
     wp.add_argument("--range", required=True, help="min:max:count")
     wp.add_argument("--metric", choices=_SWEEP_METRICS, required=True)
-    wp.add_argument("--grid", default="-30:30:6001", help="min:max:count")
+    wp.add_argument("--grid", default=DEFAULT_GRID_SPEC, help="min:max:count")
     wp.set_defaults(func=cmd_sweep)
 
     vp = sub.add_parser("validate", help="run preset signature checks")

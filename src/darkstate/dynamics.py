@@ -2,7 +2,8 @@
 emission-amplitude oracle.
 
 The equations of motion (rotating frame, drive terms carrying exp(+-i
-Delta_i t), cross-damping terms carrying exp(-i omega t) factors) are
+Delta_i t), cross-damping terms carrying exp(-+i omega_ij t) factors, the
+conjugate phase below the diagonal) are
 integrated with the adaptive explicit Runge-Kutta pair DOP853 (`_dop853`,
 a port of SciPy's, bound here as `solve_ivp`); the
 one-branch emission amplitude integral_0^inf exp(i x t) A_n(t) dt is
@@ -33,7 +34,7 @@ from numpy.fft import fft, ifft
 from ._dop853 import solve_ivp
 from .errors import NotConverged, StepSizeUnderflow
 from .model import D2System
-from .spectrum import (BRANCH_SHIFT_SIGNS, SpectrumResult, assemble_spectrum,
+from .spectrum import (SpectrumResult, assemble_spectrum, branch_shifts,
                        coupling_matrix)
 
 DEFAULT_T_FINAL = 60.0
@@ -95,9 +96,9 @@ def _rhs_builder(sys: D2System):
         da1 = (-1j * o2 * e2 * a2 - 1j * o1 * e1 * b - 0.5 * g1 * a1
                - c12 * f12 * a2 - c13 * f13 * a3)
         da2 = (-1j * np.conj(o2) / e2 * a1 - 1j * o3 * e3 * a3 - 0.5 * g2 * a2
-               - c12 * f12 * a1 - c23 * f23 * a3)
+               - c12 * f12.conjugate() * a1 - c23 * f23 * a3)
         da3 = (-1j * np.conj(o3) / e3 * a2 - 1j * o4 * e4 * b - 0.5 * g3 * a3
-               - c13 * f13 * a1 - c23 * f23 * a2)
+               - c13 * f13.conjugate() * a1 - c23 * f23.conjugate() * a2)
         db = -1j * np.conj(o1) / e1 * a1 - 1j * np.conj(o4) / e4 * a3
         return np.array([da1, da2, da3, db])
 
@@ -109,11 +110,11 @@ def _norm_never_grows(sys: D2System) -> bool:
     matrix Gamma (Gamma_n on the diagonal, p * sqrt(Gamma_i Gamma_j) off
     it) being positive semidefinite.
 
-    The drive terms conserve the norm, and d/dt sum |A|^2 = -A^H G(t) A,
-    where G(t) is Gamma with its off-diagonal entries multiplied by the
-    cosines of the rotating-frame phases omega_ij t.  Those cosines form a
-    Gram matrix (of the unit vectors exp(i phase_n)), so by the Schur
-    product theorem G(t) is positive semidefinite at every t when Gamma is.
+    The drive terms conserve the norm, and d/dt sum |A|^2 = -A^H G(t) A
+    over (A1, A2, A3), where G(t) = U Gamma U^H with the unitary
+    U = diag(exp(-i omega12 t), 1, exp(+i omega23 t)) of the rotating-frame
+    phases.  G(t) is therefore positive semidefinite at every t when Gamma
+    is.
     """
     g = np.array(sys.gamma)
     p1, p2, p3 = sys.alignments
@@ -353,14 +354,15 @@ def spectrum_time_domain(sys: D2System, grid, include_cross: bool = False,
     """Branch-resolved spectrum from the time-domain trajectory.
 
     Branch n is evaluated at its shifted argument delta + {+omega12, 0,
-    -omega12}; cross terms between branches are excluded unless requested.
+    -omega23} (`branch_shifts`); cross terms between branches are excluded
+    unless requested.
     """
     grid = np.asarray(grid, dtype=float)
     traj = propagate(sys, t_final, tol)
     amps = np.zeros((3, len(grid)), dtype=complex)
-    for branch, sign in enumerate(BRANCH_SHIFT_SIGNS, start=1):
-        local = grid + sign * sys.omega12
+    for branch, shift in enumerate(branch_shifts(sys), start=1):
         amps[branch - 1] = branch_amplitude_numeric(
-            sys, branch, local, t_final=t_final, tol=tol, trajectory=traj)
+            sys, branch, grid + shift, t_final=t_final, tol=tol,
+            trajectory=traj)
     return assemble_spectrum(sys, grid, amps, include_cross, "timedomain",
                              [[], [], []])

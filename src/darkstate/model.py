@@ -416,6 +416,48 @@ def load_scenario(path):
 
 
 def save_scenario(sys, path):
+    write_json(path, scenario_to_dict(sys))
+
+
+def write_json(path, data: dict):
+    """Write the dict data to path byte for byte as
+    json.dump(data, fh, indent=2, sort_keys=True) and a newline would, one
+    top-level entry at a time.
+
+    Values that are numpy float arrays are written as json writes their
+    .tolist(): each row is one join of float.__repr__ strings (json's own
+    float format), with NaN, Infinity and -Infinity for non-finite values.
+    """
     with open(Path(path), "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(sys), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        sep = "{"
+        for key in sorted(data):
+            fh.write(f"{sep}\n  {json.dumps(key)}: ")
+            value = data[key]
+            if isinstance(value, np.ndarray):
+                _write_json_floats(fh, value, "  ")
+            else:
+                fh.write(json.dumps(value, indent=2, sort_keys=True)
+                         .replace("\n", "\n  "))
+            sep = ","
+        fh.write("\n}\n" if data else "{}\n")
+
+
+def _write_json_floats(fh, a: np.ndarray, indent: str):
+    """Write the float array a as json.dumps(a.tolist(), indent=2) would,
+    nested with the given indent."""
+    if not len(a):
+        fh.write("[]")
+        return
+    inner = indent + "  "
+    fh.write("[\n" + inner)
+    if a.ndim == 1:
+        text = list(map(float.__repr__, a.tolist()))
+        for i in np.flatnonzero(~np.isfinite(a)):
+            text[i] = json.dumps(float(a[i]))
+        fh.write((",\n" + inner).join(text))
+    else:
+        for i, row in enumerate(a):
+            if i:
+                fh.write(",\n" + inner)
+            _write_json_floats(fh, row, inner)
+    fh.write("\n" + indent + "]")

@@ -4,8 +4,8 @@ The four amplitudes obey dA/dt = M A at resonance; the emitted amplitude of
 branch n at branch-local detuning x is the Laplace transform
 F_n(x) = integral_0^inf exp(i x t) A_n(t) dt = [ (sI - M)^-1 A(0) ]_n at
 s = -i x.  The three branches report on a common grid delta through the
-shifted arguments (delta + omega12, delta, delta - omega12), and the branch
-intensity is Gamma_n |F_n|^2 / (2 pi).
+shifted arguments (delta + omega12, delta, delta - omega23) of
+`branch_shifts`, and the branch intensity is Gamma_n |F_n|^2 / (2 pi).
 
 Two independent evaluation routes are provided: an explicit cofactor (Cramer)
 expansion of the 4x4 system (`steady_state_amplitudes`) and a direct numeric
@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import NotAnalyticAdmissible, PoleHit, SingularSystem
 from .model import D1System, D2System, analytic_admissible, d1_to_chain
-
-BRANCH_SHIFT_SIGNS = (+1, 0, -1)  # branch n argument = delta + sign*omega12
 
 #: roots closer than this are always treated as one confluent cluster; the
 #: grouping widens adaptively because companion-matrix roots of an exactly
@@ -230,9 +228,15 @@ def quartic_roots(poly: QuarticPoly):
 # steady-state amplitudes: closed form and linear-solve oracle
 # ---------------------------------------------------------------------------
 
+def branch_shifts(sys: D2System):
+    """(omega12, 0, -omega23): branch n is evaluated at the branch-local
+    detuning delta + branch_shifts(sys)[n - 1]."""
+    return (sys.omega12, 0.0, -sys.omega23)
+
+
 def _branch_arguments(sys: D2System, delta):
     delta = np.asarray(delta, dtype=float)
-    return [delta + sign * sys.omega12 for sign in BRANCH_SHIFT_SIGNS]
+    return [delta + shift for shift in branch_shifts(sys)]
 
 
 def steady_state_amplitudes(sys: D2System, delta):
@@ -397,10 +401,8 @@ def spectrum_analytic(sys: D2System, grid, include_cross: bool = False) -> Spect
 
     amps = np.zeros((3, len(grid)), dtype=complex)
     branch_poles = []
-    args = _branch_arguments(sys, grid)
-    for branch, (x, sign) in enumerate(zip(args, BRANCH_SHIFT_SIGNS), start=1):
-        shift = sign * sys.omega12
-        s = -1j * np.asarray(x, dtype=complex)
+    for branch, shift in enumerate(branch_shifts(sys), start=1):
+        s = -1j * np.asarray(grid + shift, dtype=complex)
         den = _polyval(q, s)
         scale = _poly_scale(q, s)
         hit = np.abs(den) < POLE_HIT_RTOL * np.maximum(scale, 1e-300)

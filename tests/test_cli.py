@@ -1,15 +1,23 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import CHILD_ENV
-from darkstate import load_scenario, preset, save_scenario, scenario_to_dict
+from darkstate import (load_scenario, preset, preset_names, save_scenario,
+                       scenario_to_dict, spectrum_analytic,
+                       spectrum_time_domain)
+from darkstate import cli
+from darkstate.analysis import default_grid
 from darkstate.cli import main
+from darkstate.model import D1System, write_json
+from darkstate.spectrum import SpectrumResult, d1_spectrum
 
 
 @pytest.fixture
@@ -388,3 +396,172 @@ class TestGridParsing:
         from darkstate.cli import _InputError, _parse_grid
         with pytest.raises(_InputError):
             _parse_grid("5:1:10")
+
+
+# ---------------------------------------------------------------------------
+# the writers are byte-identical to the per-value references below
+# ---------------------------------------------------------------------------
+
+def _savetxt_reference(path, header, columns):
+    np.savetxt(path, np.column_stack(columns), fmt="%.16e", delimiter=",",
+               header="\n".join(header), comments="", encoding="utf-8")
+
+
+def _json_reference(path, data):
+    plain = {k: v.tolist() if isinstance(v, np.ndarray) else v
+             for k, v in data.items()}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(plain, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _polyline_reference(x, curves):
+    """Each curve's points as svg_line_plot formats them, one f-string per
+    point, in its 560 x 325 plot box at (60, 30)."""
+    ml, mt, pw, ph = 60.0, 30.0, 560.0, 325.0
+    x0, x1 = float(np.min(x)), float(np.max(x))
+    y0, y1 = 0.0, max(float(np.max(y)) for _, y in curves)
+    if y1 <= y0:
+        y1 = y0 + 1.0
+    sx = lambda v: ml + (v - x0) / (x1 - x0) * pw
+    sy = lambda v: mt + ph - (v - y0) / (y1 - y0) * ph
+    return [" ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, y))
+            for _, y in curves]
+
+
+def _assert_same_bytes(path, ref):
+    got, want = Path(path).read_bytes(), Path(ref).read_bytes()
+    if got != want:
+        for n, (a, b) in enumerate(zip(got.splitlines(), want.splitlines())):
+            assert a == b, f"line {n + 1} differs"
+        assert len(got) == len(want)
+
+
+def _assert_spectrum_writers_match(tmp_path, spec, method, svg=True):
+    sys_dict = {"system": "synthetic", "omega12": 13.0}
+    columns = [spec.grid, *spec.branch_intensity, spec.total]
+    header = ["# header", cli.SPECTRUM_CSV_HEADER]
+    cli.write_csv(tmp_path / "new.csv", header, columns)
+    _savetxt_reference(tmp_path / "ref.csv", header, columns)
+    _assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+
+    cli._write_json_spectrum(tmp_path / "new.json", spec, sys_dict, method)
+    _json_reference(tmp_path / "ref.json", {
+        "scenario": sys_dict, "method": method, "delta": spec.grid,
+        "branch_intensity": spec.branch_intensity, "total": spec.total,
+        "poles": cli._pole_tables(spec)})
+    _assert_same_bytes(tmp_path / "new.json", tmp_path / "ref.json")
+
+    if svg:
+        curves = [(f"branch {n + 1}", spec.branch_intensity[n])
+                  for n in range(3)] + [("total", spec.total)]
+        cli.svg_line_plot(tmp_path / "new.svg", spec.grid, curves,
+                          title="emission spectrum")
+        text = (tmp_path / "new.svg").read_text(encoding="utf-8")
+        assert re.findall(r'<polyline points="([^"]*)"', text) == \
+            _polyline_reference(spec.grid, curves)
+
+
+def _synthetic_spectrum(rng, n=2 * cli.CSV_BLOCK_ROWS + 1, nonfinite=True):
+    """Values at the edges of float formatting: signed zero, the smallest
+    subnormal, the largest finite, values that need all 17 digits, wide
+    exponents and (optionally) NaN and +-inf."""
+    special = [-0.0, 5e-324, 1e308, 0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0,
+               -1.7976931348623157e308, 2.2250738585072014e-308, 1e-5, 1e16,
+               123456789.12345679, 0.0, -2.5e-310]
+    if nonfinite:
+        special += [math.nan, math.inf, -math.inf]
+    rows = rng.normal(size=(4, n)) * 10.0 ** rng.integers(-300, 300,
+                                                            size=(4, n))
+    m = min(n, len(special))
+    rows[:, :m] = [np.roll(special, k)[:m] for k in range(4)]
+    return SpectrumResult(grid=np.linspace(-7.0, 7.0, n),
+                          branch_intensity=rows[:3], total=rows[3])
+
+
+class TestWriterByteIdentity:
+    @pytest.mark.parametrize("name", preset_names())
+    def test_preset_analytic_spectra(self, name, tmp_path):
+        system = preset(name).system
+        compute = d1_spectrum if isinstance(system, D1System) \
+            else spectrum_analytic
+        spec = compute(system, default_grid())
+        _assert_spectrum_writers_match(tmp_path, spec, "analytic")
+
+    def test_time_domain_spectrum(self, tmp_path):
+        spec = spectrum_time_domain(preset("fig2-notrapping").system,
+                                    np.linspace(-30.0, 30.0, 1201))
+        _assert_spectrum_writers_match(tmp_path, spec, "timedomain")
+
+    def test_synthetic_edge_values(self, tmp_path):
+        rng = np.random.default_rng(7)
+        _assert_spectrum_writers_match(tmp_path, _synthetic_spectrum(rng),
+                                       "analytic", svg=False)
+        for n in (2, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS):
+            spec = _synthetic_spectrum(rng, n=n, nonfinite=False)
+            _assert_spectrum_writers_match(tmp_path, spec, "analytic")
+
+    def test_svg_rounding_ties(self, tmp_path):
+        # every coordinate is an exact multiple of 1/8, so half of them are
+        # %.2f ties that one ulp of a reordered expression would flip
+        x = np.linspace(0.0, 14.0, 4481)
+        curves = [("ties", np.arange(4481) % 2601 / 200.0),
+                  ("ramp", x / 2.0)]
+        cli.svg_line_plot(tmp_path / "new.svg", x, curves)
+        text = (tmp_path / "new.svg").read_text(encoding="utf-8")
+        assert re.findall(r'<polyline points="([^"]*)"', text) == \
+            _polyline_reference(x, curves)
+
+    def test_sweep_csv(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--preset", "fig2-trapping", "--vary",
+                     "phase2", "--range", "0:6.283185307179586:61",
+                     "--metric", "central_area", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 3 + 61
+        data = np.loadtxt(out, delimiter=",", skiprows=3)
+        _savetxt_reference(tmp_path / "ref.csv", lines[:3],
+                           [data[:, 0], data[:, 1]])
+        _assert_same_bytes(out, tmp_path / "ref.csv")
+
+    def test_json_documents(self, tmp_path):
+        docs = [
+            {},
+            {"b": [1, 2.5, None, True, "x\u00e9\n"], "a": {"z": {}, "y": []},
+             "\u00e9": 1e-7},
+            {"rows": np.zeros((3, 0)), "empty": np.array([]),
+             "grid": np.array([[0.5, math.nan], [-0.0, 1e300]])},
+        ]
+        for k, data in enumerate(docs):
+            write_json(tmp_path / f"new{k}.json", data)
+            _json_reference(tmp_path / f"ref{k}.json", data)
+            _assert_same_bytes(tmp_path / f"new{k}.json",
+                               tmp_path / f"ref{k}.json")
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_saved_scenarios_and_manifests(self, name, tmp_path):
+        system = preset(name).system
+        save_scenario(system, tmp_path / "new.json")
+        _json_reference(tmp_path / "ref.json", scenario_to_dict(system))
+        _assert_same_bytes(tmp_path / "new.json", tmp_path / "ref.json")
+
+        manifest = cli.RunManifest(
+            command="spectrum", scenario=f"preset:{name}",
+            parameters=scenario_to_dict(system), version="1.2.3",
+            wall_time_s=0.123456789, outputs=[tmp_path / "s.csv"])
+        path = manifest.write(tmp_path / "s.csv")
+        _json_reference(tmp_path / "ref.manifest.json", {
+            "command": "spectrum", "scenario": f"preset:{name}",
+            "parameters": scenario_to_dict(system), "version": "1.2.3",
+            "wall_time_s": 0.123456789,
+            "outputs": [str(tmp_path / "s.csv")]})
+        _assert_same_bytes(path, tmp_path / "ref.manifest.json")
+
+
+def test_default_grids_are_the_analysis_default():
+    parser = cli.build_parser()
+    for argv in (["spectrum"],
+                 ["sweep", "--vary", "phase2", "--range", "0:1:2",
+                  "--metric", "total_area"]):
+        grid = cli._parse_grid(parser.parse_args(argv).grid)
+        assert np.array_equal(grid, default_grid())

@@ -75,6 +75,32 @@ class TestPropagate:
         b = propagate(s_det, t_final=5.0)
         assert np.allclose(a.amps, b.amps, atol=1e-9)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_norm_rate_is_hermitian_damping_form(self, seed):
+        # d/dt sum|A|^2 = 2 Re(A^H rhs) = -(U^H A)^H Gamma (U^H A) with
+        # U = diag(exp(-i w12 t), 1, exp(+i w23 t)): the drives conserve the
+        # norm and the cross-damping phases make U Gamma U^H Hermitian
+        rng = np.random.default_rng(seed)
+        gamma = rng.uniform(0.3, 2.0, 3)
+        p = rng.uniform(-1.0, 1.0, 3)
+        w12, w23 = rng.uniform(1.0, 20.0, 2)
+        s = D2System(gamma=gamma, omega12=w12, omega23=w23,
+                     drives=tuple(DriveField(m, ph) for m, ph in zip(
+                         rng.uniform(0.0, 2.5, 4),
+                         rng.uniform(0.0, 2.0 * np.pi, 4))),
+                     detunings=rng.uniform(-3.0, 3.0, 4), alignments=p)
+        root = np.sqrt(gamma)
+        big_gamma = np.diag(gamma) + np.outer(root, root) * np.array(
+            [[0.0, p[0], p[1]], [p[0], 0.0, p[2]], [p[1], p[2], 0.0]])
+        rhs = dynamics._rhs_builder(s)
+        for t in rng.uniform(0.0, 10.0, 5):
+            a = rng.normal(size=4) + 1j * rng.normal(size=4)
+            u = np.array([np.exp(-1j * w12 * t), 1.0, np.exp(1j * w23 * t)])
+            v = np.conj(u) * a[:3]
+            want = -np.vdot(v, big_gamma @ v).real
+            got = 2.0 * np.vdot(a, rhs(t, a)).real
+            assert abs(got - want) <= 1e-12 * np.vdot(a, a).real * 10.0
+
 
 def _reference_weights(theta):
     def integral(f):
@@ -612,3 +638,15 @@ class TestTimeDomainSpectrum:
         spec = spectrum_time_domain(_bare("B"), np.linspace(-5, 5, 21),
                                     t_final=10.0)
         assert np.max(spec.total) < 1e-10
+
+    def test_branch3_line_at_omega23(self):
+        # undriven A3 decays as exp(-t/2); its line sits at delta = +omega23
+        s = D2System(gamma=(1.0, 1.0, 1.0), omega12=13.0, omega23=8.0,
+                     drives=(DriveField(0),) * 4, initial="A3")
+        grid = np.linspace(-20.0, 20.0, 801)
+        spec = spectrum_time_domain(s, grid)
+        assert grid[np.argmax(spec.branch_intensity[2])] == pytest.approx(8.0)
+        assert np.max(spec.branch_intensity[:2]) == 0.0
+        # the Lorentzian of unit area and unit width: 2 / pi at its centre
+        assert np.max(spec.branch_intensity[2]) == pytest.approx(
+            2.0 / np.pi, rel=1e-6)
