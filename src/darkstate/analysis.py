@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import GridMismatch, GridTooCoarse, GridTooNarrow
 from .model import D1System, D2System, d1_to_chain
-from .spectrum import SpectrumResult, spectrum_analytic, d1_spectrum
+from .spectrum import SpectrumResult, spectrum_analytic
 from .dynamics import trapped_fraction
 
 DEFAULT_PROMINENCE = 1e-3
@@ -203,19 +203,14 @@ def conservation_check(sys, span_factor: float = 2.3,
     dominant defect contribution).
     """
     if isinstance(sys, D1System):
-        chain = d1_to_chain(sys)
-        spec_sys = chain
-        dyn_sys = chain
-        span = 25.0
+        sys, span = d1_to_chain(sys), 25.0
     else:
-        spec_sys = sys
-        dyn_sys = sys
         span = span_factor * sys.omega12
     n = max(int(round(2.0 * span / spacing)) + 1, 1001)
     grid = np.linspace(-span, span, n)
-    spec = spectrum_analytic(spec_sys, grid)
+    spec = spectrum_analytic(sys, grid)
     emitted_spectral = float(np.trapezoid(spec.total, grid))
-    trapped = trapped_fraction(dyn_sys, t_final=t_final, require_plateau=False)
+    trapped = trapped_fraction(sys, t_final=t_final, require_plateau=False)
     emitted_dynamic = 1.0 - trapped
     return ConservationResult(
         emitted_spectral=emitted_spectral,

@@ -43,7 +43,6 @@ from .model import (
     write_json,
 )
 from .spectrum import (
-    d1_spectrum,
     laplace_solve_oracle,
     spectrum_analytic,
     steady_state_amplitudes,
@@ -229,13 +228,18 @@ def svg_line_plot(path, x, curves, title="", xlabel="delta (rate units)",
     legend.  curves is a sequence of (label, y-array), each as long as x.
 
     Plot coordinates are computed a whole array at a time and each
-    polyline is formatted with one % operation."""
+    polyline is formatted with one % operation.  Raises ValueError on a
+    non-finite x or y; a zero x or y span is widened to 1."""
     width, height = 640.0, 400.0
     ml, mr, mt, mb = 60.0, 20.0, 30.0, 45.0
     pw, ph = width - ml - mr, height - mt - mb
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(y, dtype=float) for _, y in curves]
+    if not all(np.isfinite(v).all() for v in (x, *ys)):
+        raise ValueError("svg_line_plot needs finite x and y values")
     x0, x1 = float(x.min()), float(x.max())
+    if x1 <= x0:
+        x1 = x0 + 1.0
     y0 = 0.0
     y1 = max(float(y.max()) for y in ys) if ys else 1.0
     if y1 <= y0:
@@ -297,17 +301,13 @@ def svg_line_plot(path, x, curves, title="", xlabel="delta (rate units)",
 
 def _compute_spectrum(system, grid, method, tol):
     if isinstance(system, D1System):
-        analytic = lambda: d1_spectrum(system, grid)
-        timedomain = lambda: spectrum_time_domain(d1_to_chain(system), grid,
-                                                  tol=tol)
-    else:
-        analytic = lambda: spectrum_analytic(system, grid)
-        timedomain = lambda: spectrum_time_domain(system, grid, tol=tol)
+        system = d1_to_chain(system)
     if method == "analytic":
-        return analytic(), None
+        return spectrum_analytic(system, grid), None
     if method == "timedomain":
-        return timedomain(), None
-    return analytic(), timedomain()
+        return spectrum_time_domain(system, grid, tol=tol), None
+    return (spectrum_analytic(system, grid),
+            spectrum_time_domain(system, grid, tol=tol))
 
 
 def cmd_spectrum(args) -> int:
@@ -439,7 +439,10 @@ def _apply_sweep_value(system: D2System, param: str, value: float) -> D2System:
     if attr == "phase":
         drives[idx] = DriveField(d.magnitude, value)
     else:
-        drives[idx] = DriveField(value, d.phase)
+        try:
+            drives[idx] = DriveField(value, d.phase)
+        except ValueError as exc:
+            raise _InputError(f"{param} = {value:g}: {exc}")
     return system.with_drives(drives)
 
 
@@ -492,11 +495,10 @@ def _signature_checks(name: str, system, signature: dict):
     """Yield (check name, ok, detail) per expected-signature entry."""
     checks = []
     if isinstance(system, D1System):
-        spec = d1_spectrum(system, d1_grid())
-        chain = d1_to_chain(system)
+        chain, grid = d1_to_chain(system), d1_grid()
     else:
-        spec = spectrum_analytic(system, default_grid())
-        chain = system
+        chain, grid = system, default_grid()
+    spec = spectrum_analytic(chain, grid)
     pa = find_peaks(spec)
     zero = float(np.max(spec.total)) <= 1e-20
 

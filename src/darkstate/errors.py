@@ -11,7 +11,8 @@ class NonPositiveRate(DarkstateError):
 
 
 class NonFiniteValue(DarkstateError):
-    """A drive magnitude, drive phase or detuning is NaN or infinite."""
+    """A drive magnitude, drive phase or detuning is NaN or infinite, or a
+    quantity computed from finite inputs overflows."""
 
 
 class UnnormalizedInitialState(DarkstateError):

@@ -166,11 +166,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.errors
 
-    def raise_first(self):
-        if self.errors:
-            raise self.errors[0]
-        return self.system
-
 
 def analytic_admissible(sys: D2System) -> bool:
     """True when the closed-form path applies: resonant drives, equal level

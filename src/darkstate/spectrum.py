@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotAnalyticAdmissible, PoleHit, SingularSystem
+from .errors import (NonFiniteValue, NotAnalyticAdmissible, PoleHit,
+                     SingularSystem)
 from .model import D1System, D2System, analytic_admissible, d1_to_chain
 
 #: roots closer than this are always treated as one confluent cluster; the
@@ -41,7 +42,6 @@ class QuarticPoly:
     """
 
     coefficients: tuple
-    branch_shift: float = 0.0
 
     def __post_init__(self):
         coeffs = tuple(complex(c) for c in self.coefficients)
@@ -98,8 +98,13 @@ def coupling_matrix(sys: D2System) -> np.ndarray:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def quartic_coeffs_s(sys: D2System) -> np.ndarray:
-    """Coefficients (descending) of Q(s) = det(sI - M), a monic quartic."""
+    """Coefficients (descending) of Q(s) = det(sI - M), a monic quartic.
+
+    Raises NonFiniteValue when a coefficient overflows, as products of two
+    drive powers do once the drive magnitudes reach ~1e77 to ~1e154.
+    """
     g1, g2, g3 = (g / 2.0 for g in sys.gamma)
     o1, o2, o3, o4 = sys.rabi
     w1, w2, w3, w4 = (abs(o) ** 2 for o in sys.rabi)
@@ -108,7 +113,10 @@ def quartic_coeffs_s(sys: D2System) -> np.ndarray:
     q2 = g1 * g2 + g1 * g3 + g2 * g3 + w1 + w2 + w3 + w4
     q1 = (g1 * g2 * g3 + g1 * w3 + g3 * w2 + (g1 + g2) * w4 + (g2 + g3) * w1)
     q0 = g1 * g2 * w4 + g2 * g3 * w1 + w1 * w3 + w2 * w4 - 2.0 * loop.real
-    return np.array([1.0, q3, q2, q1, q0], dtype=complex)
+    q = np.array([1.0, q3, q2, q1, q0], dtype=complex)
+    if not np.all(np.isfinite(q)):
+        raise NonFiniteValue(f"characteristic quartic overflows: {q.tolist()}")
+    return q
 
 
 def _polyval(coeffs, x):
@@ -125,6 +133,14 @@ def _poly_scale(coeffs, x):
     for c in coeffs:
         out = out * ax + abs(c)
     return out
+
+
+def _pole_hits(q, s):
+    """(Q(s), hit): hit marks where |Q(s)| is below POLE_HIT_RTOL times the
+    scale of its terms, i.e. where s is a root of Q to working precision."""
+    den = _polyval(q, s)
+    hit = np.abs(den) < POLE_HIT_RTOL * np.maximum(_poly_scale(q, s), 1e-300)
+    return den, hit
 
 
 def branch_numerator_s(sys: D2System, branch: int, s):
@@ -176,7 +192,7 @@ def _require_analytic(sys: D2System):
 # characteristic quartic and roots
 # ---------------------------------------------------------------------------
 
-def characteristic_quartic(sys: D2System, branch_shift: float = 0.0) -> QuarticPoly:
+def characteristic_quartic(sys: D2System) -> QuarticPoly:
     """Monic quartic D(x) in the branch-shifted detuning x.
 
     D(x) = det(sI - M) at s = i x; its coefficients are
@@ -189,16 +205,32 @@ def characteristic_quartic(sys: D2System, branch_shift: float = 0.0) -> QuarticP
     q = quartic_coeffs_s(sys)
     # substitute s = i x: coefficient of x^k picks up i^k
     coeffs = tuple(q[4 - k] * (1j) ** k for k in range(4, -1, -1))
-    return QuarticPoly(coefficients=coeffs, branch_shift=float(branch_shift))
+    return QuarticPoly(coefficients=coeffs)
 
 
-def quartic_roots(poly: QuarticPoly):
-    """Roots via the companion matrix, polished with two Newton steps.
+def _cluster_roots(roots):
+    """Group roots into clusters of pairwise small distance."""
+    clusters = []
+    used = np.zeros(len(roots), dtype=bool)
+    for i, r in enumerate(roots):
+        if used[i]:
+            continue
+        members = [i]
+        used[i] = True
+        for j in range(i + 1, len(roots)):
+            if not used[j] and abs(roots[j] - r) < _cluster_tol(roots[j], r):
+                members.append(j)
+                used[j] = True
+        clusters.append([roots[k] for k in members])
+    return clusters
 
-    Returns (roots, multiplicities); roots closer than ROOT_CLUSTER_TOL are
-    reported with multiplicity > 1.
-    """
-    coeffs = np.asarray(poly.coefficients, dtype=complex)
+
+def _root_clusters(coeffs, max_step):
+    """Roots of the polynomial coeffs (descending) as clusters of members,
+    in np.roots order: a cluster's size is the root's multiplicity and its
+    mean the root, as the companion-matrix scatter of an m-fold root is
+    symmetric.  Each root gets two Newton steps, each taken only if smaller
+    than max_step: Newton is unstable at (near-)multiple roots."""
     roots = np.roots(coeffs)
     deriv = np.polyder(np.poly1d(coeffs))
     for _ in range(2):
@@ -206,22 +238,24 @@ def quartic_roots(poly: QuarticPoly):
         dval = deriv(roots)
         safe = np.abs(dval) > 1e-30
         step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
-        # do not polish (near-)multiple roots; Newton is unstable there
-        small = np.abs(step) < 10.0 * ROOT_CLUSTER_TOL
-        roots = roots - np.where(small, step, 0.0)
-    roots = np.sort_complex(roots)
-    clusters = _cluster_roots(roots)
-    # snap members of a cluster to their mean: the companion-matrix scatter
-    # of an m-fold root is symmetric, so the mean is far more accurate
-    snapped = []
-    mults = []
-    for members in clusters:
-        center = sum(members) / len(members)
-        snapped.extend([center] * len(members))
-        mults.extend([len(members)] * len(members))
-    snapped = np.array(snapped, dtype=complex)
-    order = np.lexsort((snapped.imag, snapped.real))
-    return snapped[order], np.array(mults, dtype=int)[order]
+        roots = roots - np.where(np.abs(step) < max_step, step, 0.0)
+    return _cluster_roots(roots)
+
+
+def quartic_roots(poly: QuarticPoly):
+    """Roots via the companion matrix, polished with two Newton steps.
+
+    Returns (roots, multiplicities), sorted by real then imaginary part;
+    roots closer than ROOT_CLUSTER_TOL are reported with multiplicity > 1,
+    each at the cluster's mean.
+    """
+    clusters = _root_clusters(np.asarray(poly.coefficients, dtype=complex),
+                              10.0 * ROOT_CLUSTER_TOL)
+    roots = np.array([sum(c) / len(c) for c in clusters for _ in c],
+                     dtype=complex)
+    mults = np.array([len(c) for c in clusters for _ in c], dtype=int)
+    order = np.lexsort((roots.imag, roots.real))
+    return roots[order], mults[order]
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +283,7 @@ def steady_state_amplitudes(sys: D2System, delta):
     scalar = np.isscalar(delta)
     for branch, x in enumerate(_branch_arguments(sys, delta), start=1):
         s = -1j * np.asarray(x, dtype=complex)
-        den = _polyval(q, s)
-        scale = _poly_scale(q, s)
-        hit = np.abs(den) < POLE_HIT_RTOL * np.maximum(scale, 1e-300)
+        den, hit = _pole_hits(q, s)
         if scalar and hit:
             raise PoleHit(f"branch {branch} denominator vanishes at delta={delta}")
         num = branch_numerator_s(sys, branch, s)
@@ -293,25 +325,9 @@ def laplace_solve_oracle(sys: D2System, delta):
 # pole/residue decomposition and the spectrum
 # ---------------------------------------------------------------------------
 
-def _cluster_roots(roots):
-    """Group roots into clusters of pairwise small distance."""
-    clusters = []
-    used = np.zeros(len(roots), dtype=bool)
-    for i, r in enumerate(roots):
-        if used[i]:
-            continue
-        members = [i]
-        used[i] = True
-        for j in range(i + 1, len(roots)):
-            if not used[j] and abs(roots[j] - r) < _cluster_tol(roots[j], r):
-                members.append(j)
-                used[j] = True
-        clusters.append([roots[k] for k in members])
-    return clusters
-
-
-def _branch_pole_terms(sys, branch, shift, qcoeffs, sroots):
-    """Partial-fraction terms of F_n(delta) over the roots of Q(s).
+def _branch_pole_terms(sys, branch, shift, qcoeffs, clusters):
+    """Partial-fraction terms of F_n(delta) over the roots of Q(s), given
+    as the clusters of `_root_clusters`.
 
     Simple poles use residue = i N(s_j)/Q'(s_j); clustered roots fall back to
     numeric contour integration (confluent partial fractions) around the
@@ -319,45 +335,43 @@ def _branch_pole_terms(sys, branch, shift, qcoeffs, sroots):
     """
     dq = np.polyder(np.poly1d(qcoeffs))
     terms = []
-    for cluster in _cluster_roots(sroots):
-        if len(cluster) == 1:
-            s_j = cluster[0]
-            pole = 1j * s_j - shift
-            num = complex(branch_numerator_s(sys, branch, s_j))
-            res = 1j * num / complex(dq(s_j))
-            terms.append(PoleTerm(pole=complex(pole), residue=res,
-                                  order=1,
-                                  trapped=bool(abs(pole.imag) < 1e-9)))
-        else:
-            center_s = sum(cluster) / len(cluster)
-            pole = 1j * center_s - shift
-            m = len(cluster)
-            # Laurent coefficients a_k of the principal part about the cluster
-            # center via trapezoid contour integration; the circle must stay
-            # well inside the distance to any other root.
-            others = [abs(1j * r - shift - pole) for r in sroots
-                      if min(abs(r - c) for c in cluster) >= _cluster_tol(r)]
-            radius = 1e-3 if not others else min(1e-3, 0.25 * min(others))
-            nq = 128
-            ang = 2.0 * np.pi * np.arange(nq) / nq
-            z = pole + radius * np.exp(1j * ang)
-            s = -1j * (z + shift)
-            fvals = branch_numerator_s(sys, branch, s) / _polyval(qcoeffs, s)
-            for k in range(1, m + 1):
-                a_k = np.mean(fvals * (z - pole) ** k)
-                terms.append(PoleTerm(pole=complex(pole), residue=complex(a_k),
-                                      order=k,
-                                      trapped=bool(abs(pole.imag) < 1e-9)))
+    for cluster in clusters:
+        m = len(cluster)
+        center_s = cluster[0] if m == 1 else sum(cluster) / m
+        pole = complex(1j * center_s - shift)
+        trapped = bool(abs(pole.imag) < 1e-9)
+        if m == 1:
+            num = complex(branch_numerator_s(sys, branch, center_s))
+            res = 1j * num / complex(dq(center_s))
+            terms.append(PoleTerm(pole, res, 1, trapped))
+            continue
+        # Laurent coefficients a_k of the principal part about the cluster
+        # center via trapezoid contour integration; the circle must stay
+        # well inside the distance to any other root.
+        others = [abs(1j * r - shift - pole) for other in clusters
+                  if other is not cluster for r in other]
+        radius = 1e-3 if not others else min(1e-3, 0.25 * min(others))
+        nq = 128
+        ang = 2.0 * np.pi * np.arange(nq) / nq
+        z = pole + radius * np.exp(1j * ang)
+        s = -1j * (z + shift)
+        fvals = branch_numerator_s(sys, branch, s) / _polyval(qcoeffs, s)
+        terms += [PoleTerm(pole, complex(np.mean(fvals * (z - pole) ** k)), k,
+                           trapped) for k in range(1, m + 1)]
     return terms
 
 
 def _reconstruct(terms, delta):
+    """Sum of the partial-fraction terms at each delta, leaving out those
+    whose pole lies within 1e-6 of that delta: the non-singular part of the
+    amplitude at a pole hit."""
     delta = np.asarray(delta, dtype=complex)
     out = np.zeros_like(delta)
     for t in terms:
-        if t.residue == 0.0:
-            continue
-        out = out + t.residue / (delta - t.pole) ** t.order
+        gap = delta - t.pole
+        far = np.abs(gap) > 1e-6
+        out = out + np.where(far, t.residue / np.where(far, gap, 1.0) ** t.order,
+                             0.0)
     return out
 
 
@@ -389,35 +403,21 @@ def spectrum_analytic(sys: D2System, grid, include_cross: bool = False) -> Spect
     _require_analytic(sys)
     grid = np.asarray(grid, dtype=float)
     q = quartic_coeffs_s(sys)
-    sroots = np.roots(q)
-    # polish
-    dq = np.polyder(np.poly1d(q))
-    for _ in range(2):
-        val = _polyval(q, sroots)
-        dval = dq(sroots)
-        safe = np.abs(dval) > 1e-30
-        step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
-        sroots = sroots - np.where(np.abs(step) < 1e-3, step, 0.0)
+    # a wider Newton bound than quartic_roots': it lets Newton step at
+    # two-level's triple root, which leaves that pole 4.4e-8 off, and the
+    # recorded spectra depend on it
+    clusters = _root_clusters(q, 1e-3)
 
     amps = np.zeros((3, len(grid)), dtype=complex)
     branch_poles = []
     for branch, shift in enumerate(branch_shifts(sys), start=1):
         s = -1j * np.asarray(grid + shift, dtype=complex)
-        den = _polyval(q, s)
-        scale = _poly_scale(q, s)
-        hit = np.abs(den) < POLE_HIT_RTOL * np.maximum(scale, 1e-300)
+        den, hit = _pole_hits(q, s)
         num = branch_numerator_s(sys, branch, s)
         vals = np.where(hit, 0.0, num / np.where(hit, 1.0, den))
-        terms = _branch_pole_terms(sys, branch, shift, q, sroots)
+        terms = _branch_pole_terms(sys, branch, shift, q, clusters)
         if np.any(hit):
-            # fill from the non-singular part of the residue expansion
-            for idx in np.nonzero(hit)[0]:
-                d0 = grid[idx]
-                acc = 0.0 + 0.0j
-                for t in terms:
-                    if abs(d0 - t.pole) > 1e-6:
-                        acc += t.residue / (d0 - t.pole) ** t.order
-                vals[idx] = acc
+            vals[hit] = _reconstruct(terms, grid[hit])
         amps[branch - 1] = vals
         branch_poles.append(terms)
 

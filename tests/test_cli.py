@@ -16,7 +16,7 @@ from darkstate import (load_scenario, preset, preset_names, save_scenario,
 from darkstate import cli
 from darkstate.analysis import default_grid
 from darkstate.cli import main
-from darkstate.model import D1System, write_json
+from darkstate.model import D1System, DriveField, write_json
 from darkstate.spectrum import SpectrumResult, d1_spectrum
 
 
@@ -321,13 +321,16 @@ class TestInputValidation:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
-    def test_sweep_into_negative_rate_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("vary, named", [("gamma1", "Gamma1"),
+                                              ("mag1", "magnitude")])
+    def test_sweep_into_negative_rate_rejected(self, vary, named, tmp_path,
+                                               capsys):
         out = tmp_path / "sweep.csv"
-        code = run("sweep", "--preset", "fig2-trapping", "--vary", "gamma1",
+        code = run("sweep", "--preset", "fig2-trapping", "--vary", vary,
                    "--range=-1:1:3", "--metric", "total_area",
                    "--out", str(out))
         assert code == 2
-        assert "Gamma1" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_nonfinite_grid_rejected(self, tmp_path):
@@ -360,6 +363,27 @@ def test_unwritable_out_is_input_error(argv, tmp_path, monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+def test_overflowing_quartic_is_numerical_failure(command, tmp_path):
+    # finite drives whose powers overflow the characteristic quartic; run in
+    # a child so that stderr is exactly what a user sees
+    system = preset("fig2-trapping").system
+    save_scenario(system.with_drives([DriveField(1e200),
+                                      *system.drives[1:]]),
+                  tmp_path / "big.json")
+    argv = {"spectrum": ["--config", "big.json", "--svg", "s.svg"],
+            "sweep": ["--preset", "fig2-trapping", "--vary", "mag1",
+                      "--range", "0:1e200:3", "--metric", "peak_count"]}
+    proc = subprocess.run(
+        [sys.executable, "-m", "darkstate.cli", command, *argv[command],
+         "--out", "out.csv"],
+        capture_output=True, text=True, env=CHILD_ENV, cwd=tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: numerical failure in NonFiniteValue")
+    assert proc.stderr.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
 
 
 def test_coarse_grid_warnings_are_message_lines(tmp_path, capsys):
@@ -511,6 +535,23 @@ class TestWriterByteIdentity:
         text = (tmp_path / "new.svg").read_text(encoding="utf-8")
         assert re.findall(r'<polyline points="([^"]*)"', text) == \
             _polyline_reference(x, curves)
+
+    def test_svg_one_point_grid(self, tmp_path):
+        # a zero x span is widened to 1, as a zero y span is
+        cli.svg_line_plot(tmp_path / "one.svg", [2.0], [("a", [1.0])])
+        text = (tmp_path / "one.svg").read_text(encoding="utf-8")
+        assert "nan" not in text
+        assert re.findall(r'<polyline points="([^"]*)"', text) == \
+            ["60.00,30.00"]
+
+    @pytest.mark.parametrize("bad", ["x", "y"])
+    def test_svg_rejects_nonfinite(self, bad, tmp_path):
+        x = np.linspace(0.0, 1.0, 5)
+        y = x ** 2
+        (x if bad == "x" else y)[2] = math.nan
+        with pytest.raises(ValueError):
+            cli.svg_line_plot(tmp_path / "bad.svg", x, [("a", y), ("b", x)])
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

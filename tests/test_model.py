@@ -9,6 +9,7 @@ from darkstate import (
     D1System,
     D2System,
     DriveField,
+    NonPositiveRate,
     UnknownPreset,
     analytic_admissible,
     d1_to_chain,
@@ -63,8 +64,7 @@ class TestValidation:
                        drives=s.drives, initial="A1")
         report = validate_system(bad)
         assert not report.ok
-        with pytest.raises(Exception):
-            report.raise_first()
+        assert isinstance(report.errors[0], NonPositiveRate)
 
     def test_alignment_out_of_range_flagged(self):
         s = preset("two-level").system
