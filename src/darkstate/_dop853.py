@@ -1,5 +1,5 @@
 """The explicit Runge-Kutta pair DOP853 of Dormand and Prince, sampled at
-given times.
+given times, for one system or a batch of systems stepped in lockstep.
 
 DOP853 is the 8th-order method with 5th- and 3rd-order error estimators and
 a 7th-order continuous extension of Hairer, Norsett & Wanner, *Solving
@@ -10,15 +10,35 @@ hold the same values as SciPy's DOP853 coefficient table
 
 `solve_ivp` follows SciPy's `DOP853` solver driven by its `solve_ivp(...,
 t_eval=...)`: the same initial step, step control and error norm, and the
-interpolant built only for steps that hold a sample, with the same numpy
-operations in the same order (the real tables are cast to complex once, as
-np.dot would cast them on each call), so its samples and evaluation counts
-are identical to SciPy's.  It integrates a complex state forward from t=0
-with scalar tolerances, optionally until a predicate of the state holds,
-and nothing else.
+interpolant built only for steps that hold a sample, with the same
+floating-point operations in the same order (the real tables are cast to
+complex once, as np.dot would cast them on each call), so its samples and
+evaluation counts are identical to SciPy's.  It integrates a complex state
+forward from t=0 with scalar tolerances, optionally until a predicate of
+the state holds, and nothing else.
+
+One core, `_integrate`, steps a batch of B rows in lockstep; one system
+is the batch of one.  An iteration makes one step attempt for every row
+still integrating: the stages, error estimates and interpolants of all
+rows come from the same numpy calls, while each row keeps its own t, step
+size, accept/reject decision, stop test, samples, evaluation count and
+failure.  A row equals its run alone bit for bit, as each batched call
+does per row exactly the one-row arithmetic (np.dot of a stage vector with
+the stages of all rows is one BLAS gemv, np.vecdot one BLAS dot per row)
+and the step-size control runs per row on scalars.  Finished rows stay in
+the arrays with a zero step, so an iteration costs about the same for any
+B.
+
+The step factor SAFETY * err ** ERROR_EXPONENT, the squared error norms
+and the initial step use numpy's scalar power, the C library's pow, as
+SciPy does: numpy's array power may be a vectorized pow (AVX-512) that
+differs from it in the last bit for some arguments, and one such bit
+moves every later step away from SciPy's.
 """
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,32 +264,49 @@ class Solution:
     success: bool
     message: str
     nfev: int
+    accepted: int  # accepted steps
+    rejected: int  # rejected step attempts
+
+
+class Solutions(list):
+    """The Solution of each row of a batch, in row order."""
+
+    @property
+    def nfev(self) -> int:
+        """Evaluations of fun, summed over the rows."""
+        return sum(s.nfev for s in self)
 
 
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
+def _squared_norms(x):
+    """sum |x|^2 along the last axis, as np.linalg.norm sums it: the BLAS
+    dot product of the real parts plus that of the imaginary parts."""
+    return np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
+
+
 def _initial_step(fun, y0, f0, t_bound, rtol, atol):
-    """Hairer's starting step size (Solving ODEs I, Sec. II.4) from t=0."""
+    """Hairer's starting step size (Solving ODEs I, Sec. II.4) from t=0,
+    per row."""
     scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_bound)
-    f1 = fun(h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, t_bound)
+    d0 = [_rms(row) for row in y0 / scale]
+    d1 = [_rms(row) for row in f0 / scale]
+    h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b,
+                       t_bound) for a, b in zip(d0, d1)])
+    f1 = fun(h0, y0 + h0[:, None] * f0)
+    d2 = [_rms(row) / h for row, h in zip((f1 - f0) / scale, h0)]
+    return np.array([
+        min(100 * h, max(1e-6, h * 1e-3) if b <= 1e-15 and c <= 1e-15
+            else (0.01 / max(b, c)) ** (1 / 8), t_bound)
+        for h, b, c in zip(h0, d1, d2)])
 
 
 def _stage_rows(stages):
-    """(s, a_s, c_s) for each stage s, with a_s = A[s, :s] cast to complex
-    once here: np.dot would cast it on every call, to the same values."""
-    return tuple((s, A[s, :s].astype(complex), C[s]) for s in stages)
+    """(s, a_s) for each stage s, with a_s = A[s, :s] cast to complex once
+    here: np.dot would cast it on every call, to the same values."""
+    return tuple((s, A[s, :s].astype(complex)) for s in stages)
 
 
 _METHOD_STAGES = _stage_rows(range(1, N_STAGES))
@@ -278,79 +315,168 @@ _B = B.astype(complex)
 _E3 = E3.astype(complex)
 _E5 = E5.astype(complex)
 _D = D.astype(complex)
+_C = C[:, None]
 
 
-def _rk_step(fun, t, y, f, h, K):
-    """One DOP853 step; K receives the 12 stages and f(t + h, y_new)."""
-    K[0] = f
-    KT = K.T
-    for s, a, c in _METHOD_STAGES:
-        dy = np.dot(KT[:, :s], a) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(KT[:, :-1], _B)
-    f_new = fun(t + h, y_new)
-    K[-1] = f_new
-    return y_new, f_new
+def _step_size(err, h_abs, rejected):
+    """SciPy's step-size control for one row: whether the step of size
+    h_abs with error norm err is accepted, and the next step size.
+    rejected tells whether the step was already rejected once."""
+    if err < 1:
+        factor = (MAX_FACTOR if err == 0
+                  else min(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT))
+        if rejected:
+            factor = min(1, factor)
+        return True, h_abs * factor
+    return False, h_abs * max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
 
 
-def _error_norm(K, h, scale):
-    err5 = np.dot(K.T, _E5) / scale
-    err3 = np.dot(K.T, _E3) / scale
-    err5_norm_2 = np.linalg.norm(err5)**2
-    err3_norm_2 = np.linalg.norm(err3)**2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop):
+    """Step the rows of y0, shape (B, n), in lockstep (see the module
+    docstring) and return a Solution per row.  The per-row state is kept
+    in Python lists; a row that is done (failed, stopped or at t_bound)
+    takes zero steps from then on."""
+    rows, n = y0.shape
+    y = y0
+    f = np.asarray(fun(np.zeros(rows), y), dtype=complex)
+    h_abs = _initial_step(fun, y, f, t_bound, rtol, atol).tolist()
+    K = np.empty((N_STAGES_EXTENDED, rows, n), dtype=complex)
+    flat = K.reshape(N_STAGES_EXTENDED, rows * n)
+    prefix = [flat[:s] for s in range(N_STAGES_EXTENDED + 1)]  # K[:s]
+    # np.dot writes each stage's increment, and the error estimates, into
+    # these; dy and err are their (B, n) views
+    dy_flat = np.empty(rows * n, dtype=complex)
+    dy = dy_flat.reshape(rows, n)
+    err_flat = np.empty((2, rows * n), dtype=complex)
+    err = err_flat.reshape(2, rows, n)
+    y_stage = np.empty((rows, n), dtype=complex)
+    T = np.empty((N_STAGES_EXTENDED, rows))  # stage times
+    grid = t_eval.tolist()
+    t = [0.0] * rows
+    live = list(range(rows))
+    rejected = [False] * rows  # in the current step
+    tries = [0] * rows
+    accepted = [0] * rows
+    interpolants = [0] * rows
+    sampled = [0] * rows
+    ts = [[] for _ in range(rows)]
+    ys = [[] for _ in range(rows)]
+    messages = [REACHED_END] * rows
+    while live:
+        t_new = list(t)
+        h = [0.0] * rows
+        for b in list(live):
+            min_step = 10 * abs(math.nextafter(t[b], math.inf) - t[b])
+            if not rejected[b]:
+                h_abs[b] = max(h_abs[b], min_step)
+            # SciPy tests h_abs < min_step, which a NaN step size (from a
+            # zero or non-finite tolerance) never fails: it steps forever
+            if not h_abs[b] >= min_step:
+                messages[b] = TOO_SMALL_STEP
+                live.remove(b)
+                continue
+            t_new[b] = min(t[b] + h_abs[b], t_bound)
+            h[b] = t_new[b] - t[b]
+            tries[b] += 1
+        if not live:
+            break
+        # complex, as numpy casts a real factor of a complex array anyway
+        h_rows = np.array(h, dtype=complex)
+        hcol = h_rows[:, None]
+        np.multiply(_C, h_rows.real, out=T)
+        T += t
 
+        K[0] = f
+        for s, a in _METHOD_STAGES:
+            # y + np.dot(a, K[:s]) * h, as SciPy computes it
+            np.dot(a, prefix[s], out=dy_flat)
+            np.multiply(dy, hcol, out=dy)
+            K[s] = fun(T[s], np.add(y, dy, out=y_stage))
+        np.dot(_B, prefix[N_STAGES], out=dy_flat)
+        y_new = y + hcol * dy
+        f_new = np.asarray(fun(T[N_STAGES], y_new), dtype=complex)
+        K[N_STAGES] = f_new
 
-def _step(fun, t, y, f, h_abs, t_bound, rtol, atol, K):
-    """Advance one accepted step from t, or return None when the step size
-    falls below 10 ulp of t or is NaN.  Returns t_new, y_new, f_new, the
-    step h and the next step size."""
-    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-    h_abs = max(h_abs, min_step)
-    rejected = False
-    while True:
-        # SciPy tests h_abs < min_step, which a NaN step size (from a zero
-        # or non-finite tolerance) never fails, so it steps forever
-        if not h_abs >= min_step:
-            return None
-        t_new = min(t + h_abs, t_bound)
-        h = t_new - t
-        h_abs = np.abs(h)
-        y_new, f_new = _rk_step(fun, t, y, f, h, K)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _error_norm(K, h, scale)
-        if error_norm < 1:
-            if error_norm == 0:
-                factor = MAX_FACTOR
-            else:
-                factor = min(MAX_FACTOR,
-                             SAFETY * error_norm ** ERROR_EXPONENT)
-            if rejected:
-                factor = min(1, factor)
-            return t_new, y_new, f_new, h, h_abs * factor
-        h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-        rejected = True
+        np.dot(_E5, prefix[N_STAGES + 1], out=err_flat[0])
+        np.dot(_E3, prefix[N_STAGES + 1], out=err_flat[1])
+        err5, err3 = np.sqrt(_squared_norms(err / scale))
+        accept = []
+        for b in live:
+            e5, e3 = err5[b] ** 2, err3[b] ** 2
+            h_b = abs(h[b])
+            norm = (0.0 if e5 == 0 and e3 == 0
+                    else h_b * e5 / math.sqrt((e5 + 0.01 * e3) * n))
+            ok, h_abs[b] = _step_size(norm, h_b, rejected[b])
+            rejected[b] = not ok
+            if ok:
+                accept.append(b)
+        if not accept:
+            continue
+
+        sample = []
+        for b in accept:
+            accepted[b] += 1
+            reached = bisect.bisect_right(grid, t_new[b])
+            if reached > sampled[b]:
+                sample.append((b, reached))
+        if sample:
+            for s, a in _EXTRA_STAGES:
+                np.dot(a, prefix[s], out=dy_flat)
+                np.multiply(dy, hcol, out=dy)
+                K[s] = fun(T[s], np.add(y, dy, out=y_stage))
+            F = _dense_terms(y, y_new, f, f_new, hcol, flat)
+            for b, reached in sample:
+                interpolants[b] += 1
+                times = t_eval[sampled[b]:reached]
+                ts[b].append(times)
+                ys[b].append(_interpolate(F[:, b], y[b], t[b], h[b], times))
+                sampled[b] = reached
+
+        if len(accept) == rows:
+            y, f = y_new, f_new
+        else:
+            keep = np.ones((rows, 1), dtype=bool)
+            keep[accept] = False
+            y = np.where(keep, y, y_new)
+            f = np.where(keep, f, f_new)
+        stopped = stop(y) if stop is not None else None
+        for b in accept:
+            t[b] = t_new[b]
+            if stopped is not None and stopped[b]:
+                messages[b] = STOPPED
+                live.remove(b)
+            elif not t[b] < t_bound:
+                live.remove(b)
+
+    return [Solution(t=np.hstack(ts[b]) if ts[b] else np.empty(0),
+                     y=(np.hstack(ys[b]) if ys[b]
+                        else np.empty((n, 0), complex)),
+                     success=messages[b] != TOO_SMALL_STEP,
+                     message=messages[b],
+                     nfev=(2 + N_STAGES * tries[b]
+                           + len(_EXTRA_STAGES) * interpolants[b]),
+                     accepted=accepted[b],
+                     rejected=tries[b] - accepted[b])
+            for b in range(rows)]
 
 
-def _interpolate(fun, t_old, y_old, y, f, h, K, times):
-    """The 7th-order continuous extension over the step [t_old, t_old + h]
-    at times, shape (state size, len(times)); K holds the step's stages
-    and receives the 3 extra ones."""
-    KT = K.T
-    for s, a, c in _EXTRA_STAGES:
-        dy = np.dot(KT[:, :s], a) * h
-        K[s] = fun(t_old + c * h, y_old + dy)
-    F = np.empty((INTERPOLATOR_POWER, len(y_old)), dtype=y_old.dtype)
-    f_old = K[0]
+def _dense_terms(y_old, y, f_old, f, hcol, flat):
+    """The 7 coefficient vectors of each row's continuous extension, shape
+    (7, B, n), from the stages in flat (all 16 filled)."""
+    rows, n = y.shape
+    F = np.empty((INTERPOLATOR_POWER, rows, n), dtype=complex)
     delta_y = y - y_old
     F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(_D, K)
+    F[1] = hcol * f_old - delta_y
+    F[2] = 2 * delta_y - hcol * (f + f_old)
+    F[3:] = hcol * np.dot(_D, flat).reshape(INTERPOLATOR_POWER - 3, rows, n)
+    return F
 
+
+def _interpolate(F, y_old, t_old, h, times):
+    """The 7th-order continuous extension with coefficients F over the step
+    [t_old, t_old + h] at times, shape (state size, len(times))."""
     x = ((times - t_old) / h)[:, None]
     out = np.zeros((len(x), len(y_old)), dtype=y_old.dtype)
     for i, term in enumerate(reversed(F)):
@@ -367,10 +493,19 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, stop=None):
     """Integrate y' = fun(t, y) from t_span[0] = 0 to t_span[1] and return
     the state at the ascending times t_eval, which lie within t_span.
 
-    With a predicate stop, the integration ends successfully after the
-    first accepted step whose end state y satisfies stop(y); the solution
-    then holds the samples up to that step's end.  The steps before it are
-    those of a run without stop.
+    y0 of shape (n,) is one system: fun(t, y) takes a float t and y of
+    shape (n,), stop(y) returns a bool, and the result is a Solution.
+    y0 of shape (B, n) is a batch of B systems stepped in lockstep:
+    fun(t, y) takes t of shape (B,) and y of shape (B, n) and returns the
+    derivative of each row, stop(y) returns a bool per row, and the result
+    is a Solution per row.  Each row takes the steps, samples, evaluation
+    count and end of its run alone, bit for bit.  The stage states passed
+    to fun share one buffer, so fun must not keep y.
+
+    With a predicate stop, the integration of a row ends successfully
+    after the first accepted step whose end state y satisfies stop(y); its
+    solution then holds the samples up to that step's end.  The steps
+    before it are those of a run without stop.
 
     On failure (a step size below 10 ulp of t, or NaN) the solution holds
     the samples reached so far and success is False.
@@ -385,40 +520,19 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, stop=None):
     if not atol >= 0:
         raise ValueError("atol must be non-negative")
     rtol = max(rtol, 100 * np.finfo(float).eps)
-    nfev = 0
+    y0 = np.asarray(y0, dtype=complex)
+    if y0.ndim == 2:
+        fun_rows, stop_rows = fun, stop
+    else:
+        def fun_rows(t, y):
+            return np.asarray(fun(float(t[0]), y[0]))[None]
 
-    def rhs(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=complex)
-
-    y = np.asarray(y0, dtype=complex)
-    f = rhs(t, y)
-    h_abs = _initial_step(rhs, y, f, t_bound, rtol, atol)
-    K_extended = np.empty((N_STAGES_EXTENDED, y.size), dtype=complex)
-    K = K_extended[:N_STAGES + 1]
-    ts, ys = [], []
-    sampled = 0
-    message = REACHED_END
-    while t < t_bound:
-        step = _step(rhs, t, y, f, h_abs, t_bound, rtol, atol, K)
-        if step is None:
-            message = TOO_SMALL_STEP
-            break
-        t_new, y_new, f_new, h, h_abs = step
-        reached = np.searchsorted(t_eval, t_new, side="right")
-        if reached > sampled:
-            times = t_eval[sampled:reached]
-            ts.append(times)
-            ys.append(_interpolate(rhs, t, y, y_new, f_new, h, K_extended,
-                                   times))
-            sampled = reached
-        t, y, f = t_new, y_new, f_new
-        if stop is not None and stop(y):
-            message = STOPPED
-            break
-    return Solution(t=np.hstack(ts) if ts else np.empty(0),
-                    y=np.hstack(ys) if ys else np.empty((y.size, 0), complex),
-                    success=message != TOO_SMALL_STEP,
-                    message=message,
-                    nfev=nfev)
+        def stop_rows(y):
+            return [stop(y[0])]
+    # overflow and NaN end in a NaN error norm, which the step control
+    # reports as TOO_SMALL_STEP
+    with np.errstate(all="ignore"):
+        solutions = _integrate(fun_rows, np.atleast_2d(y0), t_bound, rtol,
+                               atol, t_eval,
+                               None if stop is None else stop_rows)
+    return Solutions(solutions) if y0.ndim == 2 else solutions[0]

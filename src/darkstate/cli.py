@@ -81,6 +81,8 @@ class RunManifest:
     version: str
     wall_time_s: float
     outputs: list = field(default_factory=list)
+    #: per-run integrator diagnostics, where the command integrates
+    integrator: list | None = None
 
     def write(self, anchor: Path):
         path = Path(str(anchor) + ".manifest.json")
@@ -92,6 +94,8 @@ class RunManifest:
             "wall_time_s": self.wall_time_s,
             "outputs": [str(p) for p in self.outputs],
         }
+        if self.integrator is not None:
+            data["integrator"] = self.integrator
         write_json(path, data)
         return path
 
@@ -447,8 +451,6 @@ def _apply_sweep_value(system: D2System, param: str, value: float) -> D2System:
 
 
 def _sweep_metric(system: D2System, metric: str, grid) -> float:
-    if metric == "trapped_fraction":
-        return trapped_fraction(system, require_plateau=False)
     spec = spectrum_analytic(system, grid)
     if metric == "peak_count":
         return float(len(find_peaks(spec).peaks))
@@ -471,7 +473,15 @@ def cmd_sweep(args) -> int:
     systems = [_apply_sweep_value(system, args.vary, v) for v in values]
     for v, s in zip(values, systems):
         _check_system(s, f"{args.vary} = {v:g}: ")
-    results = [_sweep_metric(s, args.metric, grid) for s in systems]
+    integrator = None
+    if args.metric == "trapped_fraction":
+        # one lockstep batch; each value is that of its system alone
+        runs = []
+        results = trapped_fraction(systems, require_plateau=False, runs=runs)
+        integrator = [{"value": float(v), **run}
+                      for v, run in zip(values, runs)]
+    else:
+        results = [_sweep_metric(s, args.metric, grid) for s in systems]
     out = Path(args.out)
     write_csv(out, [
         f"# darkstate {__version__} sweep vary={args.vary} metric={args.metric}",
@@ -482,7 +492,7 @@ def cmd_sweep(args) -> int:
                            parameters=scenario_to_dict(system),
                            version=__version__,
                            wall_time_s=time.perf_counter() - t0,
-                           outputs=[out])
+                           outputs=[out], integrator=integrator)
     manifest.write(out)
     return EXIT_OK
 

@@ -17,6 +17,14 @@ decayed: when the decay matrix Gamma is positive semidefinite the norm
 never grows, so once it falls below a floor far under `plateau_tol` every
 later sample lies between 0 and that floor.
 
+Systems are integrated as lockstep batches of the one DOP853 core: given a
+sequence of systems (a sweep), `trapped_fraction` steps all those that
+share a sample grid together, each row with its own steps, stop test and
+failure, and each row's samples, steps and value equal those of its run
+alone bit for bit; errors are raised for the first failing system in
+order, as a loop over the systems would.  `propagate` and a single
+`trapped_fraction` are batches of one.
+
 The Filon sums are taken over a whole detuning grid at once.  On a uniform
 grid (every grid the CLI builds) they are one chirp-z transform per Filon
 pass, that is three `numpy.fft` transforms of the smallest 5-smooth length
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import fft, ifft
 
-from ._dop853 import solve_ivp
+from ._dop853 import REACHED_END, STOPPED, TOO_SMALL_STEP, solve_ivp
 from .errors import NotConverged, StepSizeUnderflow
 from .model import D2System
 from .spectrum import (SpectrumResult, assemble_spectrum, branch_shifts,
@@ -64,43 +72,50 @@ class AmplitudeTrajectory:
         return np.sum(np.abs(self.amps) ** 2, axis=1)
 
 
-def _rhs_builder(sys: D2System):
-    m = coupling_matrix(sys)
-    g1, g2, g3 = sys.gamma
-    p1, p2, p3 = sys.alignments
-    d1, d2, d3, d4 = sys.detunings
-    o1, o2, o3, o4 = sys.rabi
-    w12, w23 = sys.omega12, sys.omega23
-    w13 = w12 + w23
-    resonant = all(d == 0.0 for d in sys.detunings)
-    no_cross = all(p == 0.0 for p in sys.alignments)
+def _rhs_builder(systems):
+    """The amplitude equations y' = rhs(t, y) of a batch of systems: t of
+    shape (B,), y of shape (B, 4), one row per system.  Given one
+    D2System, rhs(t, y) of its state alone: t a float, y of shape (4,).
 
-    if resonant and no_cross:
+    With every row resonant and free of cross-damping, the drift matrix
+    is constant and rhs is the stacked product M @ y.  Otherwise each row
+    has the time-dependent matrix M(t) = M * exp(i R t) + X * exp(i W t)
+    (elementwise): the drive terms with their detuning phases R, then the
+    cross-damping terms X = -p sqrt(Gamma_i Gamma_j) / 2 with their
+    splitting phases W, conjugate below the diagonal.  A resonant,
+    uncoupled row of such a batch has R = 0 and X = 0, so its M(t) is M
+    exactly and it takes the values of its constant-matrix run.
+    """
+    if isinstance(systems, D2System):
+        rhs = _rhs_builder([systems])
+        return lambda t, y: rhs(np.array([t]), y[None])[0]
+    m = np.array([coupling_matrix(s) for s in systems])
+    if all(not any(s.detunings) and not any(s.alignments) for s in systems):
         def rhs(t, y):
-            return m @ y
+            return np.matvec(m, y)
         return rhs
 
-    c12 = p1 * math.sqrt(g1 * g2) / 2.0
-    c13 = p2 * math.sqrt(g1 * g3) / 2.0
-    c23 = p3 * math.sqrt(g2 * g3) / 2.0
+    def antisymmetric(r12, r13, r23, r14, r34):
+        upper = np.array([[0.0, r12, r13, r14], [0.0, 0.0, r23, 0.0],
+                          [0.0, 0.0, 0.0, r34], [0.0, 0.0, 0.0, 0.0]])
+        return upper - upper.T
+
+    coefs = np.zeros((len(systems), 2, 4, 4), dtype=complex)
+    rates = np.zeros((len(systems), 2, 4, 4))
+    for k, s in enumerate(systems):
+        p1, p2, p3 = s.alignments
+        root = np.sqrt(s.gamma)
+        coefs[k, 0] = m[k]
+        coefs[k, 1, :3, :3] = -0.5 * np.outer(root, root) * np.array(
+            [[0.0, p1, p2], [p1, 0.0, p3], [p2, p3, 0.0]])
+        d1, d2, d3, d4 = s.detunings
+        w12, w23 = s.omega12, s.omega23
+        rates[k, 0] = antisymmetric(d2, 0.0, d3, d1, d4)
+        rates[k, 1] = antisymmetric(-w12, -(w12 + w23), -w23, 0.0, 0.0)
 
     def rhs(t, y):
-        a1, a2, a3, b = y
-        e1 = np.exp(1j * d1 * t)
-        e2 = np.exp(1j * d2 * t)
-        e3 = np.exp(1j * d3 * t)
-        e4 = np.exp(1j * d4 * t)
-        f12 = np.exp(-1j * w12 * t)
-        f13 = np.exp(-1j * w13 * t)
-        f23 = np.exp(-1j * w23 * t)
-        da1 = (-1j * o2 * e2 * a2 - 1j * o1 * e1 * b - 0.5 * g1 * a1
-               - c12 * f12 * a2 - c13 * f13 * a3)
-        da2 = (-1j * np.conj(o2) / e2 * a1 - 1j * o3 * e3 * a3 - 0.5 * g2 * a2
-               - c12 * f12.conjugate() * a1 - c23 * f23 * a3)
-        da3 = (-1j * np.conj(o3) / e3 * a2 - 1j * o4 * e4 * b - 0.5 * g3 * a3
-               - c13 * f13.conjugate() * a1 - c23 * f23.conjugate() * a2)
-        db = -1j * np.conj(o1) / e1 * a1 - 1j * np.conj(o4) / e4 * a3
-        return np.array([da1, da2, da3, db])
+        phases = np.exp(1j * (rates * t[:, None, None, None]))
+        return np.matvec((coefs * phases).sum(axis=1), y)
 
     return rhs
 
@@ -138,21 +153,26 @@ def _sample_times(sys: D2System, t_final: float) -> np.ndarray:
     return np.linspace(0.0, t_final, n + n % 2 + 1)
 
 
-def _sample(sys: D2System, times: np.ndarray, tol: float,
-            stop=None) -> np.ndarray:
-    """Amplitudes at the ascending sample times, integrating from t=0 to
-    times[-1], or only up to the first step whose end state satisfies
-    stop; only the steps that hold a sample are interpolated."""
-    sol = solve_ivp(_rhs_builder(sys), (0.0, times[-1]),
-                    sys.initial_vector(), rtol=tol, atol=tol * 1e-2,
-                    t_eval=times, stop=stop)
-    if not sol.success:
-        # sol.t holds only the samples reached, possibly none
-        t_reached = float(sol.t[-1]) if len(sol.t) else None
-        raise StepSizeUnderflow(f"integrator failed; last sample reached: "
-                                f"t={t_reached}: {sol.message}",
-                                t_reached=t_reached)
-    return np.ascontiguousarray(sol.y.T)
+def _solve(systems, times, tol, stop=None):
+    """Integrate the systems from t=0 to times[-1] as one lockstep batch,
+    sampled at the ascending times: a Solution per system, equal to its
+    run alone.  With stop, a row ends at the first step whose end state
+    satisfies stop (evaluated per row); only steps that hold a sample are
+    interpolated."""
+    return solve_ivp(_rhs_builder(systems), (0.0, times[-1]),
+                     np.array([s.initial_vector() for s in systems]),
+                     rtol=tol, atol=tol * 1e-2, t_eval=times, stop=stop)
+
+
+def _failure(sol) -> StepSizeUnderflow:
+    # sol.t holds only the samples reached, possibly none
+    if len(sol.t):
+        t_reached = float(sol.t[-1])
+        reached = f"last sample reached: t={t_reached}"
+    else:
+        t_reached, reached = None, "no sample reached"
+    return StepSizeUnderflow(f"integrator failed; {reached}: {sol.message}",
+                             t_reached=t_reached)
 
 
 def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
@@ -163,7 +183,10 @@ def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
     the oscillatory quadrature downstream.
     """
     times = _sample_times(sys, t_final)
-    return AmplitudeTrajectory(times=times, amps=_sample(sys, times, tol))
+    (sol,) = _solve([sys], times, tol)
+    if not sol.success:
+        raise _failure(sol)
+    return AmplitudeTrajectory(times=times, amps=np.ascontiguousarray(sol.y.T))
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +335,22 @@ def branch_amplitude_numeric(sys: D2System, branch: int, delta,
     return complex(out[0]) if scalar else out
 
 
-def trapped_fraction(sys: D2System, t_final: float = 150.0,
-                     tol: float = DEFAULT_TOL, plateau_tol: float = 1e-6,
-                     require_plateau: bool = True) -> float:
+#: how a trapped_fraction integration ended, by solver message
+RUN_ENDS = {REACHED_END: "t_final", STOPPED: "decay_floor",
+            TOO_SMALL_STEP: "failed"}
+
+
+def trapped_fraction(sys, t_final: float = 150.0, tol: float = DEFAULT_TOL,
+                     plateau_tol: float = 1e-6, require_plateau: bool = True,
+                     runs: list | None = None):
     """Plateau value of the surviving population |A1|^2+|A2|^2+|A3|^2+|B|^2.
+
+    sys is one D2System, or a sequence of them, which are integrated as
+    lockstep batches (one per sample grid) and give a list of values, each
+    the value of its system alone.  Errors are raised for the first
+    failing system in order.  A list given as runs receives, per system,
+    its integrator diagnostics: nfev, accepted and rejected steps, and
+    how the run ended (`RUN_ENDS`).
 
     The population is sampled only on the last 10% of propagate's uniform
     grid of n samples, from sample int(0.9 n) on.  That window is split in
@@ -329,23 +364,43 @@ def trapped_fraction(sys: D2System, t_final: float = 150.0,
     samples not reached then count as 0, each within that floor of its
     value; a stop before the window returns 0.0.
     """
-    times = _sample_times(sys, t_final)
-    window = times[int(0.9 * len(times)):]
+    systems = [sys] if isinstance(sys, D2System) else list(sys)
     floor = DECAY_FLOOR * plateau_tol
-    stop = ((lambda y: np.vdot(y, y).real < floor)
-            if _norm_never_grows(sys) else None)
-    amps = _sample(sys, window, tol, stop)
-    tail = np.zeros(len(window))
-    tail[:len(amps)] = AmplitudeTrajectory(window[:len(amps)], amps).norm()
-    half = len(tail) // 2
-    m1 = float(np.mean(tail[:half]))
-    m2 = float(np.mean(tail[half:]))
-    if abs(m1 - m2) > plateau_tol and require_plateau:
-        raise NotConverged(
-            f"population has not settled: window means {m1:.6g}, {m2:.6g}",
-            window_means=(m1, m2),
-        )
-    return min(max(m2, 0.0), 1.0)
+    grids = {}
+    for k, s in enumerate(systems):
+        # t_final is shared, so the grid follows from its length
+        times = _sample_times(s, t_final)
+        grids.setdefault(len(times), (times, []))[1].append(k)
+    integrated = [None] * len(systems)
+    for times, group in grids.values():
+        stoppable = np.array([_norm_never_grows(systems[k]) for k in group])
+        stop = ((lambda y: stoppable & (np.vecdot(y, y).real < floor))
+                if stoppable.any() else None)
+        window = times[int(0.9 * len(times)):]
+        sols = _solve([systems[k] for k in group], window, tol, stop)
+        for k, sol in zip(group, sols):
+            integrated[k] = window, sol
+    if runs is not None:
+        runs += [{"nfev": sol.nfev, "accepted": sol.accepted,
+                  "rejected": sol.rejected, "end": RUN_ENDS[sol.message]}
+                 for _, sol in integrated]
+    values = []
+    for window, sol in integrated:
+        if not sol.success:
+            raise _failure(sol)
+        amps = np.ascontiguousarray(sol.y.T)
+        tail = np.zeros(len(window))
+        tail[:len(amps)] = AmplitudeTrajectory(window[:len(amps)],
+                                               amps).norm()
+        half = len(tail) // 2
+        m1 = float(np.mean(tail[:half]))
+        m2 = float(np.mean(tail[half:]))
+        if abs(m1 - m2) > plateau_tol and require_plateau:
+            raise NotConverged(
+                f"population has not settled: window means {m1:.6g}, "
+                f"{m2:.6g}", window_means=(m1, m2))
+        values.append(min(max(m2, 0.0), 1.0))
+    return values[0] if isinstance(sys, D2System) else values
 
 
 def spectrum_time_domain(sys: D2System, grid, include_cross: bool = False,

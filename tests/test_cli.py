@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from conftest import CHILD_ENV
 from darkstate import (load_scenario, preset, preset_names, save_scenario,
                        scenario_to_dict, spectrum_analytic,
-                       spectrum_time_domain)
+                       spectrum_time_domain, trapped_fraction)
 from darkstate import cli
 from darkstate.analysis import default_grid
 from darkstate.cli import main
@@ -260,6 +261,55 @@ class TestSweepCommand:
         counts = {float(r[0]): float(r[1]) for r in rows}
         assert counts[1.0] == min(counts.values())
         assert counts[0.6] > counts[1.0]
+
+
+    def test_trapped_fraction_manifest_records_integrator(self, tmp_path):
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert run("sweep", "--preset", "fig2-trapping", "--vary",
+                       "phase2", "--range", "0:3.141592653589793:3",
+                       "--metric", "trapped_fraction", "--out",
+                       str(out)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert "nfev" not in outs[0].read_text()
+        a, b = (json.loads(Path(str(out) + ".manifest.json").read_text())
+                for out in outs)
+        assert a["integrator"] == b["integrator"]
+        values = np.linspace(0.0, math.pi, 3)
+        assert [r["value"] for r in a["integrator"]] == values.tolist()
+        system = preset("fig2-trapping").system
+        for value, record in zip(values, a["integrator"]):
+            alone = []
+            trapped_fraction(system.with_drives(
+                [d if k != 1 else DriveField(d.magnitude, value)
+                 for k, d in enumerate(system.drives)]),
+                require_plateau=False, runs=alone)
+            assert record == {"value": value, **alone[0]}
+        assert {r["end"] for r in a["integrator"]} <= {"t_final",
+                                                       "decay_floor"}
+
+    def test_analytic_sweep_manifest_has_no_integrator(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--preset", "fig2-trapping", "--vary", "phase2",
+                   "--range", "0:1:3", "--metric", "total_area",
+                   "--out", str(out)) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert "integrator" not in manifest
+
+    def test_failed_integration_is_one_error_line(self, tmp_path, capsys):
+        # the error norm is NaN from the first step; the integrator reports
+        # that as a failure, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("sweep", "--preset", "fig2-trapping", "--vary",
+                       "mag1", "--range", "0:1e200:3", "--metric",
+                       "trapped_fraction", "--out", str(tmp_path / "s.csv"))
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == ("error: numerical failure in StepSizeUnderflow: "
+                       "integrator failed; no sample reached: Required step "
+                       "size is less than spacing between numbers.\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestValidateCommand:

@@ -281,6 +281,49 @@ class TestTrappedFraction:
         assert 0.0 < val < 1.0
 
 
+def _equations(sys, t, y):
+    """The amplitude equations written out term by term: the reference for
+    _rhs_builder's M(t) @ y form."""
+    a1, a2, a3, b = y
+    g1, g2, g3 = sys.gamma
+    p1, p2, p3 = sys.alignments
+    o1, o2, o3, o4 = sys.rabi
+    e1, e2, e3, e4 = (np.exp(1j * d * t) for d in sys.detunings)
+    f12 = np.exp(-1j * sys.omega12 * t)
+    f13 = np.exp(-1j * (sys.omega12 + sys.omega23) * t)
+    f23 = np.exp(-1j * sys.omega23 * t)
+    c12 = p1 * math.sqrt(g1 * g2) / 2.0
+    c13 = p2 * math.sqrt(g1 * g3) / 2.0
+    c23 = p3 * math.sqrt(g2 * g3) / 2.0
+    return np.array([
+        -1j * o2 * e2 * a2 - 1j * o1 * e1 * b - 0.5 * g1 * a1
+        - c12 * f12 * a2 - c13 * f13 * a3,
+        -1j * np.conj(o2) / e2 * a1 - 1j * o3 * e3 * a3 - 0.5 * g2 * a2
+        - c12 * np.conj(f12) * a1 - c23 * f23 * a3,
+        -1j * np.conj(o3) / e3 * a2 - 1j * o4 * e4 * b - 0.5 * g3 * a3
+        - c13 * np.conj(f13) * a1 - c23 * np.conj(f23) * a2,
+        -1j * np.conj(o1) / e1 * a1 - 1j * np.conj(o4) / e4 * a3,
+    ])
+
+
+def test_rhs_matches_term_by_term_equations():
+    # a batch mixing resonant, detuned and cross-damped systems; M(t) @ y
+    # sums the terms in another order, so they agree to roundoff
+    rng = np.random.default_rng(17)
+    systems = [c for name, c in _integrator_cases()
+               if name.startswith(("fig2", "d1-", "random", "detuned"))]
+    t = rng.uniform(0.0, 150.0, len(systems))
+    y = rng.normal(size=(len(systems), 4)) + 1j * rng.normal(size=(
+        len(systems), 4))
+    got = dynamics._rhs_builder(systems)(t, y)
+    for k, s in enumerate(systems):
+        want = _equations(s, t[k], y[k])
+        assert np.allclose(got[k], want, rtol=0, atol=1e-13 * (
+            1.0 + np.max(np.abs(want))))
+        alone = dynamics._rhs_builder(s)(t[k], y[k])
+        assert np.array_equal(alone, got[k])
+
+
 def _phase2_sweep():
     s = preset("fig2-trapping").system
     return [s.with_drives([d if k != 1 else DriveField(d.magnitude, phase)
@@ -301,9 +344,9 @@ class TestTrappedFractionEarlyExit:
             stop = kwargs["stop"]
             if force_full:
                 kwargs["stop"] = None
-            sol = integrate(*args, **kwargs)
-            calls.append((stop, sol.nfev, sol.message))
-            return sol
+            sols = integrate(*args, **kwargs)
+            calls.extend((stop, sol.nfev, sol.message) for sol in sols)
+            return sols
 
         monkeypatch.setattr(dynamics, "solve_ivp", spy)
         return calls
@@ -440,9 +483,12 @@ class TestSampling:
     def test_integrator_failure(self, reached, monkeypatch, tmp_path,
                                 capsys):
         failed = SimpleNamespace(success=False, t=reached, nfev=0,
+                                 accepted=0, rejected=0,
                                  message="Required step size is less than "
                                          "spacing between numbers.")
-        monkeypatch.setattr(dynamics, "solve_ivp", lambda *a, **k: failed)
+        # one failed solution per row of the batch
+        monkeypatch.setattr(dynamics, "solve_ivp",
+                            lambda fun, span, y0, **k: [failed] * len(y0))
         with pytest.raises(StepSizeUnderflow) as info:
             trapped_fraction(_bare("A1"), t_final=20.0)
         assert info.value.t_reached == (reached[-1] if reached else None)
@@ -623,6 +669,114 @@ class TestStop:
                                      atol=tol * 1e-2, t_eval=times)
             assert len(steps) > 0 and _same_solution(never, ref)
             assert never.message == _dop853.REACHED_END
+
+
+def _overflowing_system():
+    """fig2-trapping with a 1e200 drive: the error norm is NaN from the first
+    step, so the integration fails before any sample."""
+    s = preset("fig2-trapping").system
+    return s.with_drives([DriveField(1e200), *s.drives[1:]])
+
+
+def _same_run(ours, ref):
+    return (_same_solution(ours, ref) and ours.accepted == ref.accepted
+            and ours.rejected == ref.rejected)
+
+
+class TestBatch:
+    """solve_ivp with y0 of shape (B, n) steps the rows in lockstep; each
+    row's samples, t, evaluation count and end equal its run alone, bit
+    for bit."""
+
+    @staticmethod
+    def _integrate(fun, y0, times, stop):
+        tol = dynamics.DEFAULT_TOL
+        return dynamics.solve_ivp(fun, (0.0, times[-1]), y0, rtol=tol,
+                                  atol=tol * 1e-2, t_eval=times, stop=stop)
+
+    @pytest.mark.parametrize("grid", ["full", "window"])
+    def test_rows_equal_runs_alone(self, grid):
+        # presets, seeded random and detuned, cross-damped systems, a
+        # decaying draw that stops at t ~ 142, and one that fails
+        systems = [*_INTEGRATOR_CASES.values(), _decaying_system(),
+                   _overflowing_system()]
+        floors = np.full(len(systems), 1e-9)
+        late = propagate(_decaying_system(), t_final=150.0)
+        floors[-2] = late.norm()[np.searchsorted(late.times, 142.0)]
+        times = dynamics._sample_times(systems[0], 150.0)
+        if grid == "window":
+            times = times[int(0.9 * len(times)):]
+        batch = self._integrate(
+            dynamics._rhs_builder(systems),
+            np.array([s.initial_vector() for s in systems]), times,
+            lambda y: np.vecdot(y, y).real < floors)
+        assert len(batch) == len(systems)
+        assert batch.nfev == sum(sol.nfev for sol in batch)
+        for system, floor, row in zip(systems, floors, batch):
+            alone = self._integrate(
+                dynamics._rhs_builder(system), system.initial_vector(),
+                times, lambda y, floor=floor: np.vdot(y, y).real < floor)
+            assert _same_run(row, alone)
+        ends = [(sol.message, len(sol.t)) for sol in batch]
+        # rows that stop before the last sample, rows that reach it, and
+        # the failing row, which has no sample
+        assert any(m == _dop853.STOPPED and 0 < n < len(times)
+                   for m, n in ends)
+        assert any(m == _dop853.REACHED_END and n == len(times)
+                   for m, n in ends)
+        assert ends[-1] == (_dop853.TOO_SMALL_STEP, 0)
+        assert batch[-2].message == _dop853.STOPPED
+        if grid == "window":
+            # the floor of 1e-9 is crossed before the window
+            assert any(m == _dop853.STOPPED and n == 0 for m, n in ends[:-1])
+
+    def test_trapped_fraction_batch_equals_runs_alone(self):
+        rng = np.random.default_rng(5)
+        # two sample grids: the detuned draw resolves a faster phase
+        detuned = D2System(gamma=(1.0, 1.0, 1.0), omega12=13, omega23=13,
+                           drives=preset("fig2-notrapping").system.drives,
+                           detunings=(15.0, 0.0, 0.0, 0.0))
+        systems = [*_phase2_sweep()[::4], detuned, _decaying_system(),
+                   d1_to_chain(preset("d1-trapping").system),
+                   random_admissible_system(rng)]
+        assert (len(dynamics._sample_times(detuned, 60.0))
+                != len(dynamics._sample_times(systems[0], 60.0)))
+        runs = []
+        values = trapped_fraction(systems, t_final=60.0,
+                                  require_plateau=False, runs=runs)
+        for system, value, run in zip(systems, values, runs, strict=True):
+            alone = []
+            assert trapped_fraction(system, t_final=60.0,
+                                    require_plateau=False,
+                                    runs=alone) == value
+            assert alone == [run]
+        assert {run["end"] for run in runs} == {"t_final", "decay_floor"}
+
+    def test_failing_rows_raise_in_order(self, monkeypatch):
+        good, bad = preset("fig2-trapping").system, _overflowing_system()
+        runs = []
+        with pytest.raises(StepSizeUnderflow, match="no sample reached"):
+            trapped_fraction([good, bad, good], require_plateau=False,
+                             runs=runs)
+        assert [run["end"] for run in runs] == ["decay_floor", "failed",
+                                                "decay_floor"]
+        assert runs[1]["nfev"] > 2 and runs[1]["accepted"] == 0
+
+        # of two failing rows, the first in order is raised
+        integrate = dynamics.solve_ivp
+
+        def fail_rows(*args, **kwargs):
+            sols = integrate(*args, **kwargs)
+            for k, t in ((1, [135.5, 136.0]), (2, [135.0])):
+                sols[k] = SimpleNamespace(
+                    t=np.array(t), success=False, nfev=0, accepted=0,
+                    rejected=0, message=_dop853.TOO_SMALL_STEP)
+            return sols
+
+        monkeypatch.setattr(dynamics, "solve_ivp", fail_rows)
+        with pytest.raises(StepSizeUnderflow) as info:
+            trapped_fraction([good] * 3, require_plateau=False)
+        assert info.value.t_reached == 136.0
 
 
 class TestTimeDomainSpectrum:

@@ -8,6 +8,7 @@ from darkstate import (
     DriveField,
     NotAnalyticAdmissible,
     PoleHit,
+    SingularSystem,
     characteristic_quartic,
     coupling_matrix,
     laplace_solve_oracle,
@@ -141,6 +142,19 @@ class TestClosedFormVsLinearSolve:
                            drives=s.drives, detunings=(0.5, 0, 0, 0))
         with pytest.raises(NotAnalyticAdmissible):
             steady_state_amplitudes(detuned, 1.0)
+
+
+class TestOracleSingular:
+    """Undriven, the central branch at delta = 0 has s = 0, where the B row
+    of sI - M vanishes."""
+
+    @pytest.mark.parametrize("delta", [0.0, np.array([-1.0, 0.0, 2.5])])
+    def test_singular_point_is_named(self, delta):
+        s = D2System(gamma=(1, 1, 1), omega12=13, omega23=13,
+                     drives=(DriveField(0),) * 4)
+        with pytest.raises(SingularSystem,
+                           match=r"at delta=0\.0 \(branch 2\)"):
+            laplace_solve_oracle(s, delta)
 
 
 class TestTrivialSpectra:
