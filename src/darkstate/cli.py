@@ -303,15 +303,17 @@ def svg_line_plot(path, x, curves, title="", xlabel="delta (rate units)",
 # commands
 # ---------------------------------------------------------------------------
 
-def _compute_spectrum(system, grid, method, tol):
+def _compute_spectrum(system, grid, method, tol, runs):
+    """The spectrum and, for --method both, the time-domain oracle; runs
+    receives the integrator diagnostics of a time-domain spectrum."""
     if isinstance(system, D1System):
         system = d1_to_chain(system)
     if method == "analytic":
         return spectrum_analytic(system, grid), None
     if method == "timedomain":
-        return spectrum_time_domain(system, grid, tol=tol), None
+        return spectrum_time_domain(system, grid, tol=tol, runs=runs), None
     return (spectrum_analytic(system, grid),
-            spectrum_time_domain(system, grid, tol=tol))
+            spectrum_time_domain(system, grid, tol=tol, runs=runs))
 
 
 def cmd_spectrum(args) -> int:
@@ -321,7 +323,8 @@ def cmd_spectrum(args) -> int:
     grid = _parse_grid(args.grid)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _InputError(f"--tol must be positive and finite, got {args.tol}")
-    spec, oracle = _compute_spectrum(system, grid, args.method, args.tol)
+    runs = None if args.method == "analytic" else []
+    spec, oracle = _compute_spectrum(system, grid, args.method, args.tol, runs)
     sys_dict = scenario_to_dict(system)
     out = Path(args.out)
     outputs = [out]
@@ -350,7 +353,7 @@ def cmd_spectrum(args) -> int:
     manifest = RunManifest(command="spectrum", scenario=source,
                            parameters=sys_dict, version=__version__,
                            wall_time_s=time.perf_counter() - t0,
-                           outputs=outputs)
+                           outputs=outputs, integrator=runs)
     outputs.append(manifest.write(out))
     return EXIT_OK
 
@@ -501,13 +504,12 @@ def cmd_sweep(args) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _signature_checks(name: str, system, signature: dict):
-    """Yield (check name, ok, detail) per expected-signature entry."""
+def _signature_checks(system, chain, signature: dict, trapped):
+    """Return (check name, ok, detail) per expected-signature entry of a
+    preset system, given its chain (the system itself for a D2System) and,
+    for a `trapped` entry, the chain's trapped fraction."""
     checks = []
-    if isinstance(system, D1System):
-        chain, grid = d1_to_chain(system), d1_grid()
-    else:
-        chain, grid = system, default_grid()
+    grid = d1_grid() if isinstance(system, D1System) else default_grid()
     spec = spectrum_analytic(chain, grid)
     pa = find_peaks(spec)
     zero = float(np.max(spec.total)) <= 1e-20
@@ -559,9 +561,9 @@ def _signature_checks(name: str, system, signature: dict):
             checks.append(("spectrum identically zero", zero,
                            f"max {float(np.max(spec.total)):.2e}"))
         elif key == "trapped":
-            got = trapped_fraction(chain, require_plateau=False)
-            ok = abs(got - want) <= 1e-6
-            checks.append((f"trapped fraction == {want}", ok, f"got {got:.8f}"))
+            ok = abs(trapped - want) <= 1e-6
+            checks.append((f"trapped fraction == {want}", ok,
+                           f"got {trapped:.8f}"))
         elif key == "narrow":
             got = min((p.fwhm for p in pa.peaks), default=math.inf)
             checks.append((f"narrowest fwhm < {want}", got < want,
@@ -595,10 +597,20 @@ def cmd_validate(args) -> int:
         presets = [preset(name) for name in names]
     except UnknownPreset as exc:
         raise _InputError(str(exc))
+    chains = [d1_to_chain(p.system) if isinstance(p.system, D1System)
+              else p.system for p in presets]
+    # the trapped checks' RK runs are one lockstep batch; each value is
+    # that of its chain alone
+    batch = [k for k, p in enumerate(presets)
+             if "trapped" in p.expected_signature]
+    trapped = {}
+    if batch:
+        trapped = dict(zip(batch, trapped_fraction(
+            [chains[k] for k in batch], require_plateau=False)))
     failures = 0
-    for name, p in zip(names, presets):
-        for check, ok, detail in _signature_checks(name, p.system,
-                                                   p.expected_signature):
+    for k, (name, p) in enumerate(zip(names, presets)):
+        for check, ok, detail in _signature_checks(
+                p.system, chains[k], p.expected_signature, trapped.get(k)):
             print(f"{_tag(ok)}  {name}: {check} ({detail})")
             if not ok:
                 failures += 1

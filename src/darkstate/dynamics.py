@@ -18,7 +18,8 @@ never grows, so once it falls below a floor far under `plateau_tol` every
 later sample lies between 0 and that floor.
 
 Systems are integrated as lockstep batches of the one DOP853 core: given a
-sequence of systems (a sweep), `trapped_fraction` steps all those that
+sequence of systems (a sweep, or the trapped checks of `validate`, one
+batch per command), `trapped_fraction` steps all those that
 share a sample grid together, each row with its own steps, stop test and
 failure, and each row's samples, steps and value equal those of its run
 alone bit for bit; errors are raised for the first failing system in
@@ -41,7 +42,7 @@ from numpy.fft import fft, ifft
 
 from ._dop853 import REACHED_END, STOPPED, TOO_SMALL_STEP, solve_ivp
 from .errors import NotConverged, StepSizeUnderflow
-from .model import D2System
+from .model import D1System, D2System
 from .spectrum import (SpectrumResult, assemble_spectrum, branch_shifts,
                        coupling_matrix)
 
@@ -164,6 +165,26 @@ def _solve(systems, times, tol, stop=None):
                      rtol=tol, atol=tol * 1e-2, t_eval=times, stop=stop)
 
 
+def _require_chains(systems):
+    """Raise TypeError for a D1System among systems: the equations of
+    motion here are those of the four-amplitude chain."""
+    if any(isinstance(s, D1System) for s in systems):
+        raise TypeError("a D1System is integrated as its chain: pass "
+                        "d1_to_chain(system)")
+
+
+#: how an integration ended, by solver message
+RUN_ENDS = {REACHED_END: "t_final", STOPPED: "decay_floor",
+            TOO_SMALL_STEP: "failed"}
+
+
+def _run_record(sol) -> dict:
+    """The integrator diagnostics of one run: nfev, accepted and rejected
+    steps, and how it ended (`RUN_ENDS`)."""
+    return {"nfev": sol.nfev, "accepted": sol.accepted,
+            "rejected": sol.rejected, "end": RUN_ENDS[sol.message]}
+
+
 def _failure(sol) -> StepSizeUnderflow:
     # sol.t holds only the samples reached, possibly none
     if len(sol.t):
@@ -176,14 +197,19 @@ def _failure(sol) -> StepSizeUnderflow:
 
 
 def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
-              tol: float = DEFAULT_TOL) -> AmplitudeTrajectory:
+              tol: float = DEFAULT_TOL,
+              runs: list | None = None) -> AmplitudeTrajectory:
     """Integrate the amplitude equations from t=0 to t_final.
 
     The returned trajectory is sampled on a uniform grid fine enough for
-    the oscillatory quadrature downstream.
+    the oscillatory quadrature downstream.  A list given as runs receives
+    the run's integrator diagnostics, as trapped_fraction's does.
     """
+    _require_chains([sys])
     times = _sample_times(sys, t_final)
     (sol,) = _solve([sys], times, tol)
+    if runs is not None:
+        runs.append(_run_record(sol))
     if not sol.success:
         raise _failure(sol)
     return AmplitudeTrajectory(times=times, amps=np.ascontiguousarray(sol.y.T))
@@ -335,11 +361,6 @@ def branch_amplitude_numeric(sys: D2System, branch: int, delta,
     return complex(out[0]) if scalar else out
 
 
-#: how a trapped_fraction integration ended, by solver message
-RUN_ENDS = {REACHED_END: "t_final", STOPPED: "decay_floor",
-            TOO_SMALL_STEP: "failed"}
-
-
 def trapped_fraction(sys, t_final: float = 150.0, tol: float = DEFAULT_TOL,
                      plateau_tol: float = 1e-6, require_plateau: bool = True,
                      runs: list | None = None):
@@ -364,7 +385,8 @@ def trapped_fraction(sys, t_final: float = 150.0, tol: float = DEFAULT_TOL,
     samples not reached then count as 0, each within that floor of its
     value; a stop before the window returns 0.0.
     """
-    systems = [sys] if isinstance(sys, D2System) else list(sys)
+    systems = [sys] if isinstance(sys, (D1System, D2System)) else list(sys)
+    _require_chains(systems)
     floor = DECAY_FLOOR * plateau_tol
     grids = {}
     for k, s in enumerate(systems):
@@ -381,9 +403,7 @@ def trapped_fraction(sys, t_final: float = 150.0, tol: float = DEFAULT_TOL,
         for k, sol in zip(group, sols):
             integrated[k] = window, sol
     if runs is not None:
-        runs += [{"nfev": sol.nfev, "accepted": sol.accepted,
-                  "rejected": sol.rejected, "end": RUN_ENDS[sol.message]}
-                 for _, sol in integrated]
+        runs += [_run_record(sol) for _, sol in integrated]
     values = []
     for window, sol in integrated:
         if not sol.success:
@@ -405,15 +425,17 @@ def trapped_fraction(sys, t_final: float = 150.0, tol: float = DEFAULT_TOL,
 
 def spectrum_time_domain(sys: D2System, grid, include_cross: bool = False,
                          t_final: float = DEFAULT_T_FINAL,
-                         tol: float = DEFAULT_TOL) -> SpectrumResult:
+                         tol: float = DEFAULT_TOL,
+                         runs: list | None = None) -> SpectrumResult:
     """Branch-resolved spectrum from the time-domain trajectory.
 
     Branch n is evaluated at its shifted argument delta + {+omega12, 0,
     -omega23} (`branch_shifts`); cross terms between branches are excluded
-    unless requested.
+    unless requested.  A list given as runs receives propagate's
+    integrator diagnostics.
     """
     grid = np.asarray(grid, dtype=float)
-    traj = propagate(sys, t_final, tol)
+    traj = propagate(sys, t_final, tol, runs)
     amps = np.zeros((3, len(grid)), dtype=complex)
     for branch, shift in enumerate(branch_shifts(sys), start=1):
         amps[branch - 1] = branch_amplitude_numeric(

@@ -362,11 +362,41 @@ def scenario_to_dict(sys) -> dict:
     }
 
 
+def _number(value, key) -> float:
+    """float(value), or a ValueError naming the scenario key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"scenario key {key!r} must be a number, "
+                         f"got {value!r}") from None
+
+
+def _numbers(values, key, count) -> tuple:
+    if not isinstance(values, list) or len(values) != count:
+        raise ValueError(f"scenario key {key!r} must be a list of {count} "
+                         "numbers")
+    return tuple(_number(v, key) for v in values)
+
+
+def _initial_state(initial):
+    """A state label as is, or a list of [re, im] pairs as a list of
+    complex amplitudes."""
+    if isinstance(initial, str):
+        return initial
+    if isinstance(initial, list) and all(
+            isinstance(z, list) and len(z) == 2 for z in initial):
+        return [complex(_number(re, "initial"), _number(im, "initial"))
+                for re, im in initial]
+    raise ValueError("scenario key 'initial' must be a state label or a "
+                     "list of [re, im] pairs")
+
+
 def scenario_from_dict(data: dict):
     """Build a system from the scenario-file schema.
 
     D2 field order is (Omega1..Omega4); D1 field order is
-    (optical1, optical2, microwave1, microwave2).
+    (optical1, optical2, microwave1, microwave2).  A missing or wrongly
+    typed entry raises KeyError or ValueError.
     """
     if not isinstance(data, dict):
         raise ValueError("scenario must be a JSON object")
@@ -380,27 +410,22 @@ def scenario_from_dict(data: dict):
     for f in fields:
         if not isinstance(f, dict) or "mag" not in f:
             raise ValueError("each field needs at least a 'mag' entry")
-        drives.append(DriveField(float(f["mag"]), float(f.get("phase", 0.0))))
-    gamma = data.get("gamma")
+        drives.append(DriveField(_number(f["mag"], "mag"),
+                                 _number(f.get("phase", 0.0), "phase")))
+    initial = _initial_state(data.get("initial", "B"))
     if kind == "d1":
-        if not isinstance(gamma, list) or len(gamma) != 1:
-            raise ValueError("d1 scenario needs gamma = [Gamma]")
-        return D1System(gamma=float(gamma[0]), optical1=drives[0],
+        (gamma,) = _numbers(data.get("gamma"), "gamma", 1)
+        return D1System(gamma=gamma, optical1=drives[0],
                         optical2=drives[1], microwave1=drives[2],
-                        microwave2=drives[3],
-                        initial=data.get("initial", "B"))
-    if not isinstance(gamma, list) or len(gamma) != 3:
-        raise ValueError("d2 scenario needs gamma = [G1, G2, G3]")
-    initial = data.get("initial", "B")
-    if isinstance(initial, list):
-        initial = [complex(re, im) for re, im in initial]
+                        microwave2=drives[3], initial=initial)
     return D2System(
-        gamma=tuple(float(g) for g in gamma),
-        omega12=float(data["omega12"]),
-        omega23=float(data["omega23"]),
+        gamma=_numbers(data.get("gamma"), "gamma", 3),
+        omega12=_number(data["omega12"], "omega12"),
+        omega23=_number(data["omega23"], "omega23"),
         drives=tuple(drives),
-        detunings=tuple(float(x) for x in data.get("detunings", (0, 0, 0, 0))),
-        alignments=tuple(float(x) for x in data.get("p", (0, 0, 0))),
+        detunings=_numbers(data.get("detunings", [0, 0, 0, 0]),
+                           "detunings", 4),
+        alignments=_numbers(data.get("p", [0, 0, 0]), "p", 3),
         initial=initial,
     )
 

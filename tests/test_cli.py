@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import CHILD_ENV
-from darkstate import (load_scenario, preset, preset_names, save_scenario,
-                       scenario_to_dict, spectrum_analytic,
-                       spectrum_time_domain, trapped_fraction)
+from darkstate import (d1_to_chain, load_scenario, preset, preset_names,
+                       propagate, save_scenario, scenario_to_dict,
+                       spectrum_analytic, spectrum_time_domain,
+                       trapped_fraction)
 from darkstate import cli
 from darkstate.analysis import default_grid
 from darkstate.cli import main
@@ -122,6 +123,20 @@ class TestSpectrumCommand:
         assert code == 2
         assert err.startswith("error: --tol") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["analytic", "timedomain", "both"])
+    def test_manifest_integrator_entry(self, method, tmp_path, capsys):
+        out = tmp_path / "spec.csv"
+        assert run("spectrum", "--preset", "fig2-notrapping", "--method",
+                   method, "--grid=-5:5:11", "--out", str(out)) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        if method == "analytic":
+            assert "integrator" not in manifest
+        else:
+            alone = []
+            propagate(preset("fig2-notrapping").system, runs=alone)
+            assert manifest["integrator"] == alone
+            assert alone[0]["end"] == "t_final" and alone[0]["nfev"] > 0
 
     def test_no_emission_warning(self, tmp_path, capsys):
         from darkstate import D2System, DriveField
@@ -323,6 +338,35 @@ class TestValidateCommand:
         run("validate", "two-level")
         assert "\x1b[" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("target, trapped", [
+        ("all", ["d1-fig3c", "d1-fig3f", "d1-trapping"]),
+        ("d1-fig3c", ["d1-fig3c"]),
+        ("fig2-trapping", []),
+    ], ids=["all", "d1-fig3c", "fig2-trapping"])
+    def test_trapped_checks_are_one_batch(self, target, trapped,
+                                          monkeypatch, capsys):
+        calls = []
+
+        def spy(systems, **kwargs):
+            calls.append(list(systems))
+            return trapped_fraction(systems, **kwargs)
+
+        monkeypatch.setattr(cli, "trapped_fraction", spy)
+        assert run("validate", target) == 0
+        chains = [d1_to_chain(preset(name).system) for name in trapped]
+        assert calls == ([chains] if chains else [])
+
+    def test_all_is_the_single_runs(self, capsys):
+        expected = []
+        for name in preset_names():
+            assert run("validate", name) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[-1] == "all checks passed"
+            expected += lines[:-1]
+        assert run("validate", "all") == 0
+        assert capsys.readouterr().out.splitlines() == \
+            expected + ["all checks passed"]
+
     def test_unknown_preset_numerical_path_not_taken(self, capsys):
         # unknown preset is bad input, not a numerical failure
         code = run("validate", "definitely-not-a-preset")
@@ -350,6 +394,27 @@ def _set_nan_mag(d):
 
 class TestInputValidation:
     """Invalid systems exit 2 with one error line and write nothing."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d["fields"][0].update(mag=None),
+        lambda d: d.update(omega12=None),
+        lambda d: d.update(initial=[1, 0, 0]),
+        lambda d: d.update(initial={"a": 1}),
+    ], ids=["mag-null", "omega12-null", "initial-not-pairs", "initial-object"])
+    def test_wrongly_typed_scenario_value(self, corrupt, tmp_path,
+                                          monkeypatch, capsys):
+        data = scenario_to_dict(preset("fig2-notrapping").system)
+        corrupt(data)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
+        code = run("spectrum", "--config", str(cfg), "--svg", "s.svg",
+                   "--out", str(tmp_path / "out.csv"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: bad scenario file {cfg}: ")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
     @pytest.mark.parametrize("corrupt", [_set_gamma1, _set_omega12,
                                          _set_initial, _set_nan_mag])

@@ -253,6 +253,18 @@ class TestBranchAmplitudes:
         assert abs(got) < 1e-6
 
 
+@pytest.mark.parametrize("call", [
+    lambda s: propagate(s),
+    lambda s: spectrum_time_domain(s, np.linspace(-5.0, 5.0, 11)),
+    lambda s: trapped_fraction(s),
+    lambda s: trapped_fraction([d1_to_chain(s), s]),
+], ids=["propagate", "spectrum_time_domain", "trapped_fraction",
+        "trapped_fraction_batch"])
+def test_d1_system_is_named_type_error(call):
+    with pytest.raises(TypeError, match=r"d1_to_chain\(system\)"):
+        call(preset("d1-trapping").system)
+
+
 class TestTrappedFraction:
     def test_stable_ground_state_is_one(self):
         assert trapped_fraction(_bare("B"), t_final=20.0) == \
