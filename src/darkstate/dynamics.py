@@ -42,7 +42,7 @@ from numpy.fft import fft, ifft
 
 from ._dop853 import REACHED_END, STOPPED, TOO_SMALL_STEP, solve_ivp
 from .errors import NotConverged, StepSizeUnderflow
-from .model import D1System, D2System
+from .model import D1System, D2System, _require_chains
 from .spectrum import (SpectrumResult, assemble_spectrum, branch_shifts,
                        coupling_matrix)
 
@@ -163,14 +163,6 @@ def _solve(systems, times, tol, stop=None):
     return solve_ivp(_rhs_builder(systems), (0.0, times[-1]),
                      np.array([s.initial_vector() for s in systems]),
                      rtol=tol, atol=tol * 1e-2, t_eval=times, stop=stop)
-
-
-def _require_chains(systems):
-    """Raise TypeError for a D1System among systems: the equations of
-    motion here are those of the four-amplitude chain."""
-    if any(isinstance(s, D1System) for s in systems):
-        raise TypeError("a D1System is integrated as its chain: pass "
-                        "d1_to_chain(system)")
 
 
 #: how an integration ended, by solver message

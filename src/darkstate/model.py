@@ -228,6 +228,14 @@ def validate_d1_system(sys: D1System) -> ValidationReport:
     return ValidationReport(sys, True, errors)
 
 
+def _require_chains(systems):
+    """Raise TypeError for a D1System among systems: the spectrum, trapping
+    and dynamics routines work on the four-amplitude chain."""
+    if any(isinstance(s, D1System) for s in systems):
+        raise TypeError("a D1System is computed as its chain: pass "
+                        "d1_to_chain(system)")
+
+
 def d1_to_chain(sys: D1System) -> D2System:
     """Map the single-loss loop onto the four-amplitude chain.
 

@@ -9,7 +9,11 @@ shifted arguments (delta + omega12, delta, delta - omega23) of
 
 Two independent evaluation routes are provided: an explicit cofactor (Cramer)
 expansion of the 4x4 system (`steady_state_amplitudes`) and a direct numeric
-linear solve (`laplace_solve_oracle`).
+linear solve (`laplace_solve_oracle`).  The cofactor route evaluates only the
+cofactors whose weight A_k(0) is nonzero, so a non-finite cofactor of weight 0
+gives no NaN (the quartic's NonFiniteValue guard still runs first).  It takes
+each residue N(s_j)/Q'(s_j) as a scalar: numpy's array arithmetic can differ
+from its scalar arithmetic in the last bit, and the pole tables would move.
 """
 from __future__ import annotations
 
@@ -19,7 +23,8 @@ import numpy as np
 
 from .errors import (NonFiniteValue, NotAnalyticAdmissible, PoleHit,
                      SingularSystem)
-from .model import D1System, D2System, analytic_admissible, d1_to_chain
+from .model import (D1System, D2System, _require_chains, analytic_admissible,
+                    d1_to_chain)
 
 #: roots closer than this are always treated as one confluent cluster; the
 #: grouping widens adaptively because companion-matrix roots of an exactly
@@ -144,43 +149,53 @@ def _pole_hits(q, s):
 
 
 def branch_numerator_s(sys: D2System, branch: int, s):
-    """Cofactor-expansion numerator N_n(s) so that F_n = N_n(s)/Q(s).
+    """Cofactor-expansion numerator N_n(s) = sum_k A_k(0) C_kn(s), with C_kn
+    the cofactors of sI - M, so that F_n = N_n(s)/Q(s).
 
-    Each initial-condition component contributes its own cofactor; these are
-    the four numerator terms of the closed-form amplitudes.
+    Only the terms with A_k(0) != 0 are evaluated, summed in k order: a
+    basis initial state costs one cofactor, and a non-finite cofactor of
+    weight 0 gives no NaN (see the module docstring).
     """
+    _require_chains([sys])
     if branch not in (1, 2, 3):
         raise ValueError("branch must be 1, 2 or 3")
-    g1, g2, g3 = (g / 2.0 for g in sys.gamma)
-    o1, o2, o3, o4 = sys.rabi
-    w1, w3, w4 = abs(o1) ** 2, abs(o3) ** 2, abs(o4) ** 2
-    w2 = abs(o2) ** 2
-    a0 = sys.initial_vector()
+    return _numerator(_constants(sys), branch, s)
+
+
+def _constants(sys: D2System) -> tuple:
+    """The per-system constants of `_numerator`: the halved rates, the drive
+    amplitudes and their squared moduli, A(0) and its nonzero indices."""
+    rabi, a0 = tuple(sys.rabi), sys.initial_vector()
+    return (tuple(g / 2.0 for g in sys.gamma), rabi,
+            tuple(abs(o) ** 2 for o in rabi), a0, np.flatnonzero(a0).tolist())
+
+
+def _numerator(const, branch: int, s):
+    (g1, g2, g3), (o1, o2, o3, o4), (w1, w2, w3, w4), a0, weighted = const
     s = np.asarray(s, dtype=complex)
-    a = s + g1
-    b = s + g2
-    c = s + g3
-    d = s
-    if branch == 1:
-        c11 = b * c * d + b * w4 + d * w3
-        c21 = -1j * (o2 * (c * d + w4) - o1 * np.conj(o3) * np.conj(o4))
-        c31 = -(o2 * o3 * d + o1 * np.conj(o4) * b)
-        c41 = 1j * (o2 * o3 * o4 - o1 * (b * c + w3))
-        return c11 * a0[0] + c21 * a0[1] + c31 * a0[2] + c41 * a0[3]
-    if branch == 2:
-        c12 = -1j * (np.conj(o2) * (c * d + w4) - np.conj(o1) * o3 * o4)
-        c22 = a * c * d + a * w4 + c * w1
-        c32 = -1j * (a * d * o3 + w1 * o3 - o1 * np.conj(o2) * np.conj(o4))
-        c42 = -(a * o3 * o4 + c * o1 * np.conj(o2))
-        return c12 * a0[0] + c22 * a0[1] + c32 * a0[2] + c42 * a0[3]
-    c13 = -(d * np.conj(o2) * np.conj(o3) + b * np.conj(o1) * o4)
-    c23 = -1j * (a * d * np.conj(o3) + w1 * np.conj(o3) - np.conj(o1) * o2 * o4)
-    c33 = a * b * d + w2 * d + w1 * b
-    c43 = -1j * (a * b * o4 + w2 * o4 - o1 * np.conj(o2) * np.conj(o3))
-    return c13 * a0[0] + c23 * a0[1] + c33 * a0[2] + c43 * a0[3]
+    a, b, c, d = s + g1, s + g2, s + g3, s
+    conj = np.conj
+    if branch == 1:  # the cofactors C_k1, k = 1..4
+        cof = (lambda: b * c * d + b * w4 + d * w3,
+               lambda: -1j * (o2 * (c * d + w4) - o1 * conj(o3) * conj(o4)),
+               lambda: -(o2 * o3 * d + o1 * conj(o4) * b),
+               lambda: 1j * (o2 * o3 * o4 - o1 * (b * c + w3)))
+    elif branch == 2:
+        cof = (lambda: -1j * (conj(o2) * (c * d + w4) - conj(o1) * o3 * o4),
+               lambda: a * c * d + a * w4 + c * w1,
+               lambda: -1j * (a * d * o3 + w1 * o3 - o1 * conj(o2) * conj(o4)),
+               lambda: -(a * o3 * o4 + c * o1 * conj(o2)))
+    else:
+        cof = (lambda: -(d * conj(o2) * conj(o3) + b * conj(o1) * o4),
+               lambda: -1j * (a * d * conj(o3) + w1 * conj(o3)
+                              - conj(o1) * o2 * o4),
+               lambda: a * b * d + w2 * d + w1 * b,
+               lambda: -1j * (a * b * o4 + w2 * o4 - o1 * conj(o2) * conj(o3)))
+    return sum((cof[k]() * a0[k] for k in weighted), np.zeros_like(s))
 
 
 def _require_analytic(sys: D2System):
+    _require_chains([sys])
     if not analytic_admissible(sys):
         raise NotAnalyticAdmissible(
             "closed-form path needs resonant drives, omega12 == omega23 "
@@ -226,11 +241,12 @@ def _cluster_roots(roots):
 
 
 def _root_clusters(coeffs, max_step):
-    """Roots of the polynomial coeffs (descending) as clusters of members,
-    in np.roots order: a cluster's size is the root's multiplicity and its
-    mean the root, as the companion-matrix scatter of an m-fold root is
-    symmetric.  Each root gets two Newton steps, each taken only if smaller
-    than max_step: Newton is unstable at (near-)multiple roots."""
+    """(clusters, deriv): the roots of the polynomial coeffs (descending) as
+    clusters of members, in np.roots order, and its derivative as a poly1d.
+    A cluster's size is the root's multiplicity and its mean the root, as
+    the companion-matrix scatter of an m-fold root is symmetric.  Each root
+    gets two Newton steps, each taken only if smaller than max_step: Newton
+    is unstable at (near-)multiple roots."""
     roots = np.roots(coeffs)
     deriv = np.polyder(np.poly1d(coeffs))
     for _ in range(2):
@@ -239,7 +255,7 @@ def _root_clusters(coeffs, max_step):
         safe = np.abs(dval) > 1e-30
         step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
         roots = roots - np.where(np.abs(step) < max_step, step, 0.0)
-    return _cluster_roots(roots)
+    return _cluster_roots(roots), deriv
 
 
 def quartic_roots(poly: QuarticPoly):
@@ -249,8 +265,8 @@ def quartic_roots(poly: QuarticPoly):
     roots closer than ROOT_CLUSTER_TOL are reported with multiplicity > 1,
     each at the cluster's mean.
     """
-    clusters = _root_clusters(np.asarray(poly.coefficients, dtype=complex),
-                              10.0 * ROOT_CLUSTER_TOL)
+    clusters, _ = _root_clusters(np.asarray(poly.coefficients, dtype=complex),
+                                 10.0 * ROOT_CLUSTER_TOL)
     roots = np.array([sum(c) / len(c) for c in clusters for _ in c],
                      dtype=complex)
     mults = np.array([len(c) for c in clusters for _ in c], dtype=int)
@@ -279,6 +295,7 @@ def steady_state_amplitudes(sys: D2System, delta):
     requested scalar detuning."""
     _require_analytic(sys)
     q = quartic_coeffs_s(sys)
+    const = _constants(sys)
     out = []
     scalar = np.isscalar(delta)
     for branch, x in enumerate(_branch_arguments(sys, delta), start=1):
@@ -286,7 +303,7 @@ def steady_state_amplitudes(sys: D2System, delta):
         den, hit = _pole_hits(q, s)
         if scalar and hit:
             raise PoleHit(f"branch {branch} denominator vanishes at delta={delta}")
-        num = branch_numerator_s(sys, branch, s)
+        num = _numerator(const, branch, s)
         # array path: exact pole hits come back as inf (use the spectrum
         # routine for residue-filled values)
         vals = np.where(hit, np.inf, num / np.where(hit, 1.0, den))
@@ -325,24 +342,23 @@ def laplace_solve_oracle(sys: D2System, delta):
 # pole/residue decomposition and the spectrum
 # ---------------------------------------------------------------------------
 
-def _branch_pole_terms(sys, branch, shift, qcoeffs, clusters):
+def _branch_pole_terms(const, branch, shift, qcoeffs, clusters, slopes):
     """Partial-fraction terms of F_n(delta) over the roots of Q(s), given
-    as the clusters of `_root_clusters`.
+    as the clusters of `_root_clusters`; const is the system's `_constants`.
 
-    Simple poles use residue = i N(s_j)/Q'(s_j); clustered roots fall back to
-    numeric contour integration (confluent partial fractions) around the
-    cluster center.
+    Simple poles use residue = i N(s_j)/Q'(s_j), Q'(s_j) being the
+    cluster's entry of slopes; clustered roots fall back to numeric contour
+    integration (confluent partial fractions) around the cluster center.
     """
-    dq = np.polyder(np.poly1d(qcoeffs))
     terms = []
-    for cluster in clusters:
+    for cluster, slope in zip(clusters, slopes):
         m = len(cluster)
         center_s = cluster[0] if m == 1 else sum(cluster) / m
         pole = complex(1j * center_s - shift)
         trapped = bool(abs(pole.imag) < 1e-9)
         if m == 1:
-            num = complex(branch_numerator_s(sys, branch, center_s))
-            res = 1j * num / complex(dq(center_s))
+            num = complex(_numerator(const, branch, center_s))
+            res = 1j * num / slope
             terms.append(PoleTerm(pole, res, 1, trapped))
             continue
         # Laurent coefficients a_k of the principal part about the cluster
@@ -355,7 +371,7 @@ def _branch_pole_terms(sys, branch, shift, qcoeffs, clusters):
         ang = 2.0 * np.pi * np.arange(nq) / nq
         z = pole + radius * np.exp(1j * ang)
         s = -1j * (z + shift)
-        fvals = branch_numerator_s(sys, branch, s) / _polyval(qcoeffs, s)
+        fvals = _numerator(const, branch, s) / _polyval(qcoeffs, s)
         terms += [PoleTerm(pole, complex(np.mean(fvals * (z - pole) ** k)), k,
                            trapped) for k in range(1, m + 1)]
     return terms
@@ -403,19 +419,22 @@ def spectrum_analytic(sys: D2System, grid, include_cross: bool = False) -> Spect
     _require_analytic(sys)
     grid = np.asarray(grid, dtype=float)
     q = quartic_coeffs_s(sys)
+    const = _constants(sys)
     # a wider Newton bound than quartic_roots': it lets Newton step at
     # two-level's triple root, which leaves that pole 4.4e-8 off, and the
     # recorded spectra depend on it
-    clusters = _root_clusters(q, 1e-3)
+    clusters, dq = _root_clusters(q, 1e-3)
+    # Q' at each simple root, shared by the three branches
+    slopes = [complex(dq(c[0])) if len(c) == 1 else None for c in clusters]
 
     amps = np.zeros((3, len(grid)), dtype=complex)
     branch_poles = []
     for branch, shift in enumerate(branch_shifts(sys), start=1):
         s = -1j * np.asarray(grid + shift, dtype=complex)
         den, hit = _pole_hits(q, s)
-        num = branch_numerator_s(sys, branch, s)
+        num = _numerator(const, branch, s)
         vals = np.where(hit, 0.0, num / np.where(hit, 1.0, den))
-        terms = _branch_pole_terms(sys, branch, shift, q, clusters)
+        terms = _branch_pole_terms(const, branch, shift, q, clusters, slopes)
         if np.any(hit):
             vals[hit] = _reconstruct(terms, grid[hit])
         amps[branch - 1] = vals

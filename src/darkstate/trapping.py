@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivisionByZeroDrive
-from .model import D1System, D2System, DriveField, wrap_signed
+from .model import D1System, D2System, DriveField, _require_chains, wrap_signed
 from .spectrum import quartic_coeffs_s
 
 DEFAULT_TOL = 1e-9
@@ -94,6 +94,7 @@ def fgc_check(sys: D2System, tol: float = DEFAULT_TOL) -> TrappingReport:
     Satisfied iff |O3||O4| == |O1||O2|, phi2 + phi3 == pi (mod 2 pi) and
     Gamma1 == Gamma3, all within tol (scale = largest drive product).
     """
+    _require_chains([sys])
     o1, o2, o3, o4 = sys.rabi
     g1, _, g3 = sys.gamma
     prod_a, prod_b, delta_coeff, const = _condition_parts(

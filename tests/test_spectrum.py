@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -129,6 +131,21 @@ class TestClosedFormVsLinearSolve:
             for c, w in zip(closed, solved):
                 assert np.allclose(c, w, rtol=1e-10, atol=1e-12)
 
+    def test_partially_weighted_initial_vectors(self, rng):
+        # initial vectors with 1 to 3 components exactly 0: the closed form
+        # skips their cofactors, the oracle solves with the full vector
+        deltas = np.linspace(-20, 20, 41) + 0.0137
+        for _ in range(20):
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            v[rng.choice(4, size=rng.integers(1, 4), replace=False)] = 0.0
+            v /= np.linalg.norm(v)
+            s = random_admissible_system(rng, initial=v)
+            closed = steady_state_amplitudes(s, deltas)
+            solved = laplace_solve_oracle(s, deltas)
+            for c, w in zip(closed, solved):
+                assert np.max(np.abs(c - w) / np.maximum(np.abs(w), 1e-12)) \
+                    < 1e-10
+
     def test_pole_hit_raises_on_scalar(self):
         s = D2System(gamma=(1, 1, 1), omega12=13, omega23=13,
                      drives=(DriveField(0),) * 4, initial="A1")
@@ -142,6 +159,40 @@ class TestClosedFormVsLinearSolve:
                            drives=s.drives, detunings=(0.5, 0, 0, 0))
         with pytest.raises(NotAnalyticAdmissible):
             steady_state_amplitudes(detuned, 1.0)
+
+
+class TestNumerator:
+    def test_linear_in_initial_vector(self, rng):
+        # N(A(0)) = sum_k A_k(0) N(e_k): skipping the zero-weight cofactors
+        # leaves each weighted term as it was
+        s_grid = -1j * (np.linspace(-20, 20, 41) + 0.0137)
+        basis = ["A1", "A2", "A3", "B"]
+        for _ in range(10):
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            v /= np.linalg.norm(v)
+            s = random_admissible_system(rng, initial=v)
+            for branch in (1, 2, 3):
+                parts = [branch_numerator_s(replace(s, initial=e), branch,
+                                            s_grid) for e in basis]
+                expected = sum(a * p for a, p in zip(v, parts))
+                scale = np.max(sum(abs(a) * np.abs(p)
+                                   for a, p in zip(v, parts)))
+                got = branch_numerator_s(s, branch, s_grid)
+                assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: spectrum_analytic(s, np.linspace(-5.0, 5.0, 11)),
+    lambda s: steady_state_amplitudes(s, 0.5),
+    lambda s: laplace_solve_oracle(s, 0.5),
+    lambda s: branch_numerator_s(s, 2, 0.5j),
+    lambda s: characteristic_quartic(s),
+], ids=["spectrum_analytic", "steady_state_amplitudes",
+        "laplace_solve_oracle", "branch_numerator_s",
+        "characteristic_quartic"])
+def test_d1_system_is_named_type_error(call):
+    with pytest.raises(TypeError, match=r"d1_to_chain\(system\)"):
+        call(preset("d1-trapping").system)
 
 
 class TestOracleSingular:

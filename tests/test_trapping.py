@@ -140,6 +140,12 @@ class TestD1Trapping:
         # gamma1 != gamma3 plays no role here since both are zero
         assert np.max(residual) < 1e-12
 
+    def test_fgc_check_names_chain_mapping(self):
+        # fgc_check is the chain condition; a D1 system is checked with
+        # d1_trapping_check or mapped first
+        with pytest.raises(TypeError, match=r"d1_to_chain\(system\)"):
+            fgc_check(preset("d1-trapping").system)
+
 
 class TestGaugeInvariance:
     def test_phase_shift_pair_leaves_spectrum_unchanged(self, rng):
