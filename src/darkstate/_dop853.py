@@ -1,5 +1,5 @@
 """The explicit Runge-Kutta pair DOP853 of Dormand and Prince, sampled at
-given times, for one system or a batch of systems stepped in lockstep.
+given times, for a batch of systems stepped in lockstep.
 
 DOP853 is the 8th-order method with 5th- and 3rd-order error estimators and
 a 7th-order continuous extension of Hairer, Norsett & Wanner, *Solving
@@ -493,14 +493,13 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, stop=None):
     """Integrate y' = fun(t, y) from t_span[0] = 0 to t_span[1] and return
     the state at the ascending times t_eval, which lie within t_span.
 
-    y0 of shape (n,) is one system: fun(t, y) takes a float t and y of
-    shape (n,), stop(y) returns a bool, and the result is a Solution.
-    y0 of shape (B, n) is a batch of B systems stepped in lockstep:
-    fun(t, y) takes t of shape (B,) and y of shape (B, n) and returns the
-    derivative of each row, stop(y) returns a bool per row, and the result
-    is a Solution per row.  Each row takes the steps, samples, evaluation
-    count and end of its run alone, bit for bit.  The stage states passed
-    to fun share one buffer, so fun must not keep y.
+    y0 of shape (B, n) is a batch of B systems stepped in lockstep (one
+    system is the batch of one): fun(t, y) takes t of shape (B,) and y of
+    shape (B, n) and returns the derivative of each row, stop(y) returns a
+    bool per row, and the result is a Solution per row.  Each row takes
+    the steps, samples, evaluation count and end of its run alone, bit for
+    bit.  The stage states passed to fun share one buffer, so fun must not
+    keep y.
 
     With a predicate stop, the integration of a row ends successfully
     after the first accepted step whose end state y satisfies stop(y); its
@@ -521,18 +520,10 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, stop=None):
         raise ValueError("atol must be non-negative")
     rtol = max(rtol, 100 * np.finfo(float).eps)
     y0 = np.asarray(y0, dtype=complex)
-    if y0.ndim == 2:
-        fun_rows, stop_rows = fun, stop
-    else:
-        def fun_rows(t, y):
-            return np.asarray(fun(float(t[0]), y[0]))[None]
-
-        def stop_rows(y):
-            return [stop(y[0])]
+    if y0.ndim != 2:
+        raise ValueError("y0 must have shape (B, n): one row per system")
     # overflow and NaN end in a NaN error norm, which the step control
     # reports as TOO_SMALL_STEP
     with np.errstate(all="ignore"):
-        solutions = _integrate(fun_rows, np.atleast_2d(y0), t_bound, rtol,
-                               atol, t_eval,
-                               None if stop is None else stop_rows)
-    return Solutions(solutions) if y0.ndim == 2 else solutions[0]
+        return Solutions(_integrate(fun, y0, t_bound, rtol, atol, t_eval,
+                                    stop))

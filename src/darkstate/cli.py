@@ -4,6 +4,7 @@ output."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -83,6 +84,8 @@ class RunManifest:
     outputs: list = field(default_factory=list)
     #: per-run integrator diagnostics, where the command integrates
     integrator: list | None = None
+    #: seconds spent loading, computing and writing, where timed
+    stage_s: dict | None = None
 
     def write(self, anchor: Path):
         path = Path(str(anchor) + ".manifest.json")
@@ -96,6 +99,8 @@ class RunManifest:
         }
         if self.integrator is not None:
             data["integrator"] = self.integrator
+        if self.stage_s is not None:
+            data["stage_s"] = self.stage_s
         write_json(path, data)
         return path
 
@@ -104,19 +109,27 @@ class RunManifest:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str, option: str = "--grid") -> np.ndarray:
+    """The inclusive grid of a min:max:count spec; an error names option."""
     try:
         lo_s, hi_s, n_s = spec.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
-        raise _InputError(f"grid spec must be min:max:count, got {spec!r}")
+        raise _InputError(f"{option} must be min:max:count, got {spec!r}")
     if n < 2:
-        raise _InputError("grid count must be >= 2")
+        raise _InputError(f"{option} count must be >= 2, got {spec!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise _InputError(f"grid bounds must be finite, got {spec!r}")
+        raise _InputError(f"{option} bounds must be finite, got {spec!r}")
     if not hi > lo:
-        raise _InputError("grid max must exceed min")
+        raise _InputError(f"{option} max must exceed min, got {spec!r}")
     return np.linspace(lo, hi, n)
+
+
+def _stages(*marks) -> dict:
+    """The stage_s of a manifest from the perf_counter readings at the
+    start and at the end of loading, computing and writing."""
+    return {stage: end - start for stage, start, end
+            in zip(("load", "compute", "write"), marks, marks[1:])}
 
 
 def _check_system(system, context):
@@ -172,17 +185,124 @@ def _tag(ok: bool) -> str:
     return label
 
 
+@functools.cache
+def _pow10(k: int):
+    """10**k as a double-double hi + lo, each rounded to nearest from the
+    exact value in Python ints, with hi also split (Veltkamp) into halves
+    big + small of at most 26 bits each for Dekker's exact product."""
+    if k >= 0:
+        hi = float(10 ** k)
+        lo = float(10 ** k - int(hi))
+    else:
+        den = 10 ** -k
+        hi = 1 / den
+        p, q = hi.as_integer_ratio()
+        lo = (q - p * den) / (q * den)
+    c = 134217729.0 * hi
+    big = c - (c - hi)
+    return hi, big, hi - big, lo
+
+
+@functools.cache
+def _digit_tables():
+    """The text of every 4-digit group as one uint32, and of every exponent
+    -400..400 as 'e', its sign and 2 or 3 digits, NUL-padded in a uint64."""
+    quads = np.arange(10000, dtype=np.uint16)[:, None] \
+        // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")
+    exps = b"".join(("e%+03d" % e).encode().ljust(8, b"\0")
+                    for e in range(-400, 401))
+    return (quads.astype(np.uint8).view(np.uint32).ravel(),
+            np.frombuffer(exps, np.uint64))
+
+
+#: one NUL-padded value of _format_block: sign, lead digit, '.', 16
+#: digits, exponent text and separator
+_SLOT = b"\0\0.0000000000000000e+000,"
+
+
+def _decimal_digits(v: np.ndarray):
+    """The 17 significant digits and decimal exponent e of each value of
+    a float64 array, as FLOAT_FMT rounds them, and whether they were found.
+
+    A value 1e-250 <= |v| <= 1e250 is scaled to |v| 10^(16 - e), with
+    e = floor(log10 |v|), as an exact double-double (Dekker's product with
+    a double-double 10^(16 - e)) and rounded to the 17-digit integer of its
+    digits; zeros give 0.  Not found are: a non-finite or out-of-range
+    value, one whose scaled fraction is within 1e-6 of 1/2 (a decimal tie,
+    which % rounds half-even on the exact value, or a near-tie), and one
+    whose unrounded scaled value is outside [1e16, 1e17), which happens
+    where log10 misjudges e next to a power of ten.  The error of the
+    double-double is below 1e-14 of a unit, far inside that 1e-6, so every
+    found value rounds as the exact one does.  The digits are returned as
+    the lead digit and four groups of four, shape (5, len(v))."""
+    a = np.abs(v)
+    ok = (a >= 1e-250) & (a <= 1e250)
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    k0 = 16 - int(e.max())
+    pows = np.array([_pow10(k) for k in range(k0, 17 - int(e.min()))]).T
+    hi, big, small, lo = np.take(pows, 16 - k0 - e, axis=1)
+    c = 134217729.0 * a
+    a_big = c - (c - a)
+    a_small = a - a_big
+    p = a * hi
+    t = ((a_big * big - p) + a_big * small + a_small * big) \
+        + a_small * small + a * lo
+    s = p + t
+    r = t - (s - p)
+    nearest = np.rint(r)
+    n = s.astype(np.int64) + nearest.astype(np.int64)
+    ok &= (s < 1e17) & ((s - 1e16) + r >= 0.0) \
+        & (np.abs(r - nearest) < 0.5 - 1e-6)
+    zero = v == 0.0
+    ok |= zero
+    n[zero] = 0
+    e[zero] = 0
+    digits = np.empty((5, len(v)), np.int64)
+    for j, scale in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
+        digits[j] = n // scale
+        n -= digits[j] * scale
+    digits[4] = n
+    return digits, e, ok
+
+
+def _format_block(block: np.ndarray) -> bytes:
+    """The bytes of FLOAT_FMT % v for each element of a float64 block,
+    comma-separated, one row per line: the text of _decimal_digits in a
+    NUL-padded byte matrix, and FLOAT_FMT % v in the slot of each value
+    whose digits were not found, with the padding removed."""
+    v = block.ravel()
+    digits, e, ok = _decimal_digits(v)
+    quads, exps = _digit_tables()
+    text = np.empty(block.shape + (len(_SLOT),), np.uint8)
+    text[:] = np.frombuffer(_SLOT, np.uint8)
+    text[:, -1, -1] = ord("\n")
+    text = text.reshape(len(v), -1)
+    text[:, 0] = np.signbit(v) * ord("-")
+    text[:, 1] = digits[0] + ord("0")
+    text[:, 3:19] = np.take(quads, digits[1:].T).view(np.uint8)
+    exp_text = np.take(exps, e + 400).view(np.uint8).reshape(-1, 8)
+    text[:, 19:24] = exp_text[:, :5]
+    for i in np.flatnonzero(~ok):
+        fallback = (FLOAT_FMT % float(v[i])).encode()
+        text[i, :-1] = 0
+        text[i, :len(fallback)] = np.frombuffer(fallback, np.uint8)
+    return text.tobytes().replace(b"\0", b"")
+
+
 def write_csv(path, header, columns):
     """Write the header lines, then one row of comma-separated FLOAT_FMT
-    values per index of the equal-length columns: the bytes of np.savetxt
-    with that format, formatted CSV_BLOCK_ROWS rows per % operation."""
+    values per index of the equal-length real columns: the bytes of
+    np.savetxt with that format, formatted CSV_BLOCK_ROWS rows at a time
+    by _format_block.  A complex or non-numeric column raises TypeError."""
     table = np.column_stack(columns)
-    row = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(header) + "\n")
+    if table.dtype.kind not in "biuf":
+        raise TypeError(f"write_csv needs real columns, got {table.dtype}")
+    table = table.astype(np.float64, copy=False)
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("utf-8"))
         for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_format_block(table[start:start + CSV_BLOCK_ROWS]))
 
 
 def _write_csv_spectrum(path: Path, spec, sys_dict, method):
@@ -323,8 +443,11 @@ def cmd_spectrum(args) -> int:
     grid = _parse_grid(args.grid)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _InputError(f"--tol must be positive and finite, got {args.tol}")
+    t_load = time.perf_counter()
     runs = None if args.method == "analytic" else []
     spec, oracle = _compute_spectrum(system, grid, args.method, args.tol, runs)
+    metrics = None if oracle is None else compare_spectra(spec, oracle)
+    t_compute = time.perf_counter()
     sys_dict = scenario_to_dict(system)
     out = Path(args.out)
     outputs = [out]
@@ -332,8 +455,7 @@ def cmd_spectrum(args) -> int:
         _write_csv_spectrum(out, spec, sys_dict, args.method)
     else:
         _write_json_spectrum(out, spec, sys_dict, args.method)
-    if oracle is not None:
-        metrics = compare_spectra(spec, oracle)
+    if metrics is not None:
         print(f"analytic vs timedomain: max_rel_err={metrics['max_rel_err']:.3e} "
               f"rms_err={metrics['rms_err']:.3e}")
     if args.svg:
@@ -350,10 +472,12 @@ def cmd_spectrum(args) -> int:
             print("warning: no emission: atom never excited")
         else:
             print("note: spectrum is identically zero")
+    t_end = time.perf_counter()
     manifest = RunManifest(command="spectrum", scenario=source,
                            parameters=sys_dict, version=__version__,
-                           wall_time_s=time.perf_counter() - t0,
-                           outputs=outputs, integrator=runs)
+                           wall_time_s=t_end - t0, outputs=outputs,
+                           integrator=runs,
+                           stage_s=_stages(t0, t_load, t_compute, t_end))
     outputs.append(manifest.write(out))
     return EXIT_OK
 
@@ -471,11 +595,12 @@ def cmd_sweep(args) -> int:
         raise _InputError(
             f"unknown sweep parameter {args.vary!r}; "
             f"choose from {', '.join(sorted(_SWEEP_PARAMS))}")
-    values = _parse_grid(args.range)
+    values = _parse_grid(args.range, "--range")
     grid = _parse_grid(args.grid)
     systems = [_apply_sweep_value(system, args.vary, v) for v in values]
     for v, s in zip(values, systems):
         _check_system(s, f"{args.vary} = {v:g}: ")
+    t_load = time.perf_counter()
     integrator = None
     if args.metric == "trapped_fraction":
         # one lockstep batch; each value is that of its system alone
@@ -485,17 +610,19 @@ def cmd_sweep(args) -> int:
                       for v, run in zip(values, runs)]
     else:
         results = [_sweep_metric(s, args.metric, grid) for s in systems]
+    t_compute = time.perf_counter()
     out = Path(args.out)
     write_csv(out, [
         f"# darkstate {__version__} sweep vary={args.vary} metric={args.metric}",
         "# scenario: " + json.dumps(scenario_to_dict(system), sort_keys=True),
         f"value,{args.metric}",
     ], [values, results])
+    t_end = time.perf_counter()
     manifest = RunManifest(command="sweep", scenario=source,
                            parameters=scenario_to_dict(system),
-                           version=__version__,
-                           wall_time_s=time.perf_counter() - t0,
-                           outputs=[out], integrator=integrator)
+                           version=__version__, wall_time_s=t_end - t0,
+                           outputs=[out], integrator=integrator,
+                           stage_s=_stages(t0, t_load, t_compute, t_end))
     manifest.write(out)
     return EXIT_OK
 

@@ -75,8 +75,7 @@ class AmplitudeTrajectory:
 
 def _rhs_builder(systems):
     """The amplitude equations y' = rhs(t, y) of a batch of systems: t of
-    shape (B,), y of shape (B, 4), one row per system.  Given one
-    D2System, rhs(t, y) of its state alone: t a float, y of shape (4,).
+    shape (B,), y of shape (B, 4), one row per system.
 
     With every row resonant and free of cross-damping, the drift matrix
     is constant and rhs is the stacked product M @ y.  Otherwise each row
@@ -87,9 +86,6 @@ def _rhs_builder(systems):
     uncoupled row of such a batch has R = 0 and X = 0, so its M(t) is M
     exactly and it takes the values of its constant-matrix run.
     """
-    if isinstance(systems, D2System):
-        rhs = _rhs_builder([systems])
-        return lambda t, y: rhs(np.array([t]), y[None])[0]
     m = np.array([coupling_matrix(s) for s in systems])
     if all(not any(s.detunings) and not any(s.alignments) for s in systems):
         def rhs(t, y):

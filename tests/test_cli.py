@@ -138,6 +138,24 @@ class TestSpectrumCommand:
             assert manifest["integrator"] == alone
             assert alone[0]["end"] == "t_final" and alone[0]["nfev"] > 0
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--preset", "fig2-notrapping"],
+        ["spectrum", "--preset", "d1-fig3a", "--method", "both",
+         "--grid=-5:5:41", "--format", "json"],
+        ["sweep", "--preset", "fig2-trapping", "--vary", "phase2",
+         "--range", "0:1:5", "--metric", "central_area"],
+        ["sweep", "--preset", "fig2-trapping", "--vary", "phase2",
+         "--range", "0:1:2", "--metric", "trapped_fraction"],
+    ])
+    def test_manifest_stage_timings(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        stages = manifest["stage_s"]
+        assert set(stages) == {"load", "compute", "write"}
+        assert all(v >= 0.0 for v in stages.values())
+        assert sum(stages.values()) <= manifest["wall_time_s"]
+
     def test_no_emission_warning(self, tmp_path, capsys):
         from darkstate import D2System, DriveField
         s = D2System(gamma=(1, 1, 1), omega12=13, omega23=13,
@@ -536,6 +554,29 @@ class TestGridParsing:
         with pytest.raises(_InputError):
             _parse_grid("5:1:10")
 
+    @pytest.mark.parametrize("command,option,spec", [
+        ("spectrum", "--grid", "0:1:1"),
+        ("spectrum", "--grid", "1:1:5"),
+        ("sweep", "--grid", "0:1:1"),
+        ("sweep", "--grid", "1:1:5"),
+        ("sweep", "--range", "0:1:1"),
+        ("sweep", "--range", "1:1:5"),
+    ])
+    def test_errors_name_the_option(self, command, option, spec, tmp_path,
+                                    capsys):
+        argv = [command, "--preset", "fig2-trapping", f"{option}={spec}",
+                "--out", str(tmp_path / "x.csv")]
+        if command == "sweep":
+            argv += ["--vary", "phase2", "--metric", "total_area"]
+            if option != "--range":
+                argv.append("--range=0:1:3")
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+        assert spec in err
+        assert list(tmp_path.iterdir()) == []
+
 
 # ---------------------------------------------------------------------------
 # the writers are byte-identical to the per-value references below
@@ -721,3 +762,108 @@ def test_default_grids_are_the_analysis_default():
                   "--metric", "total_area"]):
         grid = cli._parse_grid(parser.parse_args(argv).grid)
         assert np.array_equal(grid, default_grid())
+
+
+# ---------------------------------------------------------------------------
+# write_csv's vectorized %.16e kernel against Python's % on adversarial values
+# ---------------------------------------------------------------------------
+
+def _near_ties():
+    """Doubles v = m 2^-(k+d) whose scaled value v 10^k = m 5^k / 2^d has a
+    fraction 1/2 + delta / 2^d, |delta| <= 40, d >= 40: within 4e-11 of a
+    decimal tie without being one, the values a rounding error of the
+    double-double scaling could send to the wrong side."""
+    values = []
+    for k in range(17, 60):
+        for d in range(40, 75):
+            inv = pow(5 ** k, -1, 2 ** d)
+            for delta in range(-40, 41):
+                m = (2 ** (d - 1) + delta) * inv % 2 ** d
+                m += max(0, -(-(2 ** 52 - m) // 2 ** d)) * 2 ** d
+                if (delta and m < 2 ** 53 and 10 ** 16 * 2 ** d
+                        <= m * 5 ** k < 10 ** 17 * 2 ** d):
+                    values.append(math.ldexp(m, -(k + d)))
+    return np.array(values)
+
+
+def _dyadic_ties(rng, count):
+    """v = +-k 2^-m with k odd and k 5^m of 18 digits: v has 18 significant
+    digits, the last a 5, so %.16e rounds an exact tie (half-even)."""
+    m = rng.integers(2, 26, count)
+    lo = (10 ** 17 + 5 ** m - 1) // 5 ** m
+    hi = np.minimum((10 ** 18 - 1) // 5 ** m, 2 ** 53 - 1)
+    k = rng.integers(lo, hi + 1) | 1
+    k = np.where(k > hi, k - 2, k)
+    assert np.all((k >= lo) & (k % 2 == 1))
+    return np.ldexp(k.astype(float), -m) * rng.choice([-1.0, 1.0], count)
+
+
+class TestCsvKernel:
+    """write_csv's bytes equal np.savetxt(fmt="%.16e"), that is '%.16e' % v
+    per value, wherever the kernel formats a value itself and wherever it
+    falls back to %."""
+
+    @staticmethod
+    def _check(tmp_path, *columns):
+        header = ["# kernel", "a,b"]
+        cli.write_csv(tmp_path / "new.csv", header, columns)
+        _savetxt_reference(tmp_path / "ref.csv", header, columns)
+        _assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+
+    def test_random_bit_patterns(self, tmp_path):
+        # every exponent, both signs, NaN payloads; then subnormals alone
+        rng = np.random.default_rng(2026)
+        bits = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64,
+                            endpoint=False)
+        self._check(tmp_path, *bits.view(np.float64).reshape(4, -1))
+        sub = rng.integers(1, 2 ** 52, 10 ** 4, dtype=np.uint64)
+        sub |= rng.integers(0, 2, 10 ** 4, dtype=np.uint64) << np.uint64(63)
+        self._check(tmp_path, *sub.view(np.float64).reshape(2, -1))
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        # log10 misjudges the exponent next to some powers of ten
+        # (1e-248 is 9.9999999999999998e-249)
+        values = []
+        for w in range(-323, 309):
+            p = float(f"1e{w}")
+            values += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+        values = np.array(values)
+        self._check(tmp_path, values, -values)
+
+    def test_dyadic_ties(self, tmp_path):
+        ties = _dyadic_ties(np.random.default_rng(25), 10 ** 5)
+        assert "%.17e" % 2.0 ** -25 == "2.98023223876953125e-08"
+        self._check(tmp_path, *ties.reshape(2, -1))
+
+    def test_near_ties(self, tmp_path):
+        values = _near_ties()
+        assert len(values) > 1000
+        self._check(tmp_path, values, -values)
+
+    def test_zeros_and_nonfinite(self, tmp_path):
+        special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan,
+                            -math.nan, 1.0, -1.0])
+        self._check(tmp_path, special, special[::-1])
+
+    def test_int_and_bool_columns(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ints = rng.integers(-2 ** 62, 2 ** 62, 500)
+        ints[:4] = [0, 1, -1, 2 ** 53 + 1]
+        flags = rng.integers(0, 2, 500).astype(bool)
+        self._check(tmp_path, ints, flags)
+        self._check(tmp_path, ints, rng.normal(size=500))
+        self._check(tmp_path, flags, flags)
+
+    @pytest.mark.parametrize("rows", [1, cli.CSV_BLOCK_ROWS - 1,
+                                      cli.CSV_BLOCK_ROWS,
+                                      cli.CSV_BLOCK_ROWS + 1])
+    def test_table_sizes(self, rows, tmp_path):
+        rng = np.random.default_rng(rows)
+        columns = rng.normal(size=(3, rows)) * 10.0 ** rng.integers(
+            -300, 300, size=(3, rows))
+        self._check(tmp_path, *columns)
+
+    def test_complex_column_raises(self, tmp_path):
+        with pytest.raises(TypeError):
+            cli.write_csv(tmp_path / "c.csv", ["z"],
+                          [np.ones(3), np.ones(3) * 1j])

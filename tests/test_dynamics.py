@@ -28,6 +28,13 @@ from darkstate.cli import main
 from darkstate.dynamics import _filon_linear, _filon_weights
 
 
+def _scipy_rhs(system):
+    """The amplitude equations of one system as SciPy's solve_ivp takes
+    them (t a float, y of shape (4,)): row 0 of its batch of one."""
+    rhs = dynamics._rhs_builder([system])
+    return lambda t, y: rhs(np.array([t]), y[None])[0]
+
+
 def _bare(initial, gamma=(1.0, 1.0, 1.0)):
     return D2System(gamma=gamma, omega12=13, omega23=13,
                     drives=(DriveField(0),) * 4, initial=initial)
@@ -92,13 +99,13 @@ class TestPropagate:
         root = np.sqrt(gamma)
         big_gamma = np.diag(gamma) + np.outer(root, root) * np.array(
             [[0.0, p[0], p[1]], [p[0], 0.0, p[2]], [p[1], p[2], 0.0]])
-        rhs = dynamics._rhs_builder(s)
+        rhs = dynamics._rhs_builder([s])
         for t in rng.uniform(0.0, 10.0, 5):
             a = rng.normal(size=4) + 1j * rng.normal(size=4)
             u = np.array([np.exp(-1j * w12 * t), 1.0, np.exp(1j * w23 * t)])
             v = np.conj(u) * a[:3]
             want = -np.vdot(v, big_gamma @ v).real
-            got = 2.0 * np.vdot(a, rhs(t, a)).real
+            got = 2.0 * np.vdot(a, rhs(np.array([t]), a[None])[0]).real
             assert abs(got - want) <= 1e-12 * np.vdot(a, a).real * 10.0
 
 
@@ -332,7 +339,7 @@ def test_rhs_matches_term_by_term_equations():
         want = _equations(s, t[k], y[k])
         assert np.allclose(got[k], want, rtol=0, atol=1e-13 * (
             1.0 + np.max(np.abs(want))))
-        alone = dynamics._rhs_builder(s)(t[k], y[k])
+        alone = dynamics._rhs_builder([s])(t[k:k + 1], y[k:k + 1])[0]
         assert np.array_equal(alone, got[k])
 
 
@@ -438,7 +445,7 @@ def _dense_reference(sys, t_final):
     whole uniform grid, then the tail of it: the route that sampling through
     t_eval replaces."""
     tol = dynamics.DEFAULT_TOL
-    sol = solve_ivp(dynamics._rhs_builder(sys), (0.0, t_final),
+    sol = solve_ivp(_scipy_rhs(sys), (0.0, t_final),
                     sys.initial_vector(), method="DOP853", rtol=tol,
                     atol=tol * 1e-2, dense_output=True)
     fast = max(abs(sys.omega12), abs(sys.omega23),
@@ -551,15 +558,17 @@ class TestDop853:
     def test_samples_match_scipy(self, name):
         system = _INTEGRATOR_CASES[name]
         tol = dynamics.DEFAULT_TOL
-        rhs = dynamics._rhs_builder(system)
         full = dynamics._sample_times(system, 60.0)
         late = dynamics._sample_times(system, 150.0)
         for times in (full, late[int(0.9 * len(late)):]):
             kwargs = dict(rtol=tol, atol=tol * 1e-2, t_eval=times)
-            ours = dynamics.solve_ivp(rhs, (0.0, times[-1]),
-                                      system.initial_vector(), **kwargs)
-            ref = solve_ivp(rhs, (0.0, times[-1]), system.initial_vector(),
-                            method="DOP853", **kwargs)
+            (ours,) = dynamics.solve_ivp(dynamics._rhs_builder([system]),
+                                         (0.0, times[-1]),
+                                         system.initial_vector()[None],
+                                         **kwargs)
+            ref = solve_ivp(_scipy_rhs(system), (0.0, times[-1]),
+                            system.initial_vector(), method="DOP853",
+                            **kwargs)
             assert ours.y.shape == (4, len(times))
             assert ours.success and _same_solution(ours, ref)
 
@@ -567,8 +576,8 @@ class TestDop853:
         # y' = y**2, y(0) = 1 blows up at t = 1
         times = np.linspace(0.0, 2.0, 201)
         kwargs = dict(rtol=1e-8, atol=1e-10, t_eval=times)
-        ours = dynamics.solve_ivp(lambda t, y: y ** 2, (0.0, 2.0),
-                                  np.array([1.0 + 0j]), **kwargs)
+        (ours,) = dynamics.solve_ivp(lambda t, y: y ** 2, (0.0, 2.0),
+                                     np.array([[1.0 + 0j]]), **kwargs)
         ref = solve_ivp(lambda t, y: y ** 2, (0.0, 2.0),
                         np.array([1.0 + 0j]), method="DOP853", **kwargs)
         assert not ours.success and not ref.success
@@ -580,8 +589,15 @@ class TestDop853:
     def test_bad_atol_rejected(self, atol):
         with pytest.raises(ValueError):
             dynamics.solve_ivp(lambda t, y: -y, (0.0, 1.0),
-                               np.ones(1, dtype=complex), rtol=1e-8,
+                               np.ones((1, 1), dtype=complex), rtol=1e-8,
                                atol=atol, t_eval=[1.0])
+
+    def test_one_dimensional_y0_rejected(self):
+        # one system is the batch of one, y0 of shape (1, n)
+        with pytest.raises(ValueError, match="shape"):
+            dynamics.solve_ivp(lambda t, y: -y, (0.0, 1.0),
+                               np.ones(2, dtype=complex), rtol=1e-8,
+                               atol=1e-10, t_eval=[1.0])
 
     @pytest.mark.parametrize("rtol,atol", [(0.0, 0.0), (math.nan, 1e-10),
                                            (math.inf, 1e-10)])
@@ -590,9 +606,9 @@ class TestDop853:
         # a zero component with zero atol, or a NaN or infinite rtol, makes
         # the initial step size NaN: the integration fails, it does not
         # step forever
-        sol = dynamics.solve_ivp(lambda t, y: -y, (0.0, 1.0),
-                                 np.array([1.0, 0.0], dtype=complex),
-                                 rtol=rtol, atol=atol, t_eval=[0.5, 1.0])
+        (sol,) = dynamics.solve_ivp(lambda t, y: -y, (0.0, 1.0),
+                                    np.array([[1.0, 0.0]], dtype=complex),
+                                    rtol=rtol, atol=atol, t_eval=[0.5, 1.0])
         assert not sol.success and len(sol.t) == 0
         if atol == rtol * 1e-2:
             with pytest.raises(StepSizeUnderflow):
@@ -607,23 +623,23 @@ def _decaying_system():
 def _recorded_run(system, times, stop):
     """Integrate with stop, recording at each accepted step (each call of
     stop) the evaluation count and the latest time fun was evaluated at."""
-    rhs = dynamics._rhs_builder(system)
+    rhs = dynamics._rhs_builder([system])
     calls = {"nfev": 0, "t": 0.0}
     steps = []
 
     def fun(t, y):
         calls["nfev"] += 1
-        calls["t"] = max(calls["t"], t)
+        calls["t"] = max(calls["t"], float(t[0]))
         return rhs(t, y)
 
     def record(y):
-        steps.append((calls["nfev"], calls["t"], y.copy()))
-        return stop(y)
+        steps.append((calls["nfev"], calls["t"], y[0].copy()))
+        return [stop(y[0])]
 
     tol = dynamics.DEFAULT_TOL
-    sol = dynamics.solve_ivp(fun, (0.0, times[-1]), system.initial_vector(),
-                             rtol=tol, atol=tol * 1e-2, t_eval=times,
-                             stop=record)
+    (sol,) = dynamics.solve_ivp(fun, (0.0, times[-1]),
+                                system.initial_vector()[None], rtol=tol,
+                                atol=tol * 1e-2, t_eval=times, stop=record)
     return sol, steps
 
 
@@ -638,10 +654,11 @@ class TestStop:
         tol = dynamics.DEFAULT_TOL
         times = dynamics._sample_times(system, 60.0)
         kwargs = dict(rtol=tol, atol=tol * 1e-2, t_eval=times)
-        ours = dynamics.solve_ivp(dynamics._rhs_builder(system),
-                                  (0.0, times[-1]), system.initial_vector(),
-                                  stop=None, **kwargs)
-        ref = solve_ivp(dynamics._rhs_builder(system), (0.0, times[-1]),
+        (ours,) = dynamics.solve_ivp(dynamics._rhs_builder([system]),
+                                     (0.0, times[-1]),
+                                     system.initial_vector()[None],
+                                     stop=None, **kwargs)
+        ref = solve_ivp(_scipy_rhs(system), (0.0, times[-1]),
                         system.initial_vector(), method="DOP853", **kwargs)
         assert _same_solution(ours, ref)
 
@@ -675,10 +692,11 @@ class TestStop:
             times = dynamics._sample_times(system, 60.0)
             never, steps = _recorded_run(system, times, lambda y: False)
             tol = dynamics.DEFAULT_TOL
-            ref = dynamics.solve_ivp(dynamics._rhs_builder(system),
-                                     (0.0, times[-1]),
-                                     system.initial_vector(), rtol=tol,
-                                     atol=tol * 1e-2, t_eval=times)
+            (ref,) = dynamics.solve_ivp(dynamics._rhs_builder([system]),
+                                        (0.0, times[-1]),
+                                        system.initial_vector()[None],
+                                        rtol=tol, atol=tol * 1e-2,
+                                        t_eval=times)
             assert len(steps) > 0 and _same_solution(never, ref)
             assert never.message == _dop853.REACHED_END
 
@@ -725,9 +743,9 @@ class TestBatch:
         assert len(batch) == len(systems)
         assert batch.nfev == sum(sol.nfev for sol in batch)
         for system, floor, row in zip(systems, floors, batch):
-            alone = self._integrate(
-                dynamics._rhs_builder(system), system.initial_vector(),
-                times, lambda y, floor=floor: np.vdot(y, y).real < floor)
+            (alone,) = self._integrate(
+                dynamics._rhs_builder([system]), system.initial_vector()[None],
+                times, lambda y, floor=floor: np.vecdot(y, y).real < floor)
             assert _same_run(row, alone)
         ends = [(sol.message, len(sol.t)) for sol in batch]
         # rows that stop before the last sample, rows that reach it, and
