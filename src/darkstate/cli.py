@@ -4,7 +4,6 @@ output."""
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -17,6 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._text import (CSV_BLOCK_ROWS, TEXT_BLOCK, format_e16, format_f2,
+                    join_rows)
 from .analysis import (
     DEFAULT_GRID,
     compare_spectra,
@@ -56,13 +57,7 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_UNSOLVABLE = 4
 
-#: fixed scientific float formatting: 17 significant digits
-FLOAT_FMT = "%.16e"
-
 SPECTRUM_CSV_HEADER = "delta,branch1,branch2,branch3,total"
-
-#: rows per formatted block of write_csv
-CSV_BLOCK_ROWS = 1024
 
 #: --grid default of spectrum and sweep, as a min:max:count spec
 DEFAULT_GRID_SPEC = ":".join(map(str, DEFAULT_GRID))
@@ -86,8 +81,15 @@ class RunManifest:
     integrator: list | None = None
     #: seconds spent loading, computing and writing, where timed
     stage_s: dict | None = None
+    #: the python and numpy versions of the run
+    python: str | None = None
+    numpy: str | None = None
+    #: SHA-256 of the canonical scenario JSON (see _provenance)
+    scenario_sha256: str | None = None
 
     def write(self, anchor: Path):
+        """Write the manifest next to anchor; unset optional fields are
+        omitted."""
         path = Path(str(anchor) + ".manifest.json")
         data = {
             "command": self.command,
@@ -97,12 +99,23 @@ class RunManifest:
             "wall_time_s": self.wall_time_s,
             "outputs": [str(p) for p in self.outputs],
         }
-        if self.integrator is not None:
-            data["integrator"] = self.integrator
-        if self.stage_s is not None:
-            data["stage_s"] = self.stage_s
+        for name in ("integrator", "stage_s", "python", "numpy",
+                     "scenario_sha256"):
+            if getattr(self, name) is not None:
+                data[name] = getattr(self, name)
         write_json(path, data)
         return path
+
+
+def _provenance(sys_dict: dict) -> dict:
+    """The python and numpy versions of this run and the SHA-256 of
+    json.dumps(sys_dict, sort_keys=True), the canonical scenario JSON, as
+    RunManifest fields."""
+    import hashlib  # here, so that importing the CLI does not load it
+    canonical = json.dumps(sys_dict, sort_keys=True).encode()
+    return {"python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "scenario_sha256": hashlib.sha256(canonical).hexdigest()}
 
 
 # ---------------------------------------------------------------------------
@@ -185,116 +198,12 @@ def _tag(ok: bool) -> str:
     return label
 
 
-@functools.cache
-def _pow10(k: int):
-    """10**k as a double-double hi + lo, each rounded to nearest from the
-    exact value in Python ints, with hi also split (Veltkamp) into halves
-    big + small of at most 26 bits each for Dekker's exact product."""
-    if k >= 0:
-        hi = float(10 ** k)
-        lo = float(10 ** k - int(hi))
-    else:
-        den = 10 ** -k
-        hi = 1 / den
-        p, q = hi.as_integer_ratio()
-        lo = (q - p * den) / (q * den)
-    c = 134217729.0 * hi
-    big = c - (c - hi)
-    return hi, big, hi - big, lo
-
-
-@functools.cache
-def _digit_tables():
-    """The text of every 4-digit group as one uint32, and of every exponent
-    -400..400 as 'e', its sign and 2 or 3 digits, NUL-padded in a uint64."""
-    quads = np.arange(10000, dtype=np.uint16)[:, None] \
-        // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")
-    exps = b"".join(("e%+03d" % e).encode().ljust(8, b"\0")
-                    for e in range(-400, 401))
-    return (quads.astype(np.uint8).view(np.uint32).ravel(),
-            np.frombuffer(exps, np.uint64))
-
-
-#: one NUL-padded value of _format_block: sign, lead digit, '.', 16
-#: digits, exponent text and separator
-_SLOT = b"\0\0.0000000000000000e+000,"
-
-
-def _decimal_digits(v: np.ndarray):
-    """The 17 significant digits and decimal exponent e of each value of
-    a float64 array, as FLOAT_FMT rounds them, and whether they were found.
-
-    A value 1e-250 <= |v| <= 1e250 is scaled to |v| 10^(16 - e), with
-    e = floor(log10 |v|), as an exact double-double (Dekker's product with
-    a double-double 10^(16 - e)) and rounded to the 17-digit integer of its
-    digits; zeros give 0.  Not found are: a non-finite or out-of-range
-    value, one whose scaled fraction is within 1e-6 of 1/2 (a decimal tie,
-    which % rounds half-even on the exact value, or a near-tie), and one
-    whose unrounded scaled value is outside [1e16, 1e17), which happens
-    where log10 misjudges e next to a power of ten.  The error of the
-    double-double is below 1e-14 of a unit, far inside that 1e-6, so every
-    found value rounds as the exact one does.  The digits are returned as
-    the lead digit and four groups of four, shape (5, len(v))."""
-    a = np.abs(v)
-    ok = (a >= 1e-250) & (a <= 1e250)
-    a = np.where(ok, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    k0 = 16 - int(e.max())
-    pows = np.array([_pow10(k) for k in range(k0, 17 - int(e.min()))]).T
-    hi, big, small, lo = np.take(pows, 16 - k0 - e, axis=1)
-    c = 134217729.0 * a
-    a_big = c - (c - a)
-    a_small = a - a_big
-    p = a * hi
-    t = ((a_big * big - p) + a_big * small + a_small * big) \
-        + a_small * small + a * lo
-    s = p + t
-    r = t - (s - p)
-    nearest = np.rint(r)
-    n = s.astype(np.int64) + nearest.astype(np.int64)
-    ok &= (s < 1e17) & ((s - 1e16) + r >= 0.0) \
-        & (np.abs(r - nearest) < 0.5 - 1e-6)
-    zero = v == 0.0
-    ok |= zero
-    n[zero] = 0
-    e[zero] = 0
-    digits = np.empty((5, len(v)), np.int64)
-    for j, scale in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
-        digits[j] = n // scale
-        n -= digits[j] * scale
-    digits[4] = n
-    return digits, e, ok
-
-
-def _format_block(block: np.ndarray) -> bytes:
-    """The bytes of FLOAT_FMT % v for each element of a float64 block,
-    comma-separated, one row per line: the text of _decimal_digits in a
-    NUL-padded byte matrix, and FLOAT_FMT % v in the slot of each value
-    whose digits were not found, with the padding removed."""
-    v = block.ravel()
-    digits, e, ok = _decimal_digits(v)
-    quads, exps = _digit_tables()
-    text = np.empty(block.shape + (len(_SLOT),), np.uint8)
-    text[:] = np.frombuffer(_SLOT, np.uint8)
-    text[:, -1, -1] = ord("\n")
-    text = text.reshape(len(v), -1)
-    text[:, 0] = np.signbit(v) * ord("-")
-    text[:, 1] = digits[0] + ord("0")
-    text[:, 3:19] = np.take(quads, digits[1:].T).view(np.uint8)
-    exp_text = np.take(exps, e + 400).view(np.uint8).reshape(-1, 8)
-    text[:, 19:24] = exp_text[:, :5]
-    for i in np.flatnonzero(~ok):
-        fallback = (FLOAT_FMT % float(v[i])).encode()
-        text[i, :-1] = 0
-        text[i, :len(fallback)] = np.frombuffer(fallback, np.uint8)
-    return text.tobytes().replace(b"\0", b"")
-
-
 def write_csv(path, header, columns):
-    """Write the header lines, then one row of comma-separated FLOAT_FMT
-    values per index of the equal-length real columns: the bytes of
-    np.savetxt with that format, formatted CSV_BLOCK_ROWS rows at a time
-    by _format_block.  A complex or non-numeric column raises TypeError."""
+    """Write the header lines, then one row of comma-separated '%.16e'
+    (_text.FLOAT_FMT) values per index of the equal-length real columns:
+    the bytes of np.savetxt with that format, formatted CSV_BLOCK_ROWS rows
+    at a time by _text.format_e16.  A complex or non-numeric column raises
+    TypeError."""
     table = np.column_stack(columns)
     if table.dtype.kind not in "biuf":
         raise TypeError(f"write_csv needs real columns, got {table.dtype}")
@@ -302,7 +211,7 @@ def write_csv(path, header, columns):
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("utf-8"))
         for start in range(0, len(table), CSV_BLOCK_ROWS):
-            fh.write(_format_block(table[start:start + CSV_BLOCK_ROWS]))
+            fh.write(format_e16(table[start:start + CSV_BLOCK_ROWS]))
 
 
 def _write_csv_spectrum(path: Path, spec, sys_dict, method):
@@ -351,9 +260,11 @@ def svg_line_plot(path, x, curves, title="", xlabel="delta (rate units)",
     """Write a minimal SVG line plot: axes, ticks, one polyline per curve,
     legend.  curves is a sequence of (label, y-array), each as long as x.
 
-    Plot coordinates are computed a whole array at a time and each
-    polyline is formatted with one % operation.  Raises ValueError on a
-    non-finite x or y; a zero x or y span is widened to 1."""
+    Plot coordinates are computed a whole array at a time and formatted
+    as '%.2f' does by _text.format_f2, TEXT_BLOCK points at a time, the x
+    coordinates once for all curves; a point it cannot format is
+    formatted by %.  Raises ValueError on a non-finite x or y; a zero x or
+    y span is widened to 1."""
     width, height = 640.0, 400.0
     ml, mr, mt, mb = 60.0, 20.0, 30.0, 45.0
     pw, ph = width - ml - mr, height - mt - mb
@@ -391,13 +302,31 @@ def svg_line_plot(path, x, curves, title="", xlabel="delta (rate units)",
         parts.append(f'<text x="{ml - 8:.2f}" y="{py + 4:.2f}" '
                      'font-size="11" text-anchor="end">'
                      f'{tick:.3g}</text>')
-    points = np.empty((len(x), 2))
-    points[:, 0] = sx(x)
-    points_fmt = " ".join(["%.2f,%.2f"] * len(x))
+    x_plot = sx(x)
+    x_text = np.empty((len(x), 12), np.uint8)
+    x_ok = np.empty(len(x), bool)
+    for start in range(0, len(x), TEXT_BLOCK):
+        block = slice(start, start + TEXT_BLOCK)
+        x_text[block], x_ok[block] = format_f2(x_plot[block])
+    # one row per point: x text, ',', y text, ' '
+    rows = np.empty((min(len(x), TEXT_BLOCK), 26), np.uint8)
+    rows[:, 12] = ord(",")
+    rows[:, 25] = ord(" ")
     for i, (label, y) in enumerate(curves):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        points[:, 1] = sy(ys[i])
-        pts = points_fmt % tuple(points.ravel().tolist())
+        y_plot = sy(ys[i])
+        pieces = []
+        for start in range(0, len(x), TEXT_BLOCK):
+            block = slice(start, start + TEXT_BLOCK)
+            y_text, y_ok = format_f2(y_plot[block])
+            text = rows[:len(y_text)]
+            text[:, :12] = x_text[block]
+            text[:, 13:25] = y_text
+            pieces.append(join_rows(
+                text, ~(x_ok[block] & y_ok),
+                lambda k: ("%.2f,%.2f " % (x_plot[start + k],
+                                           y_plot[start + k])).encode()))
+        pts = b"".join(pieces)[:-1].decode()
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.2"/>')
         ly = mt + 14 + 14 * i
@@ -477,7 +406,8 @@ def cmd_spectrum(args) -> int:
                            parameters=sys_dict, version=__version__,
                            wall_time_s=t_end - t0, outputs=outputs,
                            integrator=runs,
-                           stage_s=_stages(t0, t_load, t_compute, t_end))
+                           stage_s=_stages(t0, t_load, t_compute, t_end),
+                           **_provenance(sys_dict))
     outputs.append(manifest.write(out))
     return EXIT_OK
 
@@ -499,12 +429,13 @@ def cmd_trapping(args) -> int:
     t0 = time.perf_counter()
     _check_outputs(args.out)
     system, source = _load_system(args)
+    t_load = time.perf_counter()
     if isinstance(system, D1System):
         rep = d1_trapping_check(system)
     else:
         rep = fgc_check(system)
     data = _report_to_dict(rep)
-    outputs = []
+    drives = None
     if args.solve:
         if isinstance(system, D1System):
             print("error: --solve supports only the chain (d2) system",
@@ -524,18 +455,22 @@ def cmd_trapping(args) -> int:
             return EXIT_UNSOLVABLE
         data["solved_fields"] = [{"mag": d.magnitude, "phase": d.phase}
                                  for d in drives]
-        if args.out:
-            out = Path(args.out)
-            save_scenario(system.with_drives(drives), out)
-            outputs.append(out)
-            data["solved_scenario"] = str(out)
+    t_compute = time.perf_counter()
+    outputs = []
+    if drives is not None and args.out:
+        out = Path(args.out)
+        save_scenario(system.with_drives(drives), out)
+        outputs.append(out)
+        data["solved_scenario"] = str(out)
     print(json.dumps(data, indent=2, sort_keys=True))
     if args.out:
+        t_end = time.perf_counter()
+        sys_dict = scenario_to_dict(system)
         manifest = RunManifest(command="trapping", scenario=source,
-                               parameters=scenario_to_dict(system),
-                               version=__version__,
-                               wall_time_s=time.perf_counter() - t0,
-                               outputs=outputs)
+                               parameters=sys_dict, version=__version__,
+                               wall_time_s=t_end - t0, outputs=outputs,
+                               stage_s=_stages(t0, t_load, t_compute, t_end),
+                               **_provenance(sys_dict))
         manifest.write(Path(args.out))
     return EXIT_OK
 
@@ -612,17 +547,19 @@ def cmd_sweep(args) -> int:
         results = [_sweep_metric(s, args.metric, grid) for s in systems]
     t_compute = time.perf_counter()
     out = Path(args.out)
+    sys_dict = scenario_to_dict(system)
     write_csv(out, [
         f"# darkstate {__version__} sweep vary={args.vary} metric={args.metric}",
-        "# scenario: " + json.dumps(scenario_to_dict(system), sort_keys=True),
+        "# scenario: " + json.dumps(sys_dict, sort_keys=True),
         f"value,{args.metric}",
     ], [values, results])
     t_end = time.perf_counter()
     manifest = RunManifest(command="sweep", scenario=source,
-                           parameters=scenario_to_dict(system),
+                           parameters=sys_dict,
                            version=__version__, wall_time_s=t_end - t0,
                            outputs=[out], integrator=integrator,
-                           stage_s=_stages(t0, t_load, t_compute, t_end))
+                           stage_s=_stages(t0, t_load, t_compute, t_end),
+                           **_provenance(sys_dict))
     manifest.write(out)
     return EXIT_OK
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._text import TEXT_BLOCK, format_repr
 from .errors import (
     AlignmentOutOfRange,
     NonFiniteValue,
@@ -452,40 +453,52 @@ def write_json(path, data: dict):
     json.dump(data, fh, indent=2, sort_keys=True) and a newline would, one
     top-level entry at a time.
 
-    Values that are numpy float arrays are written as json writes their
-    .tolist(): each row is one join of float.__repr__ strings (json's own
-    float format), with NaN, Infinity and -Infinity for non-finite values.
+    A numpy array is written as json writes its .tolist().  The values of
+    a float16, float32 or float64 array of one or more dimensions are
+    formatted TEXT_BLOCK at a time by _text.format_repr: float.__repr__'s
+    shortest digits, json's own float format, with NaN, Infinity and
+    -Infinity for non-finite values.  A complex array raises TypeError
+    naming its key, before anything is written.
     """
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        sep = "{"
+    for key, value in data.items():
+        if isinstance(value, np.ndarray) and value.dtype.kind == "c":
+            raise TypeError(f"write_json cannot write the complex array "
+                            f"{key!r}")
+    with open(Path(path), "wb") as fh:
+        sep = b"{"
         for key in sorted(data):
-            fh.write(f"{sep}\n  {json.dumps(key)}: ")
+            fh.write(sep + f"\n  {json.dumps(key)}: ".encode())
             value = data[key]
-            if isinstance(value, np.ndarray):
-                _write_json_floats(fh, value, "  ")
+            if isinstance(value, np.ndarray) and value.dtype.kind == "f" \
+                    and value.dtype.itemsize <= 8 and value.ndim:
+                _write_json_floats(fh, value.astype(np.float64, copy=False),
+                                   "  ")
             else:
+                if isinstance(value, np.ndarray):
+                    value = value.tolist()
                 fh.write(json.dumps(value, indent=2, sort_keys=True)
-                         .replace("\n", "\n  "))
-            sep = ","
-        fh.write("\n}\n" if data else "{}\n")
+                         .replace("\n", "\n  ").encode())
+            sep = b","
+        fh.write(b"\n}\n" if data else b"{}\n")
 
 
 def _write_json_floats(fh, a: np.ndarray, indent: str):
-    """Write the float array a as json.dumps(a.tolist(), indent=2) would,
+    """Write the float64 array a as json.dumps(a.tolist(), indent=2) would,
     nested with the given indent."""
     if not len(a):
-        fh.write("[]")
+        fh.write(b"[]")
         return
     inner = indent + "  "
-    fh.write("[\n" + inner)
+    fh.write(f"[\n{inner}".encode())
     if a.ndim == 1:
-        text = list(map(float.__repr__, a.tolist()))
-        for i in np.flatnonzero(~np.isfinite(a)):
-            text[i] = json.dumps(float(a[i]))
-        fh.write((",\n" + inner).join(text))
+        sep = f",\n{inner}".encode()
+        for start in range(0, len(a), TEXT_BLOCK):
+            text = format_repr(a[start:start + TEXT_BLOCK], sep)
+            fh.write(text[:-len(sep)] if start + TEXT_BLOCK >= len(a)
+                     else text)
     else:
         for i, row in enumerate(a):
             if i:
-                fh.write(",\n" + inner)
+                fh.write(f",\n{inner}".encode())
             _write_json_floats(fh, row, inner)
-    fh.write("\n" + indent + "]")
+    fh.write(f"\n{indent}]".encode())
