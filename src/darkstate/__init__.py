@@ -47,7 +47,6 @@ from .spectrum import (
     branch_numerator_s,
     characteristic_quartic,
     coupling_matrix,
-    d1_spectrum,
     laplace_solve_oracle,
     quartic_roots,
     spectrum_analytic,

@@ -135,7 +135,11 @@ def _parse_grid(spec: str, option: str = "--grid") -> np.ndarray:
         raise _InputError(f"{option} bounds must be finite, got {spec!r}")
     if not hi > lo:
         raise _InputError(f"{option} max must exceed min, got {spec!r}")
-    return np.linspace(lo, hi, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(lo, hi, n)
+    if not np.isfinite(grid).all():
+        raise _InputError(f"{option} max - min overflows, got {spec!r}")
+    return grid
 
 
 def _stages(*marks) -> dict:

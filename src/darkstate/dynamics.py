@@ -411,16 +411,15 @@ def trapped_fraction(sys, t_final: float = 150.0, tol: float = DEFAULT_TOL,
     return values[0] if isinstance(sys, D2System) else values
 
 
-def spectrum_time_domain(sys: D2System, grid, include_cross: bool = False,
+def spectrum_time_domain(sys: D2System, grid,
                          t_final: float = DEFAULT_T_FINAL,
                          tol: float = DEFAULT_TOL,
                          runs: list | None = None) -> SpectrumResult:
     """Branch-resolved spectrum from the time-domain trajectory.
 
     Branch n is evaluated at its shifted argument delta + {+omega12, 0,
-    -omega23} (`branch_shifts`); cross terms between branches are excluded
-    unless requested.  A list given as runs receives propagate's
-    integrator diagnostics.
+    -omega23} (`branch_shifts`); the total is the sum of the branches.  A
+    list given as runs receives propagate's integrator diagnostics.
     """
     grid = np.asarray(grid, dtype=float)
     traj = propagate(sys, t_final, tol, runs)
@@ -429,5 +428,4 @@ def spectrum_time_domain(sys: D2System, grid, include_cross: bool = False,
         amps[branch - 1] = branch_amplitude_numeric(
             sys, branch, grid + shift, t_final=t_final, tol=tol,
             trajectory=traj)
-    return assemble_spectrum(sys, grid, amps, include_cross, "timedomain",
-                             [[], [], []])
+    return assemble_spectrum(sys, grid, amps, "timedomain", [[], [], []])

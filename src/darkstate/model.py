@@ -457,27 +457,33 @@ def write_json(path, data: dict):
     a float16, float32 or float64 array of one or more dimensions are
     formatted TEXT_BLOCK at a time by _text.format_repr: float.__repr__'s
     shortest digits, json's own float format, with NaN, Infinity and
-    -Infinity for non-finite values.  A complex array raises TypeError
-    naming its key, before anything is written.
+    -Infinity for non-finite values.  Every other value is serialized
+    before the file is opened, so a value json cannot write (or a complex
+    array, whose TypeError names its key) leaves no file behind.
     """
-    for key, value in data.items():
+    entries = []
+    for key in sorted(data):
+        value = data[key]
         if isinstance(value, np.ndarray) and value.dtype.kind == "c":
             raise TypeError(f"write_json cannot write the complex array "
                             f"{key!r}")
+        if isinstance(value, np.ndarray) and value.dtype.kind == "f" \
+                and value.dtype.itemsize <= 8 and value.ndim:
+            value = value.astype(np.float64, copy=False)
+        else:
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            value = json.dumps(value, indent=2, sort_keys=True) \
+                .replace("\n", "\n  ").encode()
+        entries.append((f"\n  {json.dumps(key)}: ".encode(), value))
     with open(Path(path), "wb") as fh:
         sep = b"{"
-        for key in sorted(data):
-            fh.write(sep + f"\n  {json.dumps(key)}: ".encode())
-            value = data[key]
-            if isinstance(value, np.ndarray) and value.dtype.kind == "f" \
-                    and value.dtype.itemsize <= 8 and value.ndim:
-                _write_json_floats(fh, value.astype(np.float64, copy=False),
-                                   "  ")
+        for head, value in entries:
+            fh.write(sep + head)
+            if isinstance(value, bytes):
+                fh.write(value)
             else:
-                if isinstance(value, np.ndarray):
-                    value = value.tolist()
-                fh.write(json.dumps(value, indent=2, sort_keys=True)
-                         .replace("\n", "\n  ").encode())
+                _write_json_floats(fh, value, "  ")
             sep = b","
         fh.write(b"\n}\n" if data else b"{}\n")
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import (NonFiniteValue, NotAnalyticAdmissible, PoleHit,
                      SingularSystem)
-from .model import (D1System, D2System, _require_chains, analytic_admissible,
-                    d1_to_chain)
+from .model import D2System, _require_chains, analytic_admissible
 
 #: roots closer than this are always treated as one confluent cluster; the
 #: grouping widens adaptively because companion-matrix roots of an exactly
@@ -81,7 +80,6 @@ class SpectrumResult:
     total: np.ndarray
     branch_poles: list = field(default_factory=lambda: [[], [], []])
     method: str = "analytic"
-    include_cross: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -284,30 +282,32 @@ def branch_shifts(sys: D2System):
     return (sys.omega12, 0.0, -sys.omega23)
 
 
-def _branch_arguments(sys: D2System, delta):
+def _branch_quotients(sys: D2System, q, const, delta):
+    """(branch, shift, F, hit) per branch at the common detuning delta:
+    F = N_n(s)/Q(s) at s = -i (delta + shift), given Q's coefficients q and
+    the system's `_constants`.  hit marks the pole hits, where F holds N_n(s)
+    for the caller to replace."""
     delta = np.asarray(delta, dtype=float)
-    return [delta + shift for shift in branch_shifts(sys)]
+    for branch, shift in enumerate(branch_shifts(sys), start=1):
+        s = -1j * np.asarray(delta + shift, dtype=complex)
+        den, hit = _pole_hits(q, s)
+        yield (branch, shift,
+               _numerator(const, branch, s) / np.where(hit, 1.0, den), hit)
 
 
 def steady_state_amplitudes(sys: D2System, delta):
     """Closed-form (F1, F2, F3) at common detuning delta, each branch at its
-    shifted argument.  Raises PoleHit if the denominator vanishes at a
-    requested scalar detuning."""
+    shifted argument.  Exact pole hits come back as inf (the spectrum fills
+    them from the partial fractions); a scalar detuning raises PoleHit."""
     _require_analytic(sys)
-    q = quartic_coeffs_s(sys)
-    const = _constants(sys)
-    out = []
     scalar = np.isscalar(delta)
-    for branch, x in enumerate(_branch_arguments(sys, delta), start=1):
-        s = -1j * np.asarray(x, dtype=complex)
-        den, hit = _pole_hits(q, s)
+    out = []
+    for branch, _, vals, hit in _branch_quotients(
+            sys, quartic_coeffs_s(sys), _constants(sys), delta):
         if scalar and hit:
-            raise PoleHit(f"branch {branch} denominator vanishes at delta={delta}")
-        num = _numerator(const, branch, s)
-        # array path: exact pole hits come back as inf (use the spectrum
-        # routine for residue-filled values)
-        vals = np.where(hit, np.inf, num / np.where(hit, 1.0, den))
-        out.append(complex(vals) if scalar else vals)
+            raise PoleHit(f"branch {branch} denominator vanishes at "
+                          f"delta={delta}")
+        out.append(complex(vals) if scalar else np.where(hit, np.inf, vals))
     return tuple(out)
 
 
@@ -322,8 +322,8 @@ def laplace_solve_oracle(sys: D2System, delta):
     eye = np.eye(4, dtype=complex)
     scalar = np.isscalar(delta)
     results = []
-    for branch, x in enumerate(_branch_arguments(sys, delta), start=1):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+    for branch, shift in enumerate(branch_shifts(sys), start=1):
+        xs = np.atleast_1d(np.asarray(delta, dtype=float) + shift)
         vals = np.empty(len(xs), dtype=complex)
         for k, xv in enumerate(xs):
             s = -1j * xv
@@ -391,26 +391,20 @@ def _reconstruct(terms, delta):
     return out
 
 
-def assemble_spectrum(sys: D2System, grid, amps, include_cross: bool,
-                      method: str, branch_poles: list) -> SpectrumResult:
+def assemble_spectrum(sys: D2System, grid, amps, method: str,
+                      branch_poles: list) -> SpectrumResult:
     """Spectrum from the branch amplitudes amps (shape (3, len(grid))).
 
-    Branch n intensity is Gamma_n |F_n|^2 / 2 pi; the total is their sum, or
-    with include_cross |sum_n sqrt(Gamma_n) F_n|^2 / 2 pi.
+    Branch n intensity is Gamma_n |F_n|^2 / 2 pi; the total is their sum.
     """
     gammas = np.asarray(sys.gamma, dtype=float)
     branch_intensity = (gammas[:, None] * np.abs(amps) ** 2) / (2.0 * np.pi)
-    if include_cross:
-        summed = np.sum(np.sqrt(gammas)[:, None] * amps, axis=0)
-        total = np.abs(summed) ** 2 / (2.0 * np.pi)
-    else:
-        total = branch_intensity.sum(axis=0)
     return SpectrumResult(grid=grid, branch_intensity=branch_intensity,
-                          total=total, branch_poles=branch_poles,
-                          method=method, include_cross=include_cross)
+                          total=branch_intensity.sum(axis=0),
+                          branch_poles=branch_poles, method=method)
 
 
-def spectrum_analytic(sys: D2System, grid, include_cross: bool = False) -> SpectrumResult:
+def spectrum_analytic(sys: D2System, grid) -> SpectrumResult:
     """Branch-resolved emission spectrum on a common detuning grid.
 
     Branch n intensity is Gamma_n |F_n|^2 / 2 pi; pole-hit grid points are
@@ -429,26 +423,11 @@ def spectrum_analytic(sys: D2System, grid, include_cross: bool = False) -> Spect
 
     amps = np.zeros((3, len(grid)), dtype=complex)
     branch_poles = []
-    for branch, shift in enumerate(branch_shifts(sys), start=1):
-        s = -1j * np.asarray(grid + shift, dtype=complex)
-        den, hit = _pole_hits(q, s)
-        num = _numerator(const, branch, s)
-        vals = np.where(hit, 0.0, num / np.where(hit, 1.0, den))
+    for branch, shift, vals, hit in _branch_quotients(sys, q, const, grid):
         terms = _branch_pole_terms(const, branch, shift, q, clusters, slopes)
         if np.any(hit):
             vals[hit] = _reconstruct(terms, grid[hit])
         amps[branch - 1] = vals
         branch_poles.append(terms)
 
-    return assemble_spectrum(sys, grid, amps, include_cross, "analytic",
-                             branch_poles)
-
-
-def d1_spectrum(sys: D1System, grid, include_cross: bool = False) -> SpectrumResult:
-    """Single-branch spectrum of the simple-loss loop via the chain mapping.
-
-    The side branches carry zero decay rate and therefore zero intensity; the
-    central branch reproduces i*delta*(|Oo1||Om1| e^{i phi3} +
-    |Om2||Oo2| e^{-i phi2}) over the chain quartic.
-    """
-    return spectrum_analytic(d1_to_chain(sys), grid, include_cross=include_cross)
+    return assemble_spectrum(sys, grid, amps, "analytic", branch_poles)

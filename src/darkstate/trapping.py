@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionByZeroDrive
+from .errors import DivisionByZeroDrive, NonFiniteValue
 from .model import D1System, D2System, DriveField, _require_chains, wrap_signed
 from .spectrum import quartic_coeffs_s
 
@@ -31,7 +31,6 @@ class TrappingReport:
     phase_condition: float
     gamma_condition: float
     satisfied: bool
-    solved_fields: tuple | None = None
 
 
 @dataclass
@@ -80,12 +79,9 @@ def fgc_central_numerator(sys: D2System, delta) -> complex:
     return complex(out) if out.ndim == 0 else out
 
 
-def _condition_parts(o1, o2, o3, o4, g1, g3):
-    prod_a = o3 * o4            # carries exp(i phi3) for real outer drives
-    prod_b = o1 * np.conj(o2)   # carries exp(-i phi2)
-    delta_coeff = prod_a + prod_b
-    const = 0.5 * g1 * prod_a + 0.5 * g3 * prod_b
-    return prod_a, prod_b, delta_coeff, const
+def _require_finite(what, *values):
+    if not all(np.isfinite(v) for v in values):
+        raise NonFiniteValue(f"{what} overflow: {', '.join(map(str, values))}")
 
 
 def fgc_check(sys: D2System, tol: float = DEFAULT_TOL) -> TrappingReport:
@@ -93,13 +89,18 @@ def fgc_check(sys: D2System, tol: float = DEFAULT_TOL) -> TrappingReport:
 
     Satisfied iff |O3||O4| == |O1||O2|, phi2 + phi3 == pi (mod 2 pi) and
     Gamma1 == Gamma3, all within tol (scale = largest drive product).
+    Raises NonFiniteValue when a drive product overflows.
     """
     _require_chains([sys])
     o1, o2, o3, o4 = sys.rabi
     g1, _, g3 = sys.gamma
-    prod_a, prod_b, delta_coeff, const = _condition_parts(
-        o1, o2, o3, o4, g1, g3)
-    mag = abs(o3) * abs(o4) - abs(o1) * abs(o2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod_a = o3 * o4            # carries exp(i phi3) for real outer drives
+        prod_b = o1 * np.conj(o2)   # carries exp(-i phi2)
+        delta_coeff = prod_a + prod_b
+        const = 0.5 * g1 * prod_a + 0.5 * g3 * prod_b
+        mag = abs(o3) * abs(o4) - abs(o1) * abs(o2)
+    _require_finite("trapping residuals", delta_coeff, const, mag)
     phases = [d.phase for d in sys.drives]
     phase = wrap_signed(phases[1] + phases[2] - math.pi)
     gamma_cond = g1 - g3
@@ -121,11 +122,14 @@ def fgc_solve(mag1: float, mag2: float, mag3: float, phase2: float) -> tuple:
     """Complete (|O4|, phi3) so the trapping condition holds.
 
     |O4| = |O1||O2| / |O3| and phi3 = pi - phi2 (wrapped); the caller must
-    separately ensure Gamma1 == Gamma3.
+    separately ensure Gamma1 == Gamma3.  Raises NonFiniteValue when |O4|
+    overflows.
     """
     if mag3 == 0.0:
         raise DivisionByZeroDrive("cannot solve for |Omega4| with |Omega3| = 0")
-    mag4 = mag1 * mag2 / mag3
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag4 = mag1 * mag2 / mag3
+    _require_finite("solved |Omega4|", mag4)
     phase3 = math.pi - phase2
     return (
         DriveField(mag1, 0.0),
@@ -138,12 +142,15 @@ def fgc_solve(mag1: float, mag2: float, mag3: float, phase2: float) -> tuple:
 def d1_trapping_check(sys: D1System, tol: float = DEFAULT_TOL) -> TrappingReport:
     """Whole-atom darkening condition for the simple-loss loop:
     Oo1*Om1 + Om2*conj(Oo2) == 0 (for the scenario phase conventions this is
-    |Oo1||Om1| e^{i phi3} + |Om2||Oo2| e^{-i phi2} == 0)."""
-    a = sys.optical1.amplitude * sys.microwave1.amplitude
-    b = sys.microwave2.amplitude * np.conj(sys.optical2.amplitude)
-    total = a + b
+    |Oo1||Om1| e^{i phi3} + |Om2||Oo2| e^{-i phi2} == 0).  Raises
+    NonFiniteValue when a drive product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = sys.optical1.amplitude * sys.microwave1.amplitude
+        b = sys.microwave2.amplitude * np.conj(sys.optical2.amplitude)
+        total = a + b
+        mag = abs(a) - abs(b)
+    _require_finite("trapping residuals", total, mag)
     scale = max(abs(a), abs(b), 1e-300)
-    mag = abs(a) - abs(b)
     phase = wrap_signed(sys.optical2.phase + sys.optical1.phase
                         + sys.microwave1.phase - sys.microwave2.phase - math.pi)
     satisfied = abs(total) <= tol * scale

@@ -18,7 +18,6 @@ from darkstate import (
     characteristic_quartic,
     conservation_check,
     count_spectral_lines,
-    d1_spectrum,
     d1_to_chain,
     fgc_central_numerator,
     find_peaks,
@@ -123,14 +122,15 @@ def test_criterion_04_sgc_infeasibility():
 def test_criterion_05_d1_darkening():
     s = preset("d1-trapping").system
     grid = np.linspace(-25.0, 25.0, 5001)
-    dark_max = float(np.max(d1_spectrum(s, grid).total))
+    dark_max = float(np.max(spectrum_analytic(d1_to_chain(s), grid).total))
     trapped = trapped_fraction(d1_to_chain(s), require_plateau=False)
     broken = D1System(gamma=s.gamma,
                       optical1=DriveField(s.optical1.magnitude * 1.01,
                                           s.optical1.phase),
                       optical2=s.optical2, microwave1=s.microwave1,
                       microwave2=s.microwave2)
-    broken_max = float(np.max(d1_spectrum(broken, grid).total))
+    broken_max = float(np.max(
+        spectrum_analytic(d1_to_chain(broken), grid).total))
     broken_trapped = trapped_fraction(d1_to_chain(broken), t_final=200.0,
                                       require_plateau=False)
     ok = (dark_max < 1e-20 and abs(trapped - 1.0) < 1e-6

@@ -12,7 +12,6 @@ from darkstate import (
     compare_spectra,
     conservation_check,
     count_spectral_lines,
-    d1_spectrum,
     d1_to_chain,
     find_peaks,
     integrated_area,
@@ -58,7 +57,7 @@ class TestProminentMaxima:
     def test_matches_scipy_on_preset_spectra(self, name):
         system = preset(name).system
         if isinstance(system, D1System):
-            spec = d1_spectrum(system, d1_grid())
+            spec = spectrum_analytic(d1_to_chain(system), d1_grid())
         else:
             spec = spectrum_analytic(system, default_grid())
         for curve in (spec.total, *spec.branch_intensity):
@@ -232,13 +231,13 @@ class TestCompareSpectra:
 
 class TestD1SpectrumShape:
     def test_trapping_preset_dark(self):
-        spec = d1_spectrum(preset("d1-trapping").system,
-                           np.linspace(-25, 25, 2001))
+        spec = spectrum_analytic(d1_to_chain(preset("d1-trapping").system),
+                                 np.linspace(-25, 25, 2001))
         assert np.max(spec.total) < 1e-20
 
     def test_narrowed_doublet(self):
-        spec = d1_spectrum(preset("d1-fig3a").system,
-                           np.linspace(-25, 25, 10001))
+        spec = spectrum_analytic(d1_to_chain(preset("d1-fig3a").system),
+                                 np.linspace(-25, 25, 10001))
         pa = find_peaks(spec)
         assert len(pa.peaks) == 3
         narrowest = min(p.fwhm for p in pa.peaks)

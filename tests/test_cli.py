@@ -19,7 +19,7 @@ from darkstate import cli
 from darkstate.analysis import default_grid
 from darkstate.cli import main
 from darkstate.model import D1System, DriveField, write_json
-from darkstate.spectrum import SpectrumResult, d1_spectrum
+from darkstate.spectrum import SpectrumResult
 
 
 @pytest.fixture
@@ -229,6 +229,27 @@ class TestTrappingCommand:
         cfg = tmp_path / "bad.json"
         save_scenario(s, cfg)
         assert run("trapping", "--config", str(cfg), "--solve") == 4
+
+    @pytest.mark.parametrize("outer", [1e300, 1e150])
+    def test_solve_overflow_is_numerical_failure(self, outer, tmp_path,
+                                                 capsys):
+        # finite drives whose residuals (1e300) or solved |Omega4| (1e150)
+        # overflow: no NaN residuals printed and no scenario with an
+        # infinite drive written
+        from darkstate import D2System, DriveField
+        s = D2System(gamma=(1, 1, 1), omega12=13, omega23=13,
+                     drives=(DriveField(outer), DriveField(outer, math.pi),
+                             DriveField(1e-300), DriveField(1)))
+        cfg = tmp_path / "huge.json"
+        save_scenario(s, cfg)
+        code = run("trapping", "--config", str(cfg), "--solve",
+                   "--out", str(tmp_path / "solved.json"))
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: numerical failure in NonFiniteValue")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_solve_rejects_rate_imbalance(self, tmp_path):
         from darkstate import D2System, DriveField
@@ -561,6 +582,10 @@ class TestGridParsing:
         ("sweep", "--grid", "1:1:5"),
         ("sweep", "--range", "0:1:1"),
         ("sweep", "--range", "1:1:5"),
+        # finite bounds whose span overflows: linspace gives [nan, inf, 1e308]
+        ("spectrum", "--grid", "-1e308:1e308:3"),
+        ("sweep", "--grid", "-1e308:1e308:3"),
+        ("sweep", "--range", "-1e308:1e308:3"),
     ])
     def test_errors_name_the_option(self, command, option, spec, tmp_path,
                                     capsys):
@@ -663,9 +688,9 @@ class TestWriterByteIdentity:
     @pytest.mark.parametrize("name", preset_names())
     def test_preset_analytic_spectra(self, name, tmp_path):
         system = preset(name).system
-        compute = d1_spectrum if isinstance(system, D1System) \
-            else spectrum_analytic
-        spec = compute(system, default_grid())
+        if isinstance(system, D1System):
+            system = d1_to_chain(system)
+        spec = spectrum_analytic(system, default_grid())
         _assert_spectrum_writers_match(tmp_path, spec, "analytic")
 
     def test_time_domain_spectrum(self, tmp_path):

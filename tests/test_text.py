@@ -175,6 +175,12 @@ class TestWriteJsonArrays:
                                              "amplitude": np.ones(3) * 1j})
         assert list(tmp_path.iterdir()) == []
 
+    def test_unserializable_value_leaves_no_file(self, tmp_path):
+        # every value is serialized before the file is opened
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_json(tmp_path / "a.json", {"a": {"b": np.ones(2)}})
+        assert list(tmp_path.iterdir()) == []
+
 
 # ---------------------------------------------------------------------------
 # memory of one write, and no work at import

@@ -10,6 +10,7 @@ from darkstate import (
     D2System,
     DivisionByZeroDrive,
     DriveField,
+    NonFiniteValue,
     d1_to_chain,
     d1_trapping_check,
     fgc_central_numerator,
@@ -110,6 +111,29 @@ class TestFgcSolve:
         spec = spectrum_analytic(s, np.linspace(-30, 30, 601))
         peak = np.max(spec.total)
         assert np.max(spec.branch_intensity[1]) < 1e-20 * peak
+
+
+class TestOverflow:
+    # finite drives whose products overflow raise, as the quartic does,
+    # instead of reporting NaN or infinite residuals
+    def test_fgc_solve(self):
+        with pytest.raises(NonFiniteValue):
+            fgc_solve(1e200, 1e200, 1e-300, 0.0)
+
+    def test_fgc_check(self):
+        s = D2System(gamma=(1, 1, 1), omega12=13, omega23=13,
+                     drives=(DriveField(1e300), DriveField(1e300, math.pi),
+                             DriveField(1e-300), DriveField(1)))
+        with pytest.raises(NonFiniteValue):
+            fgc_check(s)
+
+    def test_d1_trapping_check(self):
+        s = preset("d1-trapping").system
+        huge = D1System(gamma=s.gamma, optical1=DriveField(1e300),
+                        optical2=s.optical2, microwave1=DriveField(1e300),
+                        microwave2=s.microwave2)
+        with pytest.raises(NonFiniteValue):
+            d1_trapping_check(huge)
 
 
 class TestD1Trapping:
