@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the CLI's outputs, one line per output, so that two
+source trees can be checked for byte-identical output by diffing two runs.
+
+The CLI runs in-process (`darkstate.cli.main`) in a temporary directory:
+
+- `spectrum` for every preset on the default, 601- and 6001-point grids,
+  once as CSV plus SVG and once as JSON, and `spectrum --method both` on
+  `fig2-notrapping` (1201 points);
+- four 61- or 21-value sweeps (`central_area`, `peak_count`, `total_area`,
+  `trapped_fraction`);
+- `validate all`, and `trapping` for every preset.
+
+Each command's exit code, stdout and stderr count as outputs, as do its
+files. Manifests are hashed without their timings (`wall_time_s`,
+`stage_s`), the only fields that differ between two runs of one tree.
+
+    PYTHONPATH=src python scripts/output_digests.py --out before.txt
+    (in the other tree)  PYTHONPATH=src python scripts/output_digests.py --out after.txt
+    diff before.txt after.txt
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from darkstate.cli import main as cli_main
+from darkstate.model import preset_names
+
+GRIDS = {"default": [], "601": ["--grid=-30:30:601"],
+         "6001": ["--grid=-30:30:6001"]}
+TAU = "6.283185307179586"
+SWEEPS = {
+    "central_area": ["--preset", "fig2-trapping", "--vary", "phase2",
+                     "--range", f"0:{TAU}:61"],
+    "peak_count": ["--preset", "fig2-notrapping", "--vary", "phase3",
+                   "--range", f"0:{TAU}:61"],
+    "total_area": ["--preset", "fig2-notrapping", "--vary", "mag2",
+                   "--range", "0:2.5:61"],
+    "trapped_fraction": ["--preset", "fig2-trapping", "--vary", "phase2",
+                         "--range", f"0:{TAU}:21"],
+}
+#: manifest fields that hold timings
+TIMINGS = ("wall_time_s", "stage_s")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(label, argv, digests):
+    """Run one CLI command in the current directory and record the digests
+    of its exit code, streams and new files under label."""
+    before = set(os.listdir())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    digests[f"{label} exit"] = _sha(str(code).encode())
+    digests[f"{label} stdout"] = _sha(out.getvalue().encode())
+    digests[f"{label} stderr"] = _sha(err.getvalue().encode())
+    for name in sorted(set(os.listdir()) - before):
+        data = Path(name).read_bytes()
+        if name.endswith(".manifest.json"):
+            manifest = json.loads(data)
+            for key in TIMINGS:
+                manifest.pop(key, None)
+            data = json.dumps(manifest, sort_keys=True).encode()
+        digests[f"{label} {name}"] = _sha(data)
+        os.remove(name)
+
+
+def digests() -> dict:
+    """{label: SHA-256} over every output of the commands listed above."""
+    found = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name in preset_names():
+                src = ["--preset", name]
+                for grid, opt in GRIDS.items():
+                    label = f"spectrum {name} {grid}"
+                    _run(f"{label} csv+svg", ["spectrum", *src, *opt,
+                                              "--out", "s.csv",
+                                              "--svg", "s.svg"], found)
+                    _run(f"{label} json", ["spectrum", *src, *opt,
+                                           "--format", "json",
+                                           "--out", "s.json"], found)
+                _run(f"trapping {name}",
+                     ["trapping", *src, "--out", "t.json"], found)
+            _run("spectrum fig2-notrapping both",
+                 ["spectrum", "--preset", "fig2-notrapping", "--method",
+                  "both", "--grid=-30:30:1201", "--out", "s.csv"], found)
+            for metric, args in SWEEPS.items():
+                _run(f"sweep {metric}", ["sweep", *args, "--metric", metric,
+                                         "--out", "sweep.csv"], found)
+            _run("validate all", ["validate", "all"], found)
+        finally:
+            os.chdir(cwd)
+    return found
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", help="write the digests here, not to stdout")
+    args = parser.parse_args()
+    text = "".join(f"{sha}  {label}\n"
+                   for label, sha in sorted(digests().items()))
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
+if __name__ == "__main__":
+    main()

@@ -56,20 +56,22 @@ class PeakAnalysis:
 
 
 def _half_height_width(grid, total, idx):
-    """FWHM by linear interpolation of the half-height crossings around idx."""
+    """FWHM by linear interpolation of the half-height crossings around idx:
+    between the nearest sample at or below half height on each side and its
+    neighbour towards idx (the grid end when there is none)."""
     half = total[idx] / 2.0
     left = grid[0]
-    for j in range(idx, 0, -1):
-        if total[j - 1] <= half:
-            frac = (total[j] - half) / (total[j] - total[j - 1])
-            left = grid[j] - frac * (grid[j] - grid[j - 1])
-            break
+    below = total[:idx][::-1] <= half  # the nearest sample first
+    if below.any():
+        j = idx - below.argmax()
+        frac = (total[j] - half) / (total[j] - total[j - 1])
+        left = grid[j] - frac * (grid[j] - grid[j - 1])
     right = grid[-1]
-    for j in range(idx, len(grid) - 1):
-        if total[j + 1] <= half:
-            frac = (total[j] - half) / (total[j] - total[j + 1])
-            right = grid[j] + frac * (grid[j + 1] - grid[j])
-            break
+    below = total[idx + 1:] <= half
+    if below.any():
+        j = idx + below.argmax()
+        frac = (total[j] - half) / (total[j] - total[j + 1])
+        right = grid[j] + frac * (grid[j + 1] - grid[j])
     return right - left
 
 

@@ -423,9 +423,8 @@ def spectrum_time_domain(sys: D2System, grid,
     """
     grid = np.asarray(grid, dtype=float)
     traj = propagate(sys, t_final, tol, runs)
-    amps = np.zeros((3, len(grid)), dtype=complex)
-    for branch, shift in enumerate(branch_shifts(sys), start=1):
-        amps[branch - 1] = branch_amplitude_numeric(
-            sys, branch, grid + shift, t_final=t_final, tol=tol,
-            trajectory=traj)
+    amps = [branch_amplitude_numeric(sys, branch, grid + shift,
+                                     t_final=t_final, tol=tol,
+                                     trajectory=traj)
+            for branch, shift in enumerate(branch_shifts(sys), start=1)]
     return assemble_spectrum(sys, grid, amps, "timedomain", [[], [], []])

@@ -12,8 +12,15 @@ expansion of the 4x4 system (`steady_state_amplitudes`) and a direct numeric
 linear solve (`laplace_solve_oracle`).  The cofactor route evaluates only the
 cofactors whose weight A_k(0) is nonzero, so a non-finite cofactor of weight 0
 gives no NaN (the quartic's NonFiniteValue guard still runs first).  It takes
-each residue N(s_j)/Q'(s_j) as a scalar: numpy's array arithmetic can differ
-from its scalar arithmetic in the last bit, and the pole tables would move.
+each residue N(s_j)/Q'(s_j) as a scalar.
+
+Scalars and arrays round differently: numpy multiplies two complex scalars
+without the fused multiply-add of its array loops, which 0-d arrays run too,
+so the two products differ in the last bit.  An in-place update that keeps a
+0-d array where the out-of-place operation returns a scalar therefore moves
+the residues and the pole tables; an augmented assignment on a numpy scalar
+rebinds it and is safe.  On arrays of any length an operation gives the same
+bits in place as out of place, so the grid arithmetic runs in place.
 """
 from __future__ import annotations
 
@@ -123,9 +130,14 @@ def quartic_coeffs_s(sys: D2System) -> np.ndarray:
 
 
 def _polyval(coeffs, x):
-    out = np.zeros_like(np.asarray(x, dtype=complex))
-    for c in coeffs:
-        out = out * x + c
+    """Horner's rule for coeffs (descending, degree >= 1) at x.  It starts
+    from c0 x + c1, from x + c1 for a monic lead, which is what a start
+    from zero gives bit for bit; an array x gets the later steps in place."""
+    x = np.asarray(x, dtype=complex)
+    out = x + coeffs[1] if coeffs[0] == 1 else coeffs[0] * x + coeffs[1]
+    for c in coeffs[2:]:
+        out *= x
+        out += c
     return out
 
 
@@ -140,9 +152,23 @@ def _poly_scale(coeffs, x):
 
 def _pole_hits(q, s):
     """(Q(s), hit): hit marks where |Q(s)| is below POLE_HIT_RTOL times the
-    scale of its terms, i.e. where s is a root of Q to working precision."""
+    scale of its terms, i.e. where s is a root of Q to working precision.
+
+    The scale is evaluated only where |Q(s)| is below the tolerance at
+    max|s| (NaN skipped, as a NaN point is never a hit): a Horner sum of
+    non-negative terms rounds monotonically, so no point's scale exceeds
+    that one and the mask is the one the scale at every point gives."""
     den = _polyval(q, s)
-    hit = np.abs(den) < POLE_HIT_RTOL * np.maximum(_poly_scale(q, s), 1e-300)
+    mag = np.abs(den)
+
+    def tol(x):
+        return POLE_HIT_RTOL * np.maximum(_poly_scale(q, x), 1e-300)
+
+    # an array even for a 0-d s, so that it can be assigned to
+    hit = np.asarray(mag < tol(np.fmax.reduce(np.abs(s), axis=None,
+                                              initial=0.0)))
+    if hit.any():
+        hit[hit] = mag[hit] < tol(s[hit])
     return den, hit
 
 
@@ -171,25 +197,34 @@ def _constants(sys: D2System) -> tuple:
 def _numerator(const, branch: int, s):
     (g1, g2, g3), (o1, o2, o3, o4), (w1, w2, w3, w4), a0, weighted = const
     s = np.asarray(s, dtype=complex)
-    a, b, c, d = s + g1, s + g2, s + g3, s
+    d = s
     conj = np.conj
     if branch == 1:  # the cofactors C_k1, k = 1..4
+        b, c = s + g2, s + g3
         cof = (lambda: b * c * d + b * w4 + d * w3,
                lambda: -1j * (o2 * (c * d + w4) - o1 * conj(o3) * conj(o4)),
                lambda: -(o2 * o3 * d + o1 * conj(o4) * b),
                lambda: 1j * (o2 * o3 * o4 - o1 * (b * c + w3)))
     elif branch == 2:
+        a, c = s + g1, s + g3
         cof = (lambda: -1j * (conj(o2) * (c * d + w4) - conj(o1) * o3 * o4),
                lambda: a * c * d + a * w4 + c * w1,
                lambda: -1j * (a * d * o3 + w1 * o3 - o1 * conj(o2) * conj(o4)),
                lambda: -(a * o3 * o4 + c * o1 * conj(o2)))
     else:
+        a, b = s + g1, s + g2
         cof = (lambda: -(d * conj(o2) * conj(o3) + b * conj(o1) * o4),
                lambda: -1j * (a * d * conj(o3) + w1 * conj(o3)
                               - conj(o1) * o2 * o4),
                lambda: a * b * d + w2 * d + w1 * b,
                lambda: -1j * (a * b * o4 + w2 * o4 - o1 * conj(o2) * conj(o3)))
-    return sum((cof[k]() * a0[k] for k in weighted), np.zeros_like(s))
+    out = 0.0  # a sum from zero: a -0 part of the first term reads +0
+    for k in weighted:
+        term = cof[k]()
+        term *= a0[k]
+        term += out
+        out = term
+    return out
 
 
 def _require_analytic(sys: D2System):
@@ -240,16 +275,16 @@ def _cluster_roots(roots):
 
 def _root_clusters(coeffs, max_step):
     """(clusters, deriv): the roots of the polynomial coeffs (descending) as
-    clusters of members, in np.roots order, and its derivative as a poly1d.
+    clusters of members, in np.roots order, and its derivative's coefficients.
     A cluster's size is the root's multiplicity and its mean the root, as
     the companion-matrix scatter of an m-fold root is symmetric.  Each root
     gets two Newton steps, each taken only if smaller than max_step: Newton
     is unstable at (near-)multiple roots."""
     roots = np.roots(coeffs)
-    deriv = np.polyder(np.poly1d(coeffs))
+    deriv = np.polyder(coeffs)
     for _ in range(2):
         val = _polyval(coeffs, roots)
-        dval = deriv(roots)
+        dval = _polyval(deriv, roots)
         safe = np.abs(dval) > 1e-30
         step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
         roots = roots - np.where(np.abs(step) < max_step, step, 0.0)
@@ -289,10 +324,11 @@ def _branch_quotients(sys: D2System, q, const, delta):
     for the caller to replace."""
     delta = np.asarray(delta, dtype=float)
     for branch, shift in enumerate(branch_shifts(sys), start=1):
-        s = -1j * np.asarray(delta + shift, dtype=complex)
+        s = -1j * np.asarray(delta + shift)
         den, hit = _pole_hits(q, s)
-        yield (branch, shift,
-               _numerator(const, branch, s) / np.where(hit, 1.0, den), hit)
+        num = _numerator(const, branch, s)
+        num /= np.where(hit, 1.0, den) if hit.any() else den
+        yield branch, shift, num, hit
 
 
 def steady_state_amplitudes(sys: D2System, delta):
@@ -307,7 +343,9 @@ def steady_state_amplitudes(sys: D2System, delta):
         if scalar and hit:
             raise PoleHit(f"branch {branch} denominator vanishes at "
                           f"delta={delta}")
-        out.append(complex(vals) if scalar else np.where(hit, np.inf, vals))
+        if hit.any():
+            vals = np.where(hit, np.inf, vals)
+        out.append(complex(vals) if scalar else vals)
     return tuple(out)
 
 
@@ -393,12 +431,17 @@ def _reconstruct(terms, delta):
 
 def assemble_spectrum(sys: D2System, grid, amps, method: str,
                       branch_poles: list) -> SpectrumResult:
-    """Spectrum from the branch amplitudes amps (shape (3, len(grid))).
+    """Spectrum from the branch amplitudes amps: the three amplitude arrays
+    of len(grid), in branch order.
 
     Branch n intensity is Gamma_n |F_n|^2 / 2 pi; the total is their sum.
     """
-    gammas = np.asarray(sys.gamma, dtype=float)
-    branch_intensity = (gammas[:, None] * np.abs(amps) ** 2) / (2.0 * np.pi)
+    branch_intensity = np.empty((3, len(grid)))
+    for row, gamma, f in zip(branch_intensity, sys.gamma, amps):
+        np.abs(f, out=row)
+        row **= 2
+        row *= gamma
+        row /= 2.0 * np.pi
     return SpectrumResult(grid=grid, branch_intensity=branch_intensity,
                           total=branch_intensity.sum(axis=0),
                           branch_poles=branch_poles, method=method)
@@ -419,15 +462,14 @@ def spectrum_analytic(sys: D2System, grid) -> SpectrumResult:
     # recorded spectra depend on it
     clusters, dq = _root_clusters(q, 1e-3)
     # Q' at each simple root, shared by the three branches
-    slopes = [complex(dq(c[0])) if len(c) == 1 else None for c in clusters]
+    slopes = [complex(_polyval(dq, c[0])) if len(c) == 1 else None
+              for c in clusters]
 
-    amps = np.zeros((3, len(grid)), dtype=complex)
-    branch_poles = []
+    branch_poles, amps = [], []
     for branch, shift, vals, hit in _branch_quotients(sys, q, const, grid):
         terms = _branch_pole_terms(const, branch, shift, q, clusters, slopes)
         if np.any(hit):
             vals[hit] = _reconstruct(terms, grid[hit])
-        amps[branch - 1] = vals
         branch_poles.append(terms)
-
+        amps.append(vals)
     return assemble_spectrum(sys, grid, amps, "analytic", branch_poles)

@@ -22,6 +22,7 @@ from darkstate import (
 )
 from darkstate.analysis import (
     DEFAULT_PROMINENCE,
+    _half_height_width,
     _prominent_maxima,
     d1_grid,
     default_grid,
@@ -66,6 +67,55 @@ class TestProminentMaxima:
                     np.testing.assert_array_equal(
                         _prominent_maxima(curve, prominence),
                         scipy_find_peaks(curve, prominence=prominence)[0])
+
+
+def _scanned_width(grid, total, idx):
+    """_half_height_width as a Python scan outward from idx."""
+    half = total[idx] / 2.0
+    left = grid[0]
+    for j in range(idx, 0, -1):
+        if total[j - 1] <= half:
+            frac = (total[j] - half) / (total[j] - total[j - 1])
+            left = grid[j] - frac * (grid[j] - grid[j - 1])
+            break
+    right = grid[-1]
+    for j in range(idx, len(grid) - 1):
+        if total[j + 1] <= half:
+            frac = (total[j] - half) / (total[j] - total[j + 1])
+            right = grid[j] + frac * (grid[j + 1] - grid[j])
+            break
+    return right - left
+
+
+class TestHalfHeightWidth:
+    """The vectorized crossing search returns the scan's width bit for bit."""
+
+    @staticmethod
+    def _same(grid, total):
+        for idx in range(len(total)):
+            with np.errstate(all="ignore"):
+                got = _half_height_width(grid, total, idx)
+                want = _scanned_width(grid, total, idx)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_small_arrays_with_ties_nan_and_edges(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            size = int(rng.integers(1, 12))
+            # few levels: samples exactly at half height are common
+            total = rng.integers(0, 5, size).astype(float)
+            if rng.random() < 0.2:
+                total[rng.integers(0, size)] = np.nan
+            self._same(np.sort(rng.uniform(-5.0, 5.0, size)), total)
+
+    @pytest.mark.parametrize("name", ["fig2-notrapping", "at-quartet",
+                                      "two-level"])
+    def test_preset_peaks(self, name):
+        grid = default_grid()
+        spec = spectrum_analytic(preset(name).system, grid)
+        for idx in _prominent_maxima(spec.total, 0.0):
+            assert _half_height_width(grid, spec.total, idx) == \
+                _scanned_width(grid, spec.total, idx)
 
 
 class TestFindPeaks:
