@@ -8,7 +8,9 @@ The CLI runs in-process (`darkstate.cli.main`) in a temporary directory:
   once as CSV plus SVG and once as JSON, and `spectrum --method both` on
   `fig2-notrapping` (1201 points);
 - four 61- or 21-value sweeps (`central_area`, `peak_count`, `total_area`,
-  `trapped_fraction`);
+  `trapped_fraction`), and each analytic metric swept on `two-level`
+  through its poles, on a coarse grid that warns, and on a random scenario
+  given with `--config`;
 - `validate all`, and `trapping` for every preset.
 
 Each command's exit code, stdout and stderr count as outputs, as do its
@@ -29,22 +31,55 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from darkstate.cli import main as cli_main
-from darkstate.model import preset_names
+from darkstate.model import D2System, DriveField, preset_names, save_scenario
 
 GRIDS = {"default": [], "601": ["--grid=-30:30:601"],
          "6001": ["--grid=-30:30:6001"]}
 TAU = "6.283185307179586"
+#: the analytic sweep metrics
+ANALYTIC = ("central_area", "peak_count", "total_area")
+#: the scenario file of the `--config` sweeps, written before them
+RANDOM = "random.json"
+#: label: (metric, sweep options)
 SWEEPS = {
-    "central_area": ["--preset", "fig2-trapping", "--vary", "phase2",
-                     "--range", f"0:{TAU}:61"],
-    "peak_count": ["--preset", "fig2-notrapping", "--vary", "phase3",
-                   "--range", f"0:{TAU}:61"],
-    "total_area": ["--preset", "fig2-notrapping", "--vary", "mag2",
-                   "--range", "0:2.5:61"],
-    "trapped_fraction": ["--preset", "fig2-trapping", "--vary", "phase2",
-                         "--range", f"0:{TAU}:21"],
+    "central_area": ("central_area",
+                     ["--preset", "fig2-trapping", "--vary", "phase2",
+                      "--range", f"0:{TAU}:61"]),
+    "peak_count": ("peak_count",
+                   ["--preset", "fig2-notrapping", "--vary", "phase3",
+                    "--range", f"0:{TAU}:61"]),
+    "total_area": ("total_area",
+                   ["--preset", "fig2-notrapping", "--vary", "mag2",
+                    "--range", "0:2.5:61"]),
+    "trapped_fraction": ("trapped_fraction",
+                         ["--preset", "fig2-trapping", "--vary", "phase2",
+                          "--range", f"0:{TAU}:21"]),
+    # undriven: each branch hits a pole at -13, 0 or 13 of the 29-point grid
+    **{f"two-level poles {m}": (m, ["--preset", "two-level", "--vary",
+                                    "gamma1", "--range", "0.5:2:21",
+                                    "--grid=-14:14:29"]) for m in ANALYTIC},
+    # 0.2 spacing against lines about 1 wide: a GridTooCoarse warning
+    **{f"coarse {m}": (m, ["--preset", "fig2-notrapping", "--vary", "phase3",
+                           "--range", f"0:{TAU}:21", "--grid=-30:30:301"])
+       for m in ANALYTIC},
+    **{f"random {m}": (m, ["--config", RANDOM, "--vary", "mag2",
+                           "--range", "0:2.5:21"]) for m in ANALYTIC},
 }
+
+
+def _random_system(seed=7):
+    """A resonant chain with drawn rates and drives, initially in B."""
+    rng = np.random.default_rng(seed)
+    gamma = tuple(rng.uniform(0.3, 2.0, 3))
+    drives = tuple(DriveField(m, p) for m, p in zip(
+        rng.uniform(0.0, 2.5, 4), rng.uniform(0.0, 2.0 * np.pi, 4)))
+    return D2System(gamma=gamma, omega12=13.0, omega23=13.0, drives=drives,
+                    initial="B")
+
+
 #: manifest fields that hold timings
 TIMINGS = ("wall_time_s", "stage_s")
 
@@ -96,9 +131,10 @@ def digests() -> dict:
             _run("spectrum fig2-notrapping both",
                  ["spectrum", "--preset", "fig2-notrapping", "--method",
                   "both", "--grid=-30:30:1201", "--out", "s.csv"], found)
-            for metric, args in SWEEPS.items():
-                _run(f"sweep {metric}", ["sweep", *args, "--metric", metric,
-                                         "--out", "sweep.csv"], found)
+            save_scenario(_random_system(), RANDOM)
+            for label, (metric, args) in SWEEPS.items():
+                _run(f"sweep {label}", ["sweep", *args, "--metric", metric,
+                                        "--out", "sweep.csv"], found)
             _run("validate all", ["validate", "all"], found)
         finally:
             os.chdir(cwd)

@@ -106,15 +106,11 @@ def _prominent_maxima(x, prominence):
     return mids[np.array(keep, dtype=bool)]
 
 
-def spectral_areas(spec: SpectrumResult):
-    """Trapezoid integrals of the total and per-branch intensities.
-
-    Warns GridTooCoarse when the grid spacing exceeds a tenth of the
-    narrowest line width."""
-    grid = spec.grid
-    widths = [-2.0 * t.pole.imag
-              for terms in spec.branch_poles for t in terms
-              if not t.trapped and t.pole.imag < 0]
+def check_spacing(grid, lines):
+    """Warn GridTooCoarse when the grid spacing exceeds a tenth of the
+    narrowest width -2 Im(pole) of the (pole, trapped) lines."""
+    widths = [-2.0 * pole.imag for pole, trapped in lines
+              if not trapped and pole.imag < 0]
     if widths:
         narrow = min(w for w in widths if w > 0)
         spacing = grid[1] - grid[0]
@@ -122,9 +118,28 @@ def spectral_areas(spec: SpectrumResult):
             warnings.warn(
                 f"grid spacing {spacing:.3g} coarser than narrowest width/10 "
                 f"({narrow / 10.0:.3g})", GridTooCoarse)
+
+
+def spectral_areas(spec: SpectrumResult):
+    """Trapezoid integrals of the total and per-branch intensities.
+
+    Warns GridTooCoarse when the grid spacing exceeds a tenth of the
+    narrowest line width."""
+    grid = spec.grid
+    check_spacing(grid, ((t.pole, t.trapped)
+                         for terms in spec.branch_poles for t in terms))
     total = float(np.trapezoid(spec.total, grid))
     branches = tuple(float(np.trapezoid(b, grid)) for b in spec.branch_intensity)
     return total, branches
+
+
+def peak_indices(total, prominence: float = DEFAULT_PROMINENCE):
+    """Indices of the maxima of total whose prominence is at least
+    prominence * max(total); none unless that maximum is positive."""
+    peak_max = float(np.max(total)) if len(total) else 0.0
+    if peak_max > 0.0:
+        return _prominent_maxima(total, prominence * peak_max)
+    return np.empty(0, dtype=np.intp)
 
 
 def find_peaks(spec: SpectrumResult, prominence: float = DEFAULT_PROMINENCE) -> PeakAnalysis:
@@ -133,15 +148,13 @@ def find_peaks(spec: SpectrumResult, prominence: float = DEFAULT_PROMINENCE) -> 
     grid = spec.grid
     total = spec.total
     total_area, branch_areas = spectral_areas(spec)
-    peak_max = float(np.max(total)) if len(total) else 0.0
     peaks = []
-    if peak_max > 0.0:
-        for i in _prominent_maxima(total, prominence * peak_max):
-            branch = int(np.argmax(spec.branch_intensity[:, i])) + 1
-            peaks.append(Peak(location=float(grid[i]),
-                              height=float(total[i]),
-                              fwhm=float(_half_height_width(grid, total, i)),
-                              branch=branch))
+    for i in peak_indices(total, prominence):
+        branch = int(np.argmax(spec.branch_intensity[:, i])) + 1
+        peaks.append(Peak(location=float(grid[i]),
+                          height=float(total[i]),
+                          fwhm=float(_half_height_width(grid, total, i)),
+                          branch=branch))
     peaks.sort(key=lambda p: p.location)
     return PeakAnalysis(peaks=peaks, total_area=total_area,
                         branch_areas=branch_areas)

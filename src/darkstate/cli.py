@@ -20,12 +20,13 @@ from ._text import (CSV_BLOCK_ROWS, TEXT_BLOCK, format_e16, format_f2,
                     join_rows)
 from .analysis import (
     DEFAULT_GRID,
+    check_spacing,
     compare_spectra,
     count_spectral_lines,
     d1_grid,
     default_grid,
     find_peaks,
-    spectral_areas,
+    peak_indices,
 )
 from .dynamics import spectrum_time_domain, trapped_fraction
 from .errors import (DarkstateError, DivisionByZeroDrive, GridTooCoarse,
@@ -45,6 +46,7 @@ from .model import (
     write_json,
 )
 from .spectrum import (
+    intensity_rows,
     laplace_solve_oracle,
     spectrum_analytic,
     steady_state_amplitudes,
@@ -491,9 +493,11 @@ _SWEEP_PARAMS = {
     "gamma3": ("gamma", 2, None),
 }
 
-# total_area is invariant under drive phases (the population is emitted in
-# full either way); central_area exposes the branch the trapping condition
-# darkens
+# trapped_fraction integrates the amplitude equations.  Each analytic metric
+# evaluates only what it reads (`_sweep_metric`): central_area the central
+# branch, which the trapping condition darkens; total_area the total's
+# integral, the emitted population (near 1 at every drive phase unless some
+# is trapped); peak_count the total's prominent maxima
 _SWEEP_METRICS = ("trapped_fraction", "total_area", "central_area",
                   "peak_count")
 
@@ -517,11 +521,17 @@ def _apply_sweep_value(system: D2System, param: str, value: float) -> D2System:
 
 
 def _sweep_metric(system: D2System, metric: str, grid) -> float:
-    spec = spectrum_analytic(system, grid)
-    if metric == "peak_count":
-        return float(len(find_peaks(spec).peaks))
-    total_area, branch_areas = spectral_areas(spec)
-    return total_area if metric == "total_area" else branch_areas[1]
+    """One analytic sweep value, bit for bit that of `spectrum_analytic`
+    with `spectral_areas` or `find_peaks`, from only what metric reads."""
+    branches = (2,) if metric == "central_area" else (1, 2, 3)
+    grid, rows, lines = intensity_rows(system, grid, branches)
+    check_spacing(grid, lines)
+    if metric == "central_area":
+        return float(np.trapezoid(rows[0], grid))
+    total = rows.sum(axis=0)  # the order of assemble_spectrum's total
+    if metric == "total_area":
+        return float(np.trapezoid(total, grid))
+    return float(len(peak_indices(total)))
 
 
 def cmd_sweep(args) -> int:

@@ -43,8 +43,8 @@ from numpy.fft import fft, ifft
 from ._dop853 import REACHED_END, STOPPED, TOO_SMALL_STEP, solve_ivp
 from .errors import NotConverged, StepSizeUnderflow
 from .model import D1System, D2System, _require_chains
-from .spectrum import (SpectrumResult, assemble_spectrum, branch_shifts,
-                       coupling_matrix)
+from .spectrum import (SpectrumResult, _finite_detuning, assemble_spectrum,
+                       branch_shifts, coupling_matrix)
 
 DEFAULT_T_FINAL = 60.0
 DEFAULT_TOL = 1e-8
@@ -338,7 +338,7 @@ def branch_amplitude_numeric(sys: D2System, branch: int, delta,
     if branch not in (1, 2, 3):
         raise ValueError("branch must be 1, 2 or 3")
     traj = trajectory if trajectory is not None else propagate(sys, t_final, tol)
-    scalar = np.isscalar(delta)
+    scalar = np.ndim(delta) == 0
     deltas = np.atleast_1d(np.asarray(delta, dtype=float))
     if _is_trapped(traj, tol):
         f1 = _branch_transform(traj, branch, deltas + 1j * TRAP_EPSILON)
@@ -421,7 +421,7 @@ def spectrum_time_domain(sys: D2System, grid,
     -omega23} (`branch_shifts`); the total is the sum of the branches.  A
     list given as runs receives propagate's integrator diagnostics.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _finite_detuning(grid)
     traj = propagate(sys, t_final, tol, runs)
     amps = [branch_amplitude_numeric(sys, branch, grid + shift,
                                      t_final=t_final, tol=tol,

@@ -317,13 +317,24 @@ def branch_shifts(sys: D2System):
     return (sys.omega12, 0.0, -sys.omega23)
 
 
-def _branch_quotients(sys: D2System, q, const, delta):
-    """(branch, shift, F, hit) per branch at the common detuning delta:
-    F = N_n(s)/Q(s) at s = -i (delta + shift), given Q's coefficients q and
-    the system's `_constants`.  hit marks the pole hits, where F holds N_n(s)
-    for the caller to replace."""
+def _finite_detuning(delta):
+    """delta as a float array; NonFiniteValue names its first NaN or
+    infinite value."""
     delta = np.asarray(delta, dtype=float)
-    for branch, shift in enumerate(branch_shifts(sys), start=1):
+    finite = np.isfinite(delta)
+    if not finite.all():
+        raise NonFiniteValue(f"detuning {delta[~finite][0]} is not finite")
+    return delta
+
+
+def _branch_quotients(sys: D2System, q, const, delta, branches=(1, 2, 3)):
+    """(branch, shift, F, hit) for each of branches, in turn, at the common
+    float detuning delta: F = N_n(s)/Q(s) at s = -i (delta + shift), given
+    Q's coefficients q and the system's `_constants`.  hit marks the pole
+    hits, where F holds N_n(s) for the caller to replace."""
+    shifts = branch_shifts(sys)
+    for branch in branches:
+        shift = shifts[branch - 1]
         s = -1j * np.asarray(delta + shift)
         den, hit = _pole_hits(q, s)
         num = _numerator(const, branch, s)
@@ -336,10 +347,11 @@ def steady_state_amplitudes(sys: D2System, delta):
     shifted argument.  Exact pole hits come back as inf (the spectrum fills
     them from the partial fractions); a scalar detuning raises PoleHit."""
     _require_analytic(sys)
-    scalar = np.isscalar(delta)
+    scalar = np.ndim(delta) == 0
+    x = _finite_detuning(delta)
     out = []
     for branch, _, vals, hit in _branch_quotients(
-            sys, quartic_coeffs_s(sys), _constants(sys), delta):
+            sys, quartic_coeffs_s(sys), _constants(sys), x):
         if scalar and hit:
             raise PoleHit(f"branch {branch} denominator vanishes at "
                           f"delta={delta}")
@@ -355,13 +367,14 @@ def laplace_solve_oracle(sys: D2System, delta):
     Independent of the cofactor closed forms; used as the algebra oracle.
     """
     _require_analytic(sys)
+    scalar = np.ndim(delta) == 0
+    delta = _finite_detuning(delta)
     m = coupling_matrix(sys)
     a0 = sys.initial_vector()
     eye = np.eye(4, dtype=complex)
-    scalar = np.isscalar(delta)
     results = []
     for branch, shift in enumerate(branch_shifts(sys), start=1):
-        xs = np.atleast_1d(np.asarray(delta, dtype=float) + shift)
+        xs = np.atleast_1d(delta + shift)
         vals = np.empty(len(xs), dtype=complex)
         for k, xv in enumerate(xs):
             s = -1j * xv
@@ -380,6 +393,15 @@ def laplace_solve_oracle(sys: D2System, delta):
 # pole/residue decomposition and the spectrum
 # ---------------------------------------------------------------------------
 
+def _cluster_poles(clusters, shift):
+    """(center s, pole, trapped) per root cluster, the pole in the reporting
+    convention; as the shift is real, Im(pole) is that of every branch."""
+    for c in clusters:
+        center_s = c[0] if len(c) == 1 else sum(c) / len(c)
+        pole = complex(1j * center_s - shift)
+        yield center_s, pole, bool(abs(pole.imag) < 1e-9)
+
+
 def _branch_pole_terms(const, branch, shift, qcoeffs, clusters, slopes):
     """Partial-fraction terms of F_n(delta) over the roots of Q(s), given
     as the clusters of `_root_clusters`; const is the system's `_constants`.
@@ -389,11 +411,9 @@ def _branch_pole_terms(const, branch, shift, qcoeffs, clusters, slopes):
     integration (confluent partial fractions) around the cluster center.
     """
     terms = []
-    for cluster, slope in zip(clusters, slopes):
+    for cluster, slope, (center_s, pole, trapped) in zip(
+            clusters, slopes, _cluster_poles(clusters, shift)):
         m = len(cluster)
-        center_s = cluster[0] if m == 1 else sum(cluster) / m
-        pole = complex(1j * center_s - shift)
-        trapped = bool(abs(pole.imag) < 1e-9)
         if m == 1:
             num = complex(_numerator(const, branch, center_s))
             res = 1j * num / slope
@@ -429,22 +449,59 @@ def _reconstruct(terms, delta):
     return out
 
 
-def assemble_spectrum(sys: D2System, grid, amps, method: str,
-                      branch_poles: list) -> SpectrumResult:
-    """Spectrum from the branch amplitudes amps: the three amplitude arrays
-    of len(grid), in branch order.
-
-    Branch n intensity is Gamma_n |F_n|^2 / 2 pi; the total is their sum.
-    """
-    branch_intensity = np.empty((3, len(grid)))
-    for row, gamma, f in zip(branch_intensity, sys.gamma, amps):
+def _intensities(gammas, amps, n):
+    """Rows Gamma_n |F_n|^2 / 2 pi of length n, F_n taken from amps."""
+    rows = np.empty((len(gammas), n))
+    for row, gamma, f in zip(rows, gammas, amps):
         np.abs(f, out=row)
         row **= 2
         row *= gamma
         row /= 2.0 * np.pi
+    return rows
+
+
+def assemble_spectrum(sys: D2System, grid, amps, method: str,
+                      branch_poles: list) -> SpectrumResult:
+    """Spectrum from the branch amplitudes amps: the three amplitude arrays
+    of len(grid), in branch order (any iterable, read one at a time).
+
+    Branch n intensity is Gamma_n |F_n|^2 / 2 pi; the total is their sum.
+    """
+    branch_intensity = _intensities(sys.gamma, amps, len(grid))
     return SpectrumResult(grid=grid, branch_intensity=branch_intensity,
                           total=branch_intensity.sum(axis=0),
                           branch_poles=branch_poles, method=method)
+
+
+def _amplitudes(sys: D2System, grid, branches, branch_poles=None):
+    """(grid, clusters, amps): the float grid, Q's root clusters and a
+    generator of F_n on the grid for each of branches in turn, its pole hits
+    filled from the partial fractions.  Those are built for every branch and
+    appended to branch_poles when it is a list, else only to fill hits."""
+    _require_analytic(sys)
+    grid = _finite_detuning(grid)
+    q, const = quartic_coeffs_s(sys), _constants(sys)
+    # a wider Newton bound than quartic_roots': it lets Newton step at
+    # two-level's triple root, which leaves that pole 4.4e-8 off, and the
+    # recorded spectra depend on it
+    clusters, dq = _root_clusters(q, 1e-3)
+    # Q' at each simple root, shared by the branches
+    slopes = [complex(_polyval(dq, c[0])) if len(c) == 1 else None
+              for c in clusters]
+
+    def amps():
+        for branch, shift, vals, hit in _branch_quotients(sys, q, const,
+                                                          grid, branches):
+            hits = hit.any()
+            if branch_poles is not None or hits:
+                terms = _branch_pole_terms(const, branch, shift, q, clusters,
+                                           slopes)
+                if hits:
+                    vals[hit] = _reconstruct(terms, grid[hit])
+                if branch_poles is not None:
+                    branch_poles.append(terms)
+            yield vals
+    return grid, clusters, amps()
 
 
 def spectrum_analytic(sys: D2System, grid) -> SpectrumResult:
@@ -453,23 +510,16 @@ def spectrum_analytic(sys: D2System, grid) -> SpectrumResult:
     Branch n intensity is Gamma_n |F_n|^2 / 2 pi; pole-hit grid points are
     filled from the partial-fraction form with singular terms excluded.
     """
-    _require_analytic(sys)
-    grid = np.asarray(grid, dtype=float)
-    q = quartic_coeffs_s(sys)
-    const = _constants(sys)
-    # a wider Newton bound than quartic_roots': it lets Newton step at
-    # two-level's triple root, which leaves that pole 4.4e-8 off, and the
-    # recorded spectra depend on it
-    clusters, dq = _root_clusters(q, 1e-3)
-    # Q' at each simple root, shared by the three branches
-    slopes = [complex(_polyval(dq, c[0])) if len(c) == 1 else None
-              for c in clusters]
+    branch_poles = []
+    grid, _, amps = _amplitudes(sys, grid, (1, 2, 3), branch_poles)
+    # all three before the intensities are allocated: a lower peak
+    return assemble_spectrum(sys, grid, list(amps), "analytic", branch_poles)
 
-    branch_poles, amps = [], []
-    for branch, shift, vals, hit in _branch_quotients(sys, q, const, grid):
-        terms = _branch_pole_terms(const, branch, shift, q, clusters, slopes)
-        if np.any(hit):
-            vals[hit] = _reconstruct(terms, grid[hit])
-        branch_poles.append(terms)
-        amps.append(vals)
-    return assemble_spectrum(sys, grid, amps, "analytic", branch_poles)
+
+def intensity_rows(sys: D2System, grid, branches):
+    """(grid, rows, lines): the float grid, the intensity rows of branches,
+    bit for bit those of `spectrum_analytic`, and the (pole, trapped) pair
+    of each root cluster, whose widths are those of every branch."""
+    grid, clusters, amps = _amplitudes(sys, grid, branches)
+    rows = _intensities([sys.gamma[b - 1] for b in branches], amps, len(grid))
+    return grid, rows, [(p, t) for _, p, t in _cluster_poles(clusters, 0.0)]

@@ -249,6 +249,14 @@ class TestBranchAmplitudes:
             assert np.max(np.abs(numeric - analytic[branch - 1])) / scale \
                 < 1e-5
 
+    def test_zero_dimensional_detuning_is_a_scalar(self):
+        traj = propagate(_bare("A1"), 20.0)
+        got = branch_amplitude_numeric(_bare("A1"), 1, np.array(0.7),
+                                       trajectory=traj)
+        assert type(got) is complex
+        assert repr(got) == repr(branch_amplitude_numeric(
+            _bare("A1"), 1, 0.7, trajectory=traj))
+
     def test_invalid_branch_rejected(self):
         with pytest.raises(ValueError):
             branch_amplitude_numeric(_bare("A1"), 4, 0.0)

@@ -9,6 +9,7 @@ from test_text import _peak_bytes
 from darkstate import (
     D2System,
     DriveField,
+    NonFiniteValue,
     NotAnalyticAdmissible,
     PoleHit,
     SingularSystem,
@@ -18,8 +19,10 @@ from darkstate import (
     preset,
     quartic_roots,
     spectrum_analytic,
+    spectrum_time_domain,
     steady_state_amplitudes,
 )
+from darkstate import spectrum
 from darkstate.spectrum import (
     _reconstruct,
     branch_numerator_s,
@@ -244,6 +247,39 @@ class TestPoleHits:
         # to the accuracy of the partial fractions at Q's triple root
         assert spec.branch_intensity[0, 2] == pytest.approx(2.0 / np.pi,
                                                             rel=1e-8)
+
+
+@pytest.mark.parametrize("call", [
+    steady_state_amplitudes, laplace_solve_oracle, spectrum_analytic,
+    spectrum_time_domain,
+    lambda s, grid: spectrum.intensity_rows(s, grid, (2,)),
+], ids=["steady_state_amplitudes", "laplace_solve_oracle",
+        "spectrum_analytic", "spectrum_time_domain", "intensity_rows"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_detuning_is_rejected(call, bad):
+    """A NaN or infinite detuning raises NonFiniteValue naming it, before
+    any arithmetic could warn (RuntimeWarnings are errors here)."""
+    s = preset("fig2-notrapping").system
+    for grid in ([bad, 0.0, 1.0], np.array([0.0, 1.0, bad]), bad):
+        with pytest.raises(NonFiniteValue, match=f"detuning {bad} "):
+            call(s, grid)
+
+
+class TestZeroDimensionalDetuning:
+    """A 0-d array detuning is a scalar, as a float is."""
+
+    def test_pole_hit_raises(self):
+        with pytest.raises(PoleHit):
+            steady_state_amplitudes(preset("two-level").system,
+                                    np.array(0.0))
+
+    @pytest.mark.parametrize("call", [steady_state_amplitudes,
+                                      laplace_solve_oracle])
+    def test_same_complex_as_the_float(self, call):
+        s = preset("fig2-notrapping").system
+        got = call(s, np.array(0.3))
+        assert all(type(f) is complex for f in got)
+        assert repr(got) == repr(call(s, 0.3))
 
 
 class TestTrivialSpectra:
