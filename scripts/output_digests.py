@@ -5,8 +5,9 @@ source trees can be checked for byte-identical output by diffing two runs.
 The CLI runs in-process (`darkstate.cli.main`) in a temporary directory:
 
 - `spectrum` for every preset on the default, 601- and 6001-point grids,
-  once as CSV plus SVG and once as JSON, and `spectrum --method both` on
-  `fig2-notrapping` (1201 points);
+  once as CSV plus SVG and once as JSON, `spectrum --method both` on
+  `fig2-notrapping` (1201 points), and `two-level` on a 29-point grid
+  that hits a pole on every branch, as CSV and as JSON;
 - four 61- or 21-value sweeps (`central_area`, `peak_count`, `total_area`,
   `trapped_fraction`), and each analytic metric swept on `two-level`
   through its poles, on a coarse grid that warns, and on a random scenario
@@ -128,6 +129,12 @@ def digests() -> dict:
                                            "--out", "s.json"], found)
                 _run(f"trapping {name}",
                      ["trapping", *src, "--out", "t.json"], found)
+            # undriven: each branch hits a pole at -13, 0 or 13, so the
+            # pole-hit fill and the pole tables are written
+            for fmt in ("csv", "json"):
+                _run(f"spectrum two-level poles {fmt}",
+                     ["spectrum", "--preset", "two-level", "--grid=-14:14:29",
+                      "--format", fmt, "--out", f"s.{fmt}"], found)
             _run("spectrum fig2-notrapping both",
                  ["spectrum", "--preset", "fig2-notrapping", "--method",
                   "both", "--grid=-30:30:1201", "--out", "s.csv"], found)

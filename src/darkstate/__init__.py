@@ -12,7 +12,6 @@ from .errors import (
     DivisionByZeroDrive,
     GridMismatch,
     GridTooCoarse,
-    GridTooNarrow,
     NonFiniteValue,
     NonPositiveRate,
     NotAnalyticAdmissible,
@@ -42,13 +41,10 @@ from .model import (
 )
 from .spectrum import (
     PoleTerm,
-    QuarticPoly,
     SpectrumResult,
     branch_numerator_s,
-    characteristic_quartic,
     coupling_matrix,
     laplace_solve_oracle,
-    quartic_roots,
     spectrum_analytic,
     steady_state_amplitudes,
 )
@@ -78,7 +74,6 @@ from .analysis import (
     count_spectral_lines,
     default_grid,
     find_peaks,
-    integrated_area,
 )
 
 __version__ = "0.1.0"

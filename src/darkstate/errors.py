@@ -64,9 +64,5 @@ class GridMismatch(DarkstateError):
     """Two spectra do not share the same detuning grid."""
 
 
-class GridTooNarrow(DarkstateError):
-    """Grid edges carry non-negligible intensity; the integral is unreliable."""
-
-
 class GridTooCoarse(UserWarning):
     """Grid spacing may be too coarse to resolve the narrowest feature."""

@@ -44,26 +44,11 @@ def _cluster_tol(a, b=0.0):
 #: |denominator| below this times its term scale counts as a pole hit
 POLE_HIT_RTOL = 1e-12
 
-
-@dataclass(frozen=True)
-class QuarticPoly:
-    """Monic quartic in the branch-shifted detuning variable.
-
-    coefficients are (c4, c3, c2, c1, c0), descending degree, c4 == 1.
-    """
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coefficients)
-        if len(coeffs) != 5:
-            raise ValueError("quartic needs five coefficients")
-        if coeffs[0] != 1.0:
-            raise ValueError("quartic must be monic")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def __call__(self, x):
-        return _polyval(self.coefficients, x)
+#: a Newton step on a root of Q is taken only if smaller than this.  Newton
+#: is unstable at (near-)multiple roots; this bound lets it step at
+#: two-level's triple root, which leaves that pole 4.4e-8 off, and the
+#: recorded spectra depend on it
+NEWTON_MAX_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -240,22 +225,6 @@ def _require_analytic(sys: D2System):
 # characteristic quartic and roots
 # ---------------------------------------------------------------------------
 
-def characteristic_quartic(sys: D2System) -> QuarticPoly:
-    """Monic quartic D(x) in the branch-shifted detuning x.
-
-    D(x) = det(sI - M) at s = i x; its coefficients are
-    c3 = -i Sum Gamma_j / 2, c2 = -(pairwise Gamma products / 4 + Sum|Omega|^2),
-    c1 = +i(...), c0 real-loop form.  Roots of physical (decaying) systems sit
-    in the closed upper half plane; the corresponding amplitude poles in the
-    reporting convention are their negatives.
-    """
-    _require_analytic(sys)
-    q = quartic_coeffs_s(sys)
-    # substitute s = i x: coefficient of x^k picks up i^k
-    coeffs = tuple(q[4 - k] * (1j) ** k for k in range(4, -1, -1))
-    return QuarticPoly(coefficients=coeffs)
-
-
 def _cluster_roots(roots):
     """Group roots into clusters of pairwise small distance."""
     clusters = []
@@ -273,13 +242,12 @@ def _cluster_roots(roots):
     return clusters
 
 
-def _root_clusters(coeffs, max_step):
+def _root_clusters(coeffs):
     """(clusters, deriv): the roots of the polynomial coeffs (descending) as
     clusters of members, in np.roots order, and its derivative's coefficients.
     A cluster's size is the root's multiplicity and its mean the root, as
     the companion-matrix scatter of an m-fold root is symmetric.  Each root
-    gets two Newton steps, each taken only if smaller than max_step: Newton
-    is unstable at (near-)multiple roots."""
+    gets two Newton steps, each taken only if smaller than NEWTON_MAX_STEP."""
     roots = np.roots(coeffs)
     deriv = np.polyder(coeffs)
     for _ in range(2):
@@ -287,24 +255,8 @@ def _root_clusters(coeffs, max_step):
         dval = _polyval(deriv, roots)
         safe = np.abs(dval) > 1e-30
         step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
-        roots = roots - np.where(np.abs(step) < max_step, step, 0.0)
+        roots = roots - np.where(np.abs(step) < NEWTON_MAX_STEP, step, 0.0)
     return _cluster_roots(roots), deriv
-
-
-def quartic_roots(poly: QuarticPoly):
-    """Roots via the companion matrix, polished with two Newton steps.
-
-    Returns (roots, multiplicities), sorted by real then imaginary part;
-    roots closer than ROOT_CLUSTER_TOL are reported with multiplicity > 1,
-    each at the cluster's mean.
-    """
-    clusters, _ = _root_clusters(np.asarray(poly.coefficients, dtype=complex),
-                                 10.0 * ROOT_CLUSTER_TOL)
-    roots = np.array([sum(c) / len(c) for c in clusters for _ in c],
-                     dtype=complex)
-    mults = np.array([len(c) for c in clusters for _ in c], dtype=int)
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order], mults[order]
 
 
 # ---------------------------------------------------------------------------
@@ -474,34 +426,31 @@ def assemble_spectrum(sys: D2System, grid, amps, method: str,
 
 
 def _amplitudes(sys: D2System, grid, branches, branch_poles=None):
-    """(grid, clusters, amps): the float grid, Q's root clusters and a
-    generator of F_n on the grid for each of branches in turn, its pole hits
-    filled from the partial fractions.  Those are built for every branch and
+    """(grid, clusters, amps): the float grid, Q's root clusters and the
+    list of F_n on the grid for each of branches, their pole hits filled
+    from the partial fractions.  Those are built for every branch and
     appended to branch_poles when it is a list, else only to fill hits."""
     _require_analytic(sys)
     grid = _finite_detuning(grid)
     q, const = quartic_coeffs_s(sys), _constants(sys)
-    # a wider Newton bound than quartic_roots': it lets Newton step at
-    # two-level's triple root, which leaves that pole 4.4e-8 off, and the
-    # recorded spectra depend on it
-    clusters, dq = _root_clusters(q, 1e-3)
+    clusters, dq = _root_clusters(q)
     # Q' at each simple root, shared by the branches
     slopes = [complex(_polyval(dq, c[0])) if len(c) == 1 else None
               for c in clusters]
 
-    def amps():
-        for branch, shift, vals, hit in _branch_quotients(sys, q, const,
-                                                          grid, branches):
-            hits = hit.any()
-            if branch_poles is not None or hits:
-                terms = _branch_pole_terms(const, branch, shift, q, clusters,
-                                           slopes)
-                if hits:
-                    vals[hit] = _reconstruct(terms, grid[hit])
-                if branch_poles is not None:
-                    branch_poles.append(terms)
-            yield vals
-    return grid, clusters, amps()
+    amps = []
+    for branch, shift, vals, hit in _branch_quotients(sys, q, const, grid,
+                                                      branches):
+        hits = hit.any()
+        if branch_poles is not None or hits:
+            terms = _branch_pole_terms(const, branch, shift, q, clusters,
+                                       slopes)
+            if hits:
+                vals[hit] = _reconstruct(terms, grid[hit])
+            if branch_poles is not None:
+                branch_poles.append(terms)
+        amps.append(vals)
+    return grid, clusters, amps
 
 
 def spectrum_analytic(sys: D2System, grid) -> SpectrumResult:
@@ -512,8 +461,7 @@ def spectrum_analytic(sys: D2System, grid) -> SpectrumResult:
     """
     branch_poles = []
     grid, _, amps = _amplitudes(sys, grid, (1, 2, 3), branch_poles)
-    # all three before the intensities are allocated: a lower peak
-    return assemble_spectrum(sys, grid, list(amps), "analytic", branch_poles)
+    return assemble_spectrum(sys, grid, amps, "analytic", branch_poles)
 
 
 def intensity_rows(sys: D2System, grid, branches):
