@@ -10,8 +10,9 @@ The CLI runs in-process (`darkstate.cli.main`) in a temporary directory:
   that hits a pole on every branch, as CSV and as JSON;
 - four 61- or 21-value sweeps (`central_area`, `peak_count`, `total_area`,
   `trapped_fraction`), and each analytic metric swept on `two-level`
-  through its poles, on a coarse grid that warns, and on a random scenario
-  given with `--config`;
+  through its poles, on `two-level` from an undriven value (a quartic with
+  q0 = 0) among driven ones, over two values only, on a coarse grid that
+  warns, and on a random scenario given with `--config`;
 - `validate all`, and `trapping` for every preset.
 
 Each command's exit code, stdout and stderr count as outputs, as do its
@@ -68,6 +69,16 @@ SWEEPS = {
        for m in ANALYTIC},
     **{f"random {m}": (m, ["--config", RANDOM, "--vary", "mag2",
                            "--range", "0:2.5:21"]) for m in ANALYTIC},
+    # q0 = 0 at mag1 = 0, whose quartic np.roots trims, among ordinary
+    # values; only that value hits poles on the 29-point grid
+    **{f"two-level mag1 from 0 {m}": (m, ["--preset", "two-level", "--vary",
+                                          "mag1", "--range", "0:2:11",
+                                          "--grid=-14:14:29"])
+       for m in ANALYTIC},
+    # the smallest sweep: --range takes at least two values
+    **{f"two values {m}": (m, ["--preset", "fig2-trapping", "--vary",
+                               "phase2", "--range", f"0:{TAU}:2"])
+       for m in ANALYTIC},
 }
 
 

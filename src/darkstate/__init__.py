@@ -11,6 +11,7 @@ from .errors import (
     DarkstateError,
     DivisionByZeroDrive,
     GridMismatch,
+    GridOverflow,
     GridTooCoarse,
     NonFiniteValue,
     NonPositiveRate,
@@ -19,6 +20,7 @@ from .errors import (
     PoleHit,
     SingularSystem,
     StepSizeUnderflow,
+    TooManySamples,
     UnknownPreset,
     UnnormalizedInitialState,
 )

@@ -29,8 +29,8 @@ from .analysis import (
     peak_indices,
 )
 from .dynamics import spectrum_time_domain, trapped_fraction
-from .errors import (DarkstateError, DivisionByZeroDrive, GridTooCoarse,
-                     UnknownPreset)
+from .errors import (DarkstateError, DivisionByZeroDrive, GridOverflow,
+                     GridTooCoarse, TooManySamples, UnknownPreset)
 from .model import (
     D1System,
     D2System,
@@ -520,18 +520,21 @@ def _apply_sweep_value(system: D2System, param: str, value: float) -> D2System:
     return system.with_drives(drives)
 
 
-def _sweep_metric(system: D2System, metric: str, grid) -> float:
-    """One analytic sweep value, bit for bit that of `spectrum_analytic`
-    with `spectral_areas` or `find_peaks`, from only what metric reads."""
+def _sweep_metric(systems, metric: str, grid) -> list:
+    """The analytic sweep values of systems, each bit for bit that of
+    `spectrum_analytic` with `spectral_areas` or `find_peaks`, from only
+    what metric reads; one batch (`intensity_rows`) per sweep."""
+    def value(grid, rows, lines):
+        check_spacing(grid, lines)
+        if metric == "central_area":
+            return float(np.trapezoid(rows[0], grid))
+        total = rows.sum(axis=0)  # the order of spectrum_analytic's total
+        if metric == "total_area":
+            return float(np.trapezoid(total, grid))
+        return float(len(peak_indices(total)))
+
     branches = (2,) if metric == "central_area" else (1, 2, 3)
-    grid, rows, lines = intensity_rows(system, grid, branches)
-    check_spacing(grid, lines)
-    if metric == "central_area":
-        return float(np.trapezoid(rows[0], grid))
-    total = rows.sum(axis=0)  # the order of assemble_spectrum's total
-    if metric == "total_area":
-        return float(np.trapezoid(total, grid))
-    return float(len(peak_indices(total)))
+    return intensity_rows(systems, grid, branches, value)
 
 
 def cmd_sweep(args) -> int:
@@ -558,7 +561,7 @@ def cmd_sweep(args) -> int:
         integrator = [{"value": float(v), **run}
                       for v, run in zip(values, runs)]
     else:
-        results = [_sweep_metric(s, args.metric, grid) for s in systems]
+        results = _sweep_metric(systems, args.metric, grid)
     t_compute = time.perf_counter()
     out = Path(args.out)
     sys_dict = scenario_to_dict(system)
@@ -774,7 +777,8 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warnings()
         try:
             return args.func(args)
-        except _InputError as exc:
+        except (_InputError, GridOverflow, TooManySamples) as exc:
+            # bad input, found where the library first reads it
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         except OSError as exc:

@@ -41,13 +41,18 @@ import numpy as np
 from numpy.fft import fft, ifft
 
 from ._dop853 import REACHED_END, STOPPED, TOO_SMALL_STEP, solve_ivp
-from .errors import NotConverged, StepSizeUnderflow
+from .errors import NotConverged, StepSizeUnderflow, TooManySamples
 from .model import D1System, D2System, _require_chains
 from .spectrum import (SpectrumResult, _finite_detuning, assemble_spectrum,
                        branch_shifts, coupling_matrix)
 
 DEFAULT_T_FINAL = 60.0
 DEFAULT_TOL = 1e-8
+
+#: the most time samples a run may take, checked before any is allocated:
+#: 50 times the largest preset's (about 2e4, splittings of 13 to t = 150),
+#: and 64 MB per trajectory
+MAX_TIME_SAMPLES = 1_000_000
 
 #: convergence factor for the Laplace integral of trapped components
 TRAP_EPSILON = 1e-3
@@ -138,16 +143,32 @@ def _norm_never_grows(sys: D2System) -> bool:
     return bool(np.linalg.eigvalsh(gamma)[0] >= -PSD_ROUNDOFF * g.max())
 
 
+def _sample_count(sys: D2System, t_final: float) -> int:
+    """The length of `_sample_times`; TooManySamples, naming the field that
+    sets the sample step (t_final where none is above 1), when it exceeds
+    MAX_TIME_SAMPLES."""
+    if t_final <= 0:
+        raise ValueError("t_final must be positive")
+    fields = [("omega12", sys.omega12), ("omega23", sys.omega23),
+              *((f"detunings[{k}]", d) for k, d in enumerate(sys.detunings))]
+    fast = max(*(abs(v) for _, v in fields), 1.0)
+    count = t_final / min(0.01, 0.1 / fast)
+    if not count <= MAX_TIME_SAMPLES:
+        name, value = max(fields, key=lambda f: abs(f[1]))
+        cause = (f"{name} = {value:g}" if abs(value) > 1.0
+                 else f"t_final = {t_final:g}")
+        raise TooManySamples(
+            f"{cause} needs {count:.3g} time samples, above the cap of "
+            f"{MAX_TIME_SAMPLES:.0e}")
+    n = int(math.ceil(count))
+    return n + n % 2 + 1
+
+
 def _sample_times(sys: D2System, t_final: float) -> np.ndarray:
     """Uniform sample grid on [0, t_final] that resolves the fastest
     retained phase factor, with an even interval count so the
     half-resolution Richardson pass lines up."""
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    fast = max(abs(sys.omega12), abs(sys.omega23),
-               *(abs(d) for d in sys.detunings), 1.0)
-    n = int(math.ceil(t_final / min(0.01, 0.1 / fast)))
-    return np.linspace(0.0, t_final, n + n % 2 + 1)
+    return np.linspace(0.0, t_final, _sample_count(sys, t_final))
 
 
 def _solve(systems, times, tol, stop=None):

@@ -66,3 +66,12 @@ class GridMismatch(DarkstateError):
 
 class GridTooCoarse(UserWarning):
     """Grid spacing may be too coarse to resolve the narrowest feature."""
+
+
+class GridOverflow(DarkstateError):
+    """The detuning grid reaches values where the closed form's
+    characteristic quartic overflows."""
+
+
+class TooManySamples(DarkstateError):
+    """A time-domain run would take more samples than the cap allows."""

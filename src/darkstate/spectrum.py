@@ -21,6 +21,15 @@ so the two products differ in the last bit.  An in-place update that keeps a
 the residues and the pole tables; an augmented assignment on a numpy scalar
 rebinds it and is safe.  On arrays of any length an operation gives the same
 bits in place as out of place, so the grid arithmetic runs in place.
+
+A sweep is one batch (`intensity_rows`): the roots of every value's
+quartic are found at once, as stacked companion-matrix eigenvalues with
+elementwise Newton steps and Q' slopes (`_root_clusters`), and each branch
+argument's max|s| once per shift.  Array loops give an element the same
+bits whatever the array around it, so every row is np.roots' and its
+polish bit for bit; a spectrum is a batch of one.  The grid arithmetic
+still runs one system at a time, and each intensity row is filled as soon
+as its amplitude is known, so no grid-length array is kept per value.
 """
 from __future__ import annotations
 
@@ -28,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (NonFiniteValue, NotAnalyticAdmissible, PoleHit,
-                     SingularSystem)
+from .errors import (DarkstateError, GridOverflow, NonFiniteValue,
+                     NotAnalyticAdmissible, PoleHit, SingularSystem)
 from .model import D2System, _require_chains, analytic_admissible
 
 #: roots closer than this are always treated as one confluent cluster; the
@@ -117,7 +126,9 @@ def quartic_coeffs_s(sys: D2System) -> np.ndarray:
 def _polyval(coeffs, x):
     """Horner's rule for coeffs (descending, degree >= 1) at x.  It starts
     from c0 x + c1, from x + c1 for a monic lead, which is what a start
-    from zero gives bit for bit; an array x gets the later steps in place."""
+    from zero gives bit for bit; an array x gets the later steps in place.
+    Past the lead, each coefficient may be a column that broadcasts
+    against x, one polynomial per row."""
     x = np.asarray(x, dtype=complex)
     out = x + coeffs[1] if coeffs[0] == 1 else coeffs[0] * x + coeffs[1]
     for c in coeffs[2:]:
@@ -135,9 +146,22 @@ def _poly_scale(coeffs, x):
     return out
 
 
-def _pole_hits(q, s):
+def _hit_scale(q, smax):
+    """The scale of Q's terms at smax = max|s|, which `_pole_hits` screens
+    with; GridOverflow where it overflows, as Q(s) then can."""
+    with np.errstate(over="ignore"):
+        top = _poly_scale(q, smax)
+    if not np.isfinite(top):
+        raise GridOverflow(
+            f"the detuning grid reaches |delta + shift| = {smax:.6g}, where "
+            "the terms of the characteristic quartic overflow")
+    return top
+
+
+def _pole_hits(q, s, top):
     """(Q(s), hit): hit marks where |Q(s)| is below POLE_HIT_RTOL times the
-    scale of its terms, i.e. where s is a root of Q to working precision.
+    scale of its terms, i.e. where s is a root of Q to working precision;
+    top is `_hit_scale` at max|s|.
 
     The scale is evaluated only where |Q(s)| is below the tolerance at
     max|s| (NaN skipped, as a NaN point is never a hit): a Horner sum of
@@ -146,14 +170,13 @@ def _pole_hits(q, s):
     den = _polyval(q, s)
     mag = np.abs(den)
 
-    def tol(x):
-        return POLE_HIT_RTOL * np.maximum(_poly_scale(q, x), 1e-300)
+    def tol(scale):
+        return POLE_HIT_RTOL * np.maximum(scale, 1e-300)
 
     # an array even for a 0-d s, so that it can be assigned to
-    hit = np.asarray(mag < tol(np.fmax.reduce(np.abs(s), axis=None,
-                                              initial=0.0)))
+    hit = np.asarray(mag < tol(top))
     if hit.any():
-        hit[hit] = mag[hit] < tol(s[hit])
+        hit[hit] = mag[hit] < tol(_poly_scale(q, s[hit]))
     return den, hit
 
 
@@ -225,38 +248,62 @@ def _require_analytic(sys: D2System):
 # characteristic quartic and roots
 # ---------------------------------------------------------------------------
 
-def _cluster_roots(roots):
-    """Group roots into clusters of pairwise small distance."""
-    clusters = []
+def _cluster_roots(roots, slopes):
+    """(clusters, slopes) of one row: the roots grouped into clusters of
+    pairwise small distance, and the slope of each cluster's root when it
+    is simple (None for a confluent cluster)."""
+    members = []
     used = np.zeros(len(roots), dtype=bool)
     for i, r in enumerate(roots):
         if used[i]:
             continue
-        members = [i]
+        cluster = [i]
         used[i] = True
         for j in range(i + 1, len(roots)):
             if not used[j] and abs(roots[j] - r) < _cluster_tol(roots[j], r):
-                members.append(j)
+                cluster.append(j)
                 used[j] = True
-        clusters.append([roots[k] for k in members])
-    return clusters
+        members.append(cluster)
+    return ([[roots[k] for k in m] for m in members],
+            [complex(slopes[m[0]]) if len(m) == 1 else None for m in members])
 
 
-def _root_clusters(coeffs):
-    """(clusters, deriv): the roots of the polynomial coeffs (descending) as
-    clusters of members, in np.roots order, and its derivative's coefficients.
-    A cluster's size is the root's multiplicity and its mean the root, as
-    the companion-matrix scatter of an m-fold root is symmetric.  Each root
-    gets two Newton steps, each taken only if smaller than NEWTON_MAX_STEP."""
-    roots = np.roots(coeffs)
-    deriv = np.polyder(coeffs)
+def _root_clusters(qs):
+    """(clusters, slopes) for each row of qs, a (B, 5) stack of monic
+    quartics (descending coefficients), as an iterator: the roots as
+    clusters of members, in np.roots order, and Q' at each cluster's root
+    when it is simple (None for a confluent cluster).  A cluster's size is
+    the root's multiplicity and its mean the root, as the companion-matrix
+    scatter of an m-fold root is symmetric.  Each root gets two Newton
+    steps, each taken only if smaller than NEWTON_MAX_STEP.
+
+    The roots, steps and slopes are found for the whole stack before this
+    returns; each row is clustered when the iterator reaches it.  Every row
+    gets np.roots' roots bit for bit: its companion matrix is built as
+    np.roots builds it, after np.roots' trimming of trailing zero
+    coefficients, whose zero roots come last, and the eigenvalues are
+    taken as one stack per trimmed degree.  The Newton steps and the
+    slopes are elementwise, so each row's bits are those of its own."""
+    qs = np.asarray(qs, dtype=complex).reshape(-1, 5)
+    roots = np.zeros((len(qs), 4), dtype=complex)
+    degree = 4 - np.argmax(qs[:, ::-1] != 0, axis=1)
+    for deg in set(degree.tolist()) - {0}:
+        rows = degree == deg
+        comp = np.zeros((np.count_nonzero(rows), deg, deg), dtype=complex)
+        comp[:, 1:, :-1] = np.eye(deg - 1)
+        comp[:, 0, :] = -qs[rows, 1:deg + 1] / qs[rows, :1]
+        roots[rows, :deg] = np.linalg.eigvals(comp)
+    # coefficient k of every row as a column, after the leads of Q and of
+    # Q' = np.polyder's
+    cols = [1.0, *qs.T[1:, :, None]]
+    dcols = [4.0, *(qs[:, 1:-1] * np.arange(3, 0, -1)).T[:, :, None]]
     for _ in range(2):
-        val = _polyval(coeffs, roots)
-        dval = _polyval(deriv, roots)
+        val = _polyval(cols, roots)
+        dval = _polyval(dcols, roots)
         safe = np.abs(dval) > 1e-30
         step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
         roots = roots - np.where(np.abs(step) < NEWTON_MAX_STEP, step, 0.0)
-    return _cluster_roots(roots), deriv
+    return map(_cluster_roots, roots, _polyval(dcols, roots))
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +326,31 @@ def _finite_detuning(delta):
     return delta
 
 
-def _branch_quotients(sys: D2System, q, const, delta, branches=(1, 2, 3)):
-    """(branch, shift, F, hit) for each of branches, in turn, at the common
-    float detuning delta: F = N_n(s)/Q(s) at s = -i (delta + shift), given
-    Q's coefficients q and the system's `_constants`.  hit marks the pole
-    hits, where F holds N_n(s) for the caller to replace."""
+def _branch_args(sys: D2System, grid, branches, smax):
+    """(branch, shift, s, max|s|) for each of branches at the float
+    detuning grid: s = -i (grid + shift) and its largest modulus, which
+    the pole-hit screen reads.  The dict smax keeps the latter per shift,
+    for the systems of a batch to share; s is rebuilt for each, as kept
+    for every branch it would hold three grid-length arrays throughout."""
     shifts = branch_shifts(sys)
     for branch in branches:
         shift = shifts[branch - 1]
-        s = -1j * np.asarray(delta + shift)
-        den, hit = _pole_hits(q, s)
-        num = _numerator(const, branch, s)
-        num /= np.where(hit, 1.0, den) if hit.any() else den
-        yield branch, shift, num, hit
+        s = -1j * np.asarray(grid + shift)
+        if shift not in smax:
+            smax[shift] = np.fmax.reduce(np.abs(s), axis=None, initial=0.0)
+        yield branch, shift, s, smax[shift]
+
+
+def _quotient(q, const, branch, s, s_max):
+    """(F, hit): F = N_n(s)/Q(s) for branch n, given Q's coefficients q,
+    the system's `_constants` and max|s|.  hit marks the pole hits, where
+    F holds N_n(s) for the caller to replace.  The numerator's
+    temporaries are gone before Q(s) is evaluated."""
+    top = _hit_scale(q, s_max)
+    num = _numerator(const, branch, s)
+    den, hit = _pole_hits(q, s, top)
+    num /= np.where(hit, 1.0, den) if hit.any() else den
+    return num, hit
 
 
 def steady_state_amplitudes(sys: D2System, delta):
@@ -301,9 +360,10 @@ def steady_state_amplitudes(sys: D2System, delta):
     _require_analytic(sys)
     scalar = np.ndim(delta) == 0
     x = _finite_detuning(delta)
+    q, const = quartic_coeffs_s(sys), _constants(sys)
     out = []
-    for branch, _, vals, hit in _branch_quotients(
-            sys, quartic_coeffs_s(sys), _constants(sys), x):
+    for branch, _, s, s_max in _branch_args(sys, x, (1, 2, 3), {}):
+        vals, hit = _quotient(q, const, branch, s, s_max)
         if scalar and hit:
             raise PoleHit(f"branch {branch} denominator vanishes at "
                           f"delta={delta}")
@@ -401,14 +461,19 @@ def _reconstruct(terms, delta):
     return out
 
 
+def _intensity(gamma, f, out):
+    """out = Gamma |F|^2 / 2 pi, in place."""
+    np.abs(f, out=out)
+    out **= 2
+    out *= gamma
+    out /= 2.0 * np.pi
+
+
 def _intensities(gammas, amps, n):
     """Rows Gamma_n |F_n|^2 / 2 pi of length n, F_n taken from amps."""
     rows = np.empty((len(gammas), n))
     for row, gamma, f in zip(rows, gammas, amps):
-        np.abs(f, out=row)
-        row **= 2
-        row *= gamma
-        row /= 2.0 * np.pi
+        _intensity(gamma, f, row)
     return rows
 
 
@@ -425,32 +490,53 @@ def assemble_spectrum(sys: D2System, grid, amps, method: str,
                           branch_poles=branch_poles, method=method)
 
 
-def _amplitudes(sys: D2System, grid, branches, branch_poles=None):
-    """(grid, clusters, amps): the float grid, Q's root clusters and the
-    list of F_n on the grid for each of branches, their pole hits filled
-    from the partial fractions.  Those are built for every branch and
-    appended to branch_poles when it is a list, else only to fill hits."""
-    _require_analytic(sys)
-    grid = _finite_detuning(grid)
-    q, const = quartic_coeffs_s(sys), _constants(sys)
-    clusters, dq = _root_clusters(q)
-    # Q' at each simple root, shared by the branches
-    slopes = [complex(_polyval(dq, c[0])) if len(c) == 1 else None
-              for c in clusters]
+def _batch(systems, grid):
+    """(grid, rows, failure) for a sequence of systems: the float grid; an
+    iterator of (sys, q, const, clusters, slopes), each system's quartic,
+    `_constants` and `_root_clusters` entry, over the systems before the
+    first that fails; and that system's error (else None), for the caller
+    to raise once the rows before it are done, as a loop over the systems
+    would.  The roots of all rows are found at once."""
+    qs, failure = [], None
+    try:
+        for k, sys in enumerate(systems):
+            _require_analytic(sys)
+            if not k:
+                grid = _finite_detuning(grid)
+            qs.append(quartic_coeffs_s(sys))
+    except (DarkstateError, TypeError) as exc:  # raised after earlier rows
+        failure = exc
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            roots = _root_clusters(qs)
+    except (FloatingPointError, np.linalg.LinAlgError):
+        # one row at a time, so that its warning or error comes in turn
+        roots = (next(_root_clusters([q])) for q in qs)
+    return grid, ((sys, q, const, *r) for sys, q, const, r in zip(
+        systems, qs, map(_constants, systems), roots)), failure
 
-    amps = []
-    for branch, shift, vals, hit in _branch_quotients(sys, q, const, grid,
-                                                      branches):
-        hits = hit.any()
-        if branch_poles is not None or hits:
+
+def _row_intensities(row, grid, branches, smax, poles=None):
+    """The intensity rows Gamma_n |F_n|^2 / 2 pi of branches for one
+    `_batch` row, each filled as soon as its F_n is known; pole hits are
+    filled from the partial fractions.  Those are built for every branch
+    and appended to poles when it is a list, else only to fill hits;
+    smax is `_branch_args`'."""
+    sys, q, const, clusters, slopes = row
+    rows = np.empty((len(branches), len(grid)))
+    for out, (branch, shift, s, s_max) in zip(
+            rows, _branch_args(sys, grid, branches, smax)):
+        f, hit = _quotient(q, const, branch, s, s_max)
+        if poles is not None or hit.any():
             terms = _branch_pole_terms(const, branch, shift, q, clusters,
                                        slopes)
-            if hits:
-                vals[hit] = _reconstruct(terms, grid[hit])
-            if branch_poles is not None:
-                branch_poles.append(terms)
-        amps.append(vals)
-    return grid, clusters, amps
+            if hit.any():
+                f[hit] = _reconstruct(terms, grid[hit])
+            if poles is not None:
+                poles.append(terms)
+        _intensity(sys.gamma[branch - 1], f, out)
+        del f  # before the next branch's arithmetic
+    return rows
 
 
 def spectrum_analytic(sys: D2System, grid) -> SpectrumResult:
@@ -459,15 +545,32 @@ def spectrum_analytic(sys: D2System, grid) -> SpectrumResult:
     Branch n intensity is Gamma_n |F_n|^2 / 2 pi; pole-hit grid points are
     filled from the partial-fraction form with singular terms excluded.
     """
-    branch_poles = []
-    grid, _, amps = _amplitudes(sys, grid, (1, 2, 3), branch_poles)
-    return assemble_spectrum(sys, grid, amps, "analytic", branch_poles)
+    grid, rows, failure = _batch([sys], grid)
+    if failure is not None:
+        raise failure
+    poles = []
+    branch_intensity = _row_intensities(next(rows), grid, (1, 2, 3), {},
+                                        poles)
+    return SpectrumResult(grid=grid, branch_intensity=branch_intensity,
+                          total=branch_intensity.sum(axis=0),
+                          branch_poles=poles, method="analytic")
 
 
-def intensity_rows(sys: D2System, grid, branches):
-    """(grid, rows, lines): the float grid, the intensity rows of branches,
-    bit for bit those of `spectrum_analytic`, and the (pole, trapped) pair
-    of each root cluster, whose widths are those of every branch."""
-    grid, clusters, amps = _amplitudes(sys, grid, branches)
-    rows = _intensities([sys.gamma[b - 1] for b in branches], amps, len(grid))
-    return grid, rows, [(p, t) for _, p, t in _cluster_poles(clusters, 0.0)]
+def intensity_rows(systems, grid, branches, reduce):
+    """[reduce(grid, rows, lines)] for each of systems in turn: the float
+    grid, the intensity rows of branches, bit for bit those of
+    `spectrum_analytic`, and the (pole, trapped) pair of each root cluster,
+    whose widths are those of every branch.
+
+    One batch: the roots of all systems are found at once (`_batch`) and
+    each branch argument's max|s| once per shift; the grid arithmetic runs
+    one system at a time and only reduce's results are kept, so no
+    grid-length array is held per system."""
+    grid, batch, failure = _batch(systems, grid)
+    smax = {}
+    out = [reduce(grid, _row_intensities(row, grid, branches, smax),
+                  [(p, t) for _, p, t in _cluster_poles(row[3], 0.0)])
+           for row in batch]
+    if failure is not None:
+        raise failure
+    return out

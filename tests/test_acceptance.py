@@ -180,7 +180,7 @@ def test_criterion_07_limiting_cases():
         system = preset(name).system
         chain = d1_to_chain(system) if isinstance(system, D1System) else system
         q = quartic_coeffs_s(chain)
-        clusters, _ = _root_clusters(q)
+        [(clusters, _)] = _root_clusters([q])
         # each cluster's root, as the spectrum's poles take it
         roots = np.array([sum(c) / len(c) for c in clusters])
         res = np.abs(_polyval(q, roots)) / np.maximum(

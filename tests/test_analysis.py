@@ -170,7 +170,7 @@ class TestFindPeaks:
             assert spectral_areas(spec) == (0.0, (0.0, 0.0, 0.0))
             assert find_peaks(spec).peaks == []
             for metric in ("central_area", "total_area", "peak_count"):
-                assert _sweep_metric(s, metric, np.array(grid)) == 0.0
+                assert _sweep_metric([s], metric, np.array(grid)) == [0.0]
 
     def test_count_invariant_under_refinement(self):
         s = preset("fig2-notrapping").system

@@ -603,6 +603,27 @@ class TestGridParsing:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+def test_overflowing_grid_is_input_error(command, tmp_path, capsys):
+    """A finite grid that reaches |delta| ~ 1e77, where the terms of the
+    quartic overflow, is bad input: one error line, exit 2 and nothing
+    written, not NaN rows with raw RuntimeWarnings and exit 0."""
+    argv = [command, "--preset", "fig2-notrapping", "--grid=-1e300:1e300:5",
+            "--out", str(tmp_path / "x.csv")]
+    if command == "sweep":
+        argv += ["--vary", "phase2", "--range=0:1:3", "--metric",
+                 "total_area"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("error: the detuning grid reaches |delta + shift| = "
+                   "1e+300, where the terms of the characteristic quartic "
+                   "overflow\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # the writers are byte-identical to the per-value references below
 # ---------------------------------------------------------------------------

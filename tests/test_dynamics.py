@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from darkstate import (
     D2System,
     DriveField,
     StepSizeUnderflow,
+    TooManySamples,
     branch_amplitude_numeric,
     d1_to_chain,
     preset,
@@ -525,6 +527,53 @@ class TestSampling:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSampleCap:
+    """The time-domain sample count is checked against MAX_TIME_SAMPLES
+    before anything is allocated.  Only the check runs here: a run past
+    the cap without it asks numpy for gigabytes."""
+
+    @pytest.mark.parametrize("change, t_final, cause", [
+        ({"omega23": 1e6}, 150.0, "omega23 = 1e+06 needs 1.5e+09"),
+        ({"omega12": 1e20}, 150.0, "omega12 = 1e+20 needs 1.5e+23"),
+        ({"omega12": 1.7e308}, 60.0, "omega12 = 1.7e+308 needs inf"),
+        ({"detunings": (0.0, 0.0, -3e5, 0.0)}, 60.0,
+         "detunings[2] = -300000 needs 1.8e+08"),
+        ({"omega12": 0.5, "omega23": 0.5}, 2e4, "t_final = 20000 needs 2e+06"),
+    ])
+    def test_check_names_the_field(self, change, t_final, cause):
+        from dataclasses import replace
+        system = replace(preset("fig2-notrapping").system, **change)
+        with pytest.raises(TooManySamples, match=re.escape(cause)):
+            dynamics._sample_count(system, t_final)
+
+    def test_presets_far_below_the_cap(self):
+        for name in preset_names():
+            system = preset(name).system
+            chain = d1_to_chain(system) if isinstance(system, D1System) \
+                else system
+            count = dynamics._sample_count(chain, 150.0)
+            assert len(dynamics._sample_times(chain, 150.0)) == count
+            assert count <= 2.1e4 <= dynamics.MAX_TIME_SAMPLES / 40
+
+    @pytest.mark.parametrize("argv, samples", [
+        (["spectrum", "--method", "timedomain"], "7.8e+03"),  # to t = 60
+        (["sweep", "--vary", "phase2", "--range=0:1:3",
+          "--metric", "trapped_fraction"], "1.95e+04"),  # to t = 150
+    ])
+    def test_cli_exits_2_naming_the_field(self, argv, samples, monkeypatch,
+                                          tmp_path, capsys):
+        # a cap below fig2's sample counts, so that nothing large is asked
+        # for
+        monkeypatch.setattr(dynamics, "MAX_TIME_SAMPLES", 1000)
+        code = main([argv[0], "--preset", "fig2-notrapping", *argv[1:],
+                     "--out", str(tmp_path / "x.csv")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == (f"error: omega12 = 13 needs {samples} time samples, "
+                       "above the cap of 1e+03\n")
         assert list(tmp_path.iterdir()) == []
 
 

@@ -9,6 +9,7 @@ from test_text import _peak_bytes
 from darkstate import (
     D2System,
     DriveField,
+    GridOverflow,
     NonFiniteValue,
     NotAnalyticAdmissible,
     PoleHit,
@@ -22,6 +23,7 @@ from darkstate import (
     steady_state_amplitudes,
 )
 from darkstate import spectrum
+from darkstate.cli import _apply_sweep_value, _sweep_metric
 from darkstate.spectrum import (
     _polyval,
     _reconstruct,
@@ -84,7 +86,8 @@ def _undriven_clusters():
     {-1/2 (x3), 0}; in the detuning variable x = -is they are {i/2 (x3), 0}."""
     s = D2System(gamma=(1, 1, 1), omega12=13, omega23=13,
                  drives=(DriveField(0),) * 4, initial="A1")
-    return _root_clusters(quartic_coeffs_s(s))[0]
+    [(clusters, _)] = _root_clusters([quartic_coeffs_s(s)])
+    return clusters
 
 
 class TestRoots:
@@ -93,7 +96,7 @@ class TestRoots:
     def test_simple_roots_satisfy_polynomial(self, rng):
         for _ in range(10):
             q = quartic_coeffs_s(random_admissible_system(rng))
-            clusters, _ = _root_clusters(q)
+            [(clusters, _)] = _root_clusters([q])
             assert [len(c) for c in clusters] == [1, 1, 1, 1]
             roots = np.array([c[0] for c in clusters])
             assert np.max(np.abs(_polyval(q, roots))) < 1e-8
@@ -116,8 +119,8 @@ class TestRoots:
         # the x-roots -i*s have nonnegative imaginary part for decaying
         # systems: Re(s) <= 0
         for _ in range(10):
-            clusters, _ = _root_clusters(
-                quartic_coeffs_s(random_admissible_system(rng)))
+            [(clusters, _)] = _root_clusters(
+                [quartic_coeffs_s(random_admissible_system(rng))])
             assert all(r.real < 1e-12 for c in clusters for r in c)
 
 
@@ -260,7 +263,8 @@ class TestPoleHits:
 @pytest.mark.parametrize("call", [
     steady_state_amplitudes, laplace_solve_oracle, spectrum_analytic,
     spectrum_time_domain,
-    lambda s, grid: spectrum.intensity_rows(s, grid, (2,)),
+    lambda s, grid: spectrum.intensity_rows([s], grid, (2,),
+                                            lambda *row: None),
 ], ids=["steady_state_amplitudes", "laplace_solve_oracle",
         "spectrum_analytic", "spectrum_time_domain", "intensity_rows"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -439,21 +443,59 @@ class TestClosedFormProperties:
             assert np.max(np.abs(recon - f)) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("call", [
+    steady_state_amplitudes, spectrum_analytic,
+    lambda s, grid: intensity_rows([s], grid, (2,), lambda *row: None),
+], ids=["steady_state_amplitudes", "spectrum_analytic", "intensity_rows"])
+def test_overflowing_grid_is_rejected(call):
+    """GridOverflow where the scale of Q's terms at max|delta + shift| is
+    not finite, before Q is evaluated on the grid (RuntimeWarnings are
+    errors here); the grids just inside stay finite."""
+    s = preset("fig2-notrapping").system
+    with pytest.raises(GridOverflow, match=r"\|delta \+ shift\| = 1e\+300"):
+        call(s, np.array([-1e300, 0.0, 1e300]))
+    with pytest.raises(GridOverflow, match=r"= 1\.3e\+77,"):
+        call(s, np.array([0.0, 1.3e77 - 13.0]))
+    spec = spectrum_analytic(s, np.array([-1e76, 0.0, 1e76]))
+    assert np.all(np.isfinite(spec.total))
+
+
 def test_spectrum_memory():
-    """A 6001-point spectrum peaks at 0.79 MB of traced allocations: each
-    branch's arithmetic runs in place and no (3, N) complex amplitude array
-    is built (the out-of-place kernel peaked at 1.27 MB)."""
+    """A 6001-point spectrum peaks at 0.73 MB of traced allocations: each
+    branch's arithmetic runs in place, its intensity row is filled as soon
+    as its amplitude is known, and no (3, N) complex amplitude array is
+    built (the out-of-place kernel peaked at 1.27 MB; with the three
+    amplitudes held until the rows were filled, 0.79 MB)."""
     system = preset("fig2-notrapping").system
     grid = np.linspace(-30.0, 30.0, 6001)
     assert _peak_bytes(lambda: spectrum_analytic(system, grid)) <= 0.8e6
 
 
 def test_intensity_rows_memory():
-    """The three rows of a 6001-point sweep value peak at 0.785 MB: they are
-    allocated after the amplitudes, as in `spectrum_analytic` (allocated
-    while the first branch was still to be evaluated, they peaked at
-    0.93 MB)."""
+    """The three rows of a 6001-point sweep value peak at 0.73 MB: each is
+    filled as soon as its amplitude is known (allocated while the first
+    branch was still to be evaluated, with every amplitude held, they
+    peaked at 0.93 MB)."""
     system = preset("fig2-notrapping").system
     grid = np.linspace(-30.0, 30.0, 6001)
-    assert _peak_bytes(lambda: intensity_rows(system, grid, (1, 2, 3))) \
-        <= 0.8e6
+    assert _peak_bytes(lambda: intensity_rows(
+        [system], grid, (1, 2, 3), lambda *row: None)) <= 0.8e6
+
+
+def test_sweep_batch_memory():
+    """A 61-value, 6001-point total_area sweep, one batch, peaks at
+    0.76 MB, within the budget of one value above: only the quartics and
+    roots are kept per value (about 0.5 kB each), not a grid-length array
+    (48 kB per float row).  Caching the three branch arguments s for the
+    whole batch would add 0.19 MB, so only their max|s| is kept."""
+    system = preset("fig2-notrapping").system
+    grid = np.linspace(-30.0, 30.0, 6001)
+
+    def batch(count):
+        systems = [_apply_sweep_value(system, "mag2", v)
+                   for v in np.linspace(0.0, 2.5, count)]
+        return _peak_bytes(lambda: _sweep_metric(systems, "total_area",
+                                                 grid))
+    one, many = batch(1), batch(61)
+    assert many <= 0.8e6
+    assert many - one <= 0.05e6, (one, many)

@@ -95,7 +95,7 @@ class Reference:
             safe = np.abs(dval) > 1e-30
             step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
             roots = roots - np.where(np.abs(step) < 1e-3, step, 0.0)
-        clusters = _cluster_roots(roots)
+        clusters, _ = _cluster_roots(roots, dq(roots))  # slopes below
         slopes = [complex(dq(c[0])) if len(c) == 1 else None
                   for c in clusters]
         amps = np.zeros((3, len(grid)), dtype=complex)
