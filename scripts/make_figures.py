@@ -7,7 +7,7 @@ non-trapping) and the single-loss loop presets.
 import argparse
 from pathlib import Path
 
-from darkstate import D1System, d1_to_chain, preset, spectrum_analytic
+from darkstate import D1System, preset, spectrum_analytic
 from darkstate.analysis import d1_grid, default_grid
 from darkstate.cli import SPECTRUM_CSV_HEADER, svg_line_plot, write_csv
 
@@ -25,10 +25,7 @@ def main():
 
     for name in D2_PRESETS + D1_PRESETS:
         system = preset(name).system
-        if isinstance(system, D1System):
-            system, grid = d1_to_chain(system), d1_grid()
-        else:
-            grid = default_grid()
+        grid = d1_grid() if isinstance(system, D1System) else default_grid()
         spec = spectrum_analytic(system, grid)
         curves = [(f"branch {n + 1}", spec.branch_intensity[n])
                   for n in range(3)]

@@ -13,7 +13,13 @@ The CLI runs in-process (`darkstate.cli.main`) in a temporary directory:
   through its poles, on `two-level` from an undriven value (a quartic with
   q0 = 0) among driven ones, over two values only, on a coarse grid that
   warns, and on a random scenario given with `--config`;
-- `validate all`, and `trapping` for every preset.
+- `validate all`, and `trapping` for every preset;
+- on D1 scenario files with a phase on every field (initially in B, in
+  A2, in a superposition, and a dark loop): `spectrum` as CSV plus SVG,
+  as JSON and with `--method both`, `trapping` with and without
+  `--solve`, and `sweep`; the same commands on invalid D1 files (Gamma < 0,
+  a NaN field);
+- the time-domain spectrum on uniform grids of huge spacing.
 
 Each command's exit code, stdout and stderr count as outputs, as do its
 files. Manifests are hashed without their timings (`wall_time_s`,
@@ -28,6 +34,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -80,6 +87,29 @@ SWEEPS = {
                                "phase2", "--range", f"0:{TAU}:2"])
        for m in ANALYTIC},
 }
+
+
+#: D1 scenario files by label, written as JSON: a phase on every field
+D1_FIELDS = [{"mag": 0.6, "phase": 0.4}, {"mag": 0.9, "phase": 2.1},
+             {"mag": 1.2, "phase": 4.0}, {"mag": 0.7, "phase": 5.3}]
+D1_FILES = {
+    "d1 B": {"system": "d1", "gamma": [0.8], "fields": D1_FIELDS},
+    "d1 A2": {"system": "d1", "gamma": [0.8], "fields": D1_FIELDS,
+              "initial": "A2"},
+    "d1 vector": {"system": "d1", "gamma": [0.8], "fields": D1_FIELDS,
+                  "initial": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.8], [0.0, 0.0]]},
+    # Oo1 Om1 + Om2 conj(Oo2) = 0: the dark atom
+    "d1 dark": {"system": "d1", "gamma": [1.0], "fields": [
+        {"mag": 1.0, "phase": 0.5}, {"mag": 1.0, "phase": 0.3 - 1.5 - math.pi},
+        {"mag": 1.0, "phase": 1.0}, {"mag": 1.0, "phase": 0.3}]},
+    "d1 gamma<0": {"system": "d1", "gamma": [-1.0], "fields": D1_FIELDS},
+    "d1 NaN field": {"system": "d1", "gamma": [0.8],
+                     "fields": [{"mag": float("nan")}, *D1_FIELDS[1:]]},
+}
+#: the time-domain spectrum on uniform grids whose chirp phases are huge
+FAR_GRIDS = {"far 1e20 both": ["--method", "both", "--grid=-1e20:0:2"],
+             "far 1e300 timedomain": ["--method", "timedomain",
+                                      "--grid=-1e300:1e300:5"]}
 
 
 def _random_system(seed=7):
@@ -154,6 +184,32 @@ def digests() -> dict:
                 _run(f"sweep {label}", ["sweep", *args, "--metric", metric,
                                         "--out", "sweep.csv"], found)
             _run("validate all", ["validate", "all"], found)
+            for label, data in D1_FILES.items():
+                with open("d1.json", "w", encoding="utf-8") as fh:
+                    json.dump(data, fh)
+                src = ["--config", "d1.json"]
+                _run(f"spectrum {label} csv+svg",
+                     ["spectrum", *src, "--grid=-25:25:601", "--out", "s.csv",
+                      "--svg", "s.svg"], found)
+                _run(f"spectrum {label} json",
+                     ["spectrum", *src, "--grid=-25:25:601", "--format",
+                      "json", "--out", "s.json"], found)
+                _run(f"spectrum {label} both",
+                     ["spectrum", *src, "--grid=-25:25:301", "--method",
+                      "both", "--out", "s.csv"], found)
+                _run(f"trapping {label}", ["trapping", *src, "--out",
+                                           "t.json"], found)
+                _run(f"trapping {label} solve",
+                     ["trapping", *src, "--solve", "--out", "t.json"], found)
+                _run(f"sweep {label}", ["sweep", *src, "--vary", "phase2",
+                                        "--range", "0:1:3", "--metric",
+                                        "central_area", "--out", "sweep.csv"],
+                     found)
+                os.remove("d1.json")
+            for label, opts in FAR_GRIDS.items():
+                _run(f"spectrum fig2-notrapping {label}",
+                     ["spectrum", "--preset", "fig2-notrapping", *opts,
+                      "--out", "s.csv"], found)
         finally:
             os.chdir(cwd)
     return found

@@ -17,7 +17,6 @@ import numpy as np
 
 from darkstate import (
     __version__,
-    d1_to_chain,
     find_peaks,
     preset,
     spectrum_analytic,
@@ -38,7 +37,7 @@ def compute_report():
     central_reduction = 1.0 - (pa_trap.branch_areas[1]
                                / pa_notrap.branch_areas[1])
 
-    d1_trapped = trapped_fraction(d1_to_chain(preset("d1-trapping").system),
+    d1_trapped = trapped_fraction(preset("d1-trapping").system,
                                   require_plateau=False)
 
     entries = [

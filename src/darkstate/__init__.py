@@ -31,14 +31,14 @@ from .model import (
     ScenarioPreset,
     ValidationReport,
     analytic_admissible,
-    d1_to_chain,
+    d1_fields,
+    d1_system,
     load_scenario,
     preset,
     preset_names,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    validate_d1_system,
     validate_system,
 )
 from .spectrum import (

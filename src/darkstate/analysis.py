@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, GridTooCoarse
-from .model import _require_chains
 from .spectrum import SpectrumResult, spectrum_analytic
 from .dynamics import trapped_fraction
 
@@ -207,7 +206,6 @@ def conservation_check(sys, span_factor: float = 2.3,
     branches grows with the splitting (the truncated Lorentzian tails are the
     dominant defect contribution).
     """
-    _require_chains([sys])
     span = span_factor * sys.omega12
     n = max(int(round(2.0 * span / spacing)) + 1, 1001)
     grid = np.linspace(-span, span, n)

@@ -35,13 +35,11 @@ from .model import (
     D1System,
     D2System,
     DriveField,
-    d1_to_chain,
     load_scenario,
     preset,
     preset_names,
     scenario_to_dict,
     save_scenario,
-    validate_d1_system,
     validate_system,
     write_json,
 )
@@ -153,9 +151,7 @@ def _stages(*marks) -> dict:
 
 def _check_system(system, context):
     """Raise _InputError listing every invariant the system violates."""
-    validate = validate_d1_system if isinstance(system, D1System) \
-        else validate_system
-    errors = validate(system).errors
+    errors = validate_system(system).errors
     if errors:
         raise _InputError(context + "; ".join(str(e) for e in errors))
 
@@ -361,8 +357,6 @@ def svg_line_plot(path, x, curves, title="", xlabel="delta (rate units)",
 def _compute_spectrum(system, grid, method, tol, runs):
     """The spectrum and, for --method both, the time-domain oracle; runs
     receives the integrator diagnostics of a time-domain spectrum."""
-    if isinstance(system, D1System):
-        system = d1_to_chain(system)
     if method == "analytic":
         return spectrum_analytic(system, grid), None
     if method == "timedomain":
@@ -399,11 +393,11 @@ def cmd_spectrum(args) -> int:
         svg_line_plot(args.svg, grid, curves, title="emission spectrum")
         outputs.append(Path(args.svg))
     if float(np.max(spec.total)) <= 1e-30:
-        if isinstance(system, D1System) and d1_trapping_check(system).satisfied:
+        d1 = isinstance(system, D1System)
+        if d1 and d1_trapping_check(system).satisfied:
             print("note: trapping condition satisfied (dark atom)")
-        elif isinstance(system, D2System) and \
-                np.allclose(system.initial_vector(), [0, 0, 0, 1]) and \
-                all(d.magnitude == 0.0 for d in system.drives):
+        elif not d1 and np.allclose(system.initial_vector(), [0, 0, 0, 1]) \
+                and all(d.magnitude == 0.0 for d in system.drives):
             print("warning: no emission: atom never excited")
         else:
             print("note: spectrum is identically zero")
@@ -585,13 +579,12 @@ def cmd_sweep(args) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _signature_checks(system, chain, signature: dict, trapped):
+def _signature_checks(system, signature: dict, trapped):
     """Return (check name, ok, detail) per expected-signature entry of a
-    preset system, given its chain (the system itself for a D2System) and,
-    for a `trapped` entry, the chain's trapped fraction."""
+    preset system, given, for a `trapped` entry, its trapped fraction."""
     checks = []
     grid = d1_grid() if isinstance(system, D1System) else default_grid()
-    spec = spectrum_analytic(chain, grid)
+    spec = spectrum_analytic(system, grid)
     pa = find_peaks(spec)
     zero = float(np.max(spec.total)) <= 1e-20
 
@@ -626,7 +619,7 @@ def _signature_checks(system, chain, signature: dict, trapped):
             checks.append(("symmetric peak locations", bool(ok),
                            f"locs {np.round(locs, 2).tolist()}"))
         elif key == "trapping":
-            rep = fgc_check(chain, tol=1e-9)
+            rep = fgc_check(system, tol=1e-9)
             checks.append((f"trapping == {want}", rep.satisfied == want,
                            f"satisfied={rep.satisfied}"))
         elif key == "dark_branch":
@@ -656,8 +649,8 @@ def _signature_checks(system, chain, signature: dict, trapped):
     # grid is offset off any exact pole, and errors are measured against the
     # per-branch amplitude scale (a dark branch is pure roundoff in both)
     deltas = np.linspace(-20.0, 20.0, 101) + 0.0137
-    closed = steady_state_amplitudes(chain, deltas)
-    solved = laplace_solve_oracle(chain, deltas)
+    closed = steady_state_amplitudes(system, deltas)
+    solved = laplace_solve_oracle(system, deltas)
     overall = max(float(np.max(np.abs(s))) for s in solved)
     err = 0.0
     for c, s in zip(closed, solved):
@@ -678,20 +671,18 @@ def cmd_validate(args) -> int:
         presets = [preset(name) for name in names]
     except UnknownPreset as exc:
         raise _InputError(str(exc))
-    chains = [d1_to_chain(p.system) if isinstance(p.system, D1System)
-              else p.system for p in presets]
     # the trapped checks' RK runs are one lockstep batch; each value is
-    # that of its chain alone
+    # that of its system alone
     batch = [k for k, p in enumerate(presets)
              if "trapped" in p.expected_signature]
     trapped = {}
     if batch:
         trapped = dict(zip(batch, trapped_fraction(
-            [chains[k] for k in batch], require_plateau=False)))
+            [presets[k].system for k in batch], require_plateau=False)))
     failures = 0
     for k, (name, p) in enumerate(zip(names, presets)):
         for check, ok, detail in _signature_checks(
-                p.system, chains[k], p.expected_signature, trapped.get(k)):
+                p.system, p.expected_signature, trapped.get(k)):
             print(f"{_tag(ok)}  {name}: {check} ({detail})")
             if not ok:
                 failures += 1

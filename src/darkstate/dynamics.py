@@ -27,10 +27,11 @@ order, as a loop over the systems would.  `propagate` and a single
 `trapped_fraction` are batches of one.
 
 The Filon sums are taken over a whole detuning grid at once.  On a uniform
-grid (every grid the CLI builds) they are one chirp-z transform per Filon
-pass, that is three `numpy.fft` transforms of the smallest 5-smooth length
->= samples + points - 1; any other grid, or a scalar, is summed directly in
-blocks of samples.  The path is chosen from the grid alone.
+grid (every grid the CLI builds) whose chirp phases keep their precision
+they are one chirp-z transform per Filon pass, that is three `numpy.fft`
+transforms of the smallest 5-smooth length >= samples + points - 1; any
+other grid, or a scalar, is summed directly in blocks of samples.  The
+path is chosen from the grid and the sample step alone.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from numpy.fft import fft, ifft
 
 from ._dop853 import REACHED_END, STOPPED, TOO_SMALL_STEP, solve_ivp
 from .errors import NotConverged, StepSizeUnderflow, TooManySamples
-from .model import D1System, D2System, _require_chains
+from .model import D2System
 from .spectrum import (SpectrumResult, _finite_detuning, assemble_spectrum,
                        branch_shifts, coupling_matrix)
 
@@ -214,7 +215,6 @@ def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
     the oscillatory quadrature downstream.  A list given as runs receives
     the run's integrator diagnostics, as trapped_fraction's does.
     """
-    _require_chains([sys])
     times = _sample_times(sys, t_final)
     (sol,) = _solve([sys], times, tol)
     if runs is not None:
@@ -234,12 +234,16 @@ def _filon_weights(theta):
     theta = np.asarray(theta, dtype=complex)
     # the closed forms cancel catastrophically for small theta; there the
     # series is used, whose truncation error at the threshold is ~1e-19
-    small = np.abs(theta) < 1e-2
+    size = np.abs(theta)
+    small = size < 1e-2
+    # where theta**2 would overflow, |w1| <= 2/|theta| is below 1e-150: 0
+    huge = size > 1e150
     it = 1j * np.where(small, 1.0, theta)
     e = np.exp(it)
     # (arrays also for a 0-d theta, for which numpy returns scalars)
     w0 = np.asarray((e - 1.0) / it)
-    w1 = np.asarray((e * (it - 1.0) + 1.0) / it ** 2)
+    w1 = np.asarray((e * (it - 1.0) + 1.0) / np.where(huge, 1.0, it) ** 2)
+    w1[huge] = 0.0
     if np.any(small):
         it_small = 1j * theta[small]
         s0 = s1 = 0.0
@@ -255,8 +259,9 @@ def _filon_weights(theta):
     return w0, w1
 
 
-#: a grid x counts as uniform when its largest deviation from
-#: x0 + j*dx, times the largest sample time, is below this phase error
+#: a grid x is summed as uniform (chirp-z) when its largest deviation from
+#: x0 + j*dx, times the largest sample time, is below this phase error, and
+#: so is the rounding error (eps times) of the largest chirp phase
 UNIFORM_PHASE_TOL = 1e-10
 
 #: complex elements per block of the direct phase sum (16 MB)
@@ -302,7 +307,8 @@ def _phase_sums(times, h, rows, x):
     """sum_k rows[:, k] * exp(i x_j t_k) for each x_j of a 1-D array x, with
     times t_k uniform in steps of h.
 
-    A uniform x (real step) is one chirp-z transform along the samples; any
+    A uniform x (real step) is one chirp-z transform along the samples,
+    unless its chirp phases are too large to keep their precision; any
     other x is summed directly, a block of samples at a time, so that no
     (samples x grid) matrix is built.
     """
@@ -310,7 +316,9 @@ def _phase_sums(times, h, rows, x):
     if m >= 2:
         dx = (x[-1] - x[0]).real / (m - 1)
         drift = np.max(np.abs(x - (x[0] + dx * np.arange(m))))
-        if drift * np.max(np.abs(times)) <= UNIFORM_PHASE_TOL:
+        chirp_max = 0.5 * abs(dx * h) * (max(m, len(times)) - 1) ** 2
+        if max(drift * np.max(np.abs(times)),
+               np.finfo(float).eps * chirp_max) <= UNIFORM_PHASE_TOL:
             return _chirp_z(times[0], h, rows, x, dx)
     sums = np.zeros((len(rows), m), dtype=complex)
     block = max(1, DIRECT_BLOCK // m)
@@ -394,8 +402,7 @@ def trapped_fraction(sys, t_final: float = 150.0, tol: float = DEFAULT_TOL,
     samples not reached then count as 0, each within that floor of its
     value; a stop before the window returns 0.0.
     """
-    systems = [sys] if isinstance(sys, (D1System, D2System)) else list(sys)
-    _require_chains(systems)
+    systems = [sys] if isinstance(sys, D2System) else list(sys)
     floor = DECAY_FLOOR * plateau_tol
     grids = {}
     for k, s in enumerate(systems):

@@ -1,4 +1,4 @@
-"""Scenario parameters, validation, presets and the D1 -> chain mapping.
+"""Scenario parameters, validation, presets and the D1 loop as a chain.
 
 All rates are expressed in units of a reference decay rate (Gamma_ref = 1),
 times in units of its inverse.  Complex drive amplitudes are built as
@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ TWO_PI = 2.0 * math.pi
 #: closed-form spectrum path
 SPLITTING_RTOL = 1e-9
 
-#: splitting assigned to the chain produced by d1_to_chain; the D1 spectrum
+#: splitting of the chain that d1_system builds; the D1 spectrum
 #: lives entirely in the central (unshifted) branch, so the value only fixes
 #: where the two zero-rate side branches would be reported.
 D1_CHAIN_SPLITTING = 13.0
@@ -127,24 +127,38 @@ class D2System:
 
 
 @dataclass(frozen=True)
-class D1System:
-    """Single decaying excited state coupled to three of four ground states:
-    two optical drives (carrying the controllable phases) and two microwave
-    drives close the loop."""
+class D1System(D2System):
+    """Single decaying excited state coupled to three of four ground states,
+    as its four-amplitude chain: two optical drives (carrying the
+    controllable phases) and two microwave drives close the loop.  Build it
+    with `d1_system`; `d1_fields` gives its drives in scenario-file order."""
 
-    gamma: float
-    optical1: DriveField
-    optical2: DriveField
-    microwave1: DriveField = field(default_factory=lambda: DriveField(0.0))
-    microwave2: DriveField = field(default_factory=lambda: DriveField(0.0))
-    initial: object = "B"
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", float(self.gamma))
+def d1_system(gamma, optical1: DriveField, optical2: DriveField,
+              microwave1: DriveField, microwave2: DriveField,
+              initial="B") -> D1System:
+    """The single-loss loop as the four-amplitude chain.
 
-    @property
-    def drives(self):
-        return (self.optical1, self.optical2, self.microwave1, self.microwave2)
+    The decaying state sits in the central chain position (rates (0, Gamma, 0));
+    the drive assignment is chain (O1, O2, O3, O4) =
+    (microwave2, optical2, optical1, microwave1), which makes the central-branch
+    emission numerator proportional to
+    i*delta*(|Oo1||Om1| e^{i phi3} + |Om2||Oo2| e^{-i phi2}).
+    """
+    return D1System(
+        gamma=(0.0, gamma, 0.0),
+        omega12=D1_CHAIN_SPLITTING,
+        omega23=D1_CHAIN_SPLITTING,
+        drives=(microwave2, optical2, optical1, microwave1),
+        initial=initial,
+    )
+
+
+def d1_fields(sys: D1System) -> tuple:
+    """(optical1, optical2, microwave1, microwave2), the loop's drives in
+    scenario-file order: chain (O3, O2, O4, O1)."""
+    o1, o2, o3, o4 = sys.drives
+    return (o3, o2, o4, o1)
 
 
 @dataclass(frozen=True)
@@ -186,73 +200,41 @@ def _rate_errors(name, value):
     return []
 
 
-def _drive_and_initial_errors(drives, initial):
-    errors = []
+def validate_system(sys: D2System) -> ValidationReport:
+    """Check all system invariants, non-finite values included; collect
+    one error per violation.  A D1System is checked as its scenario file
+    reads: its one rate Gamma and its fields in file order."""
+    if isinstance(sys, D1System):
+        errors = _rate_errors("Gamma", sys.gamma[1])
+        drives = d1_fields(sys)
+    else:
+        errors = []
+        for j, g in enumerate(sys.gamma, start=1):
+            errors += _rate_errors(f"Gamma{j}", g)
+        errors += _rate_errors("omega12", sys.omega12)
+        errors += _rate_errors("omega23", sys.omega23)
+        for i, d in enumerate(sys.detunings, start=1):
+            if not math.isfinite(d):
+                errors.append(NonFiniteValue(
+                    f"detuning {i} = {d} must be finite"))
+        for i, p in enumerate(sys.alignments, start=1):
+            if not abs(p) <= 1.0:
+                errors.append(AlignmentOutOfRange(
+                    f"p{i} = {p} outside [-1, 1]"))
+        drives = sys.drives
     for i, d in enumerate(drives, start=1):
         if not (math.isfinite(d.magnitude) and math.isfinite(d.phase)):
             errors.append(NonFiniteValue(
                 f"field {i} = (mag {d.magnitude}, phase {d.phase}) "
                 "must be finite"))
     try:
-        norm = float(np.sum(np.abs(_coerce_initial(initial)) ** 2))
+        norm = float(np.sum(np.abs(sys.initial_vector()) ** 2))
         if not abs(norm - 1.0) <= 1e-9:
-            errors.append(
-                UnnormalizedInitialState(f"initial state norm^2 = {norm}, expected 1")
-            )
+            errors.append(UnnormalizedInitialState(
+                f"initial state norm^2 = {norm}, expected 1"))
     except ValueError as exc:
         errors.append(UnnormalizedInitialState(str(exc)))
-    return errors
-
-
-def validate_system(sys: D2System) -> ValidationReport:
-    """Check all D2System invariants, non-finite values included; collect
-    one error per violation."""
-    errors = []
-    for j, g in enumerate(sys.gamma, start=1):
-        errors += _rate_errors(f"Gamma{j}", g)
-    errors += _rate_errors("omega12", sys.omega12)
-    errors += _rate_errors("omega23", sys.omega23)
-    for i, d in enumerate(sys.detunings, start=1):
-        if not math.isfinite(d):
-            errors.append(NonFiniteValue(f"detuning {i} = {d} must be finite"))
-    for i, p in enumerate(sys.alignments, start=1):
-        if not abs(p) <= 1.0:
-            errors.append(AlignmentOutOfRange(f"p{i} = {p} outside [-1, 1]"))
-    errors += _drive_and_initial_errors(sys.drives, sys.initial)
     return ValidationReport(sys, analytic_admissible(sys), errors)
-
-
-def validate_d1_system(sys: D1System) -> ValidationReport:
-    """Check all D1System invariants, as validate_system does for the chain."""
-    errors = _rate_errors("Gamma", sys.gamma)
-    errors += _drive_and_initial_errors(sys.drives, sys.initial)
-    return ValidationReport(sys, True, errors)
-
-
-def _require_chains(systems):
-    """Raise TypeError for a D1System among systems: the spectrum, trapping
-    and dynamics routines work on the four-amplitude chain."""
-    if any(isinstance(s, D1System) for s in systems):
-        raise TypeError("a D1System is computed as its chain: pass "
-                        "d1_to_chain(system)")
-
-
-def d1_to_chain(sys: D1System) -> D2System:
-    """Map the single-loss loop onto the four-amplitude chain.
-
-    The decaying state sits in the central chain position (rates (0, Gamma, 0));
-    the drive assignment is chain (O1, O2, O3, O4) =
-    (microwave2, optical2, optical1, microwave1), which makes the central-branch
-    emission numerator proportional to
-    i*delta*(|Oo1||Om1| e^{i phi3} + |Om2||Oo2| e^{-i phi2}).
-    """
-    return D2System(
-        gamma=(0.0, sys.gamma, 0.0),
-        omega12=D1_CHAIN_SPLITTING,
-        omega23=D1_CHAIN_SPLITTING,
-        drives=(sys.microwave2, sys.optical2, sys.optical1, sys.microwave1),
-        initial=sys.initial,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +253,7 @@ def _fig2(phi2, phi3):
 
 
 def _d1(mag_o1, mag_o2, mag_m, phi2, phi3, mag_m2=None):
-    return D1System(
+    return d1_system(
         gamma=1.0,
         optical1=DriveField(mag_o1, phi3),
         optical2=DriveField(mag_o2, phi2),
@@ -348,27 +330,25 @@ def preset(name: str) -> ScenarioPreset:
 # ---------------------------------------------------------------------------
 
 def scenario_to_dict(sys) -> dict:
-    """Serialize a system to the scenario-file schema."""
-    if isinstance(sys, D1System):
-        return {
-            "system": "d1",
-            "gamma": [sys.gamma],
-            "fields": [{"mag": d.magnitude, "phase": d.phase} for d in sys.drives],
-        }
+    """Serialize a system to the scenario-file schema.  The initial state
+    is written as a label, or as [re, im] pairs for a vector; a D1 file
+    omits it when it is "B"."""
     initial = sys.initial
     if not isinstance(initial, str):
-        vec = sys.initial_vector()
-        initial = [[float(z.real), float(z.imag)] for z in vec]
-    return {
-        "system": "d2",
-        "gamma": list(sys.gamma),
-        "omega12": sys.omega12,
-        "omega23": sys.omega23,
-        "fields": [{"mag": d.magnitude, "phase": d.phase} for d in sys.drives],
-        "detunings": list(sys.detunings),
-        "p": list(sys.alignments),
-        "initial": initial,
-    }
+        initial = [[float(z.real), float(z.imag)]
+                   for z in sys.initial_vector()]
+    if isinstance(sys, D1System):
+        data = {"system": "d1", "gamma": [sys.gamma[1]]}
+        drives = d1_fields(sys)
+    else:
+        data = {"system": "d2", "gamma": list(sys.gamma),
+                "omega12": sys.omega12, "omega23": sys.omega23,
+                "detunings": list(sys.detunings), "p": list(sys.alignments)}
+        drives = sys.drives
+    data["fields"] = [{"mag": d.magnitude, "phase": d.phase} for d in drives]
+    if data["system"] == "d2" or initial != "B":
+        data["initial"] = initial
+    return data
 
 
 def _number(value, key) -> float:
@@ -424,9 +404,7 @@ def scenario_from_dict(data: dict):
     initial = _initial_state(data.get("initial", "B"))
     if kind == "d1":
         (gamma,) = _numbers(data.get("gamma"), "gamma", 1)
-        return D1System(gamma=gamma, optical1=drives[0],
-                        optical2=drives[1], microwave1=drives[2],
-                        microwave2=drives[3], initial=initial)
+        return d1_system(gamma, *drives, initial=initial)
     return D2System(
         gamma=_numbers(data.get("gamma"), "gamma", 3),
         omega12=_number(data["omega12"], "omega12"),

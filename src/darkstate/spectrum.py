@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (DarkstateError, GridOverflow, NonFiniteValue,
                      NotAnalyticAdmissible, PoleHit, SingularSystem)
-from .model import D2System, _require_chains, analytic_admissible
+from .model import D2System, analytic_admissible
 
 #: roots closer than this are always treated as one confluent cluster; the
 #: grouping widens adaptively because companion-matrix roots of an exactly
@@ -188,7 +188,6 @@ def branch_numerator_s(sys: D2System, branch: int, s):
     basis initial state costs one cofactor, and a non-finite cofactor of
     weight 0 gives no NaN (see the module docstring).
     """
-    _require_chains([sys])
     if branch not in (1, 2, 3):
         raise ValueError("branch must be 1, 2 or 3")
     return _numerator(_constants(sys), branch, s)
@@ -236,7 +235,6 @@ def _numerator(const, branch: int, s):
 
 
 def _require_analytic(sys: D2System):
-    _require_chains([sys])
     if not analytic_admissible(sys):
         raise NotAnalyticAdmissible(
             "closed-form path needs resonant drives, omega12 == omega23 "
@@ -297,13 +295,17 @@ def _root_clusters(qs):
     # Q' = np.polyder's
     cols = [1.0, *qs.T[1:, :, None]]
     dcols = [4.0, *(qs[:, 1:-1] * np.arange(3, 0, -1)).T[:, :, None]]
-    for _ in range(2):
-        val = _polyval(cols, roots)
-        dval = _polyval(dcols, roots)
-        safe = np.abs(dval) > 1e-30
-        step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
-        roots = roots - np.where(np.abs(step) < NEWTON_MAX_STEP, step, 0.0)
-    return map(_cluster_roots, roots, _polyval(dcols, roots))
+    # Q and Q' may overflow at a root of huge coefficients; the step is
+    # then inf or NaN, fails the bound and is not taken
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            val = _polyval(cols, roots)
+            dval = _polyval(dcols, roots)
+            safe = np.abs(dval) > 1e-30
+            step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
+            roots = roots - np.where(np.abs(step) < NEWTON_MAX_STEP, step, 0.0)
+        slopes = _polyval(dcols, roots)
+    return map(_cluster_roots, roots, slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +506,10 @@ def _batch(systems, grid):
             if not k:
                 grid = _finite_detuning(grid)
             qs.append(quartic_coeffs_s(sys))
-    except (DarkstateError, TypeError) as exc:  # raised after earlier rows
+    except DarkstateError as exc:  # raised after earlier rows
         failure = exc
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            roots = _root_clusters(qs)
-    except (FloatingPointError, np.linalg.LinAlgError):
-        # one row at a time, so that its warning or error comes in turn
-        roots = (next(_root_clusters([q])) for q in qs)
     return grid, ((sys, q, const, *r) for sys, q, const, r in zip(
-        systems, qs, map(_constants, systems), roots)), failure
+        systems, qs, map(_constants, systems), _root_clusters(qs))), failure
 
 
 def _row_intensities(row, grid, branches, smax, poles=None):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivisionByZeroDrive, NonFiniteValue
-from .model import D1System, D2System, DriveField, _require_chains, wrap_signed
+from .model import D1System, D2System, DriveField, d1_fields, wrap_signed
 from .spectrum import quartic_coeffs_s
 
 DEFAULT_TOL = 1e-9
@@ -89,9 +89,9 @@ def fgc_check(sys: D2System, tol: float = DEFAULT_TOL) -> TrappingReport:
 
     Satisfied iff |O3||O4| == |O1||O2|, phi2 + phi3 == pi (mod 2 pi) and
     Gamma1 == Gamma3, all within tol (scale = largest drive product).
-    Raises NonFiniteValue when a drive product overflows.
+    Raises NonFiniteValue when a drive product overflows.  A D1System gets
+    the verdict of its chain; `d1_trapping_check` is the loop's own check.
     """
-    _require_chains([sys])
     o1, o2, o3, o4 = sys.rabi
     g1, _, g3 = sys.gamma
     with np.errstate(over="ignore", invalid="ignore"):
@@ -144,15 +144,16 @@ def d1_trapping_check(sys: D1System, tol: float = DEFAULT_TOL) -> TrappingReport
     Oo1*Om1 + Om2*conj(Oo2) == 0 (for the scenario phase conventions this is
     |Oo1||Om1| e^{i phi3} + |Om2||Oo2| e^{-i phi2} == 0).  Raises
     NonFiniteValue when a drive product overflows."""
+    optical1, optical2, microwave1, microwave2 = d1_fields(sys)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = sys.optical1.amplitude * sys.microwave1.amplitude
-        b = sys.microwave2.amplitude * np.conj(sys.optical2.amplitude)
+        a = optical1.amplitude * microwave1.amplitude
+        b = microwave2.amplitude * np.conj(optical2.amplitude)
         total = a + b
         mag = abs(a) - abs(b)
     _require_finite("trapping residuals", total, mag)
     scale = max(abs(a), abs(b), 1e-300)
-    phase = wrap_signed(sys.optical2.phase + sys.optical1.phase
-                        + sys.microwave1.phase - sys.microwave2.phase - math.pi)
+    phase = wrap_signed(optical2.phase + optical1.phase
+                        + microwave1.phase - microwave2.phase - math.pi)
     satisfied = abs(total) <= tol * scale
     return TrappingReport(
         delta_coefficient_residual=complex(total),

@@ -12,12 +12,12 @@ import pytest
 
 from conftest import CHILD_ENV, random_admissible_system
 from darkstate import (
-    D1System,
     D2System,
     DriveField,
     conservation_check,
     count_spectral_lines,
-    d1_to_chain,
+    d1_fields,
+    d1_system,
     fgc_central_numerator,
     find_peaks,
     laplace_solve_oracle,
@@ -121,16 +121,13 @@ def test_criterion_04_sgc_infeasibility():
 def test_criterion_05_d1_darkening():
     s = preset("d1-trapping").system
     grid = np.linspace(-25.0, 25.0, 5001)
-    dark_max = float(np.max(spectrum_analytic(d1_to_chain(s), grid).total))
-    trapped = trapped_fraction(d1_to_chain(s), require_plateau=False)
-    broken = D1System(gamma=s.gamma,
-                      optical1=DriveField(s.optical1.magnitude * 1.01,
-                                          s.optical1.phase),
-                      optical2=s.optical2, microwave1=s.microwave1,
-                      microwave2=s.microwave2)
-    broken_max = float(np.max(
-        spectrum_analytic(d1_to_chain(broken), grid).total))
-    broken_trapped = trapped_fraction(d1_to_chain(broken), t_final=200.0,
+    dark_max = float(np.max(spectrum_analytic(s, grid).total))
+    trapped = trapped_fraction(s, require_plateau=False)
+    optical1, *rest = d1_fields(s)
+    broken = d1_system(1.0, DriveField(optical1.magnitude * 1.01,
+                                       optical1.phase), *rest)
+    broken_max = float(np.max(spectrum_analytic(broken, grid).total))
+    broken_trapped = trapped_fraction(broken, t_final=200.0,
                                       require_plateau=False)
     ok = (dark_max < 1e-20 and abs(trapped - 1.0) < 1e-6
           and broken_trapped < 1.0 - 1e-3 and broken_max > 1e-3)
@@ -177,9 +174,7 @@ def test_criterion_07_limiting_cases():
     residual_ok = True
     worst_res = 0.0
     for name in preset_names():
-        system = preset(name).system
-        chain = d1_to_chain(system) if isinstance(system, D1System) else system
-        q = quartic_coeffs_s(chain)
+        q = quartic_coeffs_s(preset(name).system)
         [(clusters, _)] = _root_clusters([q])
         # each cluster's root, as the spectrum's poles take it
         roots = np.array([sum(c) / len(c) for c in clusters])

@@ -13,7 +13,6 @@ from darkstate import (
     compare_spectra,
     conservation_check,
     count_spectral_lines,
-    d1_to_chain,
     find_peaks,
     preset,
     preset_names,
@@ -58,10 +57,8 @@ class TestProminentMaxima:
     @pytest.mark.parametrize("name", preset_names())
     def test_matches_scipy_on_preset_spectra(self, name):
         system = preset(name).system
-        if isinstance(system, D1System):
-            spec = spectrum_analytic(d1_to_chain(system), d1_grid())
-        else:
-            spec = spectrum_analytic(system, default_grid())
+        grid = d1_grid() if isinstance(system, D1System) else default_grid()
+        spec = spectrum_analytic(system, grid)
         for curve in (spec.total, *spec.branch_intensity):
             for scale in (float(np.max(curve)), float(np.max(spec.total))):
                 for prominence in (0.0, DEFAULT_PROMINENCE * scale):
@@ -224,7 +221,7 @@ class TestConservation:
                                                    abs=0.05)
 
     def test_d1_trapped_budget(self):
-        r = conservation_check(d1_to_chain(preset("d1-trapping").system))
+        r = conservation_check(preset("d1-trapping").system)
         assert r.trapped == pytest.approx(1.0, abs=1e-6)
         assert r.emitted_spectral == pytest.approx(0.0, abs=1e-6)
 
@@ -267,10 +264,10 @@ class TestCompareSpectra:
     def test_dark_spectra_compare_near_zero(self):
         # both routes give roundoff spectra (peaks ~1e-29) for the trapped
         # D1 chain; relative to each other they differ by order 1
-        chain = d1_to_chain(preset("d1-trapping").system)
+        s = preset("d1-trapping").system
         grid = np.linspace(-25.0, 25.0, 401)
-        a = spectrum_analytic(chain, grid)
-        b = spectrum_time_domain(chain, grid)
+        a = spectrum_analytic(s, grid)
+        b = spectrum_time_domain(s, grid)
         assert max(np.max(a.total), np.max(b.total)) < 1e-20
         assert self._relative_floor_only(a, b)["max_rel_err"] > 0.5
         metrics = compare_spectra(a, b)
@@ -280,21 +277,20 @@ class TestCompareSpectra:
     @pytest.mark.parametrize("name", ["fig2-notrapping", "d1-fig3a"])
     def test_lit_spectra_unchanged_by_floor(self, name):
         s = preset(name).system
-        chain = d1_to_chain(s) if isinstance(s, D1System) else s
         grid = np.linspace(-30.0, 30.0, 401)
-        a = spectrum_analytic(chain, grid)
-        b = spectrum_time_domain(chain, grid)
+        a = spectrum_analytic(s, grid)
+        b = spectrum_time_domain(s, grid)
         assert compare_spectra(a, b) == self._relative_floor_only(a, b)
 
 
 class TestD1SpectrumShape:
     def test_trapping_preset_dark(self):
-        spec = spectrum_analytic(d1_to_chain(preset("d1-trapping").system),
+        spec = spectrum_analytic(preset("d1-trapping").system,
                                  np.linspace(-25, 25, 2001))
         assert np.max(spec.total) < 1e-20
 
     def test_narrowed_doublet(self):
-        spec = spectrum_analytic(d1_to_chain(preset("d1-fig3a").system),
+        spec = spectrum_analytic(preset("d1-fig3a").system,
                                  np.linspace(-25, 25, 10001))
         pa = find_peaks(spec)
         assert len(pa.peaks) == 3

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import CHILD_ENV
-from darkstate import (d1_to_chain, load_scenario, preset, preset_names,
+from darkstate import (load_scenario, preset, preset_names,
                        propagate, save_scenario, scenario_to_dict,
                        spectrum_analytic, spectrum_time_domain,
                        trapped_fraction)
 from darkstate import cli
 from darkstate.analysis import default_grid
 from darkstate.cli import main
-from darkstate.model import D1System, DriveField, write_json
+from darkstate.model import DriveField, write_json
 from darkstate.spectrum import SpectrumResult
 
 
@@ -392,8 +392,8 @@ class TestValidateCommand:
 
         monkeypatch.setattr(cli, "trapped_fraction", spy)
         assert run("validate", target) == 0
-        chains = [d1_to_chain(preset(name).system) for name in trapped]
-        assert calls == ([chains] if chains else [])
+        systems = [preset(name).system for name in trapped]
+        assert calls == ([systems] if systems else [])
 
     def test_all_is_the_single_runs(self, capsys):
         expected = []
@@ -708,10 +708,7 @@ def _synthetic_spectrum(rng, n=2 * cli.CSV_BLOCK_ROWS + 1, nonfinite=True):
 class TestWriterByteIdentity:
     @pytest.mark.parametrize("name", preset_names())
     def test_preset_analytic_spectra(self, name, tmp_path):
-        system = preset(name).system
-        if isinstance(system, D1System):
-            system = d1_to_chain(system)
-        spec = spectrum_analytic(system, default_grid())
+        spec = spectrum_analytic(preset(name).system, default_grid())
         _assert_spectrum_writers_match(tmp_path, spec, "analytic")
 
     def test_time_domain_spectrum(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,6 @@ from darkstate import (
     StepSizeUnderflow,
     TooManySamples,
     branch_amplitude_numeric,
-    d1_to_chain,
     preset,
     preset_names,
     propagate,
@@ -207,6 +207,17 @@ class TestFilonQuadrature:
             assert len(chirp_calls) == 1
             chirp_calls.clear()
 
+    def test_weights_where_theta_squared_overflows(self):
+        # |w1| <= 2/|theta|, below 1e-150 there: 0, and no warning
+        thetas = np.array([1e151, -1e200, 1e300 + 1.0j, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w0, w1 = _filon_weights(thetas)
+        assert np.all(np.abs(w0[:3]) <= 2.0 / np.abs(thetas[:3]))
+        assert np.array_equal(w1[:3], np.zeros(3))
+        want0, want1 = _filon_weights(thetas[3:])
+        assert (w0[3], w1[3]) == (want0[0], want1[0])
+
     def test_fft_length_is_smallest_5_smooth(self):
         def smooth(k):
             for p in (2, 3, 5):
@@ -270,18 +281,6 @@ class TestBranchAmplitudes:
         assert abs(got) < 1e-6
 
 
-@pytest.mark.parametrize("call", [
-    lambda s: propagate(s),
-    lambda s: spectrum_time_domain(s, np.linspace(-5.0, 5.0, 11)),
-    lambda s: trapped_fraction(s),
-    lambda s: trapped_fraction([d1_to_chain(s), s]),
-], ids=["propagate", "spectrum_time_domain", "trapped_fraction",
-        "trapped_fraction_batch"])
-def test_d1_system_is_named_type_error(call):
-    with pytest.raises(TypeError, match=r"d1_to_chain\(system\)"):
-        call(preset("d1-trapping").system)
-
-
 class TestTrappedFraction:
     def test_stable_ground_state_is_one(self):
         assert trapped_fraction(_bare("B"), t_final=20.0) == \
@@ -292,9 +291,8 @@ class TestTrappedFraction:
             pytest.approx(0.0, abs=1e-9)
 
     def test_d1_trapping_preset_fully_trapped(self):
-        from darkstate import d1_to_chain
-        chain = d1_to_chain(preset("d1-trapping").system)
-        assert trapped_fraction(chain, require_plateau=False) == \
+        s = preset("d1-trapping").system
+        assert trapped_fraction(s, require_plateau=False) == \
             pytest.approx(1.0, abs=1e-6)
 
     def test_not_converged_raised_on_slow_system(self):
@@ -447,7 +445,7 @@ class TestTrappedFractionEarlyExit:
         for name in preset_names():
             s = preset(name).system
             if isinstance(s, D1System):
-                assert dynamics._norm_never_grows(d1_to_chain(s))
+                assert dynamics._norm_never_grows(s)
 
 
 def _dense_reference(sys, t_final):
@@ -472,7 +470,7 @@ def _dense_reference(sys, t_final):
 
 def _reference_systems():
     rng = np.random.default_rng(7)
-    systems = [d1_to_chain(preset(name).system)
+    systems = [preset(name).system
                for name in ("d1-trapping", "d1-fig3c", "d1-fig3f")]
     systems.append(preset("fig2-trapping").system)
     systems += [random_admissible_system(rng) for _ in range(3)]
@@ -552,10 +550,8 @@ class TestSampleCap:
     def test_presets_far_below_the_cap(self):
         for name in preset_names():
             system = preset(name).system
-            chain = d1_to_chain(system) if isinstance(system, D1System) \
-                else system
-            count = dynamics._sample_count(chain, 150.0)
-            assert len(dynamics._sample_times(chain, 150.0)) == count
+            count = dynamics._sample_count(system, 150.0)
+            assert len(dynamics._sample_times(system, 150.0)) == count
             assert count <= 2.1e4 <= dynamics.MAX_TIME_SAMPLES / 40
 
     @pytest.mark.parametrize("argv, samples", [
@@ -580,9 +576,7 @@ class TestSampleCap:
 def _integrator_cases():
     cases = []
     for name in preset_names():
-        s = preset(name).system
-        chain = d1_to_chain(s) if isinstance(s, D1System) else s
-        cases.append((name, chain))
+        cases.append((name, preset(name).system))
     rng = np.random.default_rng(11)
     cases += [(f"random{k}", random_admissible_system(rng)) for k in range(3)]
     for k in range(2):
@@ -824,7 +818,7 @@ class TestBatch:
                            drives=preset("fig2-notrapping").system.drives,
                            detunings=(15.0, 0.0, 0.0, 0.0))
         systems = [*_phase2_sweep()[::4], detuned, _decaying_system(),
-                   d1_to_chain(preset("d1-trapping").system),
+                   preset("d1-trapping").system,
                    random_admissible_system(rng)]
         assert (len(dynamics._sample_times(detuned, 60.0))
                 != len(dynamics._sample_times(systems[0], 60.0)))
@@ -874,6 +868,22 @@ class TestTimeDomainSpectrum:
         t = spectrum_time_domain(s, grid)
         metrics = compare_spectra(a, t)
         assert metrics["max_rel_err"] < 1e-3
+
+    @pytest.mark.parametrize("grid", [[-1e20, 0.0], [0.0, 1e300]],
+                             ids=["1e20", "1e300"])
+    def test_far_point_leaves_the_others_alone(self, grid):
+        """A uniform grid of huge spacing is summed directly: the chirp-z
+        phases would lose their precision at every point."""
+        s = preset("fig2-notrapping").system
+        grid = np.array(grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = spectrum_time_domain(s, grid)
+        alone = np.column_stack([
+            spectrum_time_domain(s, grid[k:k + 1]).branch_intensity
+            for k in range(len(grid))])
+        scale = np.max(np.abs(alone))
+        assert np.max(np.abs(spec.branch_intensity - alone)) <= 1e-9 * scale
 
     def test_zero_spectrum_for_undriven_ground_state(self):
         spec = spectrum_time_domain(_bare("B"), np.linspace(-5, 5, 21),

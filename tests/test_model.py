@@ -12,12 +12,12 @@ from darkstate import (
     NonPositiveRate,
     UnknownPreset,
     analytic_admissible,
-    d1_to_chain,
+    d1_fields,
+    d1_system,
     preset,
     preset_names,
     scenario_from_dict,
     scenario_to_dict,
-    validate_d1_system,
     validate_system,
 )
 from darkstate.model import wrap_phase, wrap_signed
@@ -92,14 +92,16 @@ class TestValidation:
 
     def test_d1_invariants_flagged(self):
         s = preset("d1-fig3a").system
-        assert validate_d1_system(s).ok
-        for bad in (D1System(gamma=-1.0, optical1=s.optical1,
-                             optical2=s.optical2),
-                    D1System(gamma=1.0, optical1=DriveField(math.nan),
-                             optical2=s.optical2),
-                    D1System(gamma=1.0, optical1=s.optical1,
-                             optical2=s.optical2, initial=[1, 1, 0, 0])):
-            assert not validate_d1_system(bad).ok
+        optical1, _, microwave1, microwave2 = d1_fields(s)
+        assert validate_system(s).ok
+        for bad, message in (
+                (d1_system(-1.0, *d1_fields(s)), "Gamma = -1.0"),
+                (d1_system(1.0, optical1, DriveField(math.nan), microwave1,
+                           microwave2), "field 2"),
+                (d1_system(1.0, *d1_fields(s), initial=[1, 1, 0, 0]),
+                 "norm")):
+            (error,) = validate_system(bad).errors
+            assert message in str(error)
 
     def test_detuned_system_not_analytic_admissible(self):
         s = preset("fig2-trapping").system
@@ -146,20 +148,20 @@ class TestPresets:
 
 class TestD1Chain:
     def test_central_state_carries_the_loss(self):
-        s = preset("d1-trapping").system
-        chain = d1_to_chain(s)
-        assert chain.gamma == (0.0, s.gamma, 0.0)
+        s = d1_system(0.7, *(DriveField(1.0),) * 4)
+        assert isinstance(s, D2System)
+        assert s.gamma == (0.0, 0.7, 0.0)
 
     def test_drive_assignment(self):
-        s = D1System(gamma=1.0, optical1=DriveField(0.5, 0.3),
-                     optical2=DriveField(0.7, 0.2),
-                     microwave1=DriveField(0.9), microwave2=DriveField(1.1))
-        chain = d1_to_chain(s)
-        assert chain.drives == (s.microwave2, s.optical2, s.optical1,
-                                s.microwave1)
+        fields = (DriveField(0.5, 0.3), DriveField(0.7, 0.2), DriveField(0.9),
+                  DriveField(1.1))
+        s = d1_system(1.0, *fields)
+        o1, o2, m1, m2 = fields
+        assert s.drives == (m2, o2, o1, m1)
+        assert d1_fields(s) == fields
 
     def test_chain_is_analytic_admissible(self):
-        assert analytic_admissible(d1_to_chain(preset("d1-fig3a").system))
+        assert analytic_admissible(preset("d1-fig3a").system)
 
 
 class TestScenarioSchema:
@@ -171,6 +173,18 @@ class TestScenarioSchema:
     def test_d1_round_trip(self):
         s = preset("d1-fig3d").system
         assert scenario_from_dict(scenario_to_dict(s)) == s
+
+    @pytest.mark.parametrize("initial", ["A2", [0.6, 0.0, 0.8j, 0.0]])
+    def test_d1_initial_state_round_trip(self, initial):
+        # the initial state is part of a D1 scenario's provenance
+        s = d1_system(1.0, *(DriveField(m, p) for m, p in (
+            (0.5, 0.3), (0.7, 1.9), (0.9, 4.0), (1.1, 5.5))), initial=initial)
+        data = json.loads(json.dumps(scenario_to_dict(s)))
+        assert data != scenario_to_dict(d1_system(1.0, *d1_fields(s)))
+        back = scenario_from_dict(data)
+        assert isinstance(back, D1System)
+        assert back.drives == s.drives
+        assert np.array_equal(back.initial_vector(), s.initial_vector())
 
     def test_vector_initial_round_trip(self):
         s = preset("fig2-trapping").system

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import random_admissible_system
 from test_text import _peak_bytes
 from darkstate import (
+    D1System,
     D2System,
     DriveField,
     GridOverflow,
@@ -14,13 +17,19 @@ from darkstate import (
     NotAnalyticAdmissible,
     PoleHit,
     SingularSystem,
+    branch_amplitude_numeric,
     conservation_check,
     coupling_matrix,
+    fgc_central_numerator,
+    fgc_check,
     laplace_solve_oracle,
     preset,
+    propagate,
+    sgc_feasible,
     spectrum_analytic,
     spectrum_time_domain,
     steady_state_amplitudes,
+    trapped_fraction,
 )
 from darkstate import spectrum
 from darkstate.cli import _apply_sweep_value, _sweep_metric
@@ -196,18 +205,41 @@ class TestNumerator:
                 assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("call", [
-    lambda s: spectrum_analytic(s, np.linspace(-5.0, 5.0, 11)),
-    lambda s: steady_state_amplitudes(s, 0.5),
-    lambda s: laplace_solve_oracle(s, 0.5),
-    lambda s: branch_numerator_s(s, 2, 0.5j),
-    lambda s: conservation_check(s),
-], ids=["spectrum_analytic", "steady_state_amplitudes",
-        "laplace_solve_oracle", "branch_numerator_s",
-        "conservation_check"])
-def test_d1_system_is_named_type_error(call):
-    with pytest.raises(TypeError, match=r"d1_to_chain\(system\)"):
-        call(preset("d1-trapping").system)
+_GRID11 = np.linspace(-5.0, 5.0, 11)
+
+#: every numeric entry point that takes a system
+ENTRY_POINTS = {
+    "coupling_matrix": coupling_matrix,
+    "quartic_coeffs_s": quartic_coeffs_s,
+    "branch_numerator_s": lambda s: branch_numerator_s(s, 2, 0.5j),
+    "steady_state_amplitudes": lambda s: steady_state_amplitudes(s, _GRID11),
+    "laplace_solve_oracle": lambda s: laplace_solve_oracle(s, _GRID11),
+    "spectrum_analytic": lambda s: spectrum_analytic(s, _GRID11),
+    "intensity_rows": lambda s: intensity_rows(
+        [s, s], _GRID11, (1, 2, 3), lambda grid, rows, lines: (rows, lines)),
+    "conservation_check": conservation_check,
+    "propagate": propagate,
+    "spectrum_time_domain": lambda s: spectrum_time_domain(s, _GRID11),
+    "branch_amplitude_numeric": lambda s: branch_amplitude_numeric(
+        s, 2, _GRID11),
+    "trapped_fraction": lambda s: trapped_fraction(s, require_plateau=False),
+    "trapped_fraction_batch": lambda s: trapped_fraction(
+        [s, s], require_plateau=False),
+    "fgc_check": fgc_check,
+    "fgc_central_numerator": lambda s: fgc_central_numerator(s, _GRID11),
+    "sgc_feasible": sgc_feasible,
+}
+
+
+@pytest.mark.parametrize("name", ["d1-fig3a", "d1-trapping"])
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_d1_system_is_its_chain(call, name):
+    """A D1 system computes, bit for bit, as the D2System of its fields."""
+    d1 = preset(name).system
+    assert isinstance(d1, D1System)
+    chain = D2System(**{f.name: getattr(d1, f.name)
+                        for f in dataclasses.fields(D2System)})
+    assert pickle.dumps(call(d1)) == pickle.dumps(call(chain))
 
 
 class TestOracleSingular:

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import random_admissible_system
-from darkstate import (D1System, D2System, DriveField, PoleHit, d1_to_chain,
-                       preset, preset_names, spectrum_analytic,
-                       steady_state_amplitudes)
+from darkstate import (D2System, DriveField, PoleHit, preset, preset_names,
+                       spectrum_analytic, steady_state_amplitudes)
 from darkstate import spectrum
 from darkstate.spectrum import (branch_shifts, _constants, _cluster_roots,
                                 _poly_scale, _reconstruct, quartic_coeffs_s)
@@ -161,8 +160,6 @@ DELTAS = (0.0, 0.5, -13.0, 13.0, 2.5, -7.25)
 @pytest.mark.parametrize("name", preset_names())
 def test_presets(name):
     sys = preset(name).system
-    if isinstance(sys, D1System):
-        sys = d1_to_chain(sys)
     for grid in GRIDS:
         _check(sys, grid)
     _check(sys, np.array(DELTAS), DELTAS)

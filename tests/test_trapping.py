@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_admissible_system
 from darkstate import (
-    D1System,
     D2System,
     DivisionByZeroDrive,
     DriveField,
     NonFiniteValue,
-    d1_to_chain,
+    d1_fields,
+    d1_system,
     d1_trapping_check,
     fgc_central_numerator,
     fgc_check,
@@ -128,10 +128,9 @@ class TestOverflow:
             fgc_check(s)
 
     def test_d1_trapping_check(self):
-        s = preset("d1-trapping").system
-        huge = D1System(gamma=s.gamma, optical1=DriveField(1e300),
-                        optical2=s.optical2, microwave1=DriveField(1e300),
-                        microwave2=s.microwave2)
+        _, optical2, _, microwave2 = d1_fields(preset("d1-trapping").system)
+        huge = d1_system(1.0, DriveField(1e300), optical2, DriveField(1e300),
+                         microwave2)
         with pytest.raises(NonFiniteValue):
             d1_trapping_check(huge)
 
@@ -146,29 +145,19 @@ class TestD1Trapping:
             assert not d1_trapping_check(preset(name).system).satisfied
 
     def test_magnitude_break_detected(self):
-        s = preset("d1-trapping").system
-        broken = D1System(gamma=s.gamma,
-                          optical1=DriveField(s.optical1.magnitude * 1.01,
-                                              s.optical1.phase),
-                          optical2=s.optical2, microwave1=s.microwave1,
-                          microwave2=s.microwave2)
+        optical1, *rest = d1_fields(preset("d1-trapping").system)
+        broken = d1_system(1.0, DriveField(optical1.magnitude * 1.01,
+                                           optical1.phase), *rest)
         assert not d1_trapping_check(broken).satisfied
 
     def test_condition_equals_chain_central_numerator(self):
         # the D1 condition is the chain's central-branch numerator at work:
-        # satisfied iff the mapped chain spectrum is identically zero
+        # satisfied iff its chain spectrum is identically zero
         s = preset("d1-trapping").system
-        chain = d1_to_chain(s)
         deltas = np.linspace(-20, 20, 101)
-        residual = np.abs(fgc_central_numerator(chain, deltas))
+        residual = np.abs(fgc_central_numerator(s, deltas))
         # gamma1 != gamma3 plays no role here since both are zero
         assert np.max(residual) < 1e-12
-
-    def test_fgc_check_names_chain_mapping(self):
-        # fgc_check is the chain condition; a D1 system is checked with
-        # d1_trapping_check or mapped first
-        with pytest.raises(TypeError, match=r"d1_to_chain\(system\)"):
-            fgc_check(preset("d1-trapping").system)
 
 
 class TestGaugeInvariance:
