@@ -16,10 +16,10 @@ D2_PRESETS = ["two-level", "autler-townes-doublet", "at-quartet",
 D1_PRESETS = ["d1-trapping", "d1-fig3a", "d1-fig3b", "d1-fig3d", "d1-fig3e"]
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="figures", help="output directory")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -19,11 +19,13 @@ The CLI runs in-process (`darkstate.cli.main`) in a temporary directory:
   as JSON and with `--method both`, `trapping` with and without
   `--solve`, and `sweep`; the same commands on invalid D1 files (Gamma < 0,
   a NaN field);
-- the time-domain spectrum on uniform grids of huge spacing.
+- the time-domain spectrum on uniform grids of huge spacing;
+- `make_figures.py` and `reproduction_report.py`, run in-process.
 
 Each command's exit code, stdout and stderr count as outputs, as do its
-files. Manifests are hashed without their timings (`wall_time_s`,
-`stage_s`), the only fields that differ between two runs of one tree.
+files (those of a new directory one by one). Manifests are hashed without
+their timings (`wall_time_s`, `stage_s`), the only fields that differ
+between two runs of one tree.
 
     PYTHONPATH=src python scripts/output_digests.py --out before.txt
     (in the other tree)  PYTHONPATH=src python scripts/output_digests.py --out after.txt
@@ -36,12 +38,15 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+import make_figures
+import reproduction_report
 from darkstate.cli import main as cli_main
 from darkstate.model import D2System, DriveField, preset_names, save_scenario
 
@@ -130,25 +135,33 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(label, argv, digests):
-    """Run one CLI command in the current directory and record the digests
-    of its exit code, streams and new files under label."""
+def _run(label, argv, digests, main=cli_main):
+    """Run main(argv), one CLI command or a script, in the current
+    directory and record the digests of its exit code, streams and new
+    files under label."""
     before = set(os.listdir())
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
+        code = main(argv)
     digests[f"{label} exit"] = _sha(str(code).encode())
     digests[f"{label} stdout"] = _sha(out.getvalue().encode())
     digests[f"{label} stderr"] = _sha(err.getvalue().encode())
     for name in sorted(set(os.listdir()) - before):
-        data = Path(name).read_bytes()
-        if name.endswith(".manifest.json"):
-            manifest = json.loads(data)
-            for key in TIMINGS:
-                manifest.pop(key, None)
-            data = json.dumps(manifest, sort_keys=True).encode()
-        digests[f"{label} {name}"] = _sha(data)
-        os.remove(name)
+        top = Path(name)
+        for path in sorted(top.rglob("*")) if top.is_dir() else [top]:
+            if path.is_dir():
+                continue
+            data = path.read_bytes()
+            if name.endswith(".manifest.json"):
+                manifest = json.loads(data)
+                for key in TIMINGS:
+                    manifest.pop(key, None)
+                data = json.dumps(manifest, sort_keys=True).encode()
+            digests[f"{label} {path}"] = _sha(data)
+        if top.is_dir():
+            shutil.rmtree(top)
+        else:
+            os.remove(top)
 
 
 def digests() -> dict:
@@ -210,6 +223,10 @@ def digests() -> dict:
                 _run(f"spectrum fig2-notrapping {label}",
                      ["spectrum", "--preset", "fig2-notrapping", *opts,
                       "--out", "s.csv"], found)
+            _run("make_figures", ["--outdir", "figures"], found,
+                 make_figures.main)
+            _run("reproduction_report", ["--out", "report.json"], found,
+                 reproduction_report.main)
         finally:
             os.chdir(cwd)
     return found

@@ -13,29 +13,28 @@ import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
 from darkstate import (
     __version__,
-    find_peaks,
+    default_grid,
     preset,
     spectrum_analytic,
     trapped_fraction,
 )
+from darkstate.analysis import spectral_areas
 
 
 def compute_report():
-    grid = np.linspace(-30.0, 30.0, 6001)
+    grid = default_grid()
 
     trap = preset("fig2-trapping").system
     notrap = preset("fig2-notrapping").system
     trapped = trapped_fraction(trap, require_plateau=False)
 
-    pa_trap = find_peaks(spectrum_analytic(trap, grid))
-    pa_notrap = find_peaks(spectrum_analytic(notrap, grid))
-    total_reduction = 1.0 - pa_trap.total_area / pa_notrap.total_area
-    central_reduction = 1.0 - (pa_trap.branch_areas[1]
-                               / pa_notrap.branch_areas[1])
+    total_trap, branches_trap = spectral_areas(spectrum_analytic(trap, grid))
+    total_notrap, branches_notrap = spectral_areas(
+        spectrum_analytic(notrap, grid))
+    total_reduction = 1.0 - total_trap / total_notrap
+    central_reduction = 1.0 - branches_trap[1] / branches_notrap[1]
 
     d1_trapped = trapped_fraction(preset("d1-trapping").system,
                                   require_plateau=False)
@@ -68,10 +67,10 @@ def compute_report():
     return {"version": __version__, "entries": entries}
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="reports/reproduction.json")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     report = compute_report()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -29,7 +29,6 @@ from .model import (
     D2System,
     DriveField,
     ScenarioPreset,
-    ValidationReport,
     analytic_admissible,
     d1_fields,
     d1_system,

@@ -15,7 +15,13 @@ from .errors import GridMismatch, GridTooCoarse
 from .spectrum import SpectrumResult, spectrum_analytic
 from .dynamics import trapped_fraction
 
+#: a peak's prominence must be at least this fraction of the total's peak
 DEFAULT_PROMINENCE = 1e-3
+
+#: a spectrum whose peak is at most this is identically zero: the closed
+#: form of a dark atom leaves roundoff peaks of 1e-27 and below, and a
+#: spectrum's area, the emitted population, is at most 1
+ZERO_SPECTRUM = 1e-20
 
 #: default reporting grid: +-30 rate units, 6001 points
 DEFAULT_GRID = (-30.0, 30.0, 6001)
@@ -50,8 +56,6 @@ class Peak:
 @dataclass
 class PeakAnalysis:
     peaks: list
-    total_area: float
-    branch_areas: tuple
 
 
 def _half_height_width(grid, total, idx):
@@ -122,44 +126,51 @@ def check_spacing(grid, lines):
                 f"({narrow / 10.0:.3g})", GridTooCoarse)
 
 
+def _check_line_spacing(spec: SpectrumResult):
+    """check_spacing against the lines of the spectrum's pole tables."""
+    check_spacing(spec.grid, ((t.pole, t.trapped)
+                              for terms in spec.branch_poles for t in terms))
+
+
 def spectral_areas(spec: SpectrumResult):
     """Trapezoid integrals of the total and per-branch intensities.
 
     Warns GridTooCoarse when the grid spacing exceeds a tenth of the
     narrowest line width."""
     grid = spec.grid
-    check_spacing(grid, ((t.pole, t.trapped)
-                         for terms in spec.branch_poles for t in terms))
+    _check_line_spacing(spec)
     total = float(np.trapezoid(spec.total, grid))
     branches = tuple(float(np.trapezoid(b, grid)) for b in spec.branch_intensity)
     return total, branches
 
 
-def peak_indices(total, prominence: float = DEFAULT_PROMINENCE):
+def peak_indices(total):
     """Indices of the maxima of total whose prominence is at least
-    prominence * max(total); none unless that maximum is positive."""
+    DEFAULT_PROMINENCE * max(total); none unless that maximum is
+    positive."""
     peak_max = float(np.max(total)) if len(total) else 0.0
     if peak_max > 0.0:
-        return _prominent_maxima(total, prominence * peak_max)
+        return _prominent_maxima(total, DEFAULT_PROMINENCE * peak_max)
     return np.empty(0, dtype=np.intp)
 
 
-def find_peaks(spec: SpectrumResult, prominence: float = DEFAULT_PROMINENCE) -> PeakAnalysis:
-    """Local maxima above prominence * max(total), with interpolated widths
-    and dominant-branch attribution."""
+def find_peaks(spec: SpectrumResult) -> PeakAnalysis:
+    """Local maxima above DEFAULT_PROMINENCE * max(total), with
+    interpolated widths and dominant-branch attribution.
+
+    Warns GridTooCoarse as `spectral_areas` does."""
     grid = spec.grid
     total = spec.total
-    total_area, branch_areas = spectral_areas(spec)
+    _check_line_spacing(spec)
     peaks = []
-    for i in peak_indices(total, prominence):
+    for i in peak_indices(total):
         branch = int(np.argmax(spec.branch_intensity[:, i])) + 1
         peaks.append(Peak(location=float(grid[i]),
                           height=float(total[i]),
                           fwhm=float(_half_height_width(grid, total, i)),
                           branch=branch))
     peaks.sort(key=lambda p: p.location)
-    return PeakAnalysis(peaks=peaks, total_area=total_area,
-                        branch_areas=branch_areas)
+    return PeakAnalysis(peaks=peaks)
 
 
 #: a branch is counted dark when its peak intensity is below this fraction

@@ -19,7 +19,9 @@ from . import __version__
 from ._text import (CSV_BLOCK_ROWS, TEXT_BLOCK, format_e16, format_f2,
                     join_rows)
 from .analysis import (
+    DARK_BRANCH_RTOL,
     DEFAULT_GRID,
+    ZERO_SPECTRUM,
     check_spacing,
     compare_spectra,
     count_spectral_lines,
@@ -65,6 +67,10 @@ DEFAULT_GRID_SPEC = ":".join(map(str, DEFAULT_GRID))
 
 class _InputError(Exception):
     pass
+
+
+class _Unsolvable(Exception):
+    """A `trapping --solve` request whose drives cannot be completed."""
 
 
 @dataclass
@@ -151,7 +157,7 @@ def _stages(*marks) -> dict:
 
 def _check_system(system, context):
     """Raise _InputError listing every invariant the system violates."""
-    errors = validate_system(system).errors
+    errors = validate_system(system)
     if errors:
         raise _InputError(context + "; ".join(str(e) for e in errors))
 
@@ -257,8 +263,7 @@ def _write_json_spectrum(path: Path, spec, sys_dict, method):
 _SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#000000")
 
 
-def svg_line_plot(path, x, curves, title="", xlabel="delta (rate units)",
-                  ylabel="intensity (1/rate)"):
+def svg_line_plot(path, x, curves, title=""):
     """Write a minimal SVG line plot: axes, ticks, one polyline per curve,
     legend.  curves is a sequence of (label, y-array), each as long as x.
 
@@ -341,10 +346,12 @@ def svg_line_plot(path, x, curves, title="", xlabel="delta (rate units)",
         parts.append(f'<text x="{width / 2:.2f}" y="20" font-size="13" '
                      f'text-anchor="middle">{title}</text>')
     parts.append(f'<text x="{ml + pw / 2:.2f}" y="{height - 8:.2f}" '
-                 f'font-size="12" text-anchor="middle">{xlabel}</text>')
+                 'font-size="12" text-anchor="middle">'
+                 'delta (rate units)</text>')
     parts.append(f'<text x="14" y="{mt + ph / 2:.2f}" font-size="12" '
                  f'text-anchor="middle" '
-                 f'transform="rotate(-90 14 {mt + ph / 2:.2f})">{ylabel}</text>')
+                 f'transform="rotate(-90 14 {mt + ph / 2:.2f})">'
+                 'intensity (1/rate)</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         print(*parts, sep="\n", file=fh)
@@ -392,7 +399,7 @@ def cmd_spectrum(args) -> int:
         curves.append(("total", spec.total))
         svg_line_plot(args.svg, grid, curves, title="emission spectrum")
         outputs.append(Path(args.svg))
-    if float(np.max(spec.total)) <= 1e-30:
+    if float(np.max(spec.total)) <= ZERO_SPECTRUM:
         d1 = isinstance(system, D1System)
         if d1 and d1_trapping_check(system).satisfied:
             print("note: trapping condition satisfied (dark atom)")
@@ -438,21 +445,16 @@ def cmd_trapping(args) -> int:
     drives = None
     if args.solve:
         if isinstance(system, D1System):
-            print("error: --solve supports only the chain (d2) system",
-                  file=sys.stderr)
-            return EXIT_UNSOLVABLE
+            raise _Unsolvable("--solve supports only the chain (d2) system")
         g1, _, g3 = system.gamma
         if abs(g1 - g3) > 1e-9:
-            print(f"error: cannot solve: Gamma1={g1} != Gamma3={g3}",
-                  file=sys.stderr)
-            return EXIT_UNSOLVABLE
+            raise _Unsolvable(f"cannot solve: Gamma1={g1} != Gamma3={g3}")
         d1_, d2_, d3_, _ = system.drives
         try:
             drives = fgc_solve(d1_.magnitude, d2_.magnitude, d3_.magnitude,
                                d2_.phase)
         except DivisionByZeroDrive as exc:
-            print(f"error: cannot solve: {exc}", file=sys.stderr)
-            return EXIT_UNSOLVABLE
+            raise _Unsolvable(f"cannot solve: {exc}") from exc
         data["solved_fields"] = [{"mag": d.magnitude, "phase": d.phase}
                                  for d in drives]
     t_compute = time.perf_counter()
@@ -586,7 +588,7 @@ def _signature_checks(system, signature: dict, trapped):
     grid = d1_grid() if isinstance(system, D1System) else default_grid()
     spec = spectrum_analytic(system, grid)
     pa = find_peaks(spec)
-    zero = float(np.max(spec.total)) <= 1e-20
+    zero = float(np.max(spec.total)) <= ZERO_SPECTRUM
 
     for key, want in signature.items():
         if key == "peaks":
@@ -619,13 +621,13 @@ def _signature_checks(system, signature: dict, trapped):
             checks.append(("symmetric peak locations", bool(ok),
                            f"locs {np.round(locs, 2).tolist()}"))
         elif key == "trapping":
-            rep = fgc_check(system, tol=1e-9)
+            rep = fgc_check(system)
             checks.append((f"trapping == {want}", rep.satisfied == want,
                            f"satisfied={rep.satisfied}"))
         elif key == "dark_branch":
             peak = float(np.max(spec.total))
             dark = float(np.max(spec.branch_intensity[want - 1]))
-            ok = dark <= 1e-18 * max(peak, 1e-300)
+            ok = dark <= DARK_BRANCH_RTOL * max(peak, 1e-300)
             checks.append((f"branch {want} dark", ok, f"max {dark:.2e}"))
         elif key == "d1_trapping":
             rep = d1_trapping_check(system)
@@ -772,6 +774,9 @@ def main(argv=None) -> int:
             # bad input, found where the library first reads it
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
+        except _Unsolvable as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_UNSOLVABLE
         except OSError as exc:
             # a failed scenario read is an _InputError from _load_system, so
             # what reaches here is a failed output write

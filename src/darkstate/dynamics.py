@@ -44,8 +44,8 @@ from numpy.fft import fft, ifft
 from ._dop853 import REACHED_END, STOPPED, TOO_SMALL_STEP, solve_ivp
 from .errors import NotConverged, StepSizeUnderflow, TooManySamples
 from .model import D2System
-from .spectrum import (SpectrumResult, _finite_detuning, assemble_spectrum,
-                       branch_shifts, coupling_matrix)
+from .spectrum import (SpectrumResult, _finite_detuning, _intensity,
+                       _spectrum, branch_shifts, coupling_matrix)
 
 DEFAULT_T_FINAL = 60.0
 DEFAULT_TOL = 1e-8
@@ -354,19 +354,18 @@ def _is_trapped(traj: AmplitudeTrajectory, tol: float) -> bool:
     return float(traj.norm()[-1]) > max(100.0 * tol, 1e-8)
 
 
-def branch_amplitude_numeric(sys: D2System, branch: int, delta,
-                             t_final: float = DEFAULT_T_FINAL,
-                             tol: float = DEFAULT_TOL,
-                             trajectory: AmplitudeTrajectory | None = None):
+def branch_amplitude_numeric(traj: AmplitudeTrajectory, branch: int, delta,
+                             tol: float = DEFAULT_TOL):
     """Laplace transform of A_branch at s = -i*delta from the time-domain
-    trajectory (delta is the branch-local detuning).
+    trajectory traj, as `propagate` returns it (delta is the branch-local
+    detuning).
 
-    When a trapped component survives, the integral is damped with
-    exp(-eps t) at two eps values and extrapolated to eps -> 0.
+    When a trapped component survives (a final norm above the larger of
+    100 tol and 1e-8), the integral is damped with exp(-eps t) at two eps
+    values and extrapolated to eps -> 0.
     """
     if branch not in (1, 2, 3):
         raise ValueError("branch must be 1, 2 or 3")
-    traj = trajectory if trajectory is not None else propagate(sys, t_final, tol)
     scalar = np.ndim(delta) == 0
     deltas = np.atleast_1d(np.asarray(delta, dtype=float))
     if _is_trapped(traj, tol):
@@ -451,8 +450,8 @@ def spectrum_time_domain(sys: D2System, grid,
     """
     grid = _finite_detuning(grid)
     traj = propagate(sys, t_final, tol, runs)
-    amps = [branch_amplitude_numeric(sys, branch, grid + shift,
-                                     t_final=t_final, tol=tol,
-                                     trajectory=traj)
-            for branch, shift in enumerate(branch_shifts(sys), start=1)]
-    return assemble_spectrum(sys, grid, amps, "timedomain", [[], [], []])
+    rows = np.empty((3, len(grid)))
+    for n, shift in enumerate(branch_shifts(sys)):
+        f = branch_amplitude_numeric(traj, n + 1, grid + shift, tol)
+        _intensity(sys.gamma[n], f, rows[n])
+    return _spectrum(grid, rows, [[], [], []], "timedomain")

@@ -168,20 +168,6 @@ class ScenarioPreset:
     expected_signature: dict
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of validate_system: the (unchanged) system, whether the
-    closed-form spectrum path applies, and any invariant violations."""
-
-    system: object
-    analytic_admissible: bool
-    errors: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
 def analytic_admissible(sys: D2System) -> bool:
     """True when the closed-form path applies: resonant drives, equal level
     splittings and no cross-damping."""
@@ -200,10 +186,11 @@ def _rate_errors(name, value):
     return []
 
 
-def validate_system(sys: D2System) -> ValidationReport:
-    """Check all system invariants, non-finite values included; collect
-    one error per violation.  A D1System is checked as its scenario file
-    reads: its one rate Gamma and its fields in file order."""
+def validate_system(sys: D2System) -> list:
+    """Check all system invariants, non-finite values included: a list of
+    one error per violation, empty for a valid system.  A D1System is
+    checked as its scenario file reads: its one rate Gamma and its fields
+    in file order."""
     if isinstance(sys, D1System):
         errors = _rate_errors("Gamma", sys.gamma[1])
         drives = d1_fields(sys)
@@ -234,7 +221,7 @@ def validate_system(sys: D2System) -> ValidationReport:
                 f"initial state norm^2 = {norm}, expected 1"))
     except ValueError as exc:
         errors.append(UnnormalizedInitialState(str(exc)))
-    return ValidationReport(sys, analytic_admissible(sys), errors)
+    return errors
 
 
 # ---------------------------------------------------------------------------

@@ -471,25 +471,12 @@ def _intensity(gamma, f, out):
     out /= 2.0 * np.pi
 
 
-def _intensities(gammas, amps, n):
-    """Rows Gamma_n |F_n|^2 / 2 pi of length n, F_n taken from amps."""
-    rows = np.empty((len(gammas), n))
-    for row, gamma, f in zip(rows, gammas, amps):
-        _intensity(gamma, f, row)
-    return rows
-
-
-def assemble_spectrum(sys: D2System, grid, amps, method: str,
-                      branch_poles: list) -> SpectrumResult:
-    """Spectrum from the branch amplitudes amps: the three amplitude arrays
-    of len(grid), in branch order (any iterable, read one at a time).
-
-    Branch n intensity is Gamma_n |F_n|^2 / 2 pi; the total is their sum.
-    """
-    branch_intensity = _intensities(sys.gamma, amps, len(grid))
+def _spectrum(grid, branch_intensity, poles, method) -> SpectrumResult:
+    """The SpectrumResult of a route's intensity rows Gamma_n |F_n|^2 / 2 pi,
+    with their sum as the total."""
     return SpectrumResult(grid=grid, branch_intensity=branch_intensity,
                           total=branch_intensity.sum(axis=0),
-                          branch_poles=branch_poles, method=method)
+                          branch_poles=poles, method=method)
 
 
 def _batch(systems, grid):
@@ -541,15 +528,12 @@ def spectrum_analytic(sys: D2System, grid) -> SpectrumResult:
     Branch n intensity is Gamma_n |F_n|^2 / 2 pi; pole-hit grid points are
     filled from the partial-fraction form with singular terms excluded.
     """
-    grid, rows, failure = _batch([sys], grid)
+    grid, batch, failure = _batch([sys], grid)
     if failure is not None:
         raise failure
     poles = []
-    branch_intensity = _row_intensities(next(rows), grid, (1, 2, 3), {},
-                                        poles)
-    return SpectrumResult(grid=grid, branch_intensity=branch_intensity,
-                          total=branch_intensity.sum(axis=0),
-                          branch_poles=poles, method="analytic")
+    rows = _row_intensities(next(batch), grid, (1, 2, 3), {}, poles)
+    return _spectrum(grid, rows, poles, "analytic")
 
 
 def intensity_rows(systems, grid, branches, reduce):

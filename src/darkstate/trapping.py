@@ -12,6 +12,8 @@ from .errors import DivisionByZeroDrive, NonFiniteValue
 from .model import D1System, D2System, DriveField, d1_fields, wrap_signed
 from .spectrum import quartic_coeffs_s
 
+#: tolerance of the trapping conditions: absolute on the phase and the
+#: decay rates, relative to the larger drive product on the products
 DEFAULT_TOL = 1e-9
 
 
@@ -84,11 +86,12 @@ def _require_finite(what, *values):
         raise NonFiniteValue(f"{what} overflow: {', '.join(map(str, values))}")
 
 
-def fgc_check(sys: D2System, tol: float = DEFAULT_TOL) -> TrappingReport:
+def fgc_check(sys: D2System) -> TrappingReport:
     """Evaluate the field-generated trapping condition for the chain system.
 
     Satisfied iff |O3||O4| == |O1||O2|, phi2 + phi3 == pi (mod 2 pi) and
-    Gamma1 == Gamma3, all within tol (scale = largest drive product).
+    Gamma1 == Gamma3, all within DEFAULT_TOL (scale = largest drive
+    product).
     Raises NonFiniteValue when a drive product overflows.  A D1System gets
     the verdict of its chain; `d1_trapping_check` is the loop's own check.
     """
@@ -105,9 +108,9 @@ def fgc_check(sys: D2System, tol: float = DEFAULT_TOL) -> TrappingReport:
     phase = wrap_signed(phases[1] + phases[2] - math.pi)
     gamma_cond = g1 - g3
     scale = max(abs(prod_a), abs(prod_b), 1e-300)
-    satisfied = (abs(mag) <= tol * scale
-                 and abs(phase) <= tol
-                 and abs(gamma_cond) <= tol)
+    satisfied = (abs(mag) <= DEFAULT_TOL * scale
+                 and abs(phase) <= DEFAULT_TOL
+                 and abs(gamma_cond) <= DEFAULT_TOL)
     return TrappingReport(
         delta_coefficient_residual=complex(delta_coeff),
         constant_residual=complex(const),
@@ -139,11 +142,12 @@ def fgc_solve(mag1: float, mag2: float, mag3: float, phase2: float) -> tuple:
     )
 
 
-def d1_trapping_check(sys: D1System, tol: float = DEFAULT_TOL) -> TrappingReport:
+def d1_trapping_check(sys: D1System) -> TrappingReport:
     """Whole-atom darkening condition for the simple-loss loop:
     Oo1*Om1 + Om2*conj(Oo2) == 0 (for the scenario phase conventions this is
-    |Oo1||Om1| e^{i phi3} + |Om2||Oo2| e^{-i phi2} == 0).  Raises
-    NonFiniteValue when a drive product overflows."""
+    |Oo1||Om1| e^{i phi3} + |Om2||Oo2| e^{-i phi2} == 0), within
+    DEFAULT_TOL of the larger product.  Raises NonFiniteValue when a drive
+    product overflows."""
     optical1, optical2, microwave1, microwave2 = d1_fields(sys)
     with np.errstate(over="ignore", invalid="ignore"):
         a = optical1.amplitude * microwave1.amplitude
@@ -154,7 +158,7 @@ def d1_trapping_check(sys: D1System, tol: float = DEFAULT_TOL) -> TrappingReport
     scale = max(abs(a), abs(b), 1e-300)
     phase = wrap_signed(optical2.phase + optical1.phase
                         + microwave1.phase - microwave2.phase - math.pi)
-    satisfied = abs(total) <= tol * scale
+    satisfied = abs(total) <= DEFAULT_TOL * scale
     return TrappingReport(
         delta_coefficient_residual=complex(total),
         constant_residual=0.0,

@@ -67,9 +67,8 @@ def test_criterion_02_time_domain_matches_laplace():
     worst = 0.0
     analytic = steady_state_amplitudes(s, deltas)
     for branch, sign in zip((1, 2, 3), (1, 0, -1)):
-        numeric = branch_amplitude_numeric(s, branch,
-                                           deltas + sign * s.omega12,
-                                           trajectory=traj)
+        numeric = branch_amplitude_numeric(traj, branch,
+                                           deltas + sign * s.omega12)
         scale = np.max(np.abs(analytic[branch - 1]))
         rel = np.max(np.abs(numeric - analytic[branch - 1])) / scale
         worst = max(worst, float(rel))

@@ -175,6 +175,16 @@ class TestSpectrumCommand:
         assert code == 0
         assert "trapping condition satisfied" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["d1-trapping", "d1-fig3c", "d1-fig3f"])
+    def test_dark_preset_note_on_default_grid(self, name, tmp_path, capsys):
+        # the closed form leaves roundoff of up to ~7e-29 on these dark
+        # atoms, which still counts as a zero spectrum
+        code = run("spectrum", "--preset", name,
+                   "--out", str(tmp_path / "x.csv"))
+        assert code == 0
+        assert capsys.readouterr().out == \
+            "note: trapping condition satisfied (dark atom)\n"
+
     def test_numerical_failure_exit_code(self, tmp_path):
         from darkstate import D2System, DriveField
         s = D2System(gamma=(1, 1, 1), omega12=13, omega23=14,
@@ -221,7 +231,7 @@ class TestTrappingCommand:
         assert "solved_scenario" not in data
         assert list(tmp_path.iterdir()) == []
 
-    def test_solve_rejects_zero_inner_drive(self, tmp_path):
+    def test_solve_rejects_zero_inner_drive(self, tmp_path, capsys):
         from darkstate import D2System, DriveField
         s = D2System(gamma=(1, 1, 1), omega12=13, omega23=13,
                      drives=(DriveField(2), DriveField(1, math.pi),
@@ -229,6 +239,9 @@ class TestTrappingCommand:
         cfg = tmp_path / "bad.json"
         save_scenario(s, cfg)
         assert run("trapping", "--config", str(cfg), "--solve") == 4
+        assert capsys.readouterr() == (
+            "", "error: cannot solve: cannot solve for |Omega4| with "
+                "|Omega3| = 0\n")
 
     @pytest.mark.parametrize("outer", [1e300, 1e150])
     def test_solve_overflow_is_numerical_failure(self, outer, tmp_path,
@@ -251,7 +264,7 @@ class TestTrappingCommand:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [cfg]
 
-    def test_solve_rejects_rate_imbalance(self, tmp_path):
+    def test_solve_rejects_rate_imbalance(self, tmp_path, capsys):
         from darkstate import D2System, DriveField
         s = D2System(gamma=(1, 1, 2), omega12=13, omega23=13,
                      drives=(DriveField(2), DriveField(1, math.pi),
@@ -259,6 +272,16 @@ class TestTrappingCommand:
         cfg = tmp_path / "bad.json"
         save_scenario(s, cfg)
         assert run("trapping", "--config", str(cfg), "--solve") == 4
+        assert capsys.readouterr() == (
+            "", "error: cannot solve: Gamma1=1.0 != Gamma3=2.0\n")
+
+    def test_solve_rejects_d1_system(self, tmp_path, capsys):
+        code = run("trapping", "--preset", "d1-trapping", "--solve",
+                   "--out", str(tmp_path / "solved.json"))
+        assert code == 4
+        assert capsys.readouterr() == (
+            "", "error: --solve supports only the chain (d2) system\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepCommand:

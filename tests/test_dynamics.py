@@ -28,6 +28,7 @@ from darkstate import _dop853, dynamics
 from darkstate.analysis import compare_spectra
 from darkstate.cli import main
 from darkstate.dynamics import _filon_linear, _filon_weights
+from darkstate.spectrum import branch_shifts
 
 
 def _scipy_rhs(system):
@@ -241,12 +242,13 @@ class TestFilonQuadrature:
 
 class TestBranchAmplitudes:
     def test_bare_decay_transform(self):
-        got = branch_amplitude_numeric(_bare("A1"), 1, 0.7)
+        got = branch_amplitude_numeric(propagate(_bare("A1")), 1, 0.7)
         assert got == pytest.approx(1.0 / (-1j * 0.7 + 0.5), rel=1e-6)
 
     def test_dark_branches_zero(self):
+        traj = propagate(_bare("A1"))
         for branch in (2, 3):
-            got = branch_amplitude_numeric(_bare("A1"), branch, 0.4)
+            got = branch_amplitude_numeric(traj, branch, 0.4)
             assert abs(got) < 1e-9
 
     def test_matches_analytic_oracle(self, rng):
@@ -256,28 +258,25 @@ class TestBranchAmplitudes:
         traj = propagate(s, 60.0)
         for branch, sign in zip((1, 2, 3), (1, 0, -1)):
             local = deltas + sign * s.omega12
-            numeric = branch_amplitude_numeric(s, branch, local,
-                                               trajectory=traj)
+            numeric = branch_amplitude_numeric(traj, branch, local)
             scale = np.max(np.abs(analytic[branch - 1])) + 1e-300
             assert np.max(np.abs(numeric - analytic[branch - 1])) / scale \
                 < 1e-5
 
     def test_zero_dimensional_detuning_is_a_scalar(self):
         traj = propagate(_bare("A1"), 20.0)
-        got = branch_amplitude_numeric(_bare("A1"), 1, np.array(0.7),
-                                       trajectory=traj)
+        got = branch_amplitude_numeric(traj, 1, np.array(0.7))
         assert type(got) is complex
-        assert repr(got) == repr(branch_amplitude_numeric(
-            _bare("A1"), 1, 0.7, trajectory=traj))
+        assert repr(got) == repr(branch_amplitude_numeric(traj, 1, 0.7))
 
     def test_invalid_branch_rejected(self):
         with pytest.raises(ValueError):
-            branch_amplitude_numeric(_bare("A1"), 4, 0.0)
+            branch_amplitude_numeric(propagate(_bare("A1"), 20.0), 4, 0.0)
 
     def test_trapped_component_damped_transform(self):
         # stable population (all drives zero, initial B): transform of the
         # constant trapped amplitude must come out ~0 for the decaying part
-        got = branch_amplitude_numeric(_bare("B"), 1, 0.5, t_final=20.0)
+        got = branch_amplitude_numeric(propagate(_bare("B"), 20.0), 1, 0.5)
         assert abs(got) < 1e-6
 
 
@@ -861,6 +860,23 @@ class TestBatch:
 
 
 class TestTimeDomainSpectrum:
+    @pytest.mark.parametrize("name, trapped", [("d1-trapping", True),
+                                               ("fig2-notrapping", False)])
+    def test_rows_are_the_branch_amplitudes(self, name, trapped):
+        """Row n is Gamma_n |F_n|^2 / 2 pi bit for bit, F_n the amplitude
+        of propagate's trajectory at the branch's shifted grid."""
+        s, tol = preset(name).system, 1e-7
+        grid = np.linspace(-30.0, 30.0, 601)
+        spec = spectrum_time_domain(s, grid, tol=tol)
+        traj = propagate(s, tol=tol)
+        assert dynamics._is_trapped(traj, tol) == trapped
+        for n, shift in enumerate(branch_shifts(s), start=1):
+            f = branch_amplitude_numeric(traj, n, grid + shift, tol)
+            want = s.gamma[n - 1] * np.abs(f) ** 2 / (2.0 * np.pi)
+            assert spec.branch_intensity[n - 1].tobytes() == want.tobytes()
+        assert spec.total.tobytes() == \
+            spec.branch_intensity.sum(axis=0).tobytes()
+
     def test_matches_analytic_on_notrapping_preset(self):
         s = preset("fig2-notrapping").system
         grid = np.linspace(-30, 30, 101)

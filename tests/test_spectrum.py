@@ -221,7 +221,7 @@ ENTRY_POINTS = {
     "propagate": propagate,
     "spectrum_time_domain": lambda s: spectrum_time_domain(s, _GRID11),
     "branch_amplitude_numeric": lambda s: branch_amplitude_numeric(
-        s, 2, _GRID11),
+        propagate(s), 2, _GRID11),
     "trapped_fraction": lambda s: trapped_fraction(s, require_plateau=False),
     "trapped_fraction_batch": lambda s: trapped_fraction(
         [s, s], require_plateau=False),

@@ -102,7 +102,7 @@ class TestFgcSolve:
     def test_solved_fields_always_satisfy_condition(self, m1, m2, m3, phi2):
         drives = fgc_solve(m1, m2, m3, phi2)
         s = D2System(gamma=(1, 1, 1), omega12=13, omega23=13, drives=drives)
-        rep = fgc_check(s, tol=1e-9)
+        rep = fgc_check(s)
         assert rep.satisfied
 
     def test_solved_system_has_dark_central_branch(self):
