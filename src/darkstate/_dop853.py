@@ -15,7 +15,7 @@ floating-point operations in the same order (the real tables are cast to
 complex once, as np.dot would cast them on each call), so its samples and
 evaluation counts are identical to SciPy's.  It integrates a complex state
 forward from t=0 with scalar tolerances, optionally until a predicate of
-the state holds, and nothing else.
+the state holds and within a budget of step attempts, and nothing else.
 
 One core, `_integrate`, steps a batch of B rows in lockstep; one system
 is the batch of one.  An iteration makes one step attempt for every row
@@ -253,6 +253,7 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 REACHED_END = ("The solver successfully reached the end of the integration "
                "interval.")
 STOPPED = "A termination event occurred."
+OUT_OF_STEPS = "The step attempts reached max_tries."
 
 
 @dataclass
@@ -331,11 +332,11 @@ def _step_size(err, h_abs, rejected):
     return False, h_abs * max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
 
 
-def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop):
+def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
     """Step the rows of y0, shape (B, n), in lockstep (see the module
     docstring) and return a Solution per row.  The per-row state is kept
-    in Python lists; a row that is done (failed, stopped or at t_bound)
-    takes zero steps from then on."""
+    in Python lists; a row that is done (failed, stopped, out of step
+    attempts or at t_bound) takes zero steps from then on."""
     rows, n = y0.shape
     y = y0
     f = np.asarray(fun(np.zeros(rows), y), dtype=complex)
@@ -366,6 +367,10 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop):
         t_new = list(t)
         h = [0.0] * rows
         for b in list(live):
+            if tries[b] == max_tries:
+                messages[b] = OUT_OF_STEPS
+                live.remove(b)
+                continue
             min_step = 10 * abs(math.nextafter(t[b], math.inf) - t[b])
             if not rejected[b]:
                 h_abs[b] = max(h_abs[b], min_step)
@@ -452,7 +457,7 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop):
     return [Solution(t=np.hstack(ts[b]) if ts[b] else np.empty(0),
                      y=(np.hstack(ys[b]) if ys[b]
                         else np.empty((n, 0), complex)),
-                     success=messages[b] != TOO_SMALL_STEP,
+                     success=messages[b] in (REACHED_END, STOPPED),
                      message=messages[b],
                      nfev=(2 + N_STAGES * tries[b]
                            + len(_EXTRA_STAGES) * interpolants[b]),
@@ -489,7 +494,7 @@ def _interpolate(F, y_old, t_old, h, times):
     return out.T
 
 
-def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, stop=None):
+def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, max_tries, stop=None):
     """Integrate y' = fun(t, y) from t_span[0] = 0 to t_span[1] and return
     the state at the ascending times t_eval, which lie within t_span.
 
@@ -506,8 +511,11 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, stop=None):
     solution then holds the samples up to that step's end.  The steps
     before it are those of a run without stop.
 
-    On failure (a step size below 10 ulp of t, or NaN) the solution holds
-    the samples reached so far and success is False.
+    A row that has made max_tries step attempts and would make another
+    ends with message OUT_OF_STEPS (SciPy has no such bound).
+
+    On failure (a step size below 10 ulp of t, or NaN, or max_tries spent)
+    the solution holds the samples reached so far and success is False.
     """
     t, t_bound = map(float, t_span)
     if t != 0.0 or not t_bound > 0.0:
@@ -526,4 +534,4 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, stop=None):
     # reports as TOO_SMALL_STEP
     with np.errstate(all="ignore"):
         return Solutions(_integrate(fun, y0, t_bound, rtol, atol, t_eval,
-                                    stop))
+                                    stop, max_tries))

@@ -10,7 +10,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,53 +75,56 @@ class _Unsolvable(Exception):
 
 @dataclass
 class RunManifest:
-    """Provenance record written next to every command's outputs."""
+    """Provenance record written next to every command's outputs: the
+    values that differ between runs, from which `write` derives the rest."""
 
     command: str
-    scenario: str | None
+    scenario: str
+    #: the scenario as its file's dict
     parameters: dict
-    version: str
-    wall_time_s: float
-    outputs: list = field(default_factory=list)
+    #: perf_counter readings at the start and at the end of loading,
+    #: computing and writing
+    marks: tuple
+    outputs: list
     #: per-run integrator diagnostics, where the command integrates
     integrator: list | None = None
-    #: seconds spent loading, computing and writing, where timed
-    stage_s: dict | None = None
-    #: the python and numpy versions of the run
-    python: str | None = None
-    numpy: str | None = None
-    #: SHA-256 of the canonical scenario JSON (see _provenance)
-    scenario_sha256: str | None = None
 
     def write(self, anchor: Path):
-        """Write the manifest next to anchor; unset optional fields are
-        omitted."""
+        """Write the manifest next to anchor, with the package version, the
+        wall and per-stage seconds of marks, the python and numpy versions
+        and the SHA-256 of json.dumps(parameters, sort_keys=True), the
+        canonical scenario JSON; integrator is omitted when unset."""
+        import hashlib  # here, so that importing the CLI does not load it
         path = Path(str(anchor) + ".manifest.json")
+        canonical = json.dumps(self.parameters, sort_keys=True).encode()
         data = {
             "command": self.command,
             "scenario": self.scenario,
             "parameters": self.parameters,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
+            "version": __version__,
+            "wall_time_s": self.marks[-1] - self.marks[0],
+            "stage_s": {stage: end - start for stage, start, end in zip(
+                ("load", "compute", "write"), self.marks, self.marks[1:])},
             "outputs": [str(p) for p in self.outputs],
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "scenario_sha256": hashlib.sha256(canonical).hexdigest(),
         }
-        for name in ("integrator", "stage_s", "python", "numpy",
-                     "scenario_sha256"):
-            if getattr(self, name) is not None:
-                data[name] = getattr(self, name)
+        if self.integrator is not None:
+            data["integrator"] = self.integrator
         write_json(path, data)
         return path
 
 
-def _provenance(sys_dict: dict) -> dict:
-    """The python and numpy versions of this run and the SHA-256 of
-    json.dumps(sys_dict, sort_keys=True), the canonical scenario JSON, as
-    RunManifest fields."""
-    import hashlib  # here, so that importing the CLI does not load it
-    canonical = json.dumps(sys_dict, sort_keys=True).encode()
-    return {"python": ".".join(map(str, sys.version_info[:3])),
-            "numpy": np.__version__,
-            "scenario_sha256": hashlib.sha256(canonical).hexdigest()}
+def _json_fields(obj) -> dict:
+    """The fields of the dataclass obj as JSON values, a complex one as
+    [re, im]."""
+    data = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        data[f.name] = ([value.real, value.imag] if isinstance(value, complex)
+                        else value)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +149,6 @@ def _parse_grid(spec: str, option: str = "--grid") -> np.ndarray:
     if not np.isfinite(grid).all():
         raise _InputError(f"{option} max - min overflows, got {spec!r}")
     return grid
-
-
-def _stages(*marks) -> dict:
-    """The stage_s of a manifest from the perf_counter readings at the
-    start and at the end of loading, computing and writing."""
-    return {stage: end - start for stage, start, end
-            in zip(("load", "compute", "write"), marks, marks[1:])}
 
 
 def _check_system(system, context):
@@ -230,21 +226,6 @@ def _write_csv_spectrum(path: Path, spec, sys_dict, method):
     ], [spec.grid, *spec.branch_intensity, spec.total])
 
 
-def _pole_tables(spec):
-    tables = []
-    for terms in spec.branch_poles:
-        tables.append([
-            {
-                "pole": [float(t.pole.real), float(t.pole.imag)],
-                "residue": [float(t.residue.real), float(t.residue.imag)],
-                "order": int(t.order),
-                "trapped": bool(t.trapped),
-            }
-            for t in terms
-        ])
-    return tables
-
-
 def _write_json_spectrum(path: Path, spec, sys_dict, method):
     write_json(path, {
         "scenario": sys_dict,
@@ -252,7 +233,8 @@ def _write_json_spectrum(path: Path, spec, sys_dict, method):
         "delta": np.asarray(spec.grid),
         "branch_intensity": np.asarray(spec.branch_intensity),
         "total": np.asarray(spec.total),
-        "poles": _pole_tables(spec),
+        "poles": [[_json_fields(t) for t in terms]
+                  for terms in spec.branch_poles],
     })
 
 
@@ -408,28 +390,9 @@ def cmd_spectrum(args) -> int:
             print("warning: no emission: atom never excited")
         else:
             print("note: spectrum is identically zero")
-    t_end = time.perf_counter()
-    manifest = RunManifest(command="spectrum", scenario=source,
-                           parameters=sys_dict, version=__version__,
-                           wall_time_s=t_end - t0, outputs=outputs,
-                           integrator=runs,
-                           stage_s=_stages(t0, t_load, t_compute, t_end),
-                           **_provenance(sys_dict))
-    outputs.append(manifest.write(out))
+    marks = (t0, t_load, t_compute, time.perf_counter())
+    RunManifest("spectrum", source, sys_dict, marks, outputs, runs).write(out)
     return EXIT_OK
-
-
-def _report_to_dict(rep) -> dict:
-    return {
-        "delta_coefficient_residual": [rep.delta_coefficient_residual.real,
-                                       rep.delta_coefficient_residual.imag],
-        "constant_residual": [complex(rep.constant_residual).real,
-                              complex(rep.constant_residual).imag],
-        "magnitude_condition": rep.magnitude_condition,
-        "phase_condition": rep.phase_condition,
-        "gamma_condition": rep.gamma_condition,
-        "satisfied": rep.satisfied,
-    }
 
 
 def cmd_trapping(args) -> int:
@@ -441,7 +404,7 @@ def cmd_trapping(args) -> int:
         rep = d1_trapping_check(system)
     else:
         rep = fgc_check(system)
-    data = _report_to_dict(rep)
+    data = _json_fields(rep)
     drives = None
     if args.solve:
         if isinstance(system, D1System):
@@ -466,14 +429,9 @@ def cmd_trapping(args) -> int:
         data["solved_scenario"] = str(out)
     print(json.dumps(data, indent=2, sort_keys=True))
     if args.out:
-        t_end = time.perf_counter()
-        sys_dict = scenario_to_dict(system)
-        manifest = RunManifest(command="trapping", scenario=source,
-                               parameters=sys_dict, version=__version__,
-                               wall_time_s=t_end - t0, outputs=outputs,
-                               stage_s=_stages(t0, t_load, t_compute, t_end),
-                               **_provenance(sys_dict))
-        manifest.write(Path(args.out))
+        marks = (t0, t_load, t_compute, time.perf_counter())
+        RunManifest("trapping", source, scenario_to_dict(system), marks,
+                    outputs).write(Path(args.out))
     return EXIT_OK
 
 
@@ -566,14 +524,8 @@ def cmd_sweep(args) -> int:
         "# scenario: " + json.dumps(sys_dict, sort_keys=True),
         f"value,{args.metric}",
     ], [values, results])
-    t_end = time.perf_counter()
-    manifest = RunManifest(command="sweep", scenario=source,
-                           parameters=sys_dict,
-                           version=__version__, wall_time_s=t_end - t0,
-                           outputs=[out], integrator=integrator,
-                           stage_s=_stages(t0, t_load, t_compute, t_end),
-                           **_provenance(sys_dict))
-    manifest.write(out)
+    marks = (t0, t_load, t_compute, time.perf_counter())
+    RunManifest("sweep", source, sys_dict, marks, [out], integrator).write(out)
     return EXIT_OK
 
 
@@ -581,71 +533,70 @@ def cmd_sweep(args) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
+def _equals(name, got, want):
+    return f"{name} == {want}", got == want, f"got {got}"
+
+
+def _near(name, got, want, tol, fmt):
+    """The check that got is within tol of want; NaN never is."""
+    return name, abs(got - want) <= tol, f"got {got:{fmt}}"
+
+
+def _verdict(name, rep, want):
+    return (f"{name} == {want}", rep.satisfied == want,
+            f"satisfied={rep.satisfied}")
+
+
 def _signature_checks(system, signature: dict, trapped):
     """Return (check name, ok, detail) per expected-signature entry of a
     preset system, given, for a `trapped` entry, its trapped fraction."""
-    checks = []
     grid = d1_grid() if isinstance(system, D1System) else default_grid()
     spec = spectrum_analytic(system, grid)
-    pa = find_peaks(spec)
-    zero = float(np.max(spec.total)) <= ZERO_SPECTRUM
+    peaks = find_peaks(spec).peaks
+    top = float(np.max(spec.total))
+    zero = top <= ZERO_SPECTRUM
+    locs = np.array([p.location for p in peaks])
+    fwhm, center = ((peaks[0].fwhm, peaks[0].location) if peaks
+                    else (math.nan, math.nan))
+    split = (peaks[-1].location - peaks[0].location if len(peaks) >= 2
+             else math.nan)
+    narrowest = min((p.fwhm for p in peaks), default=math.inf)
 
-    for key, want in signature.items():
-        if key == "peaks":
-            got = 0 if zero else len(pa.peaks)
-            checks.append((f"peaks == {want}", got == want, f"got {got}"))
-        elif key == "lines":
-            got = count_spectral_lines(spec)
-            checks.append((f"lines == {want}", got == want, f"got {got}"))
-        elif key == "fwhm":
-            val, rtol = want
-            got = pa.peaks[0].fwhm if pa.peaks else math.nan
-            ok = pa.peaks and abs(got - val) <= rtol * val
-            checks.append((f"fwhm == {val} +- {rtol:.0%}", bool(ok),
-                           f"got {got:.4f}"))
-        elif key == "center":
-            got = pa.peaks[0].location if pa.peaks else math.nan
-            ok = pa.peaks and abs(got - want) <= 0.05
-            checks.append((f"center == {want}", bool(ok), f"got {got:.3f}"))
-        elif key == "splitting":
-            val, rtol = want
-            ok = len(pa.peaks) >= 2
-            got = (pa.peaks[-1].location - pa.peaks[0].location) if ok else math.nan
-            ok = ok and abs(got - val) <= rtol * val
-            checks.append((f"splitting == {val} +- {rtol:.0%}", bool(ok),
-                           f"got {got:.4f}"))
-        elif key == "symmetric":
-            locs = np.array([p.location for p in pa.peaks])
-            ok = len(locs) > 0 and np.allclose(np.sort(locs), np.sort(-locs),
-                                               atol=0.05)
-            checks.append(("symmetric peak locations", bool(ok),
-                           f"locs {np.round(locs, 2).tolist()}"))
-        elif key == "trapping":
-            rep = fgc_check(system)
-            checks.append((f"trapping == {want}", rep.satisfied == want,
-                           f"satisfied={rep.satisfied}"))
-        elif key == "dark_branch":
-            peak = float(np.max(spec.total))
-            dark = float(np.max(spec.branch_intensity[want - 1]))
-            ok = dark <= DARK_BRANCH_RTOL * max(peak, 1e-300)
-            checks.append((f"branch {want} dark", ok, f"max {dark:.2e}"))
-        elif key == "d1_trapping":
-            rep = d1_trapping_check(system)
-            checks.append((f"d1 trapping == {want}", rep.satisfied == want,
-                           f"satisfied={rep.satisfied}"))
-        elif key == "zero_spectrum":
-            checks.append(("spectrum identically zero", zero,
-                           f"max {float(np.max(spec.total)):.2e}"))
-        elif key == "trapped":
-            ok = abs(trapped - want) <= 1e-6
-            checks.append((f"trapped fraction == {want}", ok,
-                           f"got {trapped:.8f}"))
-        elif key == "narrow":
-            got = min((p.fwhm for p in pa.peaks), default=math.inf)
-            checks.append((f"narrowest fwhm < {want}", got < want,
-                           f"got {got:.3f}"))
-        else:
-            checks.append((f"unknown signature key {key}", False, ""))
+    def dark_branch(want):
+        dark = float(np.max(spec.branch_intensity[want - 1]))
+        ok = dark <= DARK_BRANCH_RTOL * max(top, 1e-300)
+        return f"branch {want} dark", ok, f"max {dark:.2e}"
+
+    # each signature key's check of its expected value
+    table = {
+        "peaks": lambda want: _equals("peaks", 0 if zero else len(peaks),
+                                      want),
+        "lines": lambda want: _equals("lines", count_spectral_lines(spec),
+                                      want),
+        "fwhm": lambda want: _near(f"fwhm == {want[0]} +- {want[1]:.0%}",
+                                   fwhm, want[0], want[1] * want[0], ".4f"),
+        "center": lambda want: _near(f"center == {want}", center, want,
+                                     0.05, ".3f"),
+        "splitting": lambda want: _near(
+            f"splitting == {want[0]} +- {want[1]:.0%}", split, want[0],
+            want[1] * want[0], ".4f"),
+        "symmetric": lambda want: (
+            "symmetric peak locations", bool(len(locs) > 0 and np.allclose(
+                np.sort(locs), np.sort(-locs), atol=0.05)),
+            f"locs {np.round(locs, 2).tolist()}"),
+        "trapping": lambda want: _verdict("trapping", fgc_check(system),
+                                          want),
+        "dark_branch": dark_branch,
+        "d1_trapping": lambda want: _verdict(
+            "d1 trapping", d1_trapping_check(system), want),
+        "zero_spectrum": lambda want: ("spectrum identically zero", zero,
+                                       f"max {top:.2e}"),
+        "trapped": lambda want: _near(f"trapped fraction == {want}", trapped,
+                                      want, 1e-6, ".8f"),
+        "narrow": lambda want: (f"narrowest fwhm < {want}", narrowest < want,
+                                f"got {narrowest:.3f}"),
+    }
+    checks = [table[key](want) for key, want in signature.items()]
 
     # oracle comparison: cofactor closed forms vs direct linear solve; the
     # grid is offset off any exact pole, and errors are measured against the

@@ -41,8 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import fft, ifft
 
-from ._dop853 import REACHED_END, STOPPED, TOO_SMALL_STEP, solve_ivp
-from .errors import NotConverged, StepSizeUnderflow, TooManySamples
+from ._dop853 import (OUT_OF_STEPS, REACHED_END, STOPPED, TOO_SMALL_STEP,
+                      solve_ivp)
+from .errors import (DarkstateError, NotConverged, StepSizeUnderflow,
+                     TooManySamples)
 from .model import D2System
 from .spectrum import (SpectrumResult, _finite_detuning, _intensity,
                        _spectrum, branch_shifts, coupling_matrix)
@@ -172,20 +174,27 @@ def _sample_times(sys: D2System, t_final: float) -> np.ndarray:
     return np.linspace(0.0, t_final, _sample_count(sys, t_final))
 
 
-def _solve(systems, times, tol, stop=None):
+def _solve(systems, times, tol, max_tries, stop=None):
     """Integrate the systems from t=0 to times[-1] as one lockstep batch,
     sampled at the ascending times: a Solution per system, equal to its
-    run alone.  With stop, a row ends at the first step whose end state
-    satisfies stop (evaluated per row); only steps that hold a sample are
-    interpolated."""
+    run alone.  A row ends after max_tries step attempts, the sample count
+    of the full uniform grid, so the work follows the output's size.  The
+    presets take at most 0.07 attempts per sample.  A run takes more, and
+    ends as `budget`, when its decay rates or drives, which the grid does
+    not resolve, force a shorter step (measured with splittings 13 at
+    t_final = 60: a D1 loop with Gamma above about 1.65e3, or with all
+    four drives above about 42).  With stop, a row ends at the first step
+    whose end state satisfies stop (evaluated per row); only steps that
+    hold a sample are interpolated."""
     return solve_ivp(_rhs_builder(systems), (0.0, times[-1]),
                      np.array([s.initial_vector() for s in systems]),
-                     rtol=tol, atol=tol * 1e-2, t_eval=times, stop=stop)
+                     rtol=tol, atol=tol * 1e-2, t_eval=times, stop=stop,
+                     max_tries=max_tries)
 
 
 #: how an integration ended, by solver message
 RUN_ENDS = {REACHED_END: "t_final", STOPPED: "decay_floor",
-            TOO_SMALL_STEP: "failed"}
+            TOO_SMALL_STEP: "failed", OUT_OF_STEPS: "budget"}
 
 
 def _run_record(sol) -> dict:
@@ -195,13 +204,19 @@ def _run_record(sol) -> dict:
             "rejected": sol.rejected, "end": RUN_ENDS[sol.message]}
 
 
-def _failure(sol) -> StepSizeUnderflow:
+def _failure(sol) -> DarkstateError:
+    """StepSizeUnderflow for a failed run, NotConverged for one that spent
+    its step budget."""
     # sol.t holds only the samples reached, possibly none
     if len(sol.t):
         t_reached = float(sol.t[-1])
         reached = f"last sample reached: t={t_reached}"
     else:
         t_reached, reached = None, "no sample reached"
+    if sol.message == OUT_OF_STEPS:
+        return NotConverged(f"integrator spent its budget of "
+                            f"{sol.accepted + sol.rejected} step attempts, "
+                            f"one per time sample; {reached}")
     return StepSizeUnderflow(f"integrator failed; {reached}: {sol.message}",
                              t_reached=t_reached)
 
@@ -216,7 +231,7 @@ def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
     the run's integrator diagnostics, as trapped_fraction's does.
     """
     times = _sample_times(sys, t_final)
-    (sol,) = _solve([sys], times, tol)
+    (sol,) = _solve([sys], times, tol, len(times))
     if runs is not None:
         runs.append(_run_record(sol))
     if not sol.success:
@@ -414,7 +429,8 @@ def trapped_fraction(sys, t_final: float = 150.0, tol: float = DEFAULT_TOL,
         stop = ((lambda y: stoppable & (np.vecdot(y, y).real < floor))
                 if stoppable.any() else None)
         window = times[int(0.9 * len(times)):]
-        sols = _solve([systems[k] for k in group], window, tol, stop)
+        sols = _solve([systems[k] for k in group], window, tol, len(times),
+                      stop)
         for k, sol in zip(group, sols):
             integrated[k] = window, sol
     if runs is not None:

@@ -41,7 +41,8 @@ class StepSizeUnderflow(DarkstateError):
 
 
 class NotConverged(DarkstateError):
-    """No plateau found in the surviving population."""
+    """An integration spent its step budget, or no plateau was found in the
+    surviving population."""
 
     def __init__(self, message, window_means=None):
         super().__init__(message)

@@ -294,10 +294,10 @@ def _root_clusters(qs):
     # coefficient k of every row as a column, after the leads of Q and of
     # Q' = np.polyder's
     cols = [1.0, *qs.T[1:, :, None]]
-    dcols = [4.0, *(qs[:, 1:-1] * np.arange(3, 0, -1)).T[:, :, None]]
-    # Q and Q' may overflow at a root of huge coefficients; the step is
-    # then inf or NaN, fails the bound and is not taken
+    # Q' and the values of Q and Q' may overflow for huge coefficients; a
+    # step is then inf or NaN, fails the bound and is not taken
     with np.errstate(over="ignore", invalid="ignore"):
+        dcols = [4.0, *(qs[:, 1:-1] * np.arange(3, 0, -1)).T[:, :, None]]
         for _ in range(2):
             val = _polyval(cols, roots)
             dval = _polyval(dcols, roots)
@@ -464,11 +464,16 @@ def _reconstruct(terms, delta):
 
 
 def _intensity(gamma, f, out):
-    """out = Gamma |F|^2 / 2 pi, in place."""
+    """out = Gamma |F|^2 / 2 pi, in place; NonFiniteValue where a value is
+    NaN or infinite, so that no route writes one."""
     np.abs(f, out=out)
     out **= 2
     out *= gamma
     out /= 2.0 * np.pi
+    if not np.isfinite(out).all():
+        raise NonFiniteValue(
+            f"the emission intensity is NaN or infinite at "
+            f"{np.count_nonzero(~np.isfinite(out))} of {out.size} grid points")
 
 
 def _spectrum(grid, branch_intensity, poles, method) -> SpectrumResult:

@@ -161,7 +161,7 @@ def d1_trapping_check(sys: D1System) -> TrappingReport:
     satisfied = abs(total) <= DEFAULT_TOL * scale
     return TrappingReport(
         delta_coefficient_residual=complex(total),
-        constant_residual=0.0,
+        constant_residual=0j,
         magnitude_condition=float(mag),
         phase_condition=float(phase),
         gamma_condition=0.0,

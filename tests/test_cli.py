@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from darkstate import (load_scenario, preset, preset_names,
                        propagate, save_scenario, scenario_to_dict,
                        spectrum_analytic, spectrum_time_domain,
                        trapped_fraction)
+import darkstate
 from darkstate import cli
 from darkstate.analysis import default_grid
 from darkstate.cli import main
@@ -686,6 +688,16 @@ def _assert_same_bytes(path, ref):
         assert len(got) == len(want)
 
 
+def _pole_tables_reference(spec):
+    """Each branch's pole terms as the JSON spectrum holds them: every
+    PoleTerm field, a complex one as [re, im]."""
+    return [[{"pole": [float(t.pole.real), float(t.pole.imag)],
+              "residue": [float(t.residue.real), float(t.residue.imag)],
+              "order": int(t.order), "trapped": bool(t.trapped)}
+             for t in terms]
+            for terms in spec.branch_poles]
+
+
 def _assert_spectrum_writers_match(tmp_path, spec, method, svg=True):
     sys_dict = {"system": "synthetic", "omega12": 13.0}
     columns = [spec.grid, *spec.branch_intensity, spec.total]
@@ -698,7 +710,7 @@ def _assert_spectrum_writers_match(tmp_path, spec, method, svg=True):
     _json_reference(tmp_path / "ref.json", {
         "scenario": sys_dict, "method": method, "delta": spec.grid,
         "branch_intensity": spec.branch_intensity, "total": spec.total,
-        "poles": cli._pole_tables(spec)})
+        "poles": _pole_tables_reference(spec)})
     _assert_same_bytes(tmp_path / "new.json", tmp_path / "ref.json")
 
     if svg:
@@ -808,16 +820,23 @@ class TestWriterByteIdentity:
         _json_reference(tmp_path / "ref.json", scenario_to_dict(system))
         _assert_same_bytes(tmp_path / "new.json", tmp_path / "ref.json")
 
+        marks = (0.5, 0.625, 1.125, 1.25)
+        runs = [{"nfev": 1, "accepted": 0, "rejected": 0, "end": "t_final"}]
         manifest = cli.RunManifest(
             command="spectrum", scenario=f"preset:{name}",
-            parameters=scenario_to_dict(system), version="1.2.3",
-            wall_time_s=0.123456789, outputs=[tmp_path / "s.csv"])
+            parameters=scenario_to_dict(system), marks=marks,
+            outputs=[tmp_path / "s.csv"], integrator=runs)
         path = manifest.write(tmp_path / "s.csv")
+        canonical = json.dumps(scenario_to_dict(system), sort_keys=True)
         _json_reference(tmp_path / "ref.manifest.json", {
             "command": "spectrum", "scenario": f"preset:{name}",
-            "parameters": scenario_to_dict(system), "version": "1.2.3",
-            "wall_time_s": 0.123456789,
-            "outputs": [str(tmp_path / "s.csv")]})
+            "parameters": scenario_to_dict(system),
+            "version": darkstate.__version__, "wall_time_s": 0.75,
+            "stage_s": {"load": 0.125, "compute": 0.5, "write": 0.125},
+            "outputs": [str(tmp_path / "s.csv")], "integrator": runs,
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "scenario_sha256": hashlib.sha256(canonical.encode()).hexdigest()})
         _assert_same_bytes(path, tmp_path / "ref.manifest.json")
 
 

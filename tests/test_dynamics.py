@@ -13,9 +13,11 @@ from darkstate import (
     D1System,
     D2System,
     DriveField,
+    NotConverged,
     StepSizeUnderflow,
     TooManySamples,
     branch_amplitude_numeric,
+    d1_system,
     preset,
     preset_names,
     propagate,
@@ -571,6 +573,51 @@ class TestSampleCap:
                        "above the cap of 1e+03\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_step_budget_is_the_sample_count(self):
+        """A row that would make more step attempts than its run's full
+        grid has samples ends as `budget` and raises NotConverged; the
+        other rows of its batch keep their own runs."""
+        stiff = d1_system(1e6, *[DriveField(1.0)] * 4)
+        runs = []
+        with pytest.raises(NotConverged, match="budget of 131 step"):
+            propagate(stiff, t_final=1.0, runs=runs)
+        (run,) = runs
+        assert run["end"] == "budget"
+        assert run["accepted"] + run["rejected"] == \
+            dynamics._sample_count(stiff, 1.0) == 131
+
+        good = preset("fig2-trapping").system
+        alone = []
+        trapped_fraction(good, t_final=10.0, require_plateau=False,
+                         runs=alone)
+        runs = []
+        with pytest.raises(NotConverged):
+            trapped_fraction([good, stiff], t_final=10.0,
+                             require_plateau=False, runs=runs)
+        assert runs[0] == alone[0]
+        assert runs[1]["end"] == "budget"
+        assert runs[1]["accepted"] + runs[1]["rejected"] == \
+            dynamics._sample_count(stiff, 10.0)
+
+    @pytest.mark.parametrize("gamma, mag, within", [
+        (1e3, 1.0, True), (2e3, 1.0, False), (1.0, 25.0, True),
+        (1.0, 50.0, False)])
+    def test_step_budget_edge(self, gamma, mag, within):
+        """Stiff but valid D1 loops either side of the budget, as the README
+        documents: the grid resolves the splittings, not Gamma or the
+        drives, so Gamma = 2e3 or four drives of 50 need more than one step
+        attempt per sample (the budget) and raise NotConverged, where
+        Gamma = 1e3 and drives of 25 pass."""
+        system = d1_system(gamma, *[DriveField(mag)] * 4)
+        runs = []
+        if within:
+            propagate(system, t_final=5.0, runs=runs)
+            assert runs[0]["end"] == "t_final"
+        else:
+            with pytest.raises(NotConverged):
+                propagate(system, t_final=5.0, runs=runs)
+            assert runs[0]["end"] == "budget"
+
 
 def _integrator_cases():
     cases = []
@@ -615,7 +662,7 @@ class TestDop853:
             (ours,) = dynamics.solve_ivp(dynamics._rhs_builder([system]),
                                          (0.0, times[-1]),
                                          system.initial_vector()[None],
-                                         **kwargs)
+                                         max_tries=len(full), **kwargs)
             ref = solve_ivp(_scipy_rhs(system), (0.0, times[-1]),
                             system.initial_vector(), method="DOP853",
                             **kwargs)
@@ -626,8 +673,10 @@ class TestDop853:
         # y' = y**2, y(0) = 1 blows up at t = 1
         times = np.linspace(0.0, 2.0, 201)
         kwargs = dict(rtol=1e-8, atol=1e-10, t_eval=times)
+        # a budget that does not bind: the run ends as SciPy's does
         (ours,) = dynamics.solve_ivp(lambda t, y: y ** 2, (0.0, 2.0),
-                                     np.array([[1.0 + 0j]]), **kwargs)
+                                     np.array([[1.0 + 0j]]),
+                                     max_tries=10**6, **kwargs)
         ref = solve_ivp(lambda t, y: y ** 2, (0.0, 2.0),
                         np.array([1.0 + 0j]), method="DOP853", **kwargs)
         assert not ours.success and not ref.success
@@ -640,14 +689,14 @@ class TestDop853:
         with pytest.raises(ValueError):
             dynamics.solve_ivp(lambda t, y: -y, (0.0, 1.0),
                                np.ones((1, 1), dtype=complex), rtol=1e-8,
-                               atol=atol, t_eval=[1.0])
+                               atol=atol, t_eval=[1.0], max_tries=1)
 
     def test_one_dimensional_y0_rejected(self):
         # one system is the batch of one, y0 of shape (1, n)
         with pytest.raises(ValueError, match="shape"):
             dynamics.solve_ivp(lambda t, y: -y, (0.0, 1.0),
                                np.ones(2, dtype=complex), rtol=1e-8,
-                               atol=1e-10, t_eval=[1.0])
+                               atol=1e-10, t_eval=[1.0], max_tries=1)
 
     @pytest.mark.parametrize("rtol,atol", [(0.0, 0.0), (math.nan, 1e-10),
                                            (math.inf, 1e-10)])
@@ -658,7 +707,8 @@ class TestDop853:
         # step forever
         (sol,) = dynamics.solve_ivp(lambda t, y: -y, (0.0, 1.0),
                                     np.array([[1.0, 0.0]], dtype=complex),
-                                    rtol=rtol, atol=atol, t_eval=[0.5, 1.0])
+                                    rtol=rtol, atol=atol, t_eval=[0.5, 1.0],
+                                    max_tries=2)
         assert not sol.success and len(sol.t) == 0
         if atol == rtol * 1e-2:
             with pytest.raises(StepSizeUnderflow):
@@ -689,7 +739,10 @@ def _recorded_run(system, times, stop):
     tol = dynamics.DEFAULT_TOL
     (sol,) = dynamics.solve_ivp(fun, (0.0, times[-1]),
                                 system.initial_vector()[None], rtol=tol,
-                                atol=tol * 1e-2, t_eval=times, stop=record)
+                                atol=tol * 1e-2, t_eval=times,
+                                max_tries=dynamics._sample_count(
+                                    system, times[-1]),
+                                stop=record)
     return sol, steps
 
 
@@ -707,7 +760,8 @@ class TestStop:
         (ours,) = dynamics.solve_ivp(dynamics._rhs_builder([system]),
                                      (0.0, times[-1]),
                                      system.initial_vector()[None],
-                                     stop=None, **kwargs)
+                                     max_tries=len(times), stop=None,
+                                     **kwargs)
         ref = solve_ivp(_scipy_rhs(system), (0.0, times[-1]),
                         system.initial_vector(), method="DOP853", **kwargs)
         assert _same_solution(ours, ref)
@@ -746,7 +800,7 @@ class TestStop:
                                         (0.0, times[-1]),
                                         system.initial_vector()[None],
                                         rtol=tol, atol=tol * 1e-2,
-                                        t_eval=times)
+                                        t_eval=times, max_tries=len(times))
             assert len(steps) > 0 and _same_solution(never, ref)
             assert never.message == _dop853.REACHED_END
 
@@ -769,10 +823,11 @@ class TestBatch:
     for bit."""
 
     @staticmethod
-    def _integrate(fun, y0, times, stop):
+    def _integrate(fun, y0, times, stop, max_tries):
         tol = dynamics.DEFAULT_TOL
         return dynamics.solve_ivp(fun, (0.0, times[-1]), y0, rtol=tol,
-                                  atol=tol * 1e-2, t_eval=times, stop=stop)
+                                  atol=tol * 1e-2, t_eval=times,
+                                  max_tries=max_tries, stop=stop)
 
     @pytest.mark.parametrize("grid", ["full", "window"])
     def test_rows_equal_runs_alone(self, grid):
@@ -784,18 +839,20 @@ class TestBatch:
         late = propagate(_decaying_system(), t_final=150.0)
         floors[-2] = late.norm()[np.searchsorted(late.times, 142.0)]
         times = dynamics._sample_times(systems[0], 150.0)
+        budget = len(times)
         if grid == "window":
             times = times[int(0.9 * len(times)):]
         batch = self._integrate(
             dynamics._rhs_builder(systems),
             np.array([s.initial_vector() for s in systems]), times,
-            lambda y: np.vecdot(y, y).real < floors)
+            lambda y: np.vecdot(y, y).real < floors, budget)
         assert len(batch) == len(systems)
         assert batch.nfev == sum(sol.nfev for sol in batch)
         for system, floor, row in zip(systems, floors, batch):
             (alone,) = self._integrate(
                 dynamics._rhs_builder([system]), system.initial_vector()[None],
-                times, lambda y, floor=floor: np.vecdot(y, y).real < floor)
+                times, lambda y, floor=floor: np.vecdot(y, y).real < floor,
+                budget)
             assert _same_run(row, alone)
         ends = [(sol.message, len(sol.t)) for sol in batch]
         # rows that stop before the last sample, rows that reach it, and
