@@ -10,12 +10,24 @@ hold the same values as SciPy's DOP853 coefficient table
 
 `solve_ivp` follows SciPy's `DOP853` solver driven by its `solve_ivp(...,
 t_eval=...)`: the same initial step, step control and error norm, and the
-interpolant built only for steps that hold a sample, with the same
-floating-point operations in the same order (the real tables are cast to
-complex once, as np.dot would cast them on each call), so its samples and
-evaluation counts are identical to SciPy's.  It integrates a complex state
-forward from t=0 with scalar tolerances, optionally until a predicate of
-the state holds and within a budget of step attempts, and nothing else.
+interpolant built only for steps that hold a sample.  It integrates a
+complex state forward from t=0 with scalar tolerances, optionally until a
+predicate of the state holds and within a budget of step attempts, and
+nothing else.  A step attempt takes one of two kernels:
+
+- the stage kernel, for a callable fun(t, y), evaluates fun at the 12
+  stages (and the 4 extra stages of the interpolant) with SciPy's
+  floating-point operations in SciPy's order (the real tables are cast to
+  complex once, as np.dot would cast them on each call), so its samples
+  and evaluation counts are identical to SciPy's;
+- the matrix kernel, for y' = M y with a constant drift matrix M, uses
+  that each stage is then h K_s = Q_s(hM) y for a fixed polynomial Q_s
+  of degree s + 1, so that the end state, the error estimates and the
+  interpolant of an attempt are each a fixed polynomial of degree <= 16
+  in hM applied to y (`_polynomial_table`).  It is the same method, with
+  the same initial step (f = M y as np.matvec computes it), step control
+  and sampling; only the roundoff of an attempt differs, which moves the
+  samples of the presets by <= 2.1e-12.
 
 One core, `_integrate`, steps a batch of B rows in lockstep; one system
 is the batch of one.  An iteration makes one step attempt for every row
@@ -24,10 +36,10 @@ rows come from the same numpy calls, while each row keeps its own t, step
 size, accept/reject decision, stop test, samples, evaluation count and
 failure.  A row equals its run alone bit for bit, as each batched call
 does per row exactly the one-row arithmetic (np.dot of a stage vector with
-the stages of all rows is one BLAS gemv, np.vecdot one BLAS dot per row)
-and the step-size control runs per row on scalars.  Finished rows stay in
-the arrays with a zero step, so an iteration costs about the same for any
-B.
+the stages of all rows is one BLAS gemv, np.vecdot one BLAS dot per row,
+np.matmul one product per row) and the step-size control runs per row on
+scalars.  Finished rows stay in the arrays with a zero step, so an
+iteration costs about the same for any B.
 
 The step factor SAFETY * err ** ERROR_EXPONENT, the squared error norms
 and the initial step use numpy's scalar power, the C library's pow, as
@@ -40,6 +52,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -332,26 +345,141 @@ def _step_size(err, h_abs, rejected):
     return False, h_abs * max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
 
 
+class _Stages:
+    """The stage kernel, for any fun(t, y): an attempt evaluates fun at the
+    12 stages of the method, and the continuous extension at its 4 extra
+    stages, with SciPy's floating-point operations."""
+
+    def __init__(self, fun, f):
+        rows, n = f.shape
+        self.fun = fun
+        self.f = f  # fun(t, y) at the rows' current states
+        self.K = np.empty((N_STAGES_EXTENDED, rows, n), dtype=complex)
+        self.flat = self.K.reshape(N_STAGES_EXTENDED, rows * n)
+        self.prefix = [self.flat[:s] for s in range(N_STAGES_EXTENDED + 1)]
+        # np.dot writes each stage's increment, and the error estimates,
+        # into these; dy is the (B, n) view of dy_flat
+        self.dy_flat = np.empty(rows * n, dtype=complex)
+        self.dy = self.dy_flat.reshape(rows, n)
+        self.err_flat = np.empty((2, rows * n), dtype=complex)
+        self.y_stage = np.empty((rows, n), dtype=complex)
+        self.T = np.empty((N_STAGES_EXTENDED, rows))  # stage times
+
+    def _stage(self, s, a, y):
+        # y + np.dot(a, K[:s]) * h, as SciPy computes it
+        np.dot(a, self.prefix[s], out=self.dy_flat)
+        np.multiply(self.dy, self.hcol, out=self.dy)
+        self.K[s] = self.fun(self.T[s], np.add(y, self.dy, out=self.y_stage))
+
+    def attempt(self, y, t, h):
+        """The end states of the steps of sizes h from the states y at the
+        times t, and the error estimates (err5, err3) per unit step, shape
+        (2, B, n)."""
+        # complex, as numpy casts a real factor of a complex array anyway
+        self.hcol = h.astype(complex)[:, None]
+        np.multiply(_C, h, out=self.T)
+        self.T += t
+        self.K[0] = self.f
+        for s, a in _METHOD_STAGES:
+            self._stage(s, a, y)
+        np.dot(_B, self.prefix[N_STAGES], out=self.dy_flat)
+        y_new = y + self.hcol * self.dy
+        self.f_new = np.asarray(self.fun(self.T[N_STAGES], y_new),
+                                dtype=complex)
+        self.K[N_STAGES] = self.f_new
+        np.dot(_E5, self.prefix[N_STAGES + 1], out=self.err_flat[0])
+        np.dot(_E3, self.prefix[N_STAGES + 1], out=self.err_flat[1])
+        return y_new, self.err_flat.reshape(2, *y.shape)
+
+    def dense(self, y, y_new):
+        """The 7 coefficient vectors of each row's continuous extension over
+        the attempted step, shape (7, B, n)."""
+        for s, a in _EXTRA_STAGES:
+            self._stage(s, a, y)
+        return _dense_terms(y, y_new, self.f, self.f_new, self.hcol,
+                            self.flat)
+
+    def accept(self, keep):
+        """Move f to the new states: of every row when keep is None, else
+        of the rows where keep, of shape (B, 1), is False."""
+        self.f = (self.f_new if keep is None
+                  else np.where(keep, self.f, self.f_new))
+
+
+#: the highest power of hM in a step attempt of y' = M y: one per stage
+DEGREE = N_STAGES_EXTENDED
+
+
+@cache
+def _polynomial_table():
+    """The coefficients c_pk of z^k, k = 1 .. DEGREE, of the matrix
+    kernel's outputs p: the 7 continuous-extension terms of `_dense_terms`
+    (term 0 is y_new - y), then h err5 and h err3.  Stage s of y' = M y is
+    h K_s = Q_s(hM) y, with Q_0(z) = z and Q_s(z) = z (1 + sum_j a_sj
+    Q_j(z)), so each output is a fixed polynomial in hM applied to y.
+    Shape (9, DEGREE), complex."""
+    q = np.zeros((N_STAGES_EXTENDED, DEGREE + 1))  # q[s, k]: z^k in Q_s
+    for s in range(N_STAGES_EXTENDED):
+        q[s, 1] = 1.0
+        q[s, 2:] = A[s, :s] @ q[:s, 1:-1]
+    step = B @ q[:N_STAGES]
+    table = np.vstack([step, q[0] - step, 2 * step - q[0] - q[N_STAGES],
+                       D @ q, E5 @ q[:N_STAGES + 1], E3 @ q[:N_STAGES + 1]])
+    return table[:, 1:].astype(complex)
+
+
+class _Powers:
+    """The matrix kernel, for y' = M y with a constant drift matrix M per
+    row: an attempt is `_polynomial_table` applied to the vectors
+    (hM)^k y.  The powers (M / sigma)^k, sigma the largest |M_ij| of the
+    row (1 for M = 0), are formed once, so that none overflows, and
+    stacked as one (DEGREE n, n) matrix per row; an attempt is then one
+    matmul giving every (M / sigma)^k y and one matmul, weighted by
+    (h sigma)^k, through the table."""
+
+    def __init__(self, m):
+        rows, n, _ = m.shape
+        sigma = np.max(np.abs(m), axis=(1, 2))
+        self.sigma = np.where(sigma > 0, sigma, 1.0)
+        powers = np.empty((rows, DEGREE, n, n), dtype=complex)
+        powers[:, 0] = m / self.sigma[:, None, None]
+        for k in range(1, DEGREE):
+            np.matmul(powers[:, k - 1], powers[:, 0], out=powers[:, k])
+        self.powers = powers.reshape(rows, DEGREE * n, n)
+
+    def attempt(self, y, t, h):
+        """As `_Stages.attempt`."""
+        rows, n = y.shape
+        # (h sigma)^k by repeated products, whose bits do not depend on
+        # the batch, as those of a vectorized np.power may
+        weights = np.multiply.accumulate(
+            np.outer(h * self.sigma, np.ones(DEGREE)), axis=1)
+        terms = np.matmul(self.powers, y[:, :, None]).reshape(rows, DEGREE,
+                                                              n)
+        terms *= weights[:, :, None]
+        self.out = np.matmul(_polynomial_table(), terms).transpose(1, 0, 2)
+        return y + self.out[0], self.out[7:] / h[:, None]
+
+    def dense(self, y, y_new):
+        """As `_Stages.dense`."""
+        return self.out[:7]
+
+    def accept(self, keep):
+        """Nothing to carry: an attempt needs only y."""
+
+
 def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
     """Step the rows of y0, shape (B, n), in lockstep (see the module
-    docstring) and return a Solution per row.  The per-row state is kept
-    in Python lists; a row that is done (failed, stopped, out of step
+    docstring) and return a Solution per row; fun is a callable or a drift
+    matrix stack, as `solve_ivp` takes it.  The per-row state is kept in
+    Python lists; a row that is done (failed, stopped, out of step
     attempts or at t_bound) takes zero steps from then on."""
     rows, n = y0.shape
     y = y0
-    f = np.asarray(fun(np.zeros(rows), y), dtype=complex)
-    h_abs = _initial_step(fun, y, f, t_bound, rtol, atol).tolist()
-    K = np.empty((N_STAGES_EXTENDED, rows, n), dtype=complex)
-    flat = K.reshape(N_STAGES_EXTENDED, rows * n)
-    prefix = [flat[:s] for s in range(N_STAGES_EXTENDED + 1)]  # K[:s]
-    # np.dot writes each stage's increment, and the error estimates, into
-    # these; dy and err are their (B, n) views
-    dy_flat = np.empty(rows * n, dtype=complex)
-    dy = dy_flat.reshape(rows, n)
-    err_flat = np.empty((2, rows * n), dtype=complex)
-    err = err_flat.reshape(2, rows, n)
-    y_stage = np.empty((rows, n), dtype=complex)
-    T = np.empty((N_STAGES_EXTENDED, rows))  # stage times
+    rhs = fun if callable(fun) else (lambda t, y: np.matvec(fun, y))
+    f = np.asarray(rhs(np.zeros(rows), y), dtype=complex)
+    h_abs = _initial_step(rhs, y, f, t_bound, rtol, atol).tolist()
+    kernel = _Stages(fun, f) if callable(fun) else _Powers(fun)
     grid = t_eval.tolist()
     t = [0.0] * rows
     live = list(range(rows))
@@ -385,26 +513,9 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
             tries[b] += 1
         if not live:
             break
-        # complex, as numpy casts a real factor of a complex array anyway
-        h_rows = np.array(h, dtype=complex)
-        hcol = h_rows[:, None]
-        np.multiply(_C, h_rows.real, out=T)
-        T += t
-
-        K[0] = f
-        for s, a in _METHOD_STAGES:
-            # y + np.dot(a, K[:s]) * h, as SciPy computes it
-            np.dot(a, prefix[s], out=dy_flat)
-            np.multiply(dy, hcol, out=dy)
-            K[s] = fun(T[s], np.add(y, dy, out=y_stage))
-        np.dot(_B, prefix[N_STAGES], out=dy_flat)
-        y_new = y + hcol * dy
-        f_new = np.asarray(fun(T[N_STAGES], y_new), dtype=complex)
-        K[N_STAGES] = f_new
+        y_new, err = kernel.attempt(y, t, np.array(h))
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        np.dot(_E5, prefix[N_STAGES + 1], out=err_flat[0])
-        np.dot(_E3, prefix[N_STAGES + 1], out=err_flat[1])
         err5, err3 = np.sqrt(_squared_norms(err / scale))
         accept = []
         for b in live:
@@ -426,11 +537,7 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
             if reached > sampled[b]:
                 sample.append((b, reached))
         if sample:
-            for s, a in _EXTRA_STAGES:
-                np.dot(a, prefix[s], out=dy_flat)
-                np.multiply(dy, hcol, out=dy)
-                K[s] = fun(T[s], np.add(y, dy, out=y_stage))
-            F = _dense_terms(y, y_new, f, f_new, hcol, flat)
+            F = kernel.dense(y, y_new)
             for b, reached in sample:
                 interpolants[b] += 1
                 times = t_eval[sampled[b]:reached]
@@ -439,12 +546,12 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
                 sampled[b] = reached
 
         if len(accept) == rows:
-            y, f = y_new, f_new
+            y, keep = y_new, None
         else:
             keep = np.ones((rows, 1), dtype=bool)
             keep[accept] = False
             y = np.where(keep, y, y_new)
-            f = np.where(keep, f, f_new)
+        kernel.accept(keep)
         stopped = stop(y) if stop is not None else None
         for b in accept:
             t[b] = t_new[b]
@@ -506,6 +613,11 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, max_tries, stop=None):
     bit.  The stage states passed to fun share one buffer, so fun must not
     keep y.
 
+    fun may instead be a stack of constant drift matrices M, shape (B, n,
+    n), for y' = M y: the matrix kernel then takes each step attempt as
+    one polynomial in hM (see the module docstring), and nfev counts the
+    evaluations of M y that the stage kernel would make.
+
     With a predicate stop, the integration of a row ends successfully
     after the first accepted step whose end state y satisfies stop(y); its
     solution then holds the samples up to that step's end.  The steps
@@ -530,6 +642,10 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, max_tries, stop=None):
     y0 = np.asarray(y0, dtype=complex)
     if y0.ndim != 2:
         raise ValueError("y0 must have shape (B, n): one row per system")
+    if not callable(fun):
+        fun = np.asarray(fun, dtype=complex)
+        if fun.shape != (*y0.shape, y0.shape[1]):
+            raise ValueError("a drift matrix stack must have shape (B, n, n)")
     # overflow and NaN end in a NaN error norm, which the step control
     # reports as TOO_SMALL_STEP
     with np.errstate(all="ignore"):

@@ -17,10 +17,17 @@ decayed: when the decay matrix Gamma is positive semidefinite the norm
 never grows, so once it falls below a floor far under `plateau_tol` every
 later sample lies between 0 and that floor.
 
+A resonant system free of cross-damping has a constant drift matrix M,
+and its runs take DOP853's matrix kernel, which steps y' = M y as one
+polynomial in hM per attempt; any other system takes the stage kernel on
+the time-dependent M(t) (`_kernel`).  Both are the same method, to
+roundoff, and the route stays independent of the closed form: no
+eigendecomposition or resolvent is used.
+
 Systems are integrated as lockstep batches of the one DOP853 core: given a
 sequence of systems (a sweep, or the trapped checks of `validate`, one
-batch per command), `trapped_fraction` steps all those that
-share a sample grid together, each row with its own steps, stop test and
+batch per command), `trapped_fraction` steps all those that share a sample
+grid and a kernel together, each row with its own steps, stop test and
 failure, and each row's samples, steps and value equal those of its run
 alone bit for bit; errors are raised for the first failing system in
 order, as a loop over the systems would.  `propagate` and a single
@@ -81,24 +88,24 @@ class AmplitudeTrajectory:
         return np.sum(np.abs(self.amps) ** 2, axis=1)
 
 
+def _kernel(sys: D2System) -> str:
+    """The DOP853 kernel of a run of sys: "matrix" when its drift matrix is
+    constant (resonant and free of cross-damping), else "stages"."""
+    return ("matrix" if not any(sys.detunings) and not any(sys.alignments)
+            else "stages")
+
+
 def _rhs_builder(systems):
     """The amplitude equations y' = rhs(t, y) of a batch of systems: t of
     shape (B,), y of shape (B, 4), one row per system.
 
-    With every row resonant and free of cross-damping, the drift matrix
-    is constant and rhs is the stacked product M @ y.  Otherwise each row
-    has the time-dependent matrix M(t) = M * exp(i R t) + X * exp(i W t)
-    (elementwise): the drive terms with their detuning phases R, then the
-    cross-damping terms X = -p sqrt(Gamma_i Gamma_j) / 2 with their
-    splitting phases W, conjugate below the diagonal.  A resonant,
-    uncoupled row of such a batch has R = 0 and X = 0, so its M(t) is M
-    exactly and it takes the values of its constant-matrix run.
+    Each row has the time-dependent matrix M(t) = M * exp(i R t) + X *
+    exp(i W t) (elementwise): the drive terms with their detuning phases
+    R, then the cross-damping terms X = -p sqrt(Gamma_i Gamma_j) / 2 with
+    their splitting phases W, conjugate below the diagonal.  A resonant,
+    uncoupled row has R = 0 and X = 0, so its M(t) is M exactly.
     """
     m = np.array([coupling_matrix(s) for s in systems])
-    if all(not any(s.detunings) and not any(s.alignments) for s in systems):
-        def rhs(t, y):
-            return np.matvec(m, y)
-        return rhs
 
     def antisymmetric(r12, r13, r23, r14, r34):
         upper = np.array([[0.0, r12, r13, r14], [0.0, 0.0, r23, 0.0],
@@ -176,20 +183,28 @@ def _sample_times(sys: D2System, t_final: float) -> np.ndarray:
 
 def _solve(systems, times, tol, max_tries, stop=None):
     """Integrate the systems from t=0 to times[-1] as one lockstep batch,
-    sampled at the ascending times: a Solution per system, equal to its
-    run alone.  A row ends after max_tries step attempts, the sample count
-    of the full uniform grid, so the work follows the output's size.  The
-    presets take at most 0.07 attempts per sample.  A run takes more, and
-    ends as `budget`, when its decay rates or drives, which the grid does
-    not resolve, force a shorter step (measured with splittings 13 at
-    t_final = 60: a D1 loop with Gamma above about 1.65e3, or with all
-    four drives above about 42).  With stop, a row ends at the first step
-    whose end state satisfies stop (evaluated per row); only steps that
-    hold a sample are interpolated."""
-    return solve_ivp(_rhs_builder(systems), (0.0, times[-1]),
-                     np.array([s.initial_vector() for s in systems]),
-                     rtol=tol, atol=tol * 1e-2, t_eval=times, stop=stop,
-                     max_tries=max_tries)
+    sampled at the ascending times: the kernel taken and a Solution per
+    system.  The batch takes the matrix kernel, with the stack of constant
+    drift matrices, when every system's `_kernel` is "matrix", else the
+    stage kernel with `_rhs_builder`'s M(t); a row equals its run alone
+    when all rows are of one kernel.  A row ends after max_tries step attempts, the sample count of the full
+    uniform grid, so the work follows the output's size.  The presets take
+    at most 0.07 attempts per sample.  A run takes more, and ends as
+    `budget`, when its decay rates or drives, which the grid does not
+    resolve, force a shorter step (measured with splittings 13 at t_final
+    = 60: a D1 loop with Gamma above about 1.65e3, or with all four drives
+    above about 42).  With stop, a row ends at the first step whose end
+    state satisfies stop (evaluated per row); only steps that hold a
+    sample are interpolated."""
+    if all(_kernel(s) == "matrix" for s in systems):
+        kernel, drift = "matrix", np.array([coupling_matrix(s)
+                                            for s in systems])
+    else:
+        kernel, drift = "stages", _rhs_builder(systems)
+    return kernel, solve_ivp(drift, (0.0, times[-1]),
+                             np.array([s.initial_vector() for s in systems]),
+                             rtol=tol, atol=tol * 1e-2, t_eval=times,
+                             stop=stop, max_tries=max_tries)
 
 
 #: how an integration ended, by solver message
@@ -197,11 +212,12 @@ RUN_ENDS = {REACHED_END: "t_final", STOPPED: "decay_floor",
             TOO_SMALL_STEP: "failed", OUT_OF_STEPS: "budget"}
 
 
-def _run_record(sol) -> dict:
-    """The integrator diagnostics of one run: nfev, accepted and rejected
-    steps, and how it ended (`RUN_ENDS`)."""
+def _run_record(sol, kernel: str) -> dict:
+    """The integrator diagnostics of the run sol: nfev, accepted and
+    rejected steps, how it ended (`RUN_ENDS`) and the kernel it took."""
     return {"nfev": sol.nfev, "accepted": sol.accepted,
-            "rejected": sol.rejected, "end": RUN_ENDS[sol.message]}
+            "rejected": sol.rejected, "end": RUN_ENDS[sol.message],
+            "kernel": kernel}
 
 
 def _failure(sol) -> DarkstateError:
@@ -231,9 +247,9 @@ def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
     the run's integrator diagnostics, as trapped_fraction's does.
     """
     times = _sample_times(sys, t_final)
-    (sol,) = _solve([sys], times, tol, len(times))
+    kernel, (sol,) = _solve([sys], times, tol, len(times))
     if runs is not None:
-        runs.append(_run_record(sol))
+        runs.append(_run_record(sol, kernel))
     if not sol.success:
         raise _failure(sol)
     return AmplitudeTrajectory(times=times, amps=np.ascontiguousarray(sol.y.T))
@@ -398,11 +414,11 @@ def trapped_fraction(sys, t_final: float = 150.0, tol: float = DEFAULT_TOL,
     """Plateau value of the surviving population |A1|^2+|A2|^2+|A3|^2+|B|^2.
 
     sys is one D2System, or a sequence of them, which are integrated as
-    lockstep batches (one per sample grid) and give a list of values, each
-    the value of its system alone.  Errors are raised for the first
-    failing system in order.  A list given as runs receives, per system,
-    its integrator diagnostics: nfev, accepted and rejected steps, and
-    how the run ended (`RUN_ENDS`).
+    lockstep batches (one per sample grid and kernel) and give a list of
+    values, each the value of its system alone.  Errors are raised for the
+    first failing system in order.  A list given as runs receives, per
+    system, its integrator diagnostics: nfev, accepted and rejected steps,
+    how the run ended (`RUN_ENDS`) and the kernel it took.
 
     The population is sampled only on the last 10% of propagate's uniform
     grid of n samples, from sample int(0.9 n) on.  That window is split in
@@ -418,25 +434,26 @@ def trapped_fraction(sys, t_final: float = 150.0, tol: float = DEFAULT_TOL,
     """
     systems = [sys] if isinstance(sys, D2System) else list(sys)
     floor = DECAY_FLOOR * plateau_tol
-    grids = {}
+    batches = {}
     for k, s in enumerate(systems):
         # t_final is shared, so the grid follows from its length
         times = _sample_times(s, t_final)
-        grids.setdefault(len(times), (times, []))[1].append(k)
+        batches.setdefault((len(times), _kernel(s)),
+                           (times, []))[1].append(k)
     integrated = [None] * len(systems)
-    for times, group in grids.values():
+    for times, group in batches.values():
         stoppable = np.array([_norm_never_grows(systems[k]) for k in group])
         stop = ((lambda y: stoppable & (np.vecdot(y, y).real < floor))
                 if stoppable.any() else None)
         window = times[int(0.9 * len(times)):]
-        sols = _solve([systems[k] for k in group], window, tol, len(times),
-                      stop)
+        kernel, sols = _solve([systems[k] for k in group], window, tol,
+                              len(times), stop)
         for k, sol in zip(group, sols):
-            integrated[k] = window, sol
+            integrated[k] = window, kernel, sol
     if runs is not None:
-        runs += [_run_record(sol) for _, sol in integrated]
+        runs += [_run_record(sol, kernel) for _, kernel, sol in integrated]
     values = []
-    for window, sol in integrated:
+    for window, _, sol in integrated:
         if not sol.success:
             raise _failure(sol)
         amps = np.ascontiguousarray(sol.y.T)

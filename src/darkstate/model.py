@@ -38,7 +38,10 @@ _INITIAL_LABELS = {"A1": 0, "A2": 1, "A3": 2, "B": 3}
 
 
 def wrap_phase(phi: float) -> float:
-    """Wrap an angle into [0, 2*pi)."""
+    """Wrap an angle into [0, 2*pi); a non-finite angle is returned as it
+    is, for `validate_system` to name."""
+    if not math.isfinite(phi):
+        return phi
     phi = math.fmod(phi, TWO_PI)
     if phi < 0:
         phi += TWO_PI

@@ -139,6 +139,8 @@ class TestSpectrumCommand:
             propagate(preset("fig2-notrapping").system, runs=alone)
             assert manifest["integrator"] == alone
             assert alone[0]["end"] == "t_final" and alone[0]["nfev"] > 0
+            # a resonant preset without cross-damping: a constant drift
+            assert alone[0]["kernel"] == "matrix"
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--preset", "fig2-notrapping"],

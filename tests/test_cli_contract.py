@@ -56,6 +56,16 @@ REPRODUCERS = {
     "fig2-omega12=1e6-trapping-solve": (
         {**scenario_to_dict(preset("fig2-trapping").system), "omega12": 1e6},
         ["trapping", "--solve"]),
+    # the phase reached math.fmod, whose domain error named no field
+    "d1-phase-infinity": (
+        {"system": "d1", "gamma": [1.0],
+         "fields": [{"mag": 1.0, "phase": math.inf}, *UNIT[1:]]},
+        ["spectrum"]),
+}
+
+#: name: what the error of a reproducer must say
+MESSAGES = {
+    "d1-phase-infinity": "field 1 = (mag 1.0, phase inf) must be finite",
 }
 
 HOSTILE = (0.0, -1.0, 1e-300, 1e-8, 1e6, 1e100, 1e154, 1e300, math.nan,
@@ -161,6 +171,7 @@ def test_output_contract(case, tmp_path):
     assert code in range(5), f"{case}: {code!r}"
     assert all(line.startswith(("error: ", "warning: ", "note: "))
                for line in err.splitlines()), err
+    assert MESSAGES.get(case, "") in err
     written = sorted(outdir.iterdir())
     if code:
         assert written == []

@@ -450,9 +450,8 @@ class TestTrappedFractionEarlyExit:
 
 
 def _dense_reference(sys, t_final):
-    """Samples and plateau value computed from scipy's dense output on the
-    whole uniform grid, then the tail of it: the route that sampling through
-    t_eval replaces."""
+    """Samples computed from scipy's dense output on the whole uniform
+    grid: the route that sampling through t_eval replaces."""
     tol = dynamics.DEFAULT_TOL
     sol = solve_ivp(_scipy_rhs(sys), (0.0, t_final),
                     sys.initial_vector(), method="DOP853", rtol=tol,
@@ -462,11 +461,15 @@ def _dense_reference(sys, t_final):
     n = int(math.ceil(t_final / min(0.01, 0.1 / fast)))
     n += n % 2
     times = np.linspace(0.0, t_final, n + 1)
-    amps = sol.sol(times).T
+    return times, sol.sol(times).T
+
+
+def _plateau(amps):
+    """The plateau value of samples on the whole uniform grid: the mean
+    population over the late half of its last 10%."""
     norms = np.sum(np.abs(amps) ** 2, axis=1)
     tail = norms[int(0.9 * len(norms)):]
-    return times, amps, min(max(float(np.mean(tail[len(tail) // 2:])), 0.0),
-                            1.0)
+    return min(max(float(np.mean(tail[len(tail) // 2:])), 0.0), 1.0)
 
 
 def _reference_systems():
@@ -481,13 +484,22 @@ def _reference_systems():
 class TestSampling:
     @pytest.mark.parametrize("k", range(7))
     def test_matches_dense_output(self, k):
+        """The stage kernel on propagate's grid and budget samples SciPy's
+        dense output to 1e-14.  propagate and trapped_fraction take the
+        matrix kernel on these resonant systems, and agree with it to
+        MATRIX_KERNEL_TOL."""
         s = _reference_systems()[k]
-        times, amps, trapped = _dense_reference(s, 150.0)
+        times, amps = _dense_reference(s, 150.0)
+        tol = dynamics.DEFAULT_TOL
+        (stages,) = dynamics.solve_ivp(
+            dynamics._rhs_builder([s]), (0.0, 150.0), s.initial_vector()[None],
+            rtol=tol, atol=tol * 1e-2, t_eval=times, max_tries=len(times))
+        assert np.max(np.abs(stages.y.T - amps)) <= 1e-14
         traj = propagate(s, t_final=150.0)
         assert np.array_equal(traj.times, times)
-        assert np.max(np.abs(traj.amps - amps)) <= 1e-14
-        assert abs(trapped_fraction(s, require_plateau=False) - trapped) \
-            <= 1e-14
+        assert np.max(np.abs(traj.amps - stages.y.T)) <= MATRIX_KERNEL_TOL
+        assert abs(trapped_fraction(s, require_plateau=False)
+                   - _plateau(stages.y.T)) <= MATRIX_KERNEL_TOL
 
     def test_trapped_fraction_samples_only_the_window(self, monkeypatch):
         calls = []
@@ -527,6 +539,12 @@ class TestSampling:
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+#: stiff but valid D1 loops (Gamma, drive magnitude) either side of the
+#: step budget at t_final = 5, and whether they are within it
+BUDGET_EDGE = [(1e3, 1.0, True), (2e3, 1.0, False), (1.0, 25.0, True),
+               (1.0, 50.0, False)]
 
 
 class TestSampleCap:
@@ -599,9 +617,7 @@ class TestSampleCap:
         assert runs[1]["accepted"] + runs[1]["rejected"] == \
             dynamics._sample_count(stiff, 10.0)
 
-    @pytest.mark.parametrize("gamma, mag, within", [
-        (1e3, 1.0, True), (2e3, 1.0, False), (1.0, 25.0, True),
-        (1.0, 50.0, False)])
+    @pytest.mark.parametrize("gamma, mag, within", BUDGET_EDGE)
     def test_step_budget_edge(self, gamma, mag, within):
         """Stiff but valid D1 loops either side of the budget, as the README
         documents: the grid resolves the splittings, not Gamma or the
@@ -697,6 +713,13 @@ class TestDop853:
             dynamics.solve_ivp(lambda t, y: -y, (0.0, 1.0),
                                np.ones(2, dtype=complex), rtol=1e-8,
                                atol=1e-10, t_eval=[1.0], max_tries=1)
+
+    def test_drift_stack_of_another_shape_rejected(self):
+        for shape in [(2, 2, 2), (1, 2, 3), (1, 2)]:
+            with pytest.raises(ValueError, match=r"\(B, n, n\)"):
+                dynamics.solve_ivp(-np.ones(shape), (0.0, 1.0),
+                                   np.ones((1, 2), dtype=complex), rtol=1e-8,
+                                   atol=1e-10, t_eval=[1.0], max_tries=1)
 
     @pytest.mark.parametrize("rtol,atol", [(0.0, 0.0), (math.nan, 1e-10),
                                            (math.inf, 1e-10)])
@@ -914,6 +937,129 @@ class TestBatch:
         with pytest.raises(StepSizeUnderflow) as info:
             trapped_fraction([good] * 3, require_plateau=False)
         assert info.value.t_reached == 136.0
+
+
+#: how far the matrix kernel's samples may lie from the stage kernel's on
+#: a run of the same steps: roundoff, grown over the run (2.1e-12 at most
+#: on the presets)
+MATRIX_KERNEL_TOL = 1e-11
+
+
+def _both_kernels(run):
+    """run() as the systems choose their kernel (the matrix kernel for a
+    resonant, uncoupled one), then with every system on the stage
+    kernel."""
+    chosen = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_kernel", lambda sys: "stages")
+        return chosen, run()
+
+
+def _solve_alone(system, t_final):
+    """propagate's run of system, as a Solution even where it fails."""
+    times = dynamics._sample_times(system, t_final)
+    _, (sol,) = dynamics._solve([system], times, dynamics.DEFAULT_TOL,
+                                len(times))
+    return sol
+
+
+class TestMatrixKernel:
+    """A system whose drift matrix M is constant takes each DOP853 attempt
+    as one polynomial in hM: the method of the stage kernel, within
+    roundoff of its samples, and with the same lockstep batches."""
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_presets_take_the_stage_kernels_steps(self, name):
+        system = preset(name).system
+        for t_final in (60.0, 150.0):
+            matrix, stages = _both_kernels(
+                lambda: _solve_alone(system, t_final))
+            assert dynamics._kernel(system) == "matrix"
+            assert (matrix.accepted, matrix.rejected) == \
+                (stages.accepted, stages.rejected)
+            assert matrix.success and stages.success
+            assert np.max(np.abs(matrix.y - stages.y)) <= MATRIX_KERNEL_TOL
+
+    def test_random_and_stiff_systems(self):
+        """Samples within tol of the stage kernel's, also where the
+        population has decayed below atol or the step is at the edge of
+        stability; bright spectra to 1e-12 of their peak."""
+        rng = np.random.default_rng(29)
+        grid = np.linspace(-30.0, 30.0, 61)
+        draws = [(random_admissible_system(rng), 150.0) for _ in range(50)]
+        edge = [(d1_system(gamma, *[DriveField(mag)] * 4), 5.0)
+                for gamma, mag, _ in BUDGET_EDGE]
+        for system, t_final in draws + edge:
+            matrix, stages = _both_kernels(
+                lambda: _solve_alone(system, t_final))
+            assert matrix.message == stages.message
+            assert matrix.y.shape == stages.y.shape
+            assert np.max(np.abs(matrix.y - stages.y)) <= dynamics.DEFAULT_TOL
+            if not matrix.success:
+                continue
+            matrix, stages = _both_kernels(lambda: spectrum_time_domain(
+                system, grid, t_final=min(t_final, 60.0)))
+            peak = np.max(stages.total)
+            assert peak > 1e-3
+            assert np.max(np.abs(matrix.branch_intensity
+                                 - stages.branch_intensity)) <= 1e-12 * peak
+
+    @pytest.mark.parametrize("grid", ["full", "window"])
+    def test_rows_equal_runs_alone(self, grid):
+        # presets and seeded draws, a decaying draw that stops at t ~ 142,
+        # and the 1e200 drive, which fails
+        systems = [s for s in _INTEGRATOR_CASES.values()
+                   if dynamics._kernel(s) == "matrix"]
+        systems += [_decaying_system(), _overflowing_system()]
+        floors = np.full(len(systems), 1e-9)
+        late = propagate(_decaying_system(), t_final=150.0)
+        floors[-2] = late.norm()[np.searchsorted(late.times, 142.0)]
+        times = dynamics._sample_times(systems[0], 150.0)
+        budget = len(times)
+        if grid == "window":
+            times = times[int(0.9 * len(times)):]
+        tol = dynamics.DEFAULT_TOL
+        kernel, batch = dynamics._solve(
+            systems, times, tol, budget,
+            lambda y: np.vecdot(y, y).real < floors)
+        assert kernel == "matrix"
+        for system, floor, row in zip(systems, floors, batch, strict=True):
+            _, (alone,) = dynamics._solve(
+                [system], times, tol, budget,
+                lambda y, floor=floor: np.vecdot(y, y).real < floor)
+            assert _same_run(row, alone)
+        ends = [(sol.message, len(sol.t)) for sol in batch]
+        assert any(m == _dop853.STOPPED and 0 < n < len(times)
+                   for m, n in ends)
+        assert batch[-2].message == _dop853.STOPPED
+        assert ends[-1] == (_dop853.TOO_SMALL_STEP, 0)
+
+    def test_mixed_grid_batches_by_kernel(self):
+        """Resonant and cross-damped systems on one sample grid: each row
+        still equals its run alone, as each kernel takes its own batch."""
+        rng = np.random.default_rng(31)
+        draws = [random_admissible_system(rng) for _ in range(4)]
+        damped = [D2System(gamma=s.gamma, omega12=s.omega12,
+                           omega23=s.omega23, drives=s.drives,
+                           alignments=tuple(rng.uniform(-0.5, 0.5, 3)))
+                  for s in draws[:2]]
+        # the D1 presets keep a population, which differs between the
+        # kernels in its last bits
+        systems = [draws[0], damped[0], preset("d1-trapping").system,
+                   draws[1], damped[1], preset("d1-fig3a").system,
+                   draws[2]]
+        assert len({len(dynamics._sample_times(s, 150.0))
+                    for s in systems}) == 1
+        runs = []
+        values = trapped_fraction(systems, require_plateau=False, runs=runs)
+        for system, value, run in zip(systems, values, runs, strict=True):
+            alone = []
+            assert trapped_fraction(system, require_plateau=False,
+                                    runs=alone) == value
+            assert alone == [run]
+        assert [run["kernel"] for run in runs] == [
+            "matrix", "stages", "matrix", "matrix", "stages", "matrix",
+            "matrix"]
 
 
 class TestTimeDomainSpectrum:
