@@ -57,14 +57,10 @@ from .dynamics import (
     trapped_fraction,
 )
 from .trapping import (
-    SgcWitness,
     TrappingReport,
     d1_trapping_check,
-    fgc_central_numerator,
     fgc_check,
     fgc_solve,
-    sgc_constant_term,
-    sgc_feasible,
 )
 from .analysis import (
     ConservationResult,

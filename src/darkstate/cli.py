@@ -30,7 +30,7 @@ from .analysis import (
     find_peaks,
     peak_indices,
 )
-from .dynamics import spectrum_time_domain, trapped_fraction
+from .dynamics import MAX_TIME_SAMPLES, spectrum_time_domain, trapped_fraction
 from .errors import (DarkstateError, DivisionByZeroDrive, GridOverflow,
                      GridTooCoarse, TooManySamples, UnknownPreset)
 from .model import (
@@ -140,6 +140,9 @@ def _parse_grid(spec: str, option: str = "--grid") -> np.ndarray:
         raise _InputError(f"{option} must be min:max:count, got {spec!r}")
     if n < 2:
         raise _InputError(f"{option} count must be >= 2, got {spec!r}")
+    if n > MAX_TIME_SAMPLES:
+        raise _InputError(f"{option} count must be <= {MAX_TIME_SAMPLES:.0e}, "
+                          f"got {spec!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise _InputError(f"{option} bounds must be finite, got {spec!r}")
     if not hi > lo:

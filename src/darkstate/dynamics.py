@@ -14,7 +14,7 @@ uniform grid, `trapped_fraction` on the plateau window at the grid's end.
 Integrator steps that hold no sample build no interpolant.
 `trapped_fraction` stops integrating once the population has provably
 decayed: when the decay matrix Gamma is positive semidefinite the norm
-never grows, so once it falls below a floor far under `plateau_tol` every
+never grows, so once it falls below a floor far under `PLATEAU_TOL` every
 later sample lies between 0 and that floor.
 
 A resonant system free of cross-damping has a constant drift matrix M,
@@ -67,8 +67,11 @@ MAX_TIME_SAMPLES = 1_000_000
 #: convergence factor for the Laplace integral of trapped components
 TRAP_EPSILON = 1e-3
 
+#: trapped_fraction's two window means must agree to this
+PLATEAU_TOL = 1e-6
+
 #: trapped_fraction stops once the population is below this fraction of
-#: plateau_tol, where the norm provably never grows
+#: PLATEAU_TOL, where the norm provably never grows
 DECAY_FLOOR = 1e-3
 
 #: eigenvalues of the decay matrix down to -PSD_ROUNDOFF * max(Gamma) count
@@ -95,6 +98,15 @@ def _kernel(sys: D2System) -> str:
             else "stages")
 
 
+def _cross_damping(sys: D2System) -> np.ndarray:
+    """The 3x3 matrix p_ij sqrt(Gamma_i Gamma_j) of the alignments p, zero on
+    the diagonal."""
+    p1, p2, p3 = sys.alignments
+    root = np.sqrt(sys.gamma)
+    return np.outer(root, root) * np.array(
+        [[0.0, p1, p2], [p1, 0.0, p3], [p2, p3, 0.0]])
+
+
 def _rhs_builder(systems):
     """The amplitude equations y' = rhs(t, y) of a batch of systems: t of
     shape (B,), y of shape (B, 4), one row per system.
@@ -115,11 +127,8 @@ def _rhs_builder(systems):
     coefs = np.zeros((len(systems), 2, 4, 4), dtype=complex)
     rates = np.zeros((len(systems), 2, 4, 4))
     for k, s in enumerate(systems):
-        p1, p2, p3 = s.alignments
-        root = np.sqrt(s.gamma)
         coefs[k, 0] = m[k]
-        coefs[k, 1, :3, :3] = -0.5 * np.outer(root, root) * np.array(
-            [[0.0, p1, p2], [p1, 0.0, p3], [p2, p3, 0.0]])
+        coefs[k, 1, :3, :3] = -0.5 * _cross_damping(s)
         d1, d2, d3, d4 = s.detunings
         w12, w23 = s.omega12, s.omega23
         rates[k, 0] = antisymmetric(d2, 0.0, d3, d1, d4)
@@ -144,12 +153,9 @@ def _norm_never_grows(sys: D2System) -> bool:
     is.
     """
     g = np.array(sys.gamma)
-    p1, p2, p3 = sys.alignments
-    if not (np.all(g >= 0.0) and np.all(np.isfinite([*g, p1, p2, p3]))):
+    if not (np.all(g >= 0.0) and np.all(np.isfinite([*g, *sys.alignments]))):
         return False
-    root = np.sqrt(g)
-    gamma = np.diag(g) + np.outer(root, root) * np.array(
-        [[0.0, p1, p2], [p1, 0.0, p3], [p2, p3, 0.0]])
+    gamma = np.diag(g) + _cross_damping(sys)
     return bool(np.linalg.eigvalsh(gamma)[0] >= -PSD_ROUNDOFF * g.max())
 
 
@@ -408,9 +414,8 @@ def branch_amplitude_numeric(traj: AmplitudeTrajectory, branch: int, delta,
     return complex(out[0]) if scalar else out
 
 
-def trapped_fraction(sys, t_final: float = 150.0, tol: float = DEFAULT_TOL,
-                     plateau_tol: float = 1e-6, require_plateau: bool = True,
-                     runs: list | None = None):
+def trapped_fraction(sys, t_final: float = 150.0,
+                     require_plateau: bool = True, runs: list | None = None):
     """Plateau value of the surviving population |A1|^2+|A2|^2+|A3|^2+|B|^2.
 
     sys is one D2System, or a sequence of them, which are integrated as
@@ -422,18 +427,18 @@ def trapped_fraction(sys, t_final: float = 150.0, tol: float = DEFAULT_TOL,
 
     The population is sampled only on the last 10% of propagate's uniform
     grid of n samples, from sample int(0.9 n) on.  That window is split in
-    two; their means must agree to plateau_tol, else NotConverged is raised
+    two; their means must agree to PLATEAU_TOL, else NotConverged is raised
     (or, with require_plateau=False, the late-window mean is returned
     anyway).
 
     When the decay matrix is positive semidefinite (see _norm_never_grows)
     the population never grows, and the integration stops at the first
-    step that ends with it below DECAY_FLOOR * plateau_tol.  The window
+    step that ends with it below DECAY_FLOOR * PLATEAU_TOL.  The window
     samples not reached then count as 0, each within that floor of its
     value; a stop before the window returns 0.0.
     """
     systems = [sys] if isinstance(sys, D2System) else list(sys)
-    floor = DECAY_FLOOR * plateau_tol
+    floor = DECAY_FLOOR * PLATEAU_TOL
     batches = {}
     for k, s in enumerate(systems):
         # t_final is shared, so the grid follows from its length
@@ -446,8 +451,8 @@ def trapped_fraction(sys, t_final: float = 150.0, tol: float = DEFAULT_TOL,
         stop = ((lambda y: stoppable & (np.vecdot(y, y).real < floor))
                 if stoppable.any() else None)
         window = times[int(0.9 * len(times)):]
-        kernel, sols = _solve([systems[k] for k in group], window, tol,
-                              len(times), stop)
+        kernel, sols = _solve([systems[k] for k in group], window,
+                              DEFAULT_TOL, len(times), stop)
         for k, sol in zip(group, sols):
             integrated[k] = window, kernel, sol
     if runs is not None:
@@ -463,10 +468,9 @@ def trapped_fraction(sys, t_final: float = 150.0, tol: float = DEFAULT_TOL,
         half = len(tail) // 2
         m1 = float(np.mean(tail[:half]))
         m2 = float(np.mean(tail[half:]))
-        if abs(m1 - m2) > plateau_tol and require_plateau:
-            raise NotConverged(
-                f"population has not settled: window means {m1:.6g}, "
-                f"{m2:.6g}", window_means=(m1, m2))
+        if abs(m1 - m2) > PLATEAU_TOL and require_plateau:
+            raise NotConverged(f"population has not settled: window means "
+                               f"{m1:.6g}, {m2:.6g}")
         values.append(min(max(m2, 0.0), 1.0))
     return values[0] if isinstance(sys, D2System) else values
 

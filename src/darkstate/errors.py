@@ -44,10 +44,6 @@ class NotConverged(DarkstateError):
     """An integration spent its step budget, or no plateau was found in the
     surviving population."""
 
-    def __init__(self, message, window_means=None):
-        super().__init__(message)
-        self.window_means = window_means
-
 
 class PoleHit(DarkstateError):
     """Requested detuning coincides with a pole of the amplitude."""

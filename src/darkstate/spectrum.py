@@ -416,6 +416,7 @@ def _cluster_poles(clusters, shift):
         yield center_s, pole, bool(abs(pole.imag) < 1e-9)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _branch_pole_terms(const, branch, shift, qcoeffs, clusters, slopes):
     """Partial-fraction terms of F_n(delta) over the roots of Q(s), given
     as the clusters of `_root_clusters`; const is the system's `_constants`.
@@ -423,6 +424,7 @@ def _branch_pole_terms(const, branch, shift, qcoeffs, clusters, slopes):
     Simple poles use residue = i N(s_j)/Q'(s_j), Q'(s_j) being the
     cluster's entry of slopes; clustered roots fall back to numeric contour
     integration (confluent partial fractions) around the cluster center.
+    A residue that overflows or comes out NaN raises NonFiniteValue.
     """
     terms = []
     for cluster, slope, (center_s, pole, trapped) in zip(
@@ -446,6 +448,10 @@ def _branch_pole_terms(const, branch, shift, qcoeffs, clusters, slopes):
         fvals = _numerator(const, branch, s) / _polyval(qcoeffs, s)
         terms += [PoleTerm(pole, complex(np.mean(fvals * (z - pole) ** k)), k,
                            trapped) for k in range(1, m + 1)]
+    bad = [t.pole for t in terms if not np.isfinite(t.residue)]
+    if bad:
+        raise NonFiniteValue(f"the branch {branch} residue at pole {bad[0]} "
+                             f"is NaN or infinite")
     return terms
 
 

@@ -1,6 +1,8 @@
-"""Trapping-condition analysis: infeasibility of the vacuum-generated route
-and the field-generated conditions that darken the central bare state (chain
-system) or the whole atom (simple-loss system)."""
+"""Trapping-condition analysis: the field-generated conditions that darken
+the central bare state (chain system) or the whole atom (simple-loss
+system).  The vacuum-generated route has no code here: it needs the
+quartic's constant term `quartic_coeffs_s(sys)[4]` to vanish, which
+positive decay rates and any nonzero drive product forbid."""
 from __future__ import annotations
 
 import math
@@ -10,7 +12,6 @@ import numpy as np
 
 from .errors import DivisionByZeroDrive, NonFiniteValue
 from .model import D1System, D2System, DriveField, d1_fields, wrap_signed
-from .spectrum import quartic_coeffs_s
 
 #: tolerance of the trapping conditions: absolute on the phase and the
 #: decay rates, relative to the larger drive product on the products
@@ -21,10 +22,15 @@ DEFAULT_TOL = 1e-9
 class TrappingReport:
     """Residuals of the trapping constraints and the verdict.
 
-    delta_coefficient_residual and constant_residual are the two complex
-    coefficient groups of the central-branch numerator (the terms multiplying
-    i*delta and the rate-weighted constant part); the three scalar conditions
-    are the equivalent split into magnitude, phase and decay-rate balance.
+    From initial state B, the central branch's numerator is
+
+        N(delta) = (i delta + g1) O3 O4 + (i delta + g3) O1 conj(O2)
+                 = i delta * delta_coefficient_residual + constant_residual,
+
+    with g = Gamma/2: the cofactor the spectrum divides up to sign and
+    delta -> -delta, `branch_numerator_s(sys, 2, -1j * delta)` = -N(-delta).
+    Trapping is N vanishing identically; the three scalar conditions are the
+    equivalent split into magnitude, phase and decay-rate balance.
     """
 
     delta_coefficient_residual: complex
@@ -33,52 +39,6 @@ class TrappingReport:
     phase_condition: float
     gamma_condition: float
     satisfied: bool
-
-
-@dataclass
-class SgcWitness:
-    feasible: bool
-    constant_term: complex
-    real_part_lower_bound: float
-    trivial: bool
-
-
-def sgc_constant_term(sys: D2System) -> complex:
-    """Constant coefficient of the central-branch characteristic quartic."""
-    return complex(quartic_coeffs_s(sys)[4])
-
-
-def sgc_feasible(sys: D2System) -> SgcWitness:
-    """Can a trapped dressed state come from the shared-vacuum route alone?
-
-    Requires the quartic's constant term to vanish.  Its real part is bounded
-    below by rate-weighted drive powers plus (|O2 O4| - |O1 O3|)^2, so with
-    positive decay rates and any nonzero outer/inner drive product the answer
-    is no.  All drives zero makes the term vanish trivially (nothing to trap).
-    """
-    g1, g2, g3 = (g / 2.0 for g in sys.gamma)
-    o1, o2, o3, o4 = np.abs(sys.rabi)
-    c0 = sgc_constant_term(sys)
-    trivial = (o2 * o4 == 0.0) and (o1 * o3 == 0.0)
-    bound = (g1 * g2 * o4 ** 2 + g2 * g3 * o1 ** 2
-             + (o2 * o4 - o1 * o3) ** 2)
-    feasible = abs(c0) == 0.0 and not trivial
-    return SgcWitness(feasible=feasible, constant_term=c0,
-                      real_part_lower_bound=float(bound), trivial=trivial)
-
-
-def fgc_central_numerator(sys: D2System, delta) -> complex:
-    """(i delta + Gamma1/2) O3 O4 + (i delta + Gamma3/2) O1 conj(O2).
-
-    This is the initial-state-B numerator of the central emission branch (up
-    to overall sign); its identical vanishing is the trapping condition.
-    """
-    o1, o2, o3, o4 = sys.rabi
-    g1 = sys.gamma[0] / 2.0
-    g3 = sys.gamma[2] / 2.0
-    delta = np.asarray(delta, dtype=complex)
-    out = (1j * delta + g1) * o3 * o4 + (1j * delta + g3) * o1 * np.conj(o2)
-    return complex(out) if out.ndim == 0 else out
 
 
 def _require_finite(what, *values):
@@ -133,13 +93,8 @@ def fgc_solve(mag1: float, mag2: float, mag3: float, phase2: float) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         mag4 = mag1 * mag2 / mag3
     _require_finite("solved |Omega4|", mag4)
-    phase3 = math.pi - phase2
-    return (
-        DriveField(mag1, 0.0),
-        DriveField(mag2, phase2),
-        DriveField(mag3, phase3),
-        DriveField(mag4, 0.0),
-    )
+    return (DriveField(mag1, 0.0), DriveField(mag2, phase2),
+            DriveField(mag3, math.pi - phase2), DriveField(mag4, 0.0))
 
 
 def d1_trapping_check(sys: D1System) -> TrappingReport:

@@ -18,20 +18,18 @@ from darkstate import (
     count_spectral_lines,
     d1_fields,
     d1_system,
-    fgc_central_numerator,
     find_peaks,
     laplace_solve_oracle,
     preset,
     preset_names,
     propagate,
-    sgc_constant_term,
     spectrum_analytic,
     steady_state_amplitudes,
     trapped_fraction,
 )
 from darkstate.dynamics import branch_amplitude_numeric
 from darkstate.spectrum import (_poly_scale, _polyval, _root_clusters,
-                                quartic_coeffs_s)
+                                branch_numerator_s, quartic_coeffs_s)
 
 
 def report(num, name, ok, detail):
@@ -83,7 +81,8 @@ def test_criterion_03_fgc_cancellation():
     trap = preset("fig2-trapping").system
     notrap = preset("fig2-notrapping").system
     grid = np.linspace(-30.0, 30.0, 6001)
-    numerator = float(np.max(np.abs(fgc_central_numerator(trap, grid))))
+    numerator = float(np.max(np.abs(branch_numerator_s(trap, 2,
+                                                       -1j * grid))))
     spec_trap = spectrum_analytic(trap, grid)
     spec_notrap = spectrum_analytic(notrap, grid)
     central = float(np.max(spec_trap.branch_intensity[1]))
@@ -110,10 +109,17 @@ def test_criterion_04_sgc_infeasibility():
         if o2 * o4 == 0.0 and o1 * o3 == 0.0:
             continue
         tested += 1
-        if sgc_constant_term(s).real <= 0.0:
+        # the real part of the quartic's constant term is bounded below by
+        # g1 g2 |O4|^2 + g2 g3 |O1|^2 + (|O2 O4| - |O1 O3|)^2, g = Gamma/2
+        g1, g2, g3 = (g / 2.0 for g in s.gamma)
+        bound = (g1 * g2 * o4 ** 2 + g2 * g3 * o1 ** 2
+                 + (o2 * o4 - o1 * o3) ** 2)
+        c0 = quartic_coeffs_s(s)[4].real
+        if c0 <= 0.0 or c0 < bound - 1e-9:
             counterexamples += 1
     report(4, "SGC infeasibility", counterexamples == 0,
-           f"{counterexamples} counterexamples in {tested} random systems "
+           f"{counterexamples} counterexamples (constant term <= 0 or below "
+           f"its lower bound) in {tested} random systems "
            f"with nonzero drive products")
 
 

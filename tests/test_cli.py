@@ -613,6 +613,11 @@ class TestGridParsing:
         ("spectrum", "--grid", "-1e308:1e308:3"),
         ("sweep", "--grid", "-1e308:1e308:3"),
         ("sweep", "--range", "-1e308:1e308:3"),
+        # a count above dynamics.MAX_TIME_SAMPLES, rejected before linspace
+        # would ask for 7 TiB
+        ("spectrum", "--grid", "0:1:1000000000000"),
+        ("sweep", "--grid", "0:1:1000000000000"),
+        ("sweep", "--range", "0:1:1000000000000"),
     ])
     def test_errors_name_the_option(self, command, option, spec, tmp_path,
                                     capsys):

@@ -56,6 +56,13 @@ REPRODUCERS = {
     "fig2-omega12=1e6-trapping-solve": (
         {**scenario_to_dict(preset("fig2-trapping").system), "omega12": 1e6},
         ["trapping", "--solve"]),
+    # a drive of 1e150 overflows the residue of its far pole: raw warnings,
+    # and NaN residues in the JSON pole table
+    **{f"d2-drive1e150-{fmt}": (
+        {"system": "d2", "gamma": [1e-300, 1.0, 1.0], "omega12": 13.0,
+         "omega23": 13.0, "fields": [{"mag": 1e150}, *UNIT[1:]]},
+        ["spectrum", "--grid=-5:5:11", "--format", fmt])
+       for fmt in ("csv", "json")},
     # the phase reached math.fmod, whose domain error named no field
     "d1-phase-infinity": (
         {"system": "d1", "gamma": [1.0],
@@ -65,6 +72,8 @@ REPRODUCERS = {
 
 #: name: what the error of a reproducer must say
 MESSAGES = {
+    **{f"d2-drive1e150-{fmt}": "residue at pole"
+       for fmt in ("csv", "json")},
     "d1-phase-infinity": "field 1 = (mag 1.0, phase inf) must be finite",
 }
 

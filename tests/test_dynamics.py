@@ -360,8 +360,8 @@ def _phase2_sweep():
 
 
 class TestTrappedFractionEarlyExit:
-    """trapped_fraction stops once the population is below 1e-3 plateau_tol
-    when the decay matrix is positive semidefinite."""
+    """trapped_fraction stops once the population is below DECAY_FLOOR *
+    PLATEAU_TOL when the decay matrix is positive semidefinite."""
 
     @staticmethod
     def _spy(monkeypatch, force_full):

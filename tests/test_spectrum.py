@@ -20,12 +20,10 @@ from darkstate import (
     branch_amplitude_numeric,
     conservation_check,
     coupling_matrix,
-    fgc_central_numerator,
     fgc_check,
     laplace_solve_oracle,
     preset,
     propagate,
-    sgc_feasible,
     spectrum_analytic,
     spectrum_time_domain,
     steady_state_amplitudes,
@@ -226,8 +224,6 @@ ENTRY_POINTS = {
     "trapped_fraction_batch": lambda s: trapped_fraction(
         [s, s], require_plateau=False),
     "fgc_check": fgc_check,
-    "fgc_central_numerator": lambda s: fgc_central_numerator(s, _GRID11),
-    "sgc_feasible": sgc_feasible,
 }
 
 

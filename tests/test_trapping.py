@@ -13,33 +13,41 @@ from darkstate import (
     d1_fields,
     d1_system,
     d1_trapping_check,
-    fgc_central_numerator,
     fgc_check,
     fgc_solve,
     preset,
-    sgc_constant_term,
-    sgc_feasible,
     spectrum_analytic,
 )
+from darkstate.spectrum import branch_numerator_s, quartic_coeffs_s
+
+
+def _central_numerator(s, deltas):
+    """The central branch's cofactor numerator, which the spectrum divides."""
+    return branch_numerator_s(s, 2, -1j * np.asarray(deltas))
 
 
 class TestSgcInfeasibility:
+    """The shared-vacuum route would need the characteristic quartic's
+    constant term to vanish; its real part is bounded below by
+    g1 g2 |O4|^2 + g2 g3 |O1|^2 + (|O2 O4| - |O1 O3|)^2, with g = Gamma/2."""
+
     def test_constant_term_positive_on_random_systems(self, rng):
         for _ in range(200):
             s = random_admissible_system(rng)
-            c0 = sgc_constant_term(s)
-            w = sgc_feasible(s)
-            if abs(s.rabi[1] * s.rabi[3]) > 0 or abs(s.rabi[0] * s.rabi[2]) > 0:
+            c0 = quartic_coeffs_s(s)[4]
+            g1, g2, g3 = (g / 2.0 for g in s.gamma)
+            o1, o2, o3, o4 = np.abs(s.rabi)
+            bound = (g1 * g2 * o4 ** 2 + g2 * g3 * o1 ** 2
+                     + (o2 * o4 - o1 * o3) ** 2)
+            if o2 * o4 > 0 or o1 * o3 > 0:
                 assert c0.real > 0
-                assert not w.feasible
-            assert c0.real >= w.real_part_lower_bound - 1e-9
+            assert c0.real >= bound - 1e-9
 
     def test_trivial_case_flagged(self):
+        # undriven, the term vanishes trivially: there is nothing to trap
         s = D2System(gamma=(1, 1, 1), omega12=13, omega23=13,
                      drives=(DriveField(0),) * 4)
-        w = sgc_feasible(s)
-        assert w.trivial and not w.feasible
-        assert w.constant_term == 0
+        assert quartic_coeffs_s(s)[4] == 0
 
 
 class TestFgcCondition:
@@ -59,12 +67,24 @@ class TestFgcCondition:
     def test_numerator_vanishes_under_condition(self):
         s = preset("fig2-trapping").system
         deltas = np.linspace(-40, 40, 1001)
-        residual = np.abs(fgc_central_numerator(s, deltas))
+        residual = np.abs(_central_numerator(s, deltas))
         assert np.max(residual) < 1e-12
 
     def test_numerator_nonzero_otherwise(self):
         s = preset("fig2-notrapping").system
-        assert abs(fgc_central_numerator(s, 0.7)) > 0.1
+        assert abs(_central_numerator(s, 0.7)) > 0.1
+
+    def test_report_residuals_are_the_numerator(self):
+        # N(delta) = i delta * delta_coefficient_residual + constant_residual
+        # is the cofactor up to sign and delta -> -delta
+        for name in ("fig2-trapping", "fig2-notrapping", "at-quartet"):
+            s = preset(name).system
+            rep = fgc_check(s)
+            deltas = np.linspace(-5.0, 5.0, 11)
+            n = (1j * deltas * rep.delta_coefficient_residual
+                 + rep.constant_residual)
+            np.testing.assert_allclose(_central_numerator(s, -deltas), -n,
+                                       rtol=0, atol=1e-14)
 
     def test_magnitude_imbalance_detected(self):
         s = preset("fig2-trapping").system
@@ -155,7 +175,7 @@ class TestD1Trapping:
         # satisfied iff its chain spectrum is identically zero
         s = preset("d1-trapping").system
         deltas = np.linspace(-20, 20, 101)
-        residual = np.abs(fgc_central_numerator(s, deltas))
+        residual = np.abs(_central_numerator(s, deltas))
         # gamma1 != gamma3 plays no role here since both are zero
         assert np.max(residual) < 1e-12
 
