@@ -19,7 +19,9 @@ The CLI runs in-process (`darkstate.cli.main`) in a temporary directory:
   as JSON and with `--method both`, `trapping` with and without
   `--solve`, and `sweep`; the same commands on invalid D1 files (Gamma < 0,
   a NaN field);
-- the time-domain spectrum on uniform grids of huge spacing;
+- the time-domain spectrum on uniform grids of huge spacing, and on
+  `fig2-notrapping` and `d1-fig3a` (whose trapped component takes the
+  eps-extrapolated transform) at 1201 points;
 - `make_figures.py` and `reproduction_report.py`, run in-process.
 
 Each command's exit code, stdout and stderr count as outputs, as do its
@@ -115,6 +117,8 @@ D1_FILES = {
 FAR_GRIDS = {"far 1e20 both": ["--method", "both", "--grid=-1e20:0:2"],
              "far 1e300 timedomain": ["--method", "timedomain",
                                       "--grid=-1e300:1e300:5"]}
+#: the time-domain spectrum alone, by preset
+TIME_DOMAIN = ("fig2-notrapping", "d1-fig3a")
 
 
 def _random_system(seed=7):
@@ -223,6 +227,10 @@ def digests() -> dict:
                 _run(f"spectrum fig2-notrapping {label}",
                      ["spectrum", "--preset", "fig2-notrapping", *opts,
                       "--out", "s.csv"], found)
+            for name in TIME_DOMAIN:
+                _run(f"spectrum {name} timedomain",
+                     ["spectrum", "--preset", name, "--method", "timedomain",
+                      "--grid=-30:30:1201", "--out", "s.csv"], found)
             _run("make_figures", ["--outdir", "figures"], found,
                  make_figures.main)
             _run("reproduction_report", ["--out", "report.json"], found,

@@ -10,7 +10,10 @@ hold the same values as SciPy's DOP853 coefficient table
 
 `solve_ivp` follows SciPy's `DOP853` solver driven by its `solve_ivp(...,
 t_eval=...)`: the same initial step, step control and error norm, and the
-interpolant built only for steps that hold a sample.  It integrates a
+interpolant built only for steps that hold a sample.  Each such step's
+interpolant is recorded, and a row's samples are evaluated from them a
+block at a time, with the arithmetic of a step-by-step evaluation
+(`_Dense`).  It integrates a
 complex state forward from t=0 with scalar tolerances, optionally until a
 predicate of the state holds and within a budget of step attempts, and
 nothing else.  A step attempt takes one of two kernels:
@@ -38,14 +41,15 @@ failure.  A row equals its run alone bit for bit, as each batched call
 does per row exactly the one-row arithmetic (np.dot of a stage vector with
 the stages of all rows is one BLAS gemv, np.vecdot one BLAS dot per row,
 np.matmul one product per row) and the step-size control runs per row on
-scalars.  Finished rows stay in the arrays with a zero step, so an
+Python floats.  Finished rows stay in the arrays with a zero step, so an
 iteration costs about the same for any B.
 
 The step factor SAFETY * err ** ERROR_EXPONENT, the squared error norms
-and the initial step use numpy's scalar power, the C library's pow, as
-SciPy does: numpy's array power may be a vectorized pow (AVX-512) that
-differs from it in the last bit for some arguments, and one such bit
-moves every later step away from SciPy's.
+and the initial step take the power of a Python float or numpy scalar,
+the C library's pow, as SciPy does: numpy's array power may be a
+vectorized pow (AVX-512), or x * x for a square, either of which differs
+from it in the last bit for some arguments, and one such bit moves every
+later step away from SciPy's.
 """
 from __future__ import annotations
 
@@ -468,12 +472,96 @@ class _Powers:
         """Nothing to carry: an attempt needs only y."""
 
 
+def _square(x):
+    """x ** 2 of a Python float by the C library's pow, as numpy's scalar
+    power takes it, and inf where it overflows: numpy returns inf there,
+    where Python raises OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _error_norm(err5, err3, h, n):
+    """SciPy's DOP853 error norm of one row's step of size h, from the
+    norms err5 and err3 of its two error estimates over n components, on
+    Python floats.  Where Python raises and numpy does not, numpy's result
+    is kept: inf for a square that overflows, and NaN for 0/0 (err5 = 0
+    with 0.01 err3 ** 2 below the smallest subnormal)."""
+    e5, e3 = _square(err5), _square(err3)
+    if e5 == 0 and e3 == 0:
+        return 0.0
+    root = math.sqrt((e5 + 0.01 * e3) * n)
+    return h * e5 / root if root else math.nan
+
+
+#: samples per block of a row's interpolation (256 kB per (block, 4) array)
+BLOCK = 4096
+
+
+class _Dense:
+    """The samples of one row at t_eval.  Each sampled step's continuous
+    extension (its 7 coefficient vectors F, start state, t and h) is
+    recorded; once BLOCK samples are pending they are evaluated, a block
+    at a time, into one preallocated (samples, n) array.  A sample at
+    x = (t - t_old) / h is y_old + F_0 x + F_1 x (1-x) + F_2 x^2 (1-x) +
+    ..., nested from F_6 inward starting from zero, with the same numpy
+    operations, element by element, as an evaluation step by step."""
+
+    def __init__(self, t_eval, n):
+        self.t_eval = t_eval
+        self.out = np.empty((len(t_eval), n), dtype=complex)
+        self.done = 0  # samples evaluated
+        self.reached = 0  # samples of the recorded steps
+        self.steps = []
+
+    def add(self, F, y_old, t_old, h, reached):
+        """Record the step [t_old, t_old + h] from y_old, whose extension
+        has coefficients F, shape (7, n), and which holds the samples up to
+        index reached."""
+        self.steps.append((F, y_old, t_old, h, reached))
+        self.reached = reached
+        if reached - self.done >= BLOCK:
+            self.flush()
+
+    def flush(self):
+        """Evaluate the samples of the recorded steps."""
+        if not self.steps:
+            return
+        F, y_old, t_old, h, ends = zip(*self.steps)
+        F = np.stack(F, axis=1)
+        y_old = np.stack(y_old)
+        t_old, h = np.array(t_old), np.array(h)
+        step = np.repeat(np.arange(len(ends)),
+                         np.diff(ends, prepend=self.done))
+        for lo in range(self.done, self.reached, BLOCK):
+            hi = min(lo + BLOCK, self.reached)
+            k = step[lo - self.done:hi - self.done]
+            x = ((self.t_eval[lo:hi] - t_old[k]) / h[k])[:, None]
+            factors = x, 1 - x
+            out = self.out[lo:hi]
+            out[...] = 0
+            for i in range(INTERPOLATOR_POWER):
+                out += F[INTERPOLATOR_POWER - 1 - i, k]
+                out *= factors[i % 2]
+            out += y_old[k]
+        self.done = self.reached
+        self.steps = []
+
+    def samples(self):
+        """The samples reached, shape (n, samples): the transpose of the
+        evaluated part of the array."""
+        self.flush()
+        return self.out[:self.done].T
+
+
 def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
     """Step the rows of y0, shape (B, n), in lockstep (see the module
     docstring) and return a Solution per row; fun is a callable or a drift
     matrix stack, as `solve_ivp` takes it.  The per-row state is kept in
-    Python lists; a row that is done (failed, stopped, out of step
-    attempts or at t_bound) takes zero steps from then on."""
+    Python lists of Python floats and bools; a row that is done (failed,
+    stopped, out of step attempts or at t_bound) takes zero steps from
+    then on."""
     rows, n = y0.shape
     y = y0
     rhs = fun if callable(fun) else (lambda t, y: np.matvec(fun, y))
@@ -487,9 +575,7 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
     tries = [0] * rows
     accepted = [0] * rows
     interpolants = [0] * rows
-    sampled = [0] * rows
-    ts = [[] for _ in range(rows)]
-    ys = [[] for _ in range(rows)]
+    dense = [_Dense(t_eval, n) for _ in range(rows)]
     messages = [REACHED_END] * rows
     while live:
         t_new = list(t)
@@ -516,14 +602,12 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
         y_new, err = kernel.attempt(y, t, np.array(h))
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err5, err3 = np.sqrt(_squared_norms(err / scale))
+        err5, err3 = np.sqrt(_squared_norms(err / scale)).tolist()
         accept = []
         for b in live:
-            e5, e3 = err5[b] ** 2, err3[b] ** 2
             h_b = abs(h[b])
-            norm = (0.0 if e5 == 0 and e3 == 0
-                    else h_b * e5 / math.sqrt((e5 + 0.01 * e3) * n))
-            ok, h_abs[b] = _step_size(norm, h_b, rejected[b])
+            ok, h_abs[b] = _step_size(_error_norm(err5[b], err3[b], h_b, n),
+                                      h_b, rejected[b])
             rejected[b] = not ok
             if ok:
                 accept.append(b)
@@ -534,16 +618,13 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
         for b in accept:
             accepted[b] += 1
             reached = bisect.bisect_right(grid, t_new[b])
-            if reached > sampled[b]:
+            if reached > dense[b].reached:
                 sample.append((b, reached))
         if sample:
             F = kernel.dense(y, y_new)
             for b, reached in sample:
                 interpolants[b] += 1
-                times = t_eval[sampled[b]:reached]
-                ts[b].append(times)
-                ys[b].append(_interpolate(F[:, b], y[b], t[b], h[b], times))
-                sampled[b] = reached
+                dense[b].add(F[:, b], y[b], t[b], h[b], reached)
 
         if len(accept) == rows:
             y, keep = y_new, None
@@ -552,7 +633,8 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
             keep[accept] = False
             y = np.where(keep, y, y_new)
         kernel.accept(keep)
-        stopped = stop(y) if stop is not None else None
+        stopped = (np.asarray(stop(y)).tolist() if stop is not None
+                   else None)
         for b in accept:
             t[b] = t_new[b]
             if stopped is not None and stopped[b]:
@@ -561,9 +643,7 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
             elif not t[b] < t_bound:
                 live.remove(b)
 
-    return [Solution(t=np.hstack(ts[b]) if ts[b] else np.empty(0),
-                     y=(np.hstack(ys[b]) if ys[b]
-                        else np.empty((n, 0), complex)),
+    return [Solution(t=t_eval[:dense[b].reached], y=dense[b].samples(),
                      success=messages[b] in (REACHED_END, STOPPED),
                      message=messages[b],
                      nfev=(2 + N_STAGES * tries[b]
@@ -584,21 +664,6 @@ def _dense_terms(y_old, y, f_old, f, hcol, flat):
     F[2] = 2 * delta_y - hcol * (f + f_old)
     F[3:] = hcol * np.dot(_D, flat).reshape(INTERPOLATOR_POWER - 3, rows, n)
     return F
-
-
-def _interpolate(F, y_old, t_old, h, times):
-    """The 7th-order continuous extension with coefficients F over the step
-    [t_old, t_old + h] at times, shape (state size, len(times))."""
-    x = ((times - t_old) / h)[:, None]
-    out = np.zeros((len(x), len(y_old)), dtype=y_old.dtype)
-    for i, term in enumerate(reversed(F)):
-        out += term
-        if i % 2 == 0:
-            out *= x
-        else:
-            out *= 1 - x
-    out += y_old
-    return out.T
 
 
 def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, max_tries, stop=None):

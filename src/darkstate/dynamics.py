@@ -33,12 +33,13 @@ alone bit for bit; errors are raised for the first failing system in
 order, as a loop over the systems would.  `propagate` and a single
 `trapped_fraction` are batches of one.
 
-The Filon sums are taken over a whole detuning grid at once.  On a uniform
-grid (every grid the CLI builds) whose chirp phases keep their precision
-they are one chirp-z transform per Filon pass, that is three `numpy.fft`
-transforms of the smallest 5-smooth length >= samples + points - 1; any
-other grid, or a scalar, is summed directly in blocks of samples.  The
-path is chosen from the grid and the sample step alone.
+A Filon pass, summed by parts, is one phase sum of the samples, taken over
+a whole detuning grid at once (`_filon_linear`).  On a uniform grid (every
+grid the CLI builds) whose chirp phases keep their precision it is one
+chirp-z transform of one row, that is three `numpy.fft` transforms of the
+smallest 5-smooth length >= samples + points - 1; any other grid, or a
+scalar, is summed directly in blocks of samples.  The path is chosen from
+the grid and the sample step alone.
 """
 from __future__ import annotations
 
@@ -163,8 +164,8 @@ def _sample_count(sys: D2System, t_final: float) -> int:
     """The length of `_sample_times`; TooManySamples, naming the field that
     sets the sample step (t_final where none is above 1), when it exceeds
     MAX_TIME_SAMPLES."""
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
+    if not 0 < t_final < math.inf:
+        raise ValueError("t_final must be positive and finite")
     fields = [("omega12", sys.omega12), ("omega23", sys.omega23),
               *((f"detunings[{k}]", d) for k, d in enumerate(sys.detunings))]
     fast = max(*(abs(v) for _, v in fields), 1.0)
@@ -365,17 +366,37 @@ def _phase_sums(times, h, rows, x):
     return sums
 
 
+def _hat_weight(theta):
+    """The integral of the hat function 1 - |u| against exp(i*theta*u) on
+    [-1, 1], 4 sin^2(theta/2) / theta^2, per element of a complex array
+    theta: 1 at theta = 0.  Its sin(theta/2) / (theta/2) has no
+    cancellation at small theta, and no theta^2 to overflow at large."""
+    zero = theta == 0
+    half = 0.5 * np.where(zero, 1.0, theta)
+    sinc = np.asarray(np.sin(half) / half)
+    sinc[zero] = 1.0
+    return sinc * sinc
+
+
 def _filon_linear(times, values, x):
     """integral values(t) * exp(i x t) dt with values piecewise linear on a
     uniform grid, for each element of x (real, or complex for a damped
-    transform); a scalar x gives a complex scalar."""
+    transform); a scalar x gives a complex scalar.
+
+    Per interval the rule is h e^{i x t_k} (v_k W0 + (v_{k+1} - v_k) W1),
+    theta = x h.  Summed by parts over the n intervals this is h (sigma T
+    - A v_n e^{i x t_n} - B v_0 e^{i x t_0}) with the one phase sum T =
+    sum_{k=0..n} v_k e^{i x t_k}, A = W0 - W1, B = W1 e^{-i theta} and
+    sigma = A + B, the hat-function weight (`_hat_weight`)."""
     x = np.asarray(x, dtype=complex)
     h = times[1] - times[0]
-    w0, w1 = _filon_weights(x * h)
-    # per interval: h * e^{i x t_k} * (v_k W0 + (v_{k+1}-v_k) W1)
-    rows = np.stack([values[:-1], np.diff(values)])
-    s0, s1 = _phase_sums(times[:-1], h, rows, x.ravel())
-    out = h * (w0 * s0.reshape(x.shape) + w1 * s1.reshape(x.shape))
+    theta = x * h
+    w0, w1 = _filon_weights(theta)
+    (total,) = _phase_sums(times, h, values[None], x.ravel())
+    # B v_0 e^{i x t_0} = W1 v_0 e^{i x (t_0 - h)}
+    ends = ((w0 - w1) * values[-1] * np.exp(1j * x * times[-1])
+            + w1 * values[0] * np.exp(1j * x * (times[0] - h)))
+    out = h * (_hat_weight(theta) * total.reshape(x.shape) - ends)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -388,7 +409,9 @@ def _branch_transform(traj: AmplitudeTrajectory, branch: int, x):
 
 
 def _is_trapped(traj: AmplitudeTrajectory, tol: float) -> bool:
-    return float(traj.norm()[-1]) > max(100.0 * tol, 1e-8)
+    """Whether a trapped component survives: a final norm above the larger
+    of 100 tol and 1e-8."""
+    return float(np.sum(np.abs(traj.amps[-1]) ** 2)) > max(100.0 * tol, 1e-8)
 
 
 def branch_amplitude_numeric(traj: AmplitudeTrajectory, branch: int, delta,
@@ -397,9 +420,8 @@ def branch_amplitude_numeric(traj: AmplitudeTrajectory, branch: int, delta,
     trajectory traj, as `propagate` returns it (delta is the branch-local
     detuning).
 
-    When a trapped component survives (a final norm above the larger of
-    100 tol and 1e-8), the integral is damped with exp(-eps t) at two eps
-    values and extrapolated to eps -> 0.
+    When a trapped component survives (`_is_trapped`), the integral is
+    damped with exp(-eps t) at two eps values and extrapolated to eps -> 0.
     """
     if branch not in (1, 2, 3):
         raise ValueError("branch must be 1, 2 or 3")
@@ -426,10 +448,10 @@ def trapped_fraction(sys, t_final: float = 150.0,
     how the run ended (`RUN_ENDS`) and the kernel it took.
 
     The population is sampled only on the last 10% of propagate's uniform
-    grid of n samples, from sample int(0.9 n) on.  That window is split in
-    two; their means must agree to PLATEAU_TOL, else NotConverged is raised
-    (or, with require_plateau=False, the late-window mean is returned
-    anyway).
+    grid of n samples, from sample min(int(0.9 n), n - 2) on, so that it
+    holds two samples or more.  That window is split in two; their means
+    must agree to PLATEAU_TOL, else NotConverged is raised (or, with
+    require_plateau=False, the late-window mean is returned anyway).
 
     When the decay matrix is positive semidefinite (see _norm_never_grows)
     the population never grows, and the integration stops at the first
@@ -450,7 +472,7 @@ def trapped_fraction(sys, t_final: float = 150.0,
         stoppable = np.array([_norm_never_grows(systems[k]) for k in group])
         stop = ((lambda y: stoppable & (np.vecdot(y, y).real < floor))
                 if stoppable.any() else None)
-        window = times[int(0.9 * len(times)):]
+        window = times[min(int(0.9 * len(times)), len(times) - 2):]
         kernel, sols = _solve([systems[k] for k in group], window,
                               DEFAULT_TOL, len(times), stop)
         for k, sol in zip(group, sols):
@@ -483,10 +505,15 @@ def spectrum_time_domain(sys: D2System, grid,
 
     Branch n is evaluated at its shifted argument delta + {+omega12, 0,
     -omega23} (`branch_shifts`); the total is the sum of the branches.  A
-    list given as runs receives propagate's integrator diagnostics.
+    list given as runs receives propagate's integrator diagnostics, with
+    `eps_extrapolated`: whether a trapped component survives, so that each
+    branch is the eps -> 0 extrapolation of two damped transforms
+    (`branch_amplitude_numeric`).
     """
     grid = _finite_detuning(grid)
     traj = propagate(sys, t_final, tol, runs)
+    if runs is not None:
+        runs[-1]["eps_extrapolated"] = _is_trapped(traj, tol)
     rows = np.empty((3, len(grid)))
     for n, shift in enumerate(branch_shifts(sys)):
         f = branch_amplitude_numeric(traj, n + 1, grid + shift, tol)

@@ -17,7 +17,7 @@ from darkstate import (load_scenario, preset, preset_names,
                        spectrum_analytic, spectrum_time_domain,
                        trapped_fraction)
 import darkstate
-from darkstate import cli
+from darkstate import cli, dynamics
 from darkstate.analysis import default_grid
 from darkstate.cli import main
 from darkstate.model import DriveField, write_json
@@ -137,10 +137,26 @@ class TestSpectrumCommand:
         else:
             alone = []
             propagate(preset("fig2-notrapping").system, runs=alone)
-            assert manifest["integrator"] == alone
+            assert manifest["integrator"] == [{**alone[0],
+                                               "eps_extrapolated": False}]
             assert alone[0]["end"] == "t_final" and alone[0]["nfev"] > 0
             # a resonant preset without cross-damping: a constant drift
             assert alone[0]["kernel"] == "matrix"
+
+    @pytest.mark.parametrize("name, trapped", [
+        ("fig2-notrapping", False), ("d1-fig3a", True), ("d1-trapping", True)])
+    def test_manifest_records_the_eps_path(self, name, trapped, tmp_path,
+                                           capsys):
+        """A time-domain run records whether its branches took the
+        eps-extrapolated transform of a trapped component."""
+        out = tmp_path / "spec.csv"
+        assert run("spectrum", "--preset", name, "--method", "timedomain",
+                   "--grid=-5:5:11", "--out", str(out)) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        (entry,) = manifest["integrator"]
+        traj = propagate(preset(name).system)
+        assert entry["eps_extrapolated"] is trapped
+        assert dynamics._is_trapped(traj, dynamics.DEFAULT_TOL) is trapped
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--preset", "fig2-notrapping"],

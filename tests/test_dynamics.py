@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -76,6 +77,34 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(_bare("B"), t_final=0.0)
 
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_final_rejected(self, t_final):
+        # not a sample count above the cap: bad input
+        s = preset("fig2-notrapping").system
+        for call in (lambda: propagate(s, t_final=t_final),
+                     lambda: trapped_fraction(s, t_final=t_final),
+                     lambda: spectrum_time_domain(s, [0.0, 1.0],
+                                                  t_final=t_final)):
+            with pytest.raises(ValueError,
+                               match="t_final must be positive and finite"):
+                call()
+
+    def test_peak_memory_is_the_trajectory(self):
+        """The samples are evaluated into the array propagate returns, so
+        its peak is that trajectory (12.5 MB here), the sample times and
+        the integrator's small state; the step-by-step pieces, their join
+        and its transposed copy took 34.7 MB."""
+        s = preset("fig2-notrapping").system
+        propagate(s, t_final=1.0)
+        tracemalloc.start()
+        try:
+            traj = propagate(s, t_final=1500.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) == 195001
+        assert peak <= 2 * traj.amps.nbytes
+
     def test_detuned_path_matches_resonant_at_zero_detuning(self, rng):
         # force the general right-hand side with explicit zero detunings
         # by constructing an equivalent system through nonzero-then-zero
@@ -142,6 +171,19 @@ def _whole_array_weights(theta):
     w0 = np.where(small, s0, (e - 1.0) / it)
     w1 = np.where(small, s1, (e * (it - 1.0) + 1.0) / it ** 2)
     return w0, w1
+
+
+def _two_sum_filon(times, values, x):
+    """The Filon rule as the per-interval sum h sum_k e^{i x t_k} (v_k W0 +
+    (v_{k+1} - v_k) W1): two phase sums, of v_k and of v_{k+1} - v_k, which
+    `_filon_linear` sums by parts into one."""
+    x = np.asarray(x, dtype=complex)
+    h = times[1] - times[0]
+    w0, w1 = _filon_weights(x * h)
+    rows = np.stack([values[:-1], np.diff(values)])
+    s0, s1 = dynamics._phase_sums(times[:-1], h, rows, x.ravel())
+    out = h * (w0 * s0.reshape(x.shape) + w1 * s1.reshape(x.shape))
+    return complex(out) if out.ndim == 0 else out
 
 
 def _damped_trajectory(rng, times):
@@ -233,6 +275,62 @@ class TestFilonQuadrature:
                 for n in lengths]
         assert [dynamics._fft_length(n) for n in lengths] == want
 
+    @pytest.mark.parametrize("x", [
+        "real", "real-13", "complex", "shuffled", "scalars", "far"])
+    def test_one_sum_equals_two_sums(self, x, rng, monkeypatch):
+        """Summed by parts, the rule takes one phase sum where the
+        per-interval form takes two: the same to 1e-13 of h sum |v|, a
+        bound on the transform, on the chirp-z and the direct path, real,
+        complex and scalar x, and |theta| up to 1e300."""
+        times = np.linspace(0.0, 60.0, 6001)
+        h = times[1] - times[0]
+        vals = _damped_trajectory(rng, times)
+        base = np.linspace(-30.0, 30.0, 1201)
+        xs = {"real": base + 13.0, "real-13": base - 13.0,
+              "complex": base + 1e-3j, "shuffled": rng.permutation(base),
+              "scalars": [0.0, 3.7, -13.0 + 1e-3j, 1e-9],
+              "far": [*np.linspace(-1e300, 1e300, 5) / h, 1e151, -1e20,
+                      1e300 + 1e-3j, 2.0]}[x]
+        chirp_calls = []
+        chirp_z = dynamics._chirp_z
+        monkeypatch.setattr(dynamics, "_chirp_z",
+                            lambda *a: chirp_calls.append(a) or chirp_z(*a))
+        scale = h * np.sum(np.abs(vals))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if x == "scalars":
+                pairs = [(_filon_linear(times, vals, v),
+                          _two_sum_filon(times, vals, v)) for v in xs]
+                assert all(isinstance(got, complex) for got, _ in pairs)
+                got, want = np.array(pairs).T
+            else:
+                got = _filon_linear(times, vals, np.array(xs))
+                want = _two_sum_filon(times, vals, np.array(xs))
+        assert bool(chirp_calls) == (x in ("real", "real-13", "complex"))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_hat_weight_is_the_sum_of_the_end_weights(self):
+        """sigma = W0 - W1 + W1 exp(-i theta), taken directly: no
+        cancellation at small theta, and no theta^2 to overflow at
+        large."""
+        thetas = np.array([0.0, 1e-300, 1e-9, 9.9e-3, 1.01e-2, 0.3, -2.5,
+                           3.0 + 0.2j, 1e-3j, 7e-3 - 7e-3j, 40.0, 1e10])
+        w0, w1 = _filon_weights(thetas)
+        got = dynamics._hat_weight(thetas)
+        # the closed-form W1 cancels to about 1e-14 just above its series
+        # threshold |theta| = 1e-2
+        sums = w0 - w1 + w1 * np.exp(-1j * thetas)
+        assert np.max(np.abs(got - sums)) <= 1e-13
+        assert got[0] == 1.0 and got[1] == pytest.approx(1.0, abs=1e-15)
+        for theta, g in zip(thetas[:-1], got):
+            ref0, ref1 = _reference_weights(theta)
+            assert g == pytest.approx(ref0 - ref1 + ref1 * np.exp(-1j * theta),
+                                      abs=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = dynamics._hat_weight(np.array([1e160, -1e300 + 1j]))
+        assert np.all(np.abs(huge) <= 4e-320)
+
     def test_transform_of_decaying_exponential(self):
         # integral_0^T e^{ixt} e^{-t/2} dt, T large -> 1/(1/2 - ix)
         times = np.linspace(0, 60, 6001)
@@ -307,6 +405,16 @@ class TestTrappedFraction:
         # the non-strict mode still returns the late-window mean
         val = trapped_fraction(s, t_final=30.0, require_plateau=False)
         assert 0.0 < val < 1.0
+
+    def test_shortest_grid_has_a_two_sample_window(self):
+        # a 3-sample grid: from sample int(0.9 n) on the window would hold
+        # one sample, and its first half none
+        s = preset("fig2-notrapping").system
+        assert len(dynamics._sample_times(s, 1e-9)) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = trapped_fraction(s, t_final=1e-9, require_plateau=False)
+        assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def _equations(sys, t, y):
@@ -1060,6 +1168,154 @@ class TestMatrixKernel:
         assert [run["kernel"] for run in runs] == [
             "matrix", "stages", "matrix", "matrix", "stages", "matrix",
             "matrix"]
+
+
+def _interpolate(F, y_old, t_old, h, times):
+    """The 7th-order continuous extension with coefficients F over the step
+    [t_old, t_old + h] at times, shape (state size, len(times)): the
+    evaluation step by step that `_dop853._Dense` does in blocks."""
+    x = ((times - t_old) / h)[:, None]
+    out = np.zeros((len(x), len(y_old)), dtype=y_old.dtype)
+    for i, term in enumerate(reversed(F)):
+        out += term
+        if i % 2 == 0:
+            out *= x
+        else:
+            out *= 1 - x
+    out += y_old
+    return out.T
+
+
+def _with_step_samples(monkeypatch, run):
+    """run()'s solutions, and each row's samples evaluated step by step
+    with `_interpolate` as its steps are recorded (shape (n, 0) for a row
+    that samples nothing), in row order."""
+    rows = []
+    init, add = _dop853._Dense.__init__, _dop853._Dense.add
+
+    def recording_init(self, t_eval, n):
+        init(self, t_eval, n)
+        self.reference = [np.empty((n, 0), dtype=complex)]
+        rows.append(self)
+
+    def recording_add(self, F, y_old, t_old, h, reached):
+        times = self.t_eval[self.reached:reached]
+        self.reference.append(_interpolate(F, y_old, t_old, h, times))
+        add(self, F, y_old, t_old, h, reached)
+
+    monkeypatch.setattr(_dop853._Dense, "__init__", recording_init)
+    monkeypatch.setattr(_dop853._Dense, "add", recording_add)
+    sols = run()
+    return sols, [np.hstack(row.reference) for row in rows]
+
+
+class TestRunInterpolation:
+    """A row's samples are evaluated once per run, a block at a time, bit
+    for bit as step by step."""
+
+    @staticmethod
+    def _same_bits(sols, steps):
+        assert len(sols) == len(steps)
+        for sol, want in zip(sols, steps):
+            assert sol.y.shape == want.shape == (4, len(sol.t))
+            assert sol.y.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [13, _dop853.BLOCK])
+    @pytest.mark.parametrize("name", preset_names())
+    def test_presets(self, name, block, monkeypatch):
+        # blocks of 13 samples split steps and flush mid-run
+        monkeypatch.setattr(_dop853, "BLOCK", block)
+        system = preset(name).system
+        times = dynamics._sample_times(system, 60.0)
+        sols, steps = _with_step_samples(monkeypatch, lambda: dynamics._solve(
+            [system], times, dynamics.DEFAULT_TOL, len(times))[1])
+        assert len(sols[0].t) == len(times)
+        self._same_bits(sols, steps)
+
+    @pytest.mark.parametrize("block", [13, _dop853.BLOCK])
+    @pytest.mark.parametrize("grid", ["full", "window"])
+    def test_mixed_batch_with_stop_and_failure(self, grid, block,
+                                               monkeypatch):
+        """Both kernels' batches, with a row that stops, one that fails
+        before any sample (the 1e200 drive, TOO_SMALL_STEP) and rows that
+        reach the end."""
+        monkeypatch.setattr(_dop853, "BLOCK", block)
+        systems = [*_INTEGRATOR_CASES.values(), _decaying_system(),
+                   _overflowing_system()]
+        floors = np.full(len(systems), 1e-9)
+        late = propagate(_decaying_system(), t_final=150.0)
+        floors[-2] = late.norm()[np.searchsorted(late.times, 142.0)]
+        times = dynamics._sample_times(systems[0], 150.0)
+        budget = len(times)
+        if grid == "window":
+            times = times[int(0.9 * len(times)):]
+        for kernel in ("matrix", "stages"):
+            rows = [k for k, s in enumerate(systems)
+                    if kernel == "stages" or dynamics._kernel(s) == kernel]
+            subset = [systems[k] for k in rows]
+            sols, steps = _with_step_samples(
+                monkeypatch, lambda: dynamics._solve(
+                    subset, times, dynamics.DEFAULT_TOL, budget,
+                    lambda y: np.vecdot(y, y).real < floors[rows])[1])
+            monkeypatch.undo()
+            monkeypatch.setattr(_dop853, "BLOCK", block)
+            self._same_bits(sols, steps)
+            ends = [(sol.message, len(sol.t)) for sol in sols]
+            assert ends[-1] == (_dop853.TOO_SMALL_STEP, 0)
+            assert sols[-2].message == _dop853.STOPPED
+            assert any(m == _dop853.REACHED_END and n == len(times)
+                       for m, n in ends)
+
+
+def _numpy_error_norm(err5, err3, h, n):
+    """The error norm on numpy scalars, which overflow to inf and give NaN
+    for 0/0: the reference for `_dop853._error_norm`."""
+    with np.errstate(all="ignore"):
+        e5, e3 = np.float64(err5) ** 2, np.float64(err3) ** 2
+        return float(0.0 if e5 == 0 and e3 == 0
+                     else h * e5 / math.sqrt((e5 + 0.01 * e3) * n))
+
+
+class TestErrorNorm:
+    """The step control runs on Python floats, with numpy's results where
+    Python would raise."""
+
+    @pytest.mark.parametrize("err5, err3, want", [
+        # err5 ** 2 overflows: Python raises OverflowError, numpy gives
+        # inf, and inf / inf is NaN
+        (1e200, 1.0, math.nan),
+        (1.0, 1e200, 0.0),
+        (1e155, 1e155, math.nan),
+        # 0.01 err3 ** 2 underflows to 0 with err5 = 0: 0 / 0
+        (0.0, 1e-161, math.nan),
+        (0.0, 0.0, 0.0),
+        (math.inf, 1.0, math.nan),
+        (math.nan, 1.0, math.nan),
+    ])
+    def test_where_python_floats_raise(self, err5, err3, want):
+        got = _dop853._error_norm(err5, err3, 0.01, 4)
+        assert got == pytest.approx(want, nan_ok=True)
+        assert got == pytest.approx(_numpy_error_norm(err5, err3, 0.01, 4),
+                                    nan_ok=True)
+
+    def test_square_keeps_libm_pow(self, rng):
+        """x ** 2 of a Python float is numpy's scalar power, bit for bit,
+        where x * x differs in the last bit for some values."""
+        x = (rng.uniform(0.0, 10.0, 20000)
+             * 10.0 ** rng.integers(-150, 150, 20000)).tolist()
+        assert [_dop853._square(v) for v in x] == \
+            [float(np.float64(v) ** 2) for v in x]
+        assert _dop853._square(1e200) == math.inf
+
+    def test_equals_numpy_scalars(self, rng):
+        err = 10.0 ** rng.uniform(-170.0, 170.0, (2, 2000))
+        err[:, :100] = 0.0
+        err[0, 100:200] = 0.0
+        steps = rng.uniform(0.0, 1.0, 2000).tolist()
+        for err5, err3, h in zip(*err.tolist(), steps):
+            got = _dop853._error_norm(err5, err3, h, 4)
+            want = _numpy_error_norm(err5, err3, h, 4)
+            assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestTimeDomainSpectrum:
