@@ -568,7 +568,8 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
     f = np.asarray(rhs(np.zeros(rows), y), dtype=complex)
     h_abs = _initial_step(rhs, y, f, t_bound, rtol, atol).tolist()
     kernel = _Stages(fun, f) if callable(fun) else _Powers(fun)
-    grid = t_eval.tolist()
+    # the sample times, read as Python floats without a list of them
+    grid = memoryview(t_eval)
     t = [0.0] * rows
     live = list(range(rows))
     rejected = [False] * rows  # in the current step
@@ -617,9 +618,12 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
         sample = []
         for b in accept:
             accepted[b] += 1
-            reached = bisect.bisect_right(grid, t_new[b])
-            if reached > dense[b].reached:
-                sample.append((b, reached))
+            # the step holds a sample when it reaches the first one pending;
+            # the search is over the samples after it
+            done = dense[b].reached
+            if done < len(grid) and grid[done] <= t_new[b]:
+                sample.append((b, bisect.bisect_right(grid, t_new[b],
+                                                      lo=done + 1)))
         if sample:
             F = kernel.dense(y, y_new)
             for b, reached in sample:

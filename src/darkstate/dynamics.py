@@ -33,13 +33,18 @@ alone bit for bit; errors are raised for the first failing system in
 order, as a loop over the systems would.  `propagate` and a single
 `trapped_fraction` are batches of one.
 
-A Filon pass, summed by parts, is one phase sum of the samples, taken over
-a whole detuning grid at once (`_filon_linear`).  On a uniform grid (every
-grid the CLI builds) whose chirp phases keep their precision it is one
-chirp-z transform of one row, that is three `numpy.fft` transforms of the
-smallest 5-smooth length >= samples + points - 1; any other grid, or a
-scalar, is summed directly in blocks of samples.  The path is chosen from
-the grid and the sample step alone.
+A spectrum's Filon transforms are one call (`_filon_linear`): every
+branch, eps value and Richardson pass.  Both passes, summed by parts, need
+only the phase sums T_even and T_odd of the even and the odd samples, in
+steps of twice the sample step: the fine pass sums T_even + e^{i x h}
+T_odd, the coarse pass T_even.  On a uniform grid (every grid the CLI
+builds) whose chirp phases keep their precision, all those rows are one
+chirp-z transform: one chirp, one kernel FFT, and one forward and one
+inverse `numpy.fft` transform of the rows, of the smallest 5-smooth
+length >= (samples - 1) / 2 + points.  Any other grid, or a scalar, is
+summed directly in blocks of samples.  The path is chosen from the grid
+and the sample step alone.  The end weights are one evaluation over the
+stacked rows of the fine pass, from which the coarse pass's follow.
 """
 from __future__ import annotations
 
@@ -266,34 +271,50 @@ def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
 # oscillatory quadrature
 # ---------------------------------------------------------------------------
 
+#: the weights are summed as a series where |theta| is at most this; the
+#: closed form of W1 loses about 2e-16 / |theta|^2 of itself
+SERIES_RADIUS = 1.0
+
+#: 1/(k+2)! for k < 18: the series of A = W0 - W1, whose first omitted term
+#: is below 5e-19 on the disk |theta| <= SERIES_RADIUS
+_SERIES = [1.0 / math.factorial(k + 2) for k in range(18)]
+
+
+def _series_weights(z):
+    """W0 and W1 at z = i*theta from the series of A = W0 - W1 = sum_k
+    z^k / (k+2)!, by Horner's rule: W0 = 1 + z A and W1 = W0 - A, neither
+    of which cancels on the disk."""
+    # (arrays also for a 0-d z, for which numpy returns scalars)
+    a = np.asarray(_SERIES[-1] * z)
+    for c in _SERIES[-2:0:-1]:
+        a += c
+        a *= z
+    a += _SERIES[0]
+    w0 = np.asarray(z * a)
+    w0 += 1.0
+    return w0, np.subtract(w0, a, out=a)
+
+
 def _filon_weights(theta):
-    """Exact integrals of 1 and u against exp(i*theta*u) on [0, 1], per
-    element of theta (real or complex, any shape)."""
+    """Exact integrals W0, W1 of 1 and u against exp(i*theta*u) on [0, 1],
+    per element of theta (real or complex, any shape).  The series
+    (`_series_weights`) is taken where |theta| <= SERIES_RADIUS, the
+    closed forms elsewhere."""
     theta = np.asarray(theta, dtype=complex)
-    # the closed forms cancel catastrophically for small theta; there the
-    # series is used, whose truncation error at the threshold is ~1e-19
-    size = np.abs(theta)
-    small = size < 1e-2
+    z = 1j * theta
+    small = np.abs(theta) <= SERIES_RADIUS
+    if small.all():
+        return _series_weights(z)
+    e = np.exp(z)
     # where theta**2 would overflow, |w1| <= 2/|theta| is below 1e-150: 0
-    huge = size > 1e150
-    it = 1j * np.where(small, 1.0, theta)
-    e = np.exp(it)
+    huge = np.abs(theta) > 1e150
+    zc = np.where(small, 1.0, z)
     # (arrays also for a 0-d theta, for which numpy returns scalars)
-    w0 = np.asarray((e - 1.0) / it)
-    w1 = np.asarray((e * (it - 1.0) + 1.0) / np.where(huge, 1.0, it) ** 2)
+    w0 = np.asarray((e - 1.0) / zc)
+    w1 = np.asarray((e * (zc - 1.0) + 1.0) / np.where(huge, 1.0, zc) ** 2)
     w1[huge] = 0.0
-    if np.any(small):
-        it_small = 1j * theta[small]
-        s0 = s1 = 0.0
-        power = 1.0
-        kfact = 1.0
-        for k in range(8):
-            s0 = s0 + power / (kfact * (k + 1))
-            s1 = s1 + power / (kfact * (k + 2))
-            power = power * it_small
-            kfact *= k + 1
-        w0[small] = s0
-        w1[small] = s1
+    if small.any():
+        w0[small], w1[small] = _series_weights(z[small])
     return w0, w1
 
 
@@ -320,98 +341,162 @@ def _fft_length(n):
     return best
 
 
-def _chirp_z(t0, h, rows, x, dx):
+def _chirp_z(h, rows, x0, dx, m):
     """Bluestein's chirp-z transform (Rabiner, Schafer & Rader, 1969):
-    sum_k rows[:, k] * exp(i x_j t_k) for t_k = t0 + k*h and
-    x_j = x[0] + j*dx, as one FFT convolution along the samples.
+    sum_k rows[p, r, k] * exp(i x_j k h) for x_j = x0[..., r] + j*dx, j <
+    m, shape (..., p, r, m), as one FFT convolution along the samples.
+    Every row shares the chirp and the FFT of its kernel; its start x0
+    enters through its ramp.
 
     The chirp exp(i dx h q^2/2) is evaluated from its phase: the complex
     power w**(q**2/2) that SciPy's `czt` uses is off by ~1e-9 at 8k
     samples, which puts its sums ~3e-10 from the direct ones.
     """
-    n, m = rows.shape[-1], x.size
+    n = rows.shape[-1]
     q = np.arange(max(m, n), dtype=float)
     chirp = np.exp(0.5j * (dx * h) * q ** 2)
     size = _fft_length(n + m - 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = np.conj(chirp[:m])
     kernel[size - n + 1:] = np.conj(chirp[n - 1:0:-1])
-    ramp = rows * (np.exp(1j * x[0] * h * q[:n]) * chirp[:n])
-    conv = ifft(fft(ramp, size) * fft(kernel), axis=-1)[:, :m]
-    return conv * (chirp[:m] * np.exp(1j * x * t0))
+    # the ramped, padded rows, transformed, convolved and transformed back
+    # in place; each ramp is built in the slot of the first of its rows
+    conv = np.zeros((*x0.shape[:-1], *rows.shape[:-1], size), dtype=complex)
+    ramp = conv[..., 0, :, :n]
+    np.multiply.outer(1j * h * x0, q[:n], out=ramp)
+    np.exp(ramp, out=ramp)
+    ramp *= chirp[:n]
+    conv[..., 1:, :, :n] = ramp[..., None, :, :]
+    conv[..., :n] *= rows
+    fft(conv, axis=-1, out=conv)
+    conv *= fft(kernel, out=kernel)
+    ifft(conv, axis=-1, out=conv)
+    return conv[..., :m] * chirp[:m]
 
 
-def _phase_sums(times, h, rows, x):
-    """sum_k rows[:, k] * exp(i x_j t_k) for each x_j of a 1-D array x, with
-    times t_k uniform in steps of h.
+def _phase_sums(times, rows, x):
+    """sum_k rows[p, r, k] * exp(i x[..., r, j] t_k), shape (..., p, r, m),
+    for x of shape (..., r, m), with times t_k uniform from 0.
 
-    A uniform x (real step) is one chirp-z transform along the samples,
-    unless its chirp phases are too large to keep their precision; any
-    other x is summed directly, a block of samples at a time, so that no
-    (samples x grid) matrix is built.
+    Rows of x that are uniform with the real step of the first (start
+    x[..., r, 0], real or complex) are one chirp-z transform along the
+    samples, unless its chirp phases are too large to keep their
+    precision; any other x is summed directly, a block of samples at a
+    time, so that no (samples x grid) matrix is built.  A row's sums do
+    not depend on the other rows, but for that shared step.
     """
-    m = x.size
+    n, m = len(times), x.shape[-1]
+    h = times[1] - times[0]
     if m >= 2:
-        dx = (x[-1] - x[0]).real / (m - 1)
-        drift = np.max(np.abs(x - (x[0] + dx * np.arange(m))))
-        chirp_max = 0.5 * abs(dx * h) * (max(m, len(times)) - 1) ** 2
-        if max(drift * np.max(np.abs(times)),
+        first = x.reshape(-1, m)[0]
+        dx = (first[-1] - first[0]).real / (m - 1)
+        drift = np.max(np.abs(x - (x[..., :1] + dx * np.arange(m))))
+        chirp_max = 0.5 * abs(dx * h) * (max(m, n) - 1) ** 2
+        if max(drift * times[-1],
                np.finfo(float).eps * chirp_max) <= UNIFORM_PHASE_TOL:
-            return _chirp_z(times[0], h, rows, x, dx)
-    sums = np.zeros((len(rows), m), dtype=complex)
+            return _chirp_z(h, rows, x[..., 0], dx, m)
+    sums = np.zeros((*x.shape[:-2], *rows.shape[:-1], m), dtype=complex)
     block = max(1, DIRECT_BLOCK // m)
-    for k in range(0, len(times), block):
-        phase = np.exp(1j * np.outer(times[k:k + block], x))
-        sums += rows[:, k:k + block] @ phase
+    for index in np.ndindex(x.shape[:-1]):
+        *lead, r = index
+        for k in range(0, n, block):
+            phase = np.exp(1j * np.outer(times[k:k + block], x[index]))
+            sums[(*lead, slice(None), r)] += rows[:, r, k:k + block] @ phase
     return sums
 
 
-def _hat_weight(theta):
+def _hat_weight(w0, e):
     """The integral of the hat function 1 - |u| against exp(i*theta*u) on
-    [-1, 1], 4 sin^2(theta/2) / theta^2, per element of a complex array
-    theta: 1 at theta = 0.  Its sin(theta/2) / (theta/2) has no
-    cancellation at small theta, and no theta^2 to overflow at large."""
-    zero = theta == 0
-    half = 0.5 * np.where(zero, 1.0, theta)
-    sinc = np.asarray(np.sin(half) / half)
-    sinc[zero] = 1.0
-    return sinc * sinc
+    [-1, 1], 4 sin^2(theta/2) / theta^2 = W0^2 e^{-i theta}, from W0 and e
+    = exp(i*theta): as accurate as W0, with no theta^2 to overflow."""
+    return w0 * w0 / e
+
+
+def _halves(values):
+    """The even and the odd samples of each row of values, shape (2, rows,
+    n/2 + 1); the odd row ends in a zero."""
+    half = np.zeros((2, len(values), values.shape[-1] // 2 + 1),
+                    dtype=complex)
+    half[0] = values[:, ::2]
+    half[1, :, :-1] = values[:, 1::2]
+    return half
+
+
+def _pass_total(w0, a, e, total, ends):
+    """sigma T - A v_n e^{i x t_n} - B v_0 of one Filon pass, computed in
+    place of its phase sum T, total: w0 is W0, a is A = W0 - W1, e is
+    exp(i theta) and ends is (v_n e^{i x t_n}, v_0)."""
+    v_end, v_start = ends
+    total *= _hat_weight(w0, e)
+    b = w0 - a
+    b *= v_start
+    b /= e
+    total -= b
+    np.multiply(a, v_end, out=b)
+    total -= b
+    return total
 
 
 def _filon_linear(times, values, x):
-    """integral values(t) * exp(i x t) dt with values piecewise linear on a
-    uniform grid, for each element of x (real, or complex for a damped
-    transform); a scalar x gives a complex scalar.
+    """Richardson-extrapolated Filon transforms integral v_r(t) exp(i x t)
+    dt: one per row r of values, shape (rows, n + 1), sampled on the
+    uniform grid times from 0 with n even, at each x[..., r, :], real or
+    complex (a damped transform); the result has the shape of x.
 
-    Per interval the rule is h e^{i x t_k} (v_k W0 + (v_{k+1} - v_k) W1),
-    theta = x h.  Summed by parts over the n intervals this is h (sigma T
-    - A v_n e^{i x t_n} - B v_0 e^{i x t_0}) with the one phase sum T =
-    sum_{k=0..n} v_k e^{i x t_k}, A = W0 - W1, B = W1 e^{-i theta} and
-    sigma = A + B, the hat-function weight (`_hat_weight`)."""
-    x = np.asarray(x, dtype=complex)
+    Both passes, on the n intervals of step h and on the n/2 of step 2h,
+    are summed by parts: per pass h (sigma T - A v_n e^{i x t_n} - B v_0)
+    with theta = x h, A = W0 - W1, B = W1 e^{-i theta} and sigma = A + B,
+    the hat-function weight (`_hat_weight`).  The phase sum T of the fine
+    pass is T_even + e^{i theta} T_odd, that of the coarse pass T_even,
+    where T_even and T_odd sum the even and the odd samples in steps of
+    2h: all of them are one `_phase_sums`.  The weights are one
+    `_filon_weights` of the fine pass; the coarse pass's at 2 theta follow
+    without cancellation as W0(2 theta) = W0 (1 + e) / 2 and A(2 theta) =
+    (W0 + A (1 + e)) / 4.  The result is (4 fine - coarse) / 3.
+
+    The stacked arrays are updated in place where they are not read again,
+    so that few are held at once.
+    """
     h = times[1] - times[0]
-    theta = x * h
-    w0, w1 = _filon_weights(theta)
-    (total,) = _phase_sums(times, h, values[None], x.ravel())
-    # B v_0 e^{i x t_0} = W1 v_0 e^{i x (t_0 - h)}
-    ends = ((w0 - w1) * values[-1] * np.exp(1j * x * times[-1])
-            + w1 * values[0] * np.exp(1j * x * (times[0] - h)))
-    out = h * (_hat_weight(theta) * total.reshape(x.shape) - ends)
-    return complex(out) if out.ndim == 0 else out
-
-
-def _branch_transform(traj: AmplitudeTrajectory, branch: int, x):
-    """Richardson-extrapolated Filon transform of one amplitude component."""
-    vals = traj.amps[:, branch - 1]
-    fine = _filon_linear(traj.times, vals, x)
-    coarse = _filon_linear(traj.times[::2], vals[::2], x)
-    return (4.0 * fine - coarse) / 3.0
+    sums = _phase_sums(times[::2], _halves(values), x)
+    t_even, t_odd = sums[..., 0, :, :], sums[..., 1, :, :]
+    w0, w1 = _filon_weights(x * h)
+    a = np.subtract(w0, w1, out=w1)
+    e = np.exp(1j * h * x)
+    ends = values[:, -1:] * np.exp(1j * x * times[-1]), values[:, :1]
+    t_odd *= e
+    t_odd += t_even
+    fine = _pass_total(w0, a, e, t_odd, ends)
+    a *= e + 1.0
+    a += w0
+    a /= 4.0
+    w0 *= e + 1.0
+    w0 /= 2.0
+    e *= e
+    coarse = _pass_total(w0, a, e, t_even, ends)
+    del w0, a, e, ends
+    coarse *= 0.5
+    return (4.0 * h / 3.0) * (fine - coarse)
 
 
 def _is_trapped(traj: AmplitudeTrajectory, tol: float) -> bool:
     """Whether a trapped component survives: a final norm above the larger
     of 100 tol and 1e-8."""
     return float(np.sum(np.abs(traj.amps[-1]) ** 2)) > max(100.0 * tol, 1e-8)
+
+
+def _transforms(traj: AmplitudeTrajectory, columns: slice, x, tol: float):
+    """Laplace transforms of the amplitude components columns of traj at s
+    = -i x, one row of x per column: Filon transforms (`_filon_linear`),
+    which, when a trapped component survives (`_is_trapped`), are damped
+    with exp(-eps t) at two eps values and extrapolated to eps -> 0, both
+    in the one call."""
+    values = traj.amps.T[columns]
+    if not _is_trapped(traj, tol):
+        return _filon_linear(traj.times, values, x)
+    f1, f2 = _filon_linear(traj.times, values, np.stack(
+        [x + 1j * TRAP_EPSILON, x + 1j * TRAP_EPSILON / 2.0]))
+    return 2.0 * f2 - f1
 
 
 def branch_amplitude_numeric(traj: AmplitudeTrajectory, branch: int, delta,
@@ -427,12 +512,7 @@ def branch_amplitude_numeric(traj: AmplitudeTrajectory, branch: int, delta,
         raise ValueError("branch must be 1, 2 or 3")
     scalar = np.ndim(delta) == 0
     deltas = np.atleast_1d(np.asarray(delta, dtype=float))
-    if _is_trapped(traj, tol):
-        f1 = _branch_transform(traj, branch, deltas + 1j * TRAP_EPSILON)
-        f2 = _branch_transform(traj, branch, deltas + 1j * TRAP_EPSILON / 2.0)
-        out = 2.0 * f2 - f1
-    else:
-        out = _branch_transform(traj, branch, deltas)
+    (out,) = _transforms(traj, slice(branch - 1, branch), deltas[None], tol)
     return complex(out[0]) if scalar else out
 
 
@@ -507,15 +587,16 @@ def spectrum_time_domain(sys: D2System, grid,
     -omega23} (`branch_shifts`); the total is the sum of the branches.  A
     list given as runs receives propagate's integrator diagnostics, with
     `eps_extrapolated`: whether a trapped component survives, so that each
-    branch is the eps -> 0 extrapolation of two damped transforms
-    (`branch_amplitude_numeric`).
+    branch is the eps -> 0 extrapolation of two damped transforms.  The
+    three branches are one `_transforms` call.
     """
     grid = _finite_detuning(grid)
     traj = propagate(sys, t_final, tol, runs)
     if runs is not None:
         runs[-1]["eps_extrapolated"] = _is_trapped(traj, tol)
+    f = _transforms(traj, slice(3),
+                    grid + np.array(branch_shifts(sys))[:, None], tol)
     rows = np.empty((3, len(grid)))
-    for n, shift in enumerate(branch_shifts(sys)):
-        f = branch_amplitude_numeric(traj, n + 1, grid + shift, tol)
-        _intensity(sys.gamma[n], f, rows[n])
+    for n in range(3):
+        _intensity(sys.gamma[n], f[n], rows[n])
     return _spectrum(grid, rows, [[], [], []], "timedomain")

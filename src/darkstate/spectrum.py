@@ -416,7 +416,7 @@ def _cluster_poles(clusters, shift):
         yield center_s, pole, bool(abs(pole.imag) < 1e-9)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _branch_pole_terms(const, branch, shift, qcoeffs, clusters, slopes):
     """Partial-fraction terms of F_n(delta) over the roots of Q(s), given
     as the clusters of `_root_clusters`; const is the system's `_constants`.

@@ -63,6 +63,14 @@ REPRODUCERS = {
          "omega23": 13.0, "fields": [{"mag": 1e150}, *UNIT[1:]]},
         ["spectrum", "--grid=-5:5:11", "--format", fmt])
        for fmt in ("csv", "json")},
+    # two-level with every rate and splitting times 1000: the contour of
+    # its clustered pole divides by zero, and the NaN residue exits 3.
+    # Poles and residues from one eigendecomposition (ROADMAP item 12)
+    # would give it a spectrum instead
+    "two-level-x1000": (
+        {**scenario_to_dict(preset("two-level").system),
+         "gamma": [1000.0] * 3, "omega12": 13000.0, "omega23": 13000.0},
+        ["spectrum"]),
     # the phase reached math.fmod, whose domain error named no field
     "d1-phase-infinity": (
         {"system": "d1", "gamma": [1.0],
@@ -75,7 +83,11 @@ MESSAGES = {
     **{f"d2-drive1e150-{fmt}": "residue at pole"
        for fmt in ("csv", "json")},
     "d1-phase-infinity": "field 1 = (mag 1.0, phase inf) must be finite",
+    "two-level-x1000": "the branch 1 residue at pole (-13000-500j)",
 }
+
+#: name: the exit code of a reproducer, where it is known
+EXITS = {"two-level-x1000": 3}
 
 HOSTILE = (0.0, -1.0, 1e-300, 1e-8, 1e6, 1e100, 1e154, 1e300, math.nan,
            math.inf)
@@ -178,6 +190,9 @@ def test_output_contract(case, tmp_path):
     code, _, err = _run([*command, "--config", str(config),
                          "--out", str(out)])
     assert code in range(5), f"{case}: {code!r}"
+    if case in EXITS:
+        assert code == EXITS[case]
+        assert all(line.startswith("error: ") for line in err.splitlines())
     assert all(line.startswith(("error: ", "warning: ", "note: "))
                for line in err.splitlines()), err
     assert MESSAGES.get(case, "") in err

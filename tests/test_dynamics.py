@@ -156,40 +156,109 @@ def _whole_array_weights(theta):
     by np.where: the formula _filon_weights evaluates on the small elements
     only."""
     theta = np.asarray(theta, dtype=complex)
-    small = np.abs(theta) < 1e-2
+    small = np.abs(theta) <= dynamics.SERIES_RADIUS
     it = 1j * np.where(small, 1.0, theta)
     e = np.exp(it)
-    it_small = 1j * np.where(small, theta, 0.0)
-    s0 = s1 = 0.0
-    power = 1.0
-    kfact = 1.0
-    for k in range(8):
-        s0 = s0 + power / (kfact * (k + 1))
-        s1 = s1 + power / (kfact * (k + 2))
-        power = power * it_small
-        kfact *= k + 1
+    s0, s1 = dynamics._series_weights(1j * np.where(small, theta, 0.0))
     w0 = np.where(small, s0, (e - 1.0) / it)
     w1 = np.where(small, s1, (e * (it - 1.0) + 1.0) / it ** 2)
     return w0, w1
 
 
-def _two_sum_filon(times, values, x):
-    """The Filon rule as the per-interval sum h sum_k e^{i x t_k} (v_k W0 +
-    (v_{k+1} - v_k) W1): two phase sums, of v_k and of v_{k+1} - v_k, which
-    `_filon_linear` sums by parts into one."""
+def _series_reference(theta, terms=40):
+    """W0 and W1 as 40 terms of their Taylor series, in long double."""
+    z = 1j * np.asarray(theta, dtype=np.clongdouble)
+    w0, w1, power = np.zeros_like(z), np.zeros_like(z), np.ones_like(z)
+    for k in range(terms):
+        w0 += power / (math.factorial(k) * (k + 1))
+        w1 += power / (math.factorial(k) * (k + 2))
+        power = power * z
+    return w0, w1
+
+
+def _sine_hat_weight(theta):
+    """4 sin^2(theta/2) / theta^2 from the sine: 1 at theta = 0."""
+    zero = theta == 0
+    half = 0.5 * np.where(zero, 1.0, theta)
+    sinc = np.asarray(np.sin(half) / half)
+    sinc[zero] = 1.0
+    return sinc * sinc
+
+
+def _single_pass(times, values, x):
+    """One Filon pass over all of times, one row of values at a 1-D x, as
+    the transform took it before both passes shared their phase sums:
+    summed by parts into h (sigma T - A v_n e^{i x t_n} - B v_0 e^{i x
+    t_0}), with the phase sum T of every sample and sigma from the sine."""
     x = np.asarray(x, dtype=complex)
     h = times[1] - times[0]
-    w0, w1 = _filon_weights(x * h)
-    rows = np.stack([values[:-1], np.diff(values)])
-    s0, s1 = dynamics._phase_sums(times[:-1], h, rows, x.ravel())
-    out = h * (w0 * s0.reshape(x.shape) + w1 * s1.reshape(x.shape))
-    return complex(out) if out.ndim == 0 else out
+    theta = x * h
+    w0, w1 = _filon_weights(theta)
+    total = dynamics._phase_sums(times, values[None, None], x[None])[0, 0]
+    ends = ((w0 - w1) * values[-1] * np.exp(1j * x * times[-1])
+            + w1 * values[0] * np.exp(1j * x * (times[0] - h)))
+    return h * (_sine_hat_weight(theta) * total - ends)
+
+
+def _pass_by_pass(times, values, x):
+    """The Richardson-extrapolated transform of one row from its two single
+    passes: (4 fine - coarse) / 3."""
+    fine = _single_pass(times, values, x)
+    coarse = _single_pass(times[::2], values[::2], x)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _pass_by_pass_amplitude(traj, branch, delta, tol):
+    """branch_amplitude_numeric from `_pass_by_pass`: 2 f(eps/2) - f(eps)
+    when a trapped component survives."""
+    vals = traj.amps[:, branch - 1]
+    if not dynamics._is_trapped(traj, tol):
+        return _pass_by_pass(traj.times, vals, delta)
+    eps = dynamics.TRAP_EPSILON
+    return (2.0 * _pass_by_pass(traj.times, vals, delta + 0.5j * eps)
+            - _pass_by_pass(traj.times, vals, delta + 1j * eps))
+
+
+def _transform_scale(traj):
+    """A bound on each branch's transform, h sum |v|, three times over when
+    a trapped component survives: 2 f(eps/2) - f(eps) adds up to three
+    times the error of one transform."""
+    h = traj.times[1] - traj.times[0]
+    trapped = dynamics._is_trapped(traj, dynamics.DEFAULT_TOL)
+    return (3.0 if trapped else 1.0) * h * np.sum(np.abs(traj.amps[:, :3]),
+                                                  axis=0)
+
+
+def _two_sum_filon(times, values, x):
+    """The Richardson-extrapolated Filon rule of one row from the
+    per-interval sums h sum_k e^{i x t_k} (v_k W0 + (v_{k+1} - v_k) W1) of
+    both passes: two phase sums each, of v_k and of v_{k+1} - v_k, where
+    `_filon_linear` sums by parts into one."""
+    x = np.asarray(x, dtype=complex)
+
+    def one_pass(times, values):
+        h = times[1] - times[0]
+        w0, w1 = _filon_weights(x * h)
+        rows = np.stack([values[:-1], np.diff(values)])[:, None]
+        s0, s1 = dynamics._phase_sums(times[:-1], rows, x[None])[:, 0]
+        return h * (w0 * s0 + w1 * s1)
+    fine, coarse = one_pass(times, values), one_pass(times[::2], values[::2])
+    return (4.0 * fine - coarse) / 3.0
 
 
 def _damped_trajectory(rng, times):
     rates = rng.uniform(0.2, 1.0, 4) + 1j * rng.uniform(-15.0, 15.0, 4)
     coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
     return np.exp(-np.outer(times, rates)) @ coeffs
+
+
+def _counting_chirp_z(monkeypatch):
+    """The list that records each `_chirp_z` call from now on."""
+    calls = []
+    chirp_z = dynamics._chirp_z
+    monkeypatch.setattr(dynamics, "_chirp_z",
+                        lambda *a: calls.append(a) or chirp_z(*a))
+    return calls
 
 
 class TestFilonQuadrature:
@@ -200,10 +269,9 @@ class TestFilonQuadrature:
             assert w0 == pytest.approx(ref0, abs=1e-12)
             assert w1 == pytest.approx(ref1, abs=1e-12)
         # one array call, real and complex, on both sides of the series
-        # threshold |theta| = 1e-2
-        thetas = np.array([9.9e-3, 1.01e-2, -9.9e-3, -1.01e-2,
-                           7e-3 + 7e-3j, 8e-3 + 8e-3j, 1e-3j, 0.4 + 1e-3j,
-                           -2.5 + 0.3j, 0.0])
+        # threshold |theta| = 1
+        thetas = np.array([0.99, 1.01, -0.99, -1.01, 0.7 + 0.7j,
+                           0.8 + 0.8j, 1e-3j, 0.4 + 1e-3j, -2.5 + 0.3j, 0.0])
         w0, w1 = _filon_weights(thetas)
         assert w0.shape == w1.shape == thetas.shape
         for theta, got0, got1 in zip(thetas, w0, w1):
@@ -212,45 +280,59 @@ class TestFilonQuadrature:
             assert got1 == pytest.approx(ref1, abs=1e-12)
 
     def test_weights_equal_whole_array_series(self, rng):
-        # real and complex theta on both sides of the series threshold
-        # 1e-2, and scalars of each kind
+        # real and complex theta on both sides of the series threshold 1,
+        # and scalars of each kind
         thetas = np.concatenate([
-            rng.uniform(-2e-2, 2e-2, 200),
-            rng.uniform(-2e-2, 2e-2, 200) + 1j * rng.uniform(-1e-2, 1e-2, 200),
-            [9.9e-3, 1e-2, -1e-2, 1.01e-2, 7e-3 + 7e-3j, 0.0, 1e-3j, 1e-2j],
-            (np.linspace(-30.0, 30.0, 1201) + 13.0) * 0.01,
-            (np.linspace(-30.0, 30.0, 1201) + 1e-3j) * 0.01])
-        for theta in (thetas, thetas.reshape(2, -1), 0.0, 3e-3, 0.4,
-                      2e-3 + 1e-3j, -0.7 + 0.2j):
+            rng.uniform(-2.0, 2.0, 200),
+            rng.uniform(-2.0, 2.0, 200) + 1j * rng.uniform(-1.0, 1.0, 200),
+            [0.99, 1.0, -1.0, 1.01, 0.7 + 0.7j, 0.0, 1e-3j, 1j],
+            (np.linspace(-30.0, 30.0, 1201) + 13.0) * 0.05,
+            (np.linspace(-30.0, 30.0, 1201) + 1e-3j) * 0.05])
+        for theta in (thetas, thetas.reshape(2, -1), 0.0, 3e-3, 2.5,
+                      2e-3 + 1e-3j, -0.7 + 0.2j, -3.0 + 0.5j):
             got = _filon_weights(theta)
             want = _whole_array_weights(theta)
             for g, w in zip(got, want):
                 assert g.shape == np.shape(theta)
                 assert np.array_equal(g, w)
 
+    def test_weights_within_an_ulp_of_the_series(self):
+        """On 1e-4 <= |theta| <= 1, real and complex (the damped transform),
+        W0 and W1 stay within 2.5e-16 of 40 terms of their series: the
+        closed form of W1 loses 1.9e-12 at |theta| = 0.0101."""
+        rng = np.random.default_rng(7)
+        size = 10.0 ** rng.uniform(-4.0, 0.0, 20000)
+        turn = np.exp(1j * rng.uniform(-np.pi, np.pi, 20000))
+        thetas = np.concatenate([size, -size, size * turn, size + 1e-5j,
+                                 [1e-4, 0.0099, 0.0101, 0.02, 1.0, -1.0,
+                                  1j, -1j]])
+        for got, want in zip(_filon_weights(thetas),
+                             _series_reference(thetas)):
+            err = np.abs(got.astype(np.clongdouble) - want).astype(float)
+            assert np.max(err) <= 2.5e-16
+
     def test_chirp_z_matches_direct_sum(self, rng, monkeypatch):
+        """The rows of one transform, real and complex, share one chirp-z
+        call; summed directly (a shuffled grid) or one point at a time they
+        agree to 1e-13 of the largest value."""
         times = np.linspace(0.0, 60.0, 6001)
         vals = _damped_trajectory(rng, times)
-        chirp_calls = []
-        chirp_z = dynamics._chirp_z
-        monkeypatch.setattr(dynamics, "_chirp_z",
-                            lambda *a: chirp_calls.append(a) or chirp_z(*a))
+        rows = np.stack([vals, vals.conj(), 2.0 * vals])
         base = np.linspace(-30.0, 30.0, 1201)
-        for x in (base + 13.0, base - 13.0, base + 1e-3j):
-            fast = _filon_linear(times, vals, x)
-            assert len(chirp_calls) == 1
-            # a shuffled grid is not uniform: summed directly
-            perm = rng.permutation(len(x))
-            direct = np.empty_like(fast)
-            direct[perm] = _filon_linear(times, vals, x[perm])
-            scale = np.max(np.abs(direct))
-            assert np.max(np.abs(fast - direct)) / scale < 1e-10
-            for k in (0, 457, 1200):
-                scalar = _filon_linear(times, vals, x[k])
-                assert isinstance(scalar, complex)
-                assert abs(scalar - fast[k]) / scale < 1e-10
-            assert len(chirp_calls) == 1
-            chirp_calls.clear()
+        x = np.stack([base + 13.0, base - 13.0, base + 1e-3j])
+        chirp_calls = _counting_chirp_z(monkeypatch)
+        fast = _filon_linear(times, rows, x)
+        assert len(chirp_calls) == 1
+        # a shuffled grid is not uniform: summed directly
+        perm = rng.permutation(x.shape[1])
+        direct = np.empty_like(fast)
+        direct[:, perm] = _filon_linear(times, rows, x[:, perm])
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(fast - direct)) <= 1e-13 * scale
+        for k in (0, 457, 1200):
+            point = _filon_linear(times, rows, x[:, k:k + 1])
+            assert np.max(np.abs(point[:, 0] - fast[:, k])) <= 1e-13 * scale
+        assert len(chirp_calls) == 1
 
     def test_weights_where_theta_squared_overflows(self):
         # |w1| <= 2/|theta|, below 1e-150 there: 0, and no warning
@@ -278,10 +360,11 @@ class TestFilonQuadrature:
     @pytest.mark.parametrize("x", [
         "real", "real-13", "complex", "shuffled", "scalars", "far"])
     def test_one_sum_equals_two_sums(self, x, rng, monkeypatch):
-        """Summed by parts, the rule takes one phase sum where the
-        per-interval form takes two: the same to 1e-13 of h sum |v|, a
-        bound on the transform, on the chirp-z and the direct path, real,
-        complex and scalar x, and |theta| up to 1e300."""
+        """Summed by parts, with both passes from the phase sums of the even
+        and the odd samples, the rule takes one chirp-z call where the
+        per-interval form takes two sums per pass: the same to 1e-13 of h
+        sum |v|, a bound on the transform, on the chirp-z and the direct
+        path, real, complex and scalar x, and |theta| up to 1e300."""
         times = np.linspace(0.0, 60.0, 6001)
         h = times[1] - times[0]
         vals = _damped_trajectory(rng, times)
@@ -291,53 +374,123 @@ class TestFilonQuadrature:
               "scalars": [0.0, 3.7, -13.0 + 1e-3j, 1e-9],
               "far": [*np.linspace(-1e300, 1e300, 5) / h, 1e151, -1e20,
                       1e300 + 1e-3j, 2.0]}[x]
-        chirp_calls = []
-        chirp_z = dynamics._chirp_z
-        monkeypatch.setattr(dynamics, "_chirp_z",
-                            lambda *a: chirp_calls.append(a) or chirp_z(*a))
         scale = h * np.sum(np.abs(vals))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            want = _two_sum_filon(times, vals, np.array(xs))
+            chirp_calls = _counting_chirp_z(monkeypatch)
             if x == "scalars":
-                pairs = [(_filon_linear(times, vals, v),
-                          _two_sum_filon(times, vals, v)) for v in xs]
-                assert all(isinstance(got, complex) for got, _ in pairs)
-                got, want = np.array(pairs).T
+                got = np.array([_filon_linear(times, vals[None],
+                                              np.array([[v]]))[0, 0]
+                                for v in xs])
             else:
-                got = _filon_linear(times, vals, np.array(xs))
-                want = _two_sum_filon(times, vals, np.array(xs))
-        assert bool(chirp_calls) == (x in ("real", "real-13", "complex"))
+                (got,) = _filon_linear(times, vals[None], np.array([xs]))
+        assert len(chirp_calls) == (x in ("real", "real-13", "complex"))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
     def test_hat_weight_is_the_sum_of_the_end_weights(self):
-        """sigma = W0 - W1 + W1 exp(-i theta), taken directly: no
-        cancellation at small theta, and no theta^2 to overflow at
-        large."""
+        """sigma = W0 - W1 + W1 exp(-i theta), taken as W0^2 exp(-i
+        theta): no cancellation at small theta, and no theta^2 to overflow
+        at large."""
         thetas = np.array([0.0, 1e-300, 1e-9, 9.9e-3, 1.01e-2, 0.3, -2.5,
                            3.0 + 0.2j, 1e-3j, 7e-3 - 7e-3j, 40.0, 1e10])
+        e = np.exp(1j * thetas)
         w0, w1 = _filon_weights(thetas)
-        got = dynamics._hat_weight(thetas)
-        # the closed-form W1 cancels to about 1e-14 just above its series
-        # threshold |theta| = 1e-2
-        sums = w0 - w1 + w1 * np.exp(-1j * thetas)
-        assert np.max(np.abs(got - sums)) <= 1e-13
+        got = dynamics._hat_weight(w0, e)
+        sums = w0 - w1 + w1 / e
+        assert np.max(np.abs(got - sums)) <= 1e-15
+        assert np.max(np.abs(got - _sine_hat_weight(thetas))) <= 1e-15
         assert got[0] == 1.0 and got[1] == pytest.approx(1.0, abs=1e-15)
         for theta, g in zip(thetas[:-1], got):
             ref0, ref1 = _reference_weights(theta)
             assert g == pytest.approx(ref0 - ref1 + ref1 * np.exp(-1j * theta),
                                       abs=1e-12)
+        thetas = np.array([1e160, -1e300 + 1j])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            huge = dynamics._hat_weight(np.array([1e160, -1e300 + 1j]))
+            huge = dynamics._hat_weight(_filon_weights(thetas)[0],
+                                        np.exp(1j * thetas))
         assert np.all(np.abs(huge) <= 4e-320)
 
     def test_transform_of_decaying_exponential(self):
         # integral_0^T e^{ixt} e^{-t/2} dt, T large -> 1/(1/2 - ix)
         times = np.linspace(0, 60, 6001)
         vals = np.exp(-0.5 * times).astype(complex)
-        for x in (0.0, 1.7, -8.3):
-            got = _filon_linear(times, vals, x)
-            assert got == pytest.approx(1.0 / (0.5 - 1j * x), rel=1e-5)
+        x = np.array([[0.0, 1.7, -8.3]])
+        (got,) = _filon_linear(times, vals[None], x)
+        assert got == pytest.approx(1.0 / (0.5 - 1j * x[0]), rel=1e-5)
+
+
+class TestStackedTransform:
+    """Every row, eps value and Richardson pass of a time-domain spectrum
+    shares one chirp-z call; the result stays within 1e-13 of peak of the
+    pass-by-pass rule (`_pass_by_pass`)."""
+
+    @pytest.mark.parametrize("points", [1201, 6001])
+    def test_presets(self, points, monkeypatch):
+        grid = np.linspace(-30.0, 30.0, points)
+        for name in preset_names():
+            s = preset(name).system
+            traj = propagate(s)
+            trapped = dynamics._is_trapped(traj, dynamics.DEFAULT_TOL)
+            want = np.array([
+                s.gamma[n] * np.abs(_pass_by_pass_amplitude(
+                    traj, n + 1, grid + shift, dynamics.DEFAULT_TOL)) ** 2
+                for n, shift in enumerate(branch_shifts(s))]) / (2 * np.pi)
+            chirp_calls = _counting_chirp_z(monkeypatch)
+            monkeypatch.setattr(dynamics, "propagate",
+                                lambda *a, **k: traj)
+            got = spectrum_time_domain(s, grid).branch_intensity
+            monkeypatch.undo()
+            assert len(chirp_calls) == 1
+            # every branch, both halves, and both eps values when trapped
+            assert chirp_calls[0][1].shape[:2] == (2, 3)
+            assert chirp_calls[0][2].shape == ((2, 3) if trapped else (3,))
+            peak = np.max(want.sum(axis=0))
+            assert np.max(np.abs(got - want)) <= 1e-13 * peak, name
+
+    @pytest.mark.parametrize("name", ["fig2-notrapping", "d1-trapping"])
+    def test_chirp_and_direct_paths_agree(self, name, monkeypatch):
+        s = preset(name).system
+        traj = propagate(s)
+        grid = np.linspace(-30.0, 30.0, 301)
+        x = grid + np.array(branch_shifts(s))[:, None]
+        want = np.array([_pass_by_pass_amplitude(traj, n + 1, x[n],
+                                                 dynamics.DEFAULT_TOL)
+                         for n in range(3)])
+        chirp_calls = _counting_chirp_z(monkeypatch)
+        fast = dynamics._transforms(traj, slice(3), x, dynamics.DEFAULT_TOL)
+        assert len(chirp_calls) == 1
+        monkeypatch.setattr(dynamics, "UNIFORM_PHASE_TOL", -1.0)
+        direct = dynamics._transforms(traj, slice(3), x,
+                                      dynamics.DEFAULT_TOL)
+        assert len(chirp_calls) == 1
+        bound = 1e-13 * _transform_scale(traj)[:, None]
+        assert np.all(np.abs(fast - want) <= bound)
+        assert np.all(np.abs(direct - want) <= bound)
+
+    @pytest.mark.parametrize("name", ["fig2-notrapping", "d1-trapping"])
+    def test_scalar_detuning(self, name):
+        s = preset(name).system
+        traj = propagate(s)
+        scale = _transform_scale(traj)
+        for branch, delta in ((1, 13.0), (2, 0.37), (3, -13.0 + 1e-9)):
+            got = branch_amplitude_numeric(traj, branch, delta)
+            want = _pass_by_pass_amplitude(traj, branch, np.array([delta]),
+                                           dynamics.DEFAULT_TOL)[0]
+            assert type(got) is complex
+            assert abs(got - want) <= 1e-13 * scale[branch - 1]
+
+    def test_three_sample_trajectory(self, rng):
+        """The shortest grid: T_even holds samples 0 and 2, T_odd sample 1."""
+        times = np.array([0.0, 0.25, 0.5])
+        vals = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        x = np.stack([np.linspace(-4.0, 4.0, 9), np.linspace(-4.0, 4.0, 9)])
+        for xs in (x, x + 1e-3j, x[:, ::-1], x[:, :1]):
+            got = _filon_linear(times, vals, xs)
+            for row, v, xr in zip(got, vals, xs):
+                want = _pass_by_pass(times, v, xr)
+                assert np.max(np.abs(row - want)) <= 1e-15 * np.sum(abs(v))
 
 
 class TestBranchAmplitudes:
