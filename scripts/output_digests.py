@@ -13,7 +13,9 @@ The CLI runs in-process (`darkstate.cli.main`) in a temporary directory:
   through its poles, on `two-level` from an undriven value (a quartic with
   q0 = 0) among driven ones, over two values only, on a coarse grid that
   warns, and on a random scenario given with `--config`;
-- `validate all`, and `trapping` for every preset;
+- `validate all`, and `trapping` for every preset; `trapping --solve`,
+  with and without `--out`, for every chain preset and the random
+  scenario (those with Omega3 = 0 or Gamma1 != Gamma3 exit 4);
 - on D1 scenario files with a phase on every field (initially in B, in
   A2, in a superposition, and a dark loop): `spectrum` as CSV plus SVG,
   as JSON and with `--method both`, `trapping` with and without
@@ -22,6 +24,12 @@ The CLI runs in-process (`darkstate.cli.main`) in a temporary directory:
 - the time-domain spectrum on uniform grids of huge spacing, and on
   `fig2-notrapping` and `d1-fig3a` (whose trapped component takes the
   eps-extrapolated transform) at 1201 points;
+- on a detuned and on a cross-damped copy of `fig2-notrapping`, which take
+  DOP853's stage kernel: the time-domain spectrum at 601 points and a
+  `trapped_fraction` sweep;
+- `spectrum` on two chain files whose spectrum is zero: undriven (the
+  "no emission" warning) and driven on the inner fields only (the
+  "identically zero" note);
 - `make_figures.py` and `reproduction_report.py`, run in-process.
 
 Each command's exit code, stdout and stderr count as outputs, as do its
@@ -35,6 +43,7 @@ between two runs of one tree.
 """
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -50,7 +59,8 @@ import numpy as np
 import make_figures
 import reproduction_report
 from darkstate.cli import main as cli_main
-from darkstate.model import D2System, DriveField, preset_names, save_scenario
+from darkstate.model import (D1System, D2System, DriveField, preset,
+                             preset_names, save_scenario)
 
 GRIDS = {"default": [], "601": ["--grid=-30:30:601"],
          "6001": ["--grid=-30:30:6001"]}
@@ -119,6 +129,14 @@ FAR_GRIDS = {"far 1e20 both": ["--method", "both", "--grid=-1e20:0:2"],
                                       "--grid=-1e300:1e300:5"]}
 #: the time-domain spectrum alone, by preset
 TIME_DOMAIN = ("fig2-notrapping", "d1-fig3a")
+#: fig2-notrapping with a non-constant drift matrix, by label: the changed
+#: fields
+STAGE_KERNEL = {"detuned": {"detunings": (0.3, 0.1, 0.1, 0.1)},
+                "cross-damped": {"alignments": (0.5, 0.2, 0.3)}}
+#: chain systems initially in B with a zero spectrum, by label: their drive
+#: magnitudes
+ZERO_SPECTRUM = {"undriven": (0.0, 0.0, 0.0, 0.0),
+                 "inner fields": (0.0, 1.0, 1.0, 0.0)}
 
 
 def _random_system(seed=7):
@@ -231,6 +249,31 @@ def digests() -> dict:
                 _run(f"spectrum {name} timedomain",
                      ["spectrum", "--preset", name, "--method", "timedomain",
                       "--grid=-30:30:1201", "--out", "s.csv"], found)
+            chains = [["--preset", name] for name in preset_names()
+                      if not isinstance(preset(name).system, D1System)]
+            for src in [*chains, ["--config", RANDOM]]:
+                label = f"trapping {src[1]} solve"
+                _run(label, ["trapping", *src, "--solve"], found)
+                _run(f"{label} out", ["trapping", *src, "--solve", "--out",
+                                      "t.json"], found)
+            base = preset("fig2-notrapping").system
+            for label, fields in STAGE_KERNEL.items():
+                save_scenario(dataclasses.replace(base, **fields), "s.json")
+                _run(f"spectrum {label} timedomain",
+                     ["spectrum", "--config", "s.json", "--method",
+                      "timedomain", "--grid=-30:30:601", "--out", "s.csv"],
+                     found)
+                _run(f"sweep {label} trapped_fraction",
+                     ["sweep", "--config", "s.json", "--vary", "phase2",
+                      "--range", f"0:{TAU}:5", "--metric", "trapped_fraction",
+                      "--out", "sweep.csv"], found)
+                os.remove("s.json")
+            for label, mags in ZERO_SPECTRUM.items():
+                save_scenario(base.with_drives(tuple(map(DriveField, mags))),
+                              "s.json")
+                _run(f"spectrum {label}", ["spectrum", "--config", "s.json",
+                                           "--out", "s.csv"], found)
+                os.remove("s.json")
             _run("make_figures", ["--outdir", "figures"], found,
                  make_figures.main)
             _run("reproduction_report", ["--out", "report.json"], found,

@@ -242,7 +242,8 @@ def compare_spectra(a: SpectrumResult, b: SpectrumResult) -> dict:
     if a.grid.shape != b.grid.shape or not np.allclose(a.grid, b.grid,
                                                        rtol=0, atol=1e-12):
         raise GridMismatch("spectra were computed on different grids")
-    peak = max(float(np.max(a.total)), float(np.max(b.total)), 1e-300)
+    peak = max(float(np.max(a.total, initial=0.0)),
+               float(np.max(b.total, initial=0.0)), 1e-300)
     mask = np.maximum(a.total, b.total) > 1e-8 * peak
     if not np.any(mask):
         return {"max_rel_err": 0.0, "rms_err": 0.0}

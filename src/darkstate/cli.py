@@ -346,15 +346,15 @@ def svg_line_plot(path, x, curves, title=""):
 # commands
 # ---------------------------------------------------------------------------
 
-def _compute_spectrum(system, grid, method, tol, runs):
+def _compute_spectrum(system, grid, method, runs):
     """The spectrum and, for --method both, the time-domain oracle; runs
     receives the integrator diagnostics of a time-domain spectrum."""
     if method == "analytic":
         return spectrum_analytic(system, grid), None
     if method == "timedomain":
-        return spectrum_time_domain(system, grid, tol=tol, runs=runs), None
+        return spectrum_time_domain(system, grid, runs=runs), None
     return (spectrum_analytic(system, grid),
-            spectrum_time_domain(system, grid, tol=tol, runs=runs))
+            spectrum_time_domain(system, grid, runs=runs))
 
 
 def cmd_spectrum(args) -> int:
@@ -362,11 +362,9 @@ def cmd_spectrum(args) -> int:
     _check_outputs(args.out, args.svg)
     system, source = _load_system(args)
     grid = _parse_grid(args.grid)
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise _InputError(f"--tol must be positive and finite, got {args.tol}")
     t_load = time.perf_counter()
     runs = None if args.method == "analytic" else []
-    spec, oracle = _compute_spectrum(system, grid, args.method, args.tol, runs)
+    spec, oracle = _compute_spectrum(system, grid, args.method, runs)
     metrics = None if oracle is None else compare_spectra(spec, oracle)
     t_compute = time.perf_counter()
     sys_dict = scenario_to_dict(system)
@@ -675,8 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="analytic")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--svg", help="also write an SVG line plot")
-    sp.add_argument("--tol", type=float, default=1e-8,
-                    help="time-domain integrator tolerance")
     sp.set_defaults(func=cmd_spectrum)
 
     tp = sub.add_parser("trapping", help="evaluate the trapping condition")

@@ -63,6 +63,8 @@ from .spectrum import (SpectrumResult, _finite_detuning, _intensity,
                        _spectrum, branch_shifts, coupling_matrix)
 
 DEFAULT_T_FINAL = 60.0
+
+#: the relative tolerance of every run (the absolute one is 1e-2 of it)
 DEFAULT_TOL = 1e-8
 
 #: the most time samples a run may take, checked before any is allocated:
@@ -72,6 +74,11 @@ MAX_TIME_SAMPLES = 1_000_000
 
 #: convergence factor for the Laplace integral of trapped components
 TRAP_EPSILON = 1e-3
+
+#: a run whose final norm is above this holds a trapped component, whose
+#: transform is eps-extrapolated: 100 times the integrator's relative
+#: tolerance, so that its step error alone never reads as one
+TRAPPED_NORM = 100.0 * DEFAULT_TOL
 
 #: trapped_fraction's two window means must agree to this
 PLATEAU_TOL = 1e-6
@@ -193,15 +200,16 @@ def _sample_times(sys: D2System, t_final: float) -> np.ndarray:
     return np.linspace(0.0, t_final, _sample_count(sys, t_final))
 
 
-def _solve(systems, times, tol, max_tries, stop=None):
-    """Integrate the systems from t=0 to times[-1] as one lockstep batch,
-    sampled at the ascending times: the kernel taken and a Solution per
-    system.  The batch takes the matrix kernel, with the stack of constant
-    drift matrices, when every system's `_kernel` is "matrix", else the
-    stage kernel with `_rhs_builder`'s M(t); a row equals its run alone
-    when all rows are of one kernel.  A row ends after max_tries step attempts, the sample count of the full
-    uniform grid, so the work follows the output's size.  The presets take
-    at most 0.07 attempts per sample.  A run takes more, and ends as
+def _solve(systems, times, max_tries, stop=None):
+    """Integrate the systems from t=0 to times[-1] as one lockstep batch at
+    DEFAULT_TOL, sampled at the ascending times: the kernel taken and a
+    Solution per system.  The batch takes the matrix kernel, with the
+    stack of constant drift matrices, when every system's `_kernel` is
+    "matrix", else the stage kernel with `_rhs_builder`'s M(t); a row
+    equals its run alone when all rows are of one kernel.  A row ends
+    after max_tries step attempts, the sample count of the full uniform
+    grid, so the work follows the output's size.  The presets take at
+    most 0.07 attempts per sample.  A run takes more, and ends as
     `budget`, when its decay rates or drives, which the grid does not
     resolve, force a shorter step (measured with splittings 13 at t_final
     = 60: a D1 loop with Gamma above about 1.65e3, or with all four drives
@@ -215,8 +223,8 @@ def _solve(systems, times, tol, max_tries, stop=None):
         kernel, drift = "stages", _rhs_builder(systems)
     return kernel, solve_ivp(drift, (0.0, times[-1]),
                              np.array([s.initial_vector() for s in systems]),
-                             rtol=tol, atol=tol * 1e-2, t_eval=times,
-                             stop=stop, max_tries=max_tries)
+                             rtol=DEFAULT_TOL, atol=DEFAULT_TOL * 1e-2,
+                             t_eval=times, stop=stop, max_tries=max_tries)
 
 
 #: how an integration ended, by solver message
@@ -250,16 +258,16 @@ def _failure(sol) -> DarkstateError:
 
 
 def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
-              tol: float = DEFAULT_TOL,
               runs: list | None = None) -> AmplitudeTrajectory:
-    """Integrate the amplitude equations from t=0 to t_final.
+    """Integrate the amplitude equations from t=0 to t_final, at
+    DEFAULT_TOL.
 
     The returned trajectory is sampled on a uniform grid fine enough for
     the oscillatory quadrature downstream.  A list given as runs receives
     the run's integrator diagnostics, as trapped_fraction's does.
     """
     times = _sample_times(sys, t_final)
-    kernel, (sol,) = _solve([sys], times, tol, len(times))
+    kernel, (sol,) = _solve([sys], times, len(times))
     if runs is not None:
         runs.append(_run_record(sol, kernel))
     if not sol.success:
@@ -396,7 +404,7 @@ def _phase_sums(times, rows, x):
                np.finfo(float).eps * chirp_max) <= UNIFORM_PHASE_TOL:
             return _chirp_z(h, rows, x[..., 0], dx, m)
     sums = np.zeros((*x.shape[:-2], *rows.shape[:-1], m), dtype=complex)
-    block = max(1, DIRECT_BLOCK // m)
+    block = max(1, DIRECT_BLOCK // max(m, 1))
     for index in np.ndindex(x.shape[:-1]):
         *lead, r = index
         for k in range(0, n, block):
@@ -479,28 +487,27 @@ def _filon_linear(times, values, x):
     return (4.0 * h / 3.0) * (fine - coarse)
 
 
-def _is_trapped(traj: AmplitudeTrajectory, tol: float) -> bool:
-    """Whether a trapped component survives: a final norm above the larger
-    of 100 tol and 1e-8."""
-    return float(np.sum(np.abs(traj.amps[-1]) ** 2)) > max(100.0 * tol, 1e-8)
+def _is_trapped(traj: AmplitudeTrajectory) -> bool:
+    """Whether a trapped component survives: a final norm above
+    TRAPPED_NORM."""
+    return float(np.sum(np.abs(traj.amps[-1]) ** 2)) > TRAPPED_NORM
 
 
-def _transforms(traj: AmplitudeTrajectory, columns: slice, x, tol: float):
+def _transforms(traj: AmplitudeTrajectory, columns: slice, x):
     """Laplace transforms of the amplitude components columns of traj at s
     = -i x, one row of x per column: Filon transforms (`_filon_linear`),
     which, when a trapped component survives (`_is_trapped`), are damped
     with exp(-eps t) at two eps values and extrapolated to eps -> 0, both
     in the one call."""
     values = traj.amps.T[columns]
-    if not _is_trapped(traj, tol):
+    if not _is_trapped(traj):
         return _filon_linear(traj.times, values, x)
     f1, f2 = _filon_linear(traj.times, values, np.stack(
         [x + 1j * TRAP_EPSILON, x + 1j * TRAP_EPSILON / 2.0]))
     return 2.0 * f2 - f1
 
 
-def branch_amplitude_numeric(traj: AmplitudeTrajectory, branch: int, delta,
-                             tol: float = DEFAULT_TOL):
+def branch_amplitude_numeric(traj: AmplitudeTrajectory, branch: int, delta):
     """Laplace transform of A_branch at s = -i*delta from the time-domain
     trajectory traj, as `propagate` returns it (delta is the branch-local
     detuning).
@@ -512,7 +519,7 @@ def branch_amplitude_numeric(traj: AmplitudeTrajectory, branch: int, delta,
         raise ValueError("branch must be 1, 2 or 3")
     scalar = np.ndim(delta) == 0
     deltas = np.atleast_1d(np.asarray(delta, dtype=float))
-    (out,) = _transforms(traj, slice(branch - 1, branch), deltas[None], tol)
+    (out,) = _transforms(traj, slice(branch - 1, branch), deltas[None])
     return complex(out[0]) if scalar else out
 
 
@@ -554,7 +561,7 @@ def trapped_fraction(sys, t_final: float = 150.0,
                 if stoppable.any() else None)
         window = times[min(int(0.9 * len(times)), len(times) - 2):]
         kernel, sols = _solve([systems[k] for k in group], window,
-                              DEFAULT_TOL, len(times), stop)
+                              len(times), stop)
         for k, sol in zip(group, sols):
             integrated[k] = window, kernel, sol
     if runs is not None:
@@ -579,7 +586,6 @@ def trapped_fraction(sys, t_final: float = 150.0,
 
 def spectrum_time_domain(sys: D2System, grid,
                          t_final: float = DEFAULT_T_FINAL,
-                         tol: float = DEFAULT_TOL,
                          runs: list | None = None) -> SpectrumResult:
     """Branch-resolved spectrum from the time-domain trajectory.
 
@@ -591,11 +597,11 @@ def spectrum_time_domain(sys: D2System, grid,
     three branches are one `_transforms` call.
     """
     grid = _finite_detuning(grid)
-    traj = propagate(sys, t_final, tol, runs)
+    traj = propagate(sys, t_final, runs)
     if runs is not None:
-        runs[-1]["eps_extrapolated"] = _is_trapped(traj, tol)
+        runs[-1]["eps_extrapolated"] = _is_trapped(traj)
     f = _transforms(traj, slice(3),
-                    grid + np.array(branch_shifts(sys))[:, None], tol)
+                    grid + np.array(branch_shifts(sys))[:, None])
     rows = np.empty((3, len(grid)))
     for n in range(3):
         _intensity(sys.gamma[n], f[n], rows[n])

@@ -231,9 +231,9 @@ def validate_system(sys: D2System) -> list:
 # presets
 # ---------------------------------------------------------------------------
 
-def _d2(gamma, mags, phases, initial="B", omega=13.0):
+def _d2(gamma, mags, phases, initial="B"):
     drives = tuple(DriveField(m, p) for m, p in zip(mags, phases))
-    return D2System(gamma=gamma, omega12=omega, omega23=omega, drives=drives,
+    return D2System(gamma=gamma, omega12=13.0, omega23=13.0, drives=drives,
                     initial=initial)
 
 
@@ -242,13 +242,13 @@ def _fig2(phi2, phi3):
     return _d2((1.0, 1.0, 1.0), (2.0, 1.0, 1.0, 2.0), (0.0, phi2, phi3, 0.0))
 
 
-def _d1(mag_o1, mag_o2, mag_m, phi2, phi3, mag_m2=None):
+def _d1(mag_o1, mag_o2, mag_m, phi2, phi3):
     return d1_system(
         gamma=1.0,
         optical1=DriveField(mag_o1, phi3),
         optical2=DriveField(mag_o2, phi2),
         microwave1=DriveField(mag_m),
-        microwave2=DriveField(mag_m if mag_m2 is None else mag_m2),
+        microwave2=DriveField(mag_m),
     )
 
 

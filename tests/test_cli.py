@@ -116,16 +116,6 @@ class TestSpectrumCommand:
                    "--grid", "oops", "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
-    @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
-    def test_bad_tol_is_input_error(self, tol, tmp_path, capsys):
-        code = run("spectrum", "--preset", "two-level", "--grid=-5:5:11",
-                   "--method", "timedomain", f"--tol={tol}",
-                   "--out", str(tmp_path / "x.csv"))
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: --tol") and err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("method", ["analytic", "timedomain", "both"])
     def test_manifest_integrator_entry(self, method, tmp_path, capsys):
         out = tmp_path / "spec.csv"
@@ -156,7 +146,7 @@ class TestSpectrumCommand:
         (entry,) = manifest["integrator"]
         traj = propagate(preset(name).system)
         assert entry["eps_extrapolated"] is trapped
-        assert dynamics._is_trapped(traj, dynamics.DEFAULT_TOL) is trapped
+        assert dynamics._is_trapped(traj) is trapped
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--preset", "fig2-notrapping"],

@@ -208,11 +208,11 @@ def _pass_by_pass(times, values, x):
     return (4.0 * fine - coarse) / 3.0
 
 
-def _pass_by_pass_amplitude(traj, branch, delta, tol):
+def _pass_by_pass_amplitude(traj, branch, delta):
     """branch_amplitude_numeric from `_pass_by_pass`: 2 f(eps/2) - f(eps)
     when a trapped component survives."""
     vals = traj.amps[:, branch - 1]
-    if not dynamics._is_trapped(traj, tol):
+    if not dynamics._is_trapped(traj):
         return _pass_by_pass(traj.times, vals, delta)
     eps = dynamics.TRAP_EPSILON
     return (2.0 * _pass_by_pass(traj.times, vals, delta + 0.5j * eps)
@@ -224,7 +224,7 @@ def _transform_scale(traj):
     a trapped component survives: 2 f(eps/2) - f(eps) adds up to three
     times the error of one transform."""
     h = traj.times[1] - traj.times[0]
-    trapped = dynamics._is_trapped(traj, dynamics.DEFAULT_TOL)
+    trapped = dynamics._is_trapped(traj)
     return (3.0 if trapped else 1.0) * h * np.sum(np.abs(traj.amps[:, :3]),
                                                   axis=0)
 
@@ -432,10 +432,10 @@ class TestStackedTransform:
         for name in preset_names():
             s = preset(name).system
             traj = propagate(s)
-            trapped = dynamics._is_trapped(traj, dynamics.DEFAULT_TOL)
+            trapped = dynamics._is_trapped(traj)
             want = np.array([
                 s.gamma[n] * np.abs(_pass_by_pass_amplitude(
-                    traj, n + 1, grid + shift, dynamics.DEFAULT_TOL)) ** 2
+                    traj, n + 1, grid + shift)) ** 2
                 for n, shift in enumerate(branch_shifts(s))]) / (2 * np.pi)
             chirp_calls = _counting_chirp_z(monkeypatch)
             monkeypatch.setattr(dynamics, "propagate",
@@ -455,15 +455,13 @@ class TestStackedTransform:
         traj = propagate(s)
         grid = np.linspace(-30.0, 30.0, 301)
         x = grid + np.array(branch_shifts(s))[:, None]
-        want = np.array([_pass_by_pass_amplitude(traj, n + 1, x[n],
-                                                 dynamics.DEFAULT_TOL)
+        want = np.array([_pass_by_pass_amplitude(traj, n + 1, x[n])
                          for n in range(3)])
         chirp_calls = _counting_chirp_z(monkeypatch)
-        fast = dynamics._transforms(traj, slice(3), x, dynamics.DEFAULT_TOL)
+        fast = dynamics._transforms(traj, slice(3), x)
         assert len(chirp_calls) == 1
         monkeypatch.setattr(dynamics, "UNIFORM_PHASE_TOL", -1.0)
-        direct = dynamics._transforms(traj, slice(3), x,
-                                      dynamics.DEFAULT_TOL)
+        direct = dynamics._transforms(traj, slice(3), x)
         assert len(chirp_calls) == 1
         bound = 1e-13 * _transform_scale(traj)[:, None]
         assert np.all(np.abs(fast - want) <= bound)
@@ -476,8 +474,8 @@ class TestStackedTransform:
         scale = _transform_scale(traj)
         for branch, delta in ((1, 13.0), (2, 0.37), (3, -13.0 + 1e-9)):
             got = branch_amplitude_numeric(traj, branch, delta)
-            want = _pass_by_pass_amplitude(traj, branch, np.array([delta]),
-                                           dynamics.DEFAULT_TOL)[0]
+            want = _pass_by_pass_amplitude(traj, branch,
+                                           np.array([delta]))[0]
             assert type(got) is complex
             assert abs(got - want) <= 1e-13 * scale[branch - 1]
 
@@ -994,9 +992,6 @@ class TestDop853:
                                     rtol=rtol, atol=atol, t_eval=[0.5, 1.0],
                                     max_tries=2)
         assert not sol.success and len(sol.t) == 0
-        if atol == rtol * 1e-2:
-            with pytest.raises(StepSizeUnderflow):
-                propagate(_bare("A1"), t_final=1.0, tol=rtol)
 
 
 def _decaying_system():
@@ -1219,8 +1214,7 @@ def _both_kernels(run):
 def _solve_alone(system, t_final):
     """propagate's run of system, as a Solution even where it fails."""
     times = dynamics._sample_times(system, t_final)
-    _, (sol,) = dynamics._solve([system], times, dynamics.DEFAULT_TOL,
-                                len(times))
+    _, (sol,) = dynamics._solve([system], times, len(times))
     return sol
 
 
@@ -1279,14 +1273,13 @@ class TestMatrixKernel:
         budget = len(times)
         if grid == "window":
             times = times[int(0.9 * len(times)):]
-        tol = dynamics.DEFAULT_TOL
         kernel, batch = dynamics._solve(
-            systems, times, tol, budget,
+            systems, times, budget,
             lambda y: np.vecdot(y, y).real < floors)
         assert kernel == "matrix"
         for system, floor, row in zip(systems, floors, batch, strict=True):
             _, (alone,) = dynamics._solve(
-                [system], times, tol, budget,
+                [system], times, budget,
                 lambda y, floor=floor: np.vecdot(y, y).real < floor)
             assert _same_run(row, alone)
         ends = [(sol.message, len(sol.t)) for sol in batch]
@@ -1381,7 +1374,7 @@ class TestRunInterpolation:
         system = preset(name).system
         times = dynamics._sample_times(system, 60.0)
         sols, steps = _with_step_samples(monkeypatch, lambda: dynamics._solve(
-            [system], times, dynamics.DEFAULT_TOL, len(times))[1])
+            [system], times, len(times))[1])
         assert len(sols[0].t) == len(times)
         self._same_bits(sols, steps)
 
@@ -1408,7 +1401,7 @@ class TestRunInterpolation:
             subset = [systems[k] for k in rows]
             sols, steps = _with_step_samples(
                 monkeypatch, lambda: dynamics._solve(
-                    subset, times, dynamics.DEFAULT_TOL, budget,
+                    subset, times, budget,
                     lambda y: np.vecdot(y, y).real < floors[rows])[1])
             monkeypatch.undo()
             monkeypatch.setattr(_dop853, "BLOCK", block)
@@ -1477,13 +1470,13 @@ class TestTimeDomainSpectrum:
     def test_rows_are_the_branch_amplitudes(self, name, trapped):
         """Row n is Gamma_n |F_n|^2 / 2 pi bit for bit, F_n the amplitude
         of propagate's trajectory at the branch's shifted grid."""
-        s, tol = preset(name).system, 1e-7
+        s = preset(name).system
         grid = np.linspace(-30.0, 30.0, 601)
-        spec = spectrum_time_domain(s, grid, tol=tol)
-        traj = propagate(s, tol=tol)
-        assert dynamics._is_trapped(traj, tol) == trapped
+        spec = spectrum_time_domain(s, grid)
+        traj = propagate(s)
+        assert dynamics._is_trapped(traj) == trapped
         for n, shift in enumerate(branch_shifts(s), start=1):
-            f = branch_amplitude_numeric(traj, n, grid + shift, tol)
+            f = branch_amplitude_numeric(traj, n, grid + shift)
             want = s.gamma[n - 1] * np.abs(f) ** 2 / (2.0 * np.pi)
             assert spec.branch_intensity[n - 1].tobytes() == want.tobytes()
         assert spec.total.tobytes() == \

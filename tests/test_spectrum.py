@@ -17,9 +17,13 @@ from darkstate import (
     NotAnalyticAdmissible,
     PoleHit,
     SingularSystem,
+    SpectrumResult,
     branch_amplitude_numeric,
+    compare_spectra,
     conservation_check,
     coupling_matrix,
+    d1_fields,
+    d1_system,
     fgc_check,
     laplace_solve_oracle,
     preset,
@@ -303,6 +307,52 @@ def test_non_finite_detuning_is_rejected(call, bad):
     for grid in ([bad, 0.0, 1.0], np.array([0.0, 1.0, bad]), bad):
         with pytest.raises(NonFiniteValue, match=f"detuning {bad} "):
             call(s, grid)
+
+
+@pytest.mark.parametrize("call", [
+    steady_state_amplitudes, laplace_solve_oracle, spectrum_analytic,
+    spectrum_time_domain,
+    lambda s, grid: [branch_amplitude_numeric(propagate(s), n, grid)
+                     for n in (1, 2, 3)],
+    lambda s, grid: compare_spectra(spectrum_analytic(s, grid),
+                                    spectrum_analytic(s, grid)),
+], ids=["steady_state_amplitudes", "laplace_solve_oracle",
+        "spectrum_analytic", "spectrum_time_domain",
+        "branch_amplitude_numeric", "compare_spectra"])
+def test_empty_grid_gives_empty_results(call):
+    """An empty grid gives three empty amplitudes or branch rows on either
+    route, and two empty spectra compare as carrying no signal."""
+    got = call(preset("fig2-notrapping").system, [])
+    if isinstance(got, dict):
+        assert got == {"max_rel_err": 0.0, "rms_err": 0.0}
+    elif isinstance(got, SpectrumResult):
+        assert got.grid.shape == got.total.shape == (0,)
+        assert got.branch_intensity.shape == (3, 0)
+    else:
+        assert np.shape(got) == (3, 0)
+
+
+_WRONG_ZERO = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 8's defect 2, a wrong zero at a "
+                        "removable pole; item 12's pole-based hit test")
+
+
+@pytest.mark.parametrize("c", [1.0, 0.5, pytest.param(0.1, marks=_WRONG_ZERO),
+                               pytest.param(0.01, marks=_WRONG_ZERO)])
+def test_scaled_d1_centre(c):
+    """d1-fig3a with its rate and field magnitudes, and its grid, scaled by
+    c: c I(delta = 0) is 1/(2 pi) at every c, a removable pole where Q's
+    constant term cancels, and its neighbours read 0.1513.  At c = 0.1 and
+    0.01 that term cancels to an ulp, not 0, so no pole hit is found and
+    N/Q gives 0."""
+    s = preset("d1-fig3a").system
+    fields = [DriveField(f.magnitude * c, f.phase) for f in d1_fields(s)]
+    grid = c * np.linspace(-30.0, 30.0, 601)
+    assert grid[300] == 0.0
+    total = c * spectrum_analytic(d1_system(c * s.gamma[1], *fields),
+                                  grid).total
+    assert total[300] == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)
+    assert total[[299, 301]] == pytest.approx(0.151284229754678, rel=1e-12)
 
 
 class TestZeroDimensionalDetuning:
