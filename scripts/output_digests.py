@@ -30,6 +30,10 @@ The CLI runs in-process (`darkstate.cli.main`) in a temporary directory:
 - `spectrum` on two chain files whose spectrum is zero: undriven (the
   "no emission" warning) and driven on the inner fields only (the
   "identically zero" note);
+- the time-domain spectrum on the two runs that fail (exit 3): a D1 file
+  with Gamma = 2e3 and four unit fields, which spends its step budget
+  (NotConverged), and `fig2-notrapping` driven at |Omega1| = 1e200,
+  whose step size underflows before any sample (StepSizeUnderflow);
 - `make_figures.py` and `reproduction_report.py`, run in-process.
 
 Each command's exit code, stdout and stderr count as outputs, as do its
@@ -137,6 +141,9 @@ STAGE_KERNEL = {"detuned": {"detunings": (0.3, 0.1, 0.1, 0.1)},
 #: magnitudes
 ZERO_SPECTRUM = {"undriven": (0.0, 0.0, 0.0, 0.0),
                  "inner fields": (0.0, 1.0, 1.0, 0.0)}
+#: a D1 file whose decay the sample grid does not resolve: its time-domain
+#: run spends its step budget (NotConverged)
+D1_BUDGET = {"system": "d1", "gamma": [2e3], "fields": [{"mag": 1.0}] * 4}
 
 
 def _random_system(seed=7):
@@ -274,6 +281,18 @@ def digests() -> dict:
                 _run(f"spectrum {label}", ["spectrum", "--config", "s.json",
                                            "--out", "s.csv"], found)
                 os.remove("s.json")
+            # the two failing ends of a time-domain run: the step budget,
+            # and a step size below the spacing of t before any sample
+            with open("budget.json", "w", encoding="utf-8") as fh:
+                json.dump(D1_BUDGET, fh)
+            save_scenario(base.with_drives((DriveField(1e200),
+                                            *base.drives[1:])), "huge.json")
+            for label, path in (("d1 budget", "budget.json"),
+                                ("fig2-notrapping Omega1 1e200", "huge.json")):
+                _run(f"spectrum {label} timedomain",
+                     ["spectrum", "--config", path, "--method", "timedomain",
+                      "--grid=-5:5:11", "--out", "s.csv"], found)
+                os.remove(path)
             _run("make_figures", ["--outdir", "figures"], found,
                  make_figures.main)
             _run("reproduction_report", ["--out", "report.json"], found,

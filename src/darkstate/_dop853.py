@@ -13,8 +13,8 @@ t_eval=...)`: the same initial step, step control and error norm, and the
 interpolant built only for steps that hold a sample.  Each such step's
 interpolant is recorded, and a row's samples are evaluated from them a
 block at a time, with the arithmetic of a step-by-step evaluation
-(`_Dense`).  It integrates a
-complex state forward from t=0 with scalar tolerances, optionally until a
+(`_Dense`).  It integrates a complex state forward from t=0 to the last
+sample time at the tolerances DEFAULT_TOL and ATOL, optionally until a
 predicate of the state holds and within a budget of step attempts, and
 nothing else.  A step attempt takes one of two kernels:
 
@@ -266,21 +266,21 @@ MAX_FACTOR = 10    # largest increase of the step size
 #: -1 / (error estimator order + 1)
 ERROR_EXPONENT = -1 / 8
 
-TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-REACHED_END = ("The solver successfully reached the end of the integration "
-               "interval.")
-STOPPED = "A termination event occurred."
-OUT_OF_STEPS = "The step attempts reached max_tries."
+#: the relative and the absolute tolerance of every run
+DEFAULT_TOL = 1e-8
+ATOL = 1e-10
+
+#: how a run ends (see `solve_ivp`); the last two are failures
+ENDS = ("t_final", "decay_floor", "failed", "budget")
 
 
 @dataclass
 class Solution:
-    """Samples y[:, k] at t[k] for the sample times reached."""
+    """Samples y[k] at t[k] for the sample times reached; end is in ENDS."""
 
     t: np.ndarray
-    y: np.ndarray  # shape (state size, len(t))
-    success: bool
-    message: str
+    y: np.ndarray  # shape (len(t), state size)
+    end: str
     nfev: int
     accepted: int  # accepted steps
     rejected: int  # rejected step attempts
@@ -305,10 +305,10 @@ def _squared_norms(x):
     return np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
 
 
-def _initial_step(fun, y0, f0, t_bound, rtol, atol):
+def _initial_step(fun, y0, f0, t_bound):
     """Hairer's starting step size (Solving ODEs I, Sec. II.4) from t=0,
     per row."""
-    scale = atol + np.abs(y0) * rtol
+    scale = ATOL + np.abs(y0) * DEFAULT_TOL
     d0 = [_rms(row) for row in y0 / scale]
     d1 = [_rms(row) for row in f0 / scale]
     h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b,
@@ -549,24 +549,24 @@ class _Dense:
         self.steps = []
 
     def samples(self):
-        """The samples reached, shape (n, samples): the transpose of the
-        evaluated part of the array."""
+        """The samples reached, shape (samples, n)."""
         self.flush()
-        return self.out[:self.done].T
+        return self.out[:self.done]
 
 
-def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
+def _integrate(fun, y0, t_eval, stop, max_tries):
     """Step the rows of y0, shape (B, n), in lockstep (see the module
-    docstring) and return a Solution per row; fun is a callable or a drift
-    matrix stack, as `solve_ivp` takes it.  The per-row state is kept in
-    Python lists of Python floats and bools; a row that is done (failed,
-    stopped, out of step attempts or at t_bound) takes zero steps from
-    then on."""
+    docstring) from t=0 to t_bound = t_eval[-1] and return a Solution per
+    row; fun is a callable or a drift matrix stack, as `solve_ivp` takes
+    it.  The per-row state is kept in Python lists of Python floats and
+    bools; a row that is done (at any of ENDS) takes zero steps from then
+    on."""
     rows, n = y0.shape
     y = y0
+    t_bound = float(t_eval[-1])
     rhs = fun if callable(fun) else (lambda t, y: np.matvec(fun, y))
     f = np.asarray(rhs(np.zeros(rows), y), dtype=complex)
-    h_abs = _initial_step(rhs, y, f, t_bound, rtol, atol).tolist()
+    h_abs = _initial_step(rhs, y, f, t_bound).tolist()
     kernel = _Stages(fun, f) if callable(fun) else _Powers(fun)
     # the sample times, read as Python floats without a list of them
     grid = memoryview(t_eval)
@@ -577,13 +577,13 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
     accepted = [0] * rows
     interpolants = [0] * rows
     dense = [_Dense(t_eval, n) for _ in range(rows)]
-    messages = [REACHED_END] * rows
+    ends = ["t_final"] * rows
     while live:
         t_new = list(t)
         h = [0.0] * rows
         for b in list(live):
             if tries[b] == max_tries:
-                messages[b] = OUT_OF_STEPS
+                ends[b] = "budget"
                 live.remove(b)
                 continue
             min_step = 10 * abs(math.nextafter(t[b], math.inf) - t[b])
@@ -592,7 +592,7 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
             # SciPy tests h_abs < min_step, which a NaN step size (from a
             # zero or non-finite tolerance) never fails: it steps forever
             if not h_abs[b] >= min_step:
-                messages[b] = TOO_SMALL_STEP
+                ends[b] = "failed"
                 live.remove(b)
                 continue
             t_new[b] = min(t[b] + h_abs[b], t_bound)
@@ -602,7 +602,7 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
             break
         y_new, err = kernel.attempt(y, t, np.array(h))
 
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * DEFAULT_TOL
         err5, err3 = np.sqrt(_squared_norms(err / scale)).tolist()
         accept = []
         for b in live:
@@ -642,14 +642,13 @@ def _integrate(fun, y0, t_bound, rtol, atol, t_eval, stop, max_tries):
         for b in accept:
             t[b] = t_new[b]
             if stopped is not None and stopped[b]:
-                messages[b] = STOPPED
+                ends[b] = "decay_floor"
                 live.remove(b)
             elif not t[b] < t_bound:
                 live.remove(b)
 
     return [Solution(t=t_eval[:dense[b].reached], y=dense[b].samples(),
-                     success=messages[b] in (REACHED_END, STOPPED),
-                     message=messages[b],
+                     end=ends[b],
                      nfev=(2 + N_STAGES * tries[b]
                            + len(_EXTRA_STAGES) * interpolants[b]),
                      accepted=accepted[b],
@@ -670,9 +669,9 @@ def _dense_terms(y_old, y, f_old, f, hcol, flat):
     return F
 
 
-def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, max_tries, stop=None):
-    """Integrate y' = fun(t, y) from t_span[0] = 0 to t_span[1] and return
-    the state at the ascending times t_eval, which lie within t_span.
+def solve_ivp(fun, y0, t_eval, max_tries, stop=None):
+    """Integrate y' = fun(t, y) from t=0 to t_eval[-1] and return the state
+    at the ascending times t_eval.
 
     y0 of shape (B, n) is a batch of B systems stepped in lockstep (one
     system is the batch of one): fun(t, y) takes t of shape (B,) and y of
@@ -687,27 +686,18 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, max_tries, stop=None):
     one polynomial in hM (see the module docstring), and nfev counts the
     evaluations of M y that the stage kernel would make.
 
-    With a predicate stop, the integration of a row ends successfully
-    after the first accepted step whose end state y satisfies stop(y); its
-    solution then holds the samples up to that step's end.  The steps
-    before it are those of a run without stop.
-
-    A row that has made max_tries step attempts and would make another
-    ends with message OUT_OF_STEPS (SciPy has no such bound).
-
-    On failure (a step size below 10 ulp of t, or NaN, or max_tries spent)
-    the solution holds the samples reached so far and success is False.
+    A row ends as one of ENDS: "t_final" at t_eval[-1]; "decay_floor"
+    after the first accepted step whose end state y satisfies stop(y) (the
+    steps before it are those of a run without stop); "failed" with a step
+    size below 10 ulp of t, or NaN; "budget" when it has made max_tries
+    step attempts and would make another (SciPy has no such bound).  Its
+    solution holds the samples reached.
     """
-    t, t_bound = map(float, t_span)
-    if t != 0.0 or not t_bound > 0.0:
-        raise ValueError("integration runs forward from t=0")
     t_eval = np.asarray(t_eval)
-    if (t_eval.ndim != 1 or np.any(t_eval < 0.0) or np.any(t_eval > t_bound)
-            or np.any(np.diff(t_eval) <= 0)):
-        raise ValueError("t_eval must be ascending times within t_span")
-    if not atol >= 0:
-        raise ValueError("atol must be non-negative")
-    rtol = max(rtol, 100 * np.finfo(float).eps)
+    if not (t_eval.ndim == 1 and t_eval.size and t_eval[0] >= 0.0
+            and t_eval[-1] > 0.0 and np.all(np.diff(t_eval) > 0)):
+        raise ValueError("t_eval must be ascending times from 0, the last "
+                         "one positive")
     y0 = np.asarray(y0, dtype=complex)
     if y0.ndim != 2:
         raise ValueError("y0 must have shape (B, n): one row per system")
@@ -716,7 +706,6 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, max_tries, stop=None):
         if fun.shape != (*y0.shape, y0.shape[1]):
             raise ValueError("a drift matrix stack must have shape (B, n, n)")
     # overflow and NaN end in a NaN error norm, which the step control
-    # reports as TOO_SMALL_STEP
+    # reports as "failed"
     with np.errstate(all="ignore"):
-        return Solutions(_integrate(fun, y0, t_bound, rtol, atol, t_eval,
-                                    stop, max_tries))
+        return Solutions(_integrate(fun, y0, t_eval, stop, max_tries))

@@ -51,7 +51,8 @@ from .spectrum import (
     spectrum_analytic,
     steady_state_amplitudes,
 )
-from .trapping import d1_trapping_check, fgc_check, fgc_solve
+from .trapping import (DEFAULT_TOL as TRAPPING_TOL, d1_trapping_check,
+                       fgc_check, fgc_solve)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -411,7 +412,7 @@ def cmd_trapping(args) -> int:
         if isinstance(system, D1System):
             raise _Unsolvable("--solve supports only the chain (d2) system")
         g1, _, g3 = system.gamma
-        if abs(g1 - g3) > 1e-9:
+        if abs(g1 - g3) > TRAPPING_TOL:
             raise _Unsolvable(f"cannot solve: Gamma1={g1} != Gamma3={g3}")
         d1_, d2_, d3_, _ = system.drives
         try:

@@ -54,18 +54,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import fft, ifft
 
-from ._dop853 import (OUT_OF_STEPS, REACHED_END, STOPPED, TOO_SMALL_STEP,
-                      solve_ivp)
-from .errors import (DarkstateError, NotConverged, StepSizeUnderflow,
-                     TooManySamples)
+from ._dop853 import DEFAULT_TOL, solve_ivp
+from .errors import NotConverged, StepSizeUnderflow, TooManySamples
 from .model import D2System
 from .spectrum import (SpectrumResult, _finite_detuning, _intensity,
                        _spectrum, branch_shifts, coupling_matrix)
 
 DEFAULT_T_FINAL = 60.0
-
-#: the relative tolerance of every run (the absolute one is 1e-2 of it)
-DEFAULT_TOL = 1e-8
 
 #: the most time samples a run may take, checked before any is allocated:
 #: 50 times the largest preset's (about 2e4, splittings of 13 to t = 150),
@@ -221,40 +216,37 @@ def _solve(systems, times, max_tries, stop=None):
                                             for s in systems])
     else:
         kernel, drift = "stages", _rhs_builder(systems)
-    return kernel, solve_ivp(drift, (0.0, times[-1]),
+    return kernel, solve_ivp(drift,
                              np.array([s.initial_vector() for s in systems]),
-                             rtol=DEFAULT_TOL, atol=DEFAULT_TOL * 1e-2,
-                             t_eval=times, stop=stop, max_tries=max_tries)
-
-
-#: how an integration ended, by solver message
-RUN_ENDS = {REACHED_END: "t_final", STOPPED: "decay_floor",
-            TOO_SMALL_STEP: "failed", OUT_OF_STEPS: "budget"}
+                             t_eval=times, max_tries=max_tries, stop=stop)
 
 
 def _run_record(sol, kernel: str) -> dict:
     """The integrator diagnostics of the run sol: nfev, accepted and
-    rejected steps, how it ended (`RUN_ENDS`) and the kernel it took."""
+    rejected steps, how it ended (one of `_dop853.ENDS`) and the kernel it
+    took."""
     return {"nfev": sol.nfev, "accepted": sol.accepted,
-            "rejected": sol.rejected, "end": RUN_ENDS[sol.message],
-            "kernel": kernel}
+            "rejected": sol.rejected, "end": sol.end, "kernel": kernel}
 
 
-def _failure(sol) -> DarkstateError:
-    """StepSizeUnderflow for a failed run, NotConverged for one that spent
-    its step budget."""
+def _raise_failure(sol):
+    """Raise StepSizeUnderflow for a run that ended "failed", NotConverged
+    for one that spent its step budget ("budget")."""
+    if sol.end not in ("failed", "budget"):
+        return
     # sol.t holds only the samples reached, possibly none
     if len(sol.t):
         t_reached = float(sol.t[-1])
         reached = f"last sample reached: t={t_reached}"
     else:
         t_reached, reached = None, "no sample reached"
-    if sol.message == OUT_OF_STEPS:
-        return NotConverged(f"integrator spent its budget of "
-                            f"{sol.accepted + sol.rejected} step attempts, "
-                            f"one per time sample; {reached}")
-    return StepSizeUnderflow(f"integrator failed; {reached}: {sol.message}",
-                             t_reached=t_reached)
+    if sol.end == "budget":
+        raise NotConverged(f"integrator spent its budget of "
+                           f"{sol.accepted + sol.rejected} step attempts, "
+                           f"one per time sample; {reached}")
+    raise StepSizeUnderflow(f"integrator failed; {reached}: Required step "
+                            "size is less than spacing between numbers.",
+                            t_reached=t_reached)
 
 
 def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
@@ -270,9 +262,8 @@ def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
     kernel, (sol,) = _solve([sys], times, len(times))
     if runs is not None:
         runs.append(_run_record(sol, kernel))
-    if not sol.success:
-        raise _failure(sol)
-    return AmplitudeTrajectory(times=times, amps=np.ascontiguousarray(sol.y.T))
+    _raise_failure(sol)
+    return AmplitudeTrajectory(times=times, amps=sol.y)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +523,7 @@ def trapped_fraction(sys, t_final: float = 150.0,
     values, each the value of its system alone.  Errors are raised for the
     first failing system in order.  A list given as runs receives, per
     system, its integrator diagnostics: nfev, accepted and rejected steps,
-    how the run ended (`RUN_ENDS`) and the kernel it took.
+    how the run ended (one of `_dop853.ENDS`) and the kernel it took.
 
     The population is sampled only on the last 10% of propagate's uniform
     grid of n samples, from sample min(int(0.9 n), n - 2) on, so that it
@@ -568,12 +559,9 @@ def trapped_fraction(sys, t_final: float = 150.0,
         runs += [_run_record(sol, kernel) for _, kernel, sol in integrated]
     values = []
     for window, _, sol in integrated:
-        if not sol.success:
-            raise _failure(sol)
-        amps = np.ascontiguousarray(sol.y.T)
+        _raise_failure(sol)
         tail = np.zeros(len(window))
-        tail[:len(amps)] = AmplitudeTrajectory(window[:len(amps)],
-                                               amps).norm()
+        tail[:len(sol.y)] = np.sum(np.abs(sol.y) ** 2, axis=1)
         half = len(tail) // 2
         m1 = float(np.mean(tail[:half]))
         m2 = float(np.mean(tail[half:]))
@@ -594,9 +582,11 @@ def spectrum_time_domain(sys: D2System, grid,
     list given as runs receives propagate's integrator diagnostics, with
     `eps_extrapolated`: whether a trapped component survives, so that each
     branch is the eps -> 0 extrapolation of two damped transforms.  The
-    three branches are one `_transforms` call.
+    three branches are one `_transforms` call.  An empty grid takes no run.
     """
     grid = _finite_detuning(grid)
+    if not len(grid):
+        return _spectrum(grid, np.empty((3, 0)), [[], [], []], "timedomain")
     traj = propagate(sys, t_final, runs)
     if runs is not None:
         runs[-1]["eps_extrapolated"] = _is_trapped(traj)

@@ -17,7 +17,7 @@ from darkstate import (load_scenario, preset, preset_names,
                        spectrum_analytic, spectrum_time_domain,
                        trapped_fraction)
 import darkstate
-from darkstate import cli, dynamics
+from darkstate import _dop853, cli, dynamics
 from darkstate.analysis import default_grid
 from darkstate.cli import main
 from darkstate.model import DriveField, write_json
@@ -285,6 +285,22 @@ class TestTrappingCommand:
         assert capsys.readouterr() == (
             "", "error: cannot solve: Gamma1=1.0 != Gamma3=2.0\n")
 
+    @pytest.mark.parametrize("excess,code", [(5e-10, 0), (2e-9, 4)])
+    def test_solve_rate_balance_tolerance(self, excess, code, tmp_path):
+        # Gamma1 = Gamma3 to trapping.DEFAULT_TOL, as fgc_check tests it
+        from darkstate import D2System, DriveField, fgc_check
+        s = D2System(gamma=(1, 1, 1 + excess), omega12=13, omega23=13,
+                     drives=(DriveField(2), DriveField(1, math.pi),
+                             DriveField(1), DriveField(0.3)))
+        cfg, out = tmp_path / "near.json", tmp_path / "solved.json"
+        save_scenario(s, cfg)
+        assert run("trapping", "--config", str(cfg), "--solve", "--out",
+                   str(out)) == code
+        if code == 0:
+            assert fgc_check(load_scenario(out)).satisfied
+        else:
+            assert not out.exists()
+
     def test_solve_rejects_d1_system(self, tmp_path, capsys):
         code = run("trapping", "--preset", "d1-trapping", "--solve",
                    "--out", str(tmp_path / "solved.json"))
@@ -372,8 +388,8 @@ class TestSweepCommand:
                  for k, d in enumerate(system.drives)]),
                 require_plateau=False, runs=alone)
             assert record == {"value": value, **alone[0]}
-        assert {r["end"] for r in a["integrator"]} <= {"t_final",
-                                                       "decay_floor"}
+        # the two ends of a run that succeeds
+        assert {r["end"] for r in a["integrator"]} <= set(_dop853.ENDS[:2])
 
     def test_analytic_sweep_manifest_has_no_integrator(self, tmp_path):
         out = tmp_path / "s.csv"

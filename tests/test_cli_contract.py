@@ -203,3 +203,25 @@ def test_output_contract(case, tmp_path):
         text = path.read_text(encoding="utf-8")
         finite = _finite_csv if path.suffix == ".csv" else _finite_json
         assert finite(text), f"{path.name} holds a non-finite value"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8's defect 2, a wrong "
+                   "zero at a removable pole; item 12's pole-based hit test")
+def test_scaled_d1_centre_through_the_cli(tmp_path):
+    """d1-fig3a with its rate and field magnitudes scaled by c = 0.1, and
+    the grid with them: the contract holds, but the delta = 0 row reads
+    0.0, where c I(0) is 1/(2 pi) (its neighbours read 0.1513)."""
+    c = 0.1
+    data = scenario_to_dict(preset("d1-fig3a").system)
+    data["gamma"] = [c * g for g in data["gamma"]]
+    data["fields"] = [{**f, "mag": c * f["mag"]} for f in data["fields"]]
+    config, out = tmp_path / "scenario.json", tmp_path / "out.csv"
+    config.write_text(json.dumps(data))
+    code, _, err = _run(["spectrum", "--config", str(config),
+                         "--grid=-3:3:601", "--out", str(out)])
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if not line.startswith("#")][1:]
+    delta, total = float(rows[300][0]), float(rows[300][-1])
+    assert delta == 0.0
+    assert c * total == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)

@@ -632,7 +632,7 @@ class TestTrappedFractionEarlyExit:
             if force_full:
                 kwargs["stop"] = None
             sols = integrate(*args, **kwargs)
-            calls.extend((stop, sol.nfev, sol.message) for sol in sols)
+            calls.extend((stop, sol.nfev, sol.end) for sol in sols)
             return sols
 
         monkeypatch.setattr(dynamics, "solve_ivp", spy)
@@ -656,8 +656,8 @@ class TestTrappedFractionEarlyExit:
             full_calls += calls
             assert abs(early - full) <= floor
         assert all(stop is not None for stop, _, _ in early_calls)
-        stopped = [k for k, (_, _, message) in enumerate(early_calls)
-                   if message == _dop853.STOPPED]
+        stopped = [k for k, (_, _, end) in enumerate(early_calls)
+                   if end == "decay_floor"]
         # every phase2 value decays; the early exit fires on it
         assert set(range(20, 41)) <= set(stopped)
         for k in stopped:
@@ -678,8 +678,8 @@ class TestTrappedFractionEarlyExit:
         assert not dynamics._norm_never_grows(s)
         calls = self._spy(monkeypatch, force_full=False)
         trapped_fraction(s, t_final=20.0, require_plateau=False)
-        ((stop, _, message),) = calls
-        assert stop is None and message == _dop853.REACHED_END
+        ((stop, _, end),) = calls
+        assert stop is None and end == "t_final"
 
     @pytest.mark.parametrize("gamma,p,never_grows", [
         ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), True),
@@ -711,10 +711,10 @@ class TestTrappedFractionEarlyExit:
 def _dense_reference(sys, t_final):
     """Samples computed from scipy's dense output on the whole uniform
     grid: the route that sampling through t_eval replaces."""
-    tol = dynamics.DEFAULT_TOL
     sol = solve_ivp(_scipy_rhs(sys), (0.0, t_final),
-                    sys.initial_vector(), method="DOP853", rtol=tol,
-                    atol=tol * 1e-2, dense_output=True)
+                    sys.initial_vector(), method="DOP853",
+                    rtol=_dop853.DEFAULT_TOL, atol=_dop853.ATOL,
+                    dense_output=True)
     fast = max(abs(sys.omega12), abs(sys.omega23),
                *(abs(d) for d in sys.detunings), 1.0)
     n = int(math.ceil(t_final / min(0.01, 0.1 / fast)))
@@ -749,16 +749,15 @@ class TestSampling:
         MATRIX_KERNEL_TOL."""
         s = _reference_systems()[k]
         times, amps = _dense_reference(s, 150.0)
-        tol = dynamics.DEFAULT_TOL
         (stages,) = dynamics.solve_ivp(
-            dynamics._rhs_builder([s]), (0.0, 150.0), s.initial_vector()[None],
-            rtol=tol, atol=tol * 1e-2, t_eval=times, max_tries=len(times))
-        assert np.max(np.abs(stages.y.T - amps)) <= 1e-14
+            dynamics._rhs_builder([s]), s.initial_vector()[None],
+            t_eval=times, max_tries=len(times))
+        assert np.max(np.abs(stages.y - amps)) <= 1e-14
         traj = propagate(s, t_final=150.0)
         assert np.array_equal(traj.times, times)
-        assert np.max(np.abs(traj.amps - stages.y.T)) <= MATRIX_KERNEL_TOL
+        assert np.max(np.abs(traj.amps - stages.y)) <= MATRIX_KERNEL_TOL
         assert abs(trapped_fraction(s, require_plateau=False)
-                   - _plateau(stages.y.T)) <= MATRIX_KERNEL_TOL
+                   - _plateau(stages.y)) <= MATRIX_KERNEL_TOL
 
     def test_trapped_fraction_samples_only_the_window(self, monkeypatch):
         calls = []
@@ -781,13 +780,11 @@ class TestSampling:
     @pytest.mark.parametrize("reached", [[], [0.0, 0.01]])
     def test_integrator_failure(self, reached, monkeypatch, tmp_path,
                                 capsys):
-        failed = SimpleNamespace(success=False, t=reached, nfev=0,
-                                 accepted=0, rejected=0,
-                                 message="Required step size is less than "
-                                         "spacing between numbers.")
+        failed = SimpleNamespace(end="failed", t=reached, nfev=0,
+                                 accepted=0, rejected=0)
         # one failed solution per row of the batch
         monkeypatch.setattr(dynamics, "solve_ivp",
-                            lambda fun, span, y0, **k: [failed] * len(y0))
+                            lambda fun, y0, **k: [failed] * len(y0))
         with pytest.raises(StepSizeUnderflow) as info:
             trapped_fraction(_bare("A1"), t_final=20.0)
         assert info.value.t_reached == (reached[-1] if reached else None)
@@ -912,10 +909,23 @@ def _integrator_cases():
 _INTEGRATOR_CASES = dict(_integrator_cases())
 
 
+#: SciPy's solve_ivp status by the end of the same run
+SCIPY_STATUS = {"t_final": 0, "decay_floor": 1, "failed": -1}
+
+
+def _scipy_run(fun, y0, times):
+    """SciPy's DOP853 run of y' = fun(t, y) from t=0, sampled at times, at
+    the tolerances of `_dop853`."""
+    return solve_ivp(fun, (0.0, times[-1]), y0, method="DOP853",
+                     rtol=_dop853.DEFAULT_TOL, atol=_dop853.ATOL,
+                     t_eval=times)
+
+
 def _same_solution(ours, ref):
-    return (np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
-            and ours.nfev == ref.nfev and ours.success == ref.success
-            and ours.message == ref.message)
+    """Whether our Solution has the samples, evaluation count and end of
+    SciPy's solution ref, whose samples are y[:, k]."""
+    return (np.array_equal(ours.t, ref.t) and np.array_equal(ours.y.T, ref.y)
+            and ours.nfev == ref.nfev and SCIPY_STATUS[ours.end] == ref.status)
 
 
 class TestDop853:
@@ -929,69 +939,64 @@ class TestDop853:
     @pytest.mark.parametrize("name", list(_INTEGRATOR_CASES))
     def test_samples_match_scipy(self, name):
         system = _INTEGRATOR_CASES[name]
-        tol = dynamics.DEFAULT_TOL
         full = dynamics._sample_times(system, 60.0)
         late = dynamics._sample_times(system, 150.0)
         for times in (full, late[int(0.9 * len(late)):]):
-            kwargs = dict(rtol=tol, atol=tol * 1e-2, t_eval=times)
             (ours,) = dynamics.solve_ivp(dynamics._rhs_builder([system]),
-                                         (0.0, times[-1]),
                                          system.initial_vector()[None],
-                                         max_tries=len(full), **kwargs)
-            ref = solve_ivp(_scipy_rhs(system), (0.0, times[-1]),
-                            system.initial_vector(), method="DOP853",
-                            **kwargs)
-            assert ours.y.shape == (4, len(times))
-            assert ours.success and _same_solution(ours, ref)
+                                         t_eval=times, max_tries=len(full))
+            ref = _scipy_run(_scipy_rhs(system), system.initial_vector(),
+                             times)
+            assert ours.y.shape == (len(times), 4)
+            assert ours.end == "t_final" and _same_solution(ours, ref)
 
     def test_blow_up_fails_like_scipy(self):
         # y' = y**2, y(0) = 1 blows up at t = 1
         times = np.linspace(0.0, 2.0, 201)
-        kwargs = dict(rtol=1e-8, atol=1e-10, t_eval=times)
         # a budget that does not bind: the run ends as SciPy's does
-        (ours,) = dynamics.solve_ivp(lambda t, y: y ** 2, (0.0, 2.0),
-                                     np.array([[1.0 + 0j]]),
-                                     max_tries=10**6, **kwargs)
-        ref = solve_ivp(lambda t, y: y ** 2, (0.0, 2.0),
-                        np.array([1.0 + 0j]), method="DOP853", **kwargs)
-        assert not ours.success and not ref.success
+        (ours,) = dynamics.solve_ivp(lambda t, y: y ** 2,
+                                     np.array([[1.0 + 0j]]), t_eval=times,
+                                     max_tries=10**6)
+        ref = _scipy_run(lambda t, y: y ** 2, np.array([1.0 + 0j]), times)
+        assert ours.end == "failed" and not ref.success
         assert 0 < len(ours.t) < len(times)
-        assert ours.t[-1] == ref.t[-1] and ours.y[0, -1] == ref.y[0, -1]
+        assert ours.t[-1] == ref.t[-1] and ours.y[-1, 0] == ref.y[0, -1]
         assert _same_solution(ours, ref)
 
-    @pytest.mark.parametrize("atol", [-1e-10, math.nan])
-    def test_bad_atol_rejected(self, atol):
-        with pytest.raises(ValueError):
-            dynamics.solve_ivp(lambda t, y: -y, (0.0, 1.0),
-                               np.ones((1, 1), dtype=complex), rtol=1e-8,
-                               atol=atol, t_eval=[1.0], max_tries=1)
+    @pytest.mark.parametrize("t_eval", [[], [0.0], [0.5, 0.4], [-1.0, 1.0],
+                                        [0.5, math.nan, 1.0], [[1.0]]])
+    def test_bad_t_eval_rejected(self, t_eval):
+        # the run goes from t=0 to t_eval[-1] > 0 through ascending times
+        with pytest.raises(ValueError, match="t_eval"):
+            dynamics.solve_ivp(lambda t, y: -y, np.ones((1, 1), dtype=complex),
+                               t_eval=t_eval, max_tries=1)
 
     def test_one_dimensional_y0_rejected(self):
         # one system is the batch of one, y0 of shape (1, n)
         with pytest.raises(ValueError, match="shape"):
-            dynamics.solve_ivp(lambda t, y: -y, (0.0, 1.0),
-                               np.ones(2, dtype=complex), rtol=1e-8,
-                               atol=1e-10, t_eval=[1.0], max_tries=1)
+            dynamics.solve_ivp(lambda t, y: -y, np.ones(2, dtype=complex),
+                               t_eval=[1.0], max_tries=1)
 
     def test_drift_stack_of_another_shape_rejected(self):
         for shape in [(2, 2, 2), (1, 2, 3), (1, 2)]:
             with pytest.raises(ValueError, match=r"\(B, n, n\)"):
-                dynamics.solve_ivp(-np.ones(shape), (0.0, 1.0),
-                                   np.ones((1, 2), dtype=complex), rtol=1e-8,
-                                   atol=1e-10, t_eval=[1.0], max_tries=1)
+                dynamics.solve_ivp(-np.ones(shape),
+                                   np.ones((1, 2), dtype=complex),
+                                   t_eval=[1.0], max_tries=1)
 
     @pytest.mark.parametrize("rtol,atol", [(0.0, 0.0), (math.nan, 1e-10),
                                            (math.inf, 1e-10)])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_step_size_fails(self, rtol, atol):
+    def test_nan_step_size_fails(self, rtol, atol, monkeypatch):
         # a zero component with zero atol, or a NaN or infinite rtol, makes
         # the initial step size NaN: the integration fails, it does not
         # step forever
-        (sol,) = dynamics.solve_ivp(lambda t, y: -y, (0.0, 1.0),
+        monkeypatch.setattr(_dop853, "DEFAULT_TOL", rtol)
+        monkeypatch.setattr(_dop853, "ATOL", atol)
+        (sol,) = dynamics.solve_ivp(lambda t, y: -y,
                                     np.array([[1.0, 0.0]], dtype=complex),
-                                    rtol=rtol, atol=atol, t_eval=[0.5, 1.0],
-                                    max_tries=2)
-        assert not sol.success and len(sol.t) == 0
+                                    t_eval=[0.5, 1.0], max_tries=2)
+        assert sol.end == "failed" and len(sol.t) == 0
 
 
 def _decaying_system():
@@ -1015,10 +1020,8 @@ def _recorded_run(system, times, stop):
         steps.append((calls["nfev"], calls["t"], y[0].copy()))
         return [stop(y[0])]
 
-    tol = dynamics.DEFAULT_TOL
-    (sol,) = dynamics.solve_ivp(fun, (0.0, times[-1]),
-                                system.initial_vector()[None], rtol=tol,
-                                atol=tol * 1e-2, t_eval=times,
+    (sol,) = dynamics.solve_ivp(fun, system.initial_vector()[None],
+                                t_eval=times,
                                 max_tries=dynamics._sample_count(
                                     system, times[-1]),
                                 stop=record)
@@ -1033,16 +1036,12 @@ class TestStop:
                                       "detuned1"])
     def test_none_matches_scipy(self, name):
         system = _INTEGRATOR_CASES[name]
-        tol = dynamics.DEFAULT_TOL
         times = dynamics._sample_times(system, 60.0)
-        kwargs = dict(rtol=tol, atol=tol * 1e-2, t_eval=times)
         (ours,) = dynamics.solve_ivp(dynamics._rhs_builder([system]),
-                                     (0.0, times[-1]),
                                      system.initial_vector()[None],
-                                     max_tries=len(times), stop=None,
-                                     **kwargs)
-        ref = solve_ivp(_scipy_rhs(system), (0.0, times[-1]),
-                        system.initial_vector(), method="DOP853", **kwargs)
+                                     t_eval=times, max_tries=len(times),
+                                     stop=None)
+        ref = _scipy_run(_scipy_rhs(system), system.initial_vector(), times)
         assert _same_solution(ours, ref)
 
     @pytest.mark.parametrize("floor", [1e-9, 1e-3, math.inf])
@@ -1059,14 +1058,14 @@ class TestStop:
             system, times, lambda y: np.vdot(y, y).real < floor)
         nfev, t_stop, _ = steps[first]
         assert len(stopped_steps) == first + 1
-        assert stopped.success and stopped.message == _dop853.STOPPED
+        assert stopped.end == "decay_floor"
         assert stopped.nfev == nfev
         n = len(stopped.t)
         assert n == np.searchsorted(times, t_stop, side="right")
         assert np.array_equal(stopped.t, full.t[:n])
-        assert np.array_equal(stopped.y, full.y[:, :n])
+        assert np.array_equal(stopped.y, full.y[:n])
         if grid == "window" and floor == 1e-9:
-            assert n == 0 and stopped.y.shape == (4, 0)
+            assert n == 0 and stopped.y.shape == (0, 4)
         if grid == "full" and floor == 1e-3:
             assert 0 < n < len(times)
 
@@ -1074,14 +1073,11 @@ class TestStop:
         for system in (_decaying_system(), _INTEGRATOR_CASES["detuned0"]):
             times = dynamics._sample_times(system, 60.0)
             never, steps = _recorded_run(system, times, lambda y: False)
-            tol = dynamics.DEFAULT_TOL
             (ref,) = dynamics.solve_ivp(dynamics._rhs_builder([system]),
-                                        (0.0, times[-1]),
                                         system.initial_vector()[None],
-                                        rtol=tol, atol=tol * 1e-2,
                                         t_eval=times, max_tries=len(times))
-            assert len(steps) > 0 and _same_solution(never, ref)
-            assert never.message == _dop853.REACHED_END
+            assert len(steps) > 0 and _same_run(never, ref)
+            assert never.end == "t_final"
 
 
 def _overflowing_system():
@@ -1092,8 +1088,10 @@ def _overflowing_system():
 
 
 def _same_run(ours, ref):
-    return (_same_solution(ours, ref) and ours.accepted == ref.accepted
-            and ours.rejected == ref.rejected)
+    """Whether two of our Solutions are the same run, bit for bit."""
+    return (np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
+            and (ours.end, ours.nfev, ours.accepted, ours.rejected)
+            == (ref.end, ref.nfev, ref.accepted, ref.rejected))
 
 
 class TestBatch:
@@ -1103,9 +1101,7 @@ class TestBatch:
 
     @staticmethod
     def _integrate(fun, y0, times, stop, max_tries):
-        tol = dynamics.DEFAULT_TOL
-        return dynamics.solve_ivp(fun, (0.0, times[-1]), y0, rtol=tol,
-                                  atol=tol * 1e-2, t_eval=times,
+        return dynamics.solve_ivp(fun, y0, t_eval=times,
                                   max_tries=max_tries, stop=stop)
 
     @pytest.mark.parametrize("grid", ["full", "window"])
@@ -1133,18 +1129,16 @@ class TestBatch:
                 times, lambda y, floor=floor: np.vecdot(y, y).real < floor,
                 budget)
             assert _same_run(row, alone)
-        ends = [(sol.message, len(sol.t)) for sol in batch]
+        ends = [(sol.end, len(sol.t)) for sol in batch]
         # rows that stop before the last sample, rows that reach it, and
         # the failing row, which has no sample
-        assert any(m == _dop853.STOPPED and 0 < n < len(times)
-                   for m, n in ends)
-        assert any(m == _dop853.REACHED_END and n == len(times)
-                   for m, n in ends)
-        assert ends[-1] == (_dop853.TOO_SMALL_STEP, 0)
-        assert batch[-2].message == _dop853.STOPPED
+        assert any(e == "decay_floor" and 0 < n < len(times) for e, n in ends)
+        assert any(e == "t_final" and n == len(times) for e, n in ends)
+        assert ends[-1] == ("failed", 0)
+        assert batch[-2].end == "decay_floor"
         if grid == "window":
             # the floor of 1e-9 is crossed before the window
-            assert any(m == _dop853.STOPPED and n == 0 for m, n in ends[:-1])
+            assert any(e == "decay_floor" and n == 0 for e, n in ends[:-1])
 
     def test_trapped_fraction_batch_equals_runs_alone(self):
         rng = np.random.default_rng(5)
@@ -1184,9 +1178,8 @@ class TestBatch:
         def fail_rows(*args, **kwargs):
             sols = integrate(*args, **kwargs)
             for k, t in ((1, [135.5, 136.0]), (2, [135.0])):
-                sols[k] = SimpleNamespace(
-                    t=np.array(t), success=False, nfev=0, accepted=0,
-                    rejected=0, message=_dop853.TOO_SMALL_STEP)
+                sols[k] = SimpleNamespace(t=np.array(t), end="failed",
+                                          nfev=0, accepted=0, rejected=0)
             return sols
 
         monkeypatch.setattr(dynamics, "solve_ivp", fail_rows)
@@ -1232,7 +1225,7 @@ class TestMatrixKernel:
             assert dynamics._kernel(system) == "matrix"
             assert (matrix.accepted, matrix.rejected) == \
                 (stages.accepted, stages.rejected)
-            assert matrix.success and stages.success
+            assert matrix.end == stages.end == "t_final"
             assert np.max(np.abs(matrix.y - stages.y)) <= MATRIX_KERNEL_TOL
 
     def test_random_and_stiff_systems(self):
@@ -1247,10 +1240,10 @@ class TestMatrixKernel:
         for system, t_final in draws + edge:
             matrix, stages = _both_kernels(
                 lambda: _solve_alone(system, t_final))
-            assert matrix.message == stages.message
+            assert matrix.end == stages.end
             assert matrix.y.shape == stages.y.shape
             assert np.max(np.abs(matrix.y - stages.y)) <= dynamics.DEFAULT_TOL
-            if not matrix.success:
+            if matrix.end != "t_final":
                 continue
             matrix, stages = _both_kernels(lambda: spectrum_time_domain(
                 system, grid, t_final=min(t_final, 60.0)))
@@ -1282,11 +1275,10 @@ class TestMatrixKernel:
                 [system], times, budget,
                 lambda y, floor=floor: np.vecdot(y, y).real < floor)
             assert _same_run(row, alone)
-        ends = [(sol.message, len(sol.t)) for sol in batch]
-        assert any(m == _dop853.STOPPED and 0 < n < len(times)
-                   for m, n in ends)
-        assert batch[-2].message == _dop853.STOPPED
-        assert ends[-1] == (_dop853.TOO_SMALL_STEP, 0)
+        ends = [(sol.end, len(sol.t)) for sol in batch]
+        assert any(e == "decay_floor" and 0 < n < len(times) for e, n in ends)
+        assert batch[-2].end == "decay_floor"
+        assert ends[-1] == ("failed", 0)
 
     def test_mixed_grid_batches_by_kernel(self):
         """Resonant and cross-damped systems on one sample grid: each row
@@ -1318,7 +1310,7 @@ class TestMatrixKernel:
 
 def _interpolate(F, y_old, t_old, h, times):
     """The 7th-order continuous extension with coefficients F over the step
-    [t_old, t_old + h] at times, shape (state size, len(times)): the
+    [t_old, t_old + h] at times, shape (len(times), state size): the
     evaluation step by step that `_dop853._Dense` does in blocks."""
     x = ((times - t_old) / h)[:, None]
     out = np.zeros((len(x), len(y_old)), dtype=y_old.dtype)
@@ -1329,19 +1321,19 @@ def _interpolate(F, y_old, t_old, h, times):
         else:
             out *= 1 - x
     out += y_old
-    return out.T
+    return out
 
 
 def _with_step_samples(monkeypatch, run):
     """run()'s solutions, and each row's samples evaluated step by step
-    with `_interpolate` as its steps are recorded (shape (n, 0) for a row
+    with `_interpolate` as its steps are recorded (shape (0, n) for a row
     that samples nothing), in row order."""
     rows = []
     init, add = _dop853._Dense.__init__, _dop853._Dense.add
 
     def recording_init(self, t_eval, n):
         init(self, t_eval, n)
-        self.reference = [np.empty((n, 0), dtype=complex)]
+        self.reference = [np.empty((0, n), dtype=complex)]
         rows.append(self)
 
     def recording_add(self, F, y_old, t_old, h, reached):
@@ -1352,7 +1344,7 @@ def _with_step_samples(monkeypatch, run):
     monkeypatch.setattr(_dop853._Dense, "__init__", recording_init)
     monkeypatch.setattr(_dop853._Dense, "add", recording_add)
     sols = run()
-    return sols, [np.hstack(row.reference) for row in rows]
+    return sols, [np.vstack(row.reference) for row in rows]
 
 
 class TestRunInterpolation:
@@ -1363,7 +1355,7 @@ class TestRunInterpolation:
     def _same_bits(sols, steps):
         assert len(sols) == len(steps)
         for sol, want in zip(sols, steps):
-            assert sol.y.shape == want.shape == (4, len(sol.t))
+            assert sol.y.shape == want.shape == (len(sol.t), 4)
             assert sol.y.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("block", [13, _dop853.BLOCK])
@@ -1383,7 +1375,7 @@ class TestRunInterpolation:
     def test_mixed_batch_with_stop_and_failure(self, grid, block,
                                                monkeypatch):
         """Both kernels' batches, with a row that stops, one that fails
-        before any sample (the 1e200 drive, TOO_SMALL_STEP) and rows that
+        before any sample (the 1e200 drive, "failed") and rows that
         reach the end."""
         monkeypatch.setattr(_dop853, "BLOCK", block)
         systems = [*_INTEGRATOR_CASES.values(), _decaying_system(),
@@ -1406,11 +1398,10 @@ class TestRunInterpolation:
             monkeypatch.undo()
             monkeypatch.setattr(_dop853, "BLOCK", block)
             self._same_bits(sols, steps)
-            ends = [(sol.message, len(sol.t)) for sol in sols]
-            assert ends[-1] == (_dop853.TOO_SMALL_STEP, 0)
-            assert sols[-2].message == _dop853.STOPPED
-            assert any(m == _dop853.REACHED_END and n == len(times)
-                       for m, n in ends)
+            ends = [(sol.end, len(sol.t)) for sol in sols]
+            assert ends[-1] == ("failed", 0)
+            assert sols[-2].end == "decay_floor"
+            assert any(e == "t_final" and n == len(times) for e, n in ends)
 
 
 def _numpy_error_norm(err5, err3, h, n):

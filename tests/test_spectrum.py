@@ -33,7 +33,7 @@ from darkstate import (
     steady_state_amplitudes,
     trapped_fraction,
 )
-from darkstate import spectrum
+from darkstate import dynamics, spectrum
 from darkstate.cli import _apply_sweep_value, _sweep_metric
 from darkstate.spectrum import (
     _polyval,
@@ -330,6 +330,20 @@ def test_empty_grid_gives_empty_results(call):
         assert got.branch_intensity.shape == (3, 0)
     else:
         assert np.shape(got) == (3, 0)
+
+
+def test_empty_time_domain_grid_takes_no_run(monkeypatch):
+    """spectrum_time_domain returns the empty rows of an empty grid before
+    any integration."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("integrated for an empty grid")
+
+    monkeypatch.setattr(dynamics, "solve_ivp", no_run)
+    runs = []
+    got = spectrum_time_domain(preset("fig2-notrapping").system, [],
+                               runs=runs)
+    assert got.branch_intensity.shape == (3, 0)
+    assert runs == []
 
 
 _WRONG_ZERO = pytest.mark.xfail(
