@@ -123,9 +123,9 @@ def _digit_groups(n: np.ndarray):
 # '%.16e': write_csv
 # ---------------------------------------------------------------------------
 
-#: one NUL-padded value of format_e16: sign, lead digit, '.', 16 digits,
-#: exponent text and separator
-_E16_SLOT = b"\0\0.0000000000000000e+000,"
+#: bytes of one NUL-padded value of format_e16: sign, lead digit, '.',
+#: 16 digits, exponent text (5) and separator
+_E16_WIDTH = 25
 
 
 def _e16_digits(v: np.ndarray):
@@ -133,17 +133,17 @@ def _e16_digits(v: np.ndarray):
     a float64 array, as FLOAT_FMT rounds them, and whether they were found.
 
     Each scaled value is rounded to the 17-digit integer n of its digits;
-    zeros give 0.  Not found are the values _scaled does not scale and one
-    whose rest f is within 1e-6 of 1/2 (a decimal tie, which % rounds
-    half-even on the exact value, or a near-tie).  The scaling's error is
-    far inside that 1e-6, so every found value rounds as the exact one
-    does.  The digits are returned as by _digit_groups."""
+    zeros give 0, with the e = 0 that _scaled gives them.  Not found are
+    the values _scaled does not scale and one whose rest f is within 1e-6
+    of 1/2 (a decimal tie, which % rounds half-even on the exact value, or
+    a near-tie).  The scaling's error is far inside that 1e-6, so every
+    found value rounds as the exact one does.  The digits are returned as
+    by _digit_groups."""
     _, _, e, n, f, ok = _scaled(v)
     ok &= np.abs(f) < 0.5 - 1e-6
     zero = v == 0.0
     ok |= zero
     n[zero] = 0
-    e[zero] = 0
     return *_digit_groups(n), e, ok
 
 
@@ -155,20 +155,21 @@ def format_e16(block: np.ndarray) -> bytes:
     v = block.ravel()
     lead, groups, e, ok = _e16_digits(v)
     quads, exps = _digit_tables()
-    text = np.empty(block.shape + (len(_E16_SLOT),), np.uint8)
-    text[:] = np.frombuffer(_E16_SLOT, np.uint8)
+    text = np.empty(block.shape + (_E16_WIDTH,), np.uint8)
+    text[:, :, -1] = ord(",")
     text[:, -1, -1] = ord("\n")
     text = text.reshape(len(v), -1)
-    text[:, 0] = np.signbit(v) * ord("-")
-    text[:, 1] = lead + ord("0")
+    text[:, 2] = ord(".")
+    np.multiply(np.signbit(v), np.uint8(ord("-")), out=text[:, 0])
+    np.add(lead, ord("0"), out=text[:, 1], casting="unsafe")
     text[:, 3:19] = np.take(quads, groups.T).view(np.uint8)
-    exp_text = np.take(exps, e + 400).view(np.uint8).reshape(-1, 8)
-    text[:, 19:24] = exp_text[:, :5]
+    e += 400
+    text[:, 19:24] = np.take(exps, e).view(np.uint8).reshape(-1, 8)[:, :5]
     for i in np.flatnonzero(~ok):
         fallback = (FLOAT_FMT % float(v[i])).encode()
         text[i, :-1] = 0
         text[i, :len(fallback)] = np.frombuffer(fallback, np.uint8)
-    return text.tobytes().replace(b"\0", b"")
+    return text.tobytes().translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ output."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -652,6 +653,7 @@ def cmd_validate(args) -> int:
 # argument parsing / entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="darkstate",
@@ -674,14 +676,12 @@ def build_parser() -> argparse.ArgumentParser:
                     default="analytic")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--svg", help="also write an SVG line plot")
-    sp.set_defaults(func=cmd_spectrum)
 
     tp = sub.add_parser("trapping", help="evaluate the trapping condition")
     common(tp, None)
     tp.add_argument("--solve", action="store_true",
                     help="complete |Omega4| and phi3 so the condition holds; "
                          "with --out, write the completed scenario there")
-    tp.set_defaults(func=cmd_trapping)
 
     wp = sub.add_parser("sweep", help="sweep one parameter against a metric")
     common(wp, "sweep.csv")
@@ -690,11 +690,9 @@ def build_parser() -> argparse.ArgumentParser:
     wp.add_argument("--range", required=True, help="min:max:count")
     wp.add_argument("--metric", choices=_SWEEP_METRICS, required=True)
     wp.add_argument("--grid", default=DEFAULT_GRID_SPEC, help="min:max:count")
-    wp.set_defaults(func=cmd_sweep)
 
     vp = sub.add_parser("validate", help="run preset signature checks")
     vp.add_argument("preset", help="preset name or 'all'")
-    vp.set_defaults(func=cmd_validate)
     return parser
 
 
@@ -720,7 +718,9 @@ def main(argv=None) -> int:
         warnings.simplefilter("always", GridTooCoarse)
         warnings.showwarning = _show_warnings()
         try:
-            return args.func(args)
+            # the parser is built once, so the command is looked up by
+            # name: a cmd_<command> wrapped after that build is the one run
+            return globals()[f"cmd_{args.command}"](args)
         except (_InputError, GridOverflow, TooManySamples) as exc:
             # bad input, found where the library first reads it
             print(f"error: {exc}", file=sys.stderr)

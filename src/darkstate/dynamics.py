@@ -95,9 +95,6 @@ class AmplitudeTrajectory:
     times: np.ndarray
     amps: np.ndarray  # shape (len(times), 4)
 
-    def norm(self) -> np.ndarray:
-        return np.sum(np.abs(self.amps) ** 2, axis=1)
-
 
 def _kernel(sys: D2System) -> str:
     """The DOP853 kernel of a run of sys: "matrix" when its drift matrix is

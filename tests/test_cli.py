@@ -878,6 +878,27 @@ def test_default_grids_are_the_analysis_default():
         assert np.array_equal(grid, default_grid())
 
 
+def test_parser_built_once_and_commands_found_by_name(monkeypatch, capsys):
+    """main builds its parser once per process and runs the module's
+    current cmd_<command>: a command function replaced after the first
+    call (as a tracer wraps it) is the one reached, also after an argv
+    that argparse rejected."""
+    assert cli.build_parser() is cli.build_parser()
+    assert run("validate", "two-level") == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_validate",
+                        lambda args: calls.append(args.preset) or 0)
+    with pytest.raises(SystemExit) as exc:
+        run("validate")
+    assert exc.value.code == 2
+    assert run("validate", "fig2-trapping") == 0
+    assert calls == ["fig2-trapping"]
+    # a parse leaves nothing behind for the next one
+    parser = cli.build_parser()
+    assert parser.parse_args(["spectrum", "--out", "x.csv"]).out == "x.csv"
+    assert parser.parse_args(["spectrum"]).out == "spectrum.csv"
+
+
 # ---------------------------------------------------------------------------
 # write_csv's vectorized %.16e kernel against Python's % on adversarial values
 # ---------------------------------------------------------------------------
