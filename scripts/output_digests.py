@@ -12,7 +12,10 @@ The CLI runs in-process (`darkstate.cli.main`) in a temporary directory:
   `trapped_fraction`), and each analytic metric swept on `two-level`
   through its poles, on `two-level` from an undriven value (a quartic with
   q0 = 0) among driven ones, over two values only, on a coarse grid that
-  warns, and on a random scenario given with `--config`;
+  warns, and on a random scenario given with `--config`; `peak_count` and
+  `total_area` on `at-quartet` and `autler-townes-doublet` (neighbouring
+  peaks of equal height), and a `peak_count` sweep whose quartic overflows
+  (exit 3);
 - `validate all`, and `trapping` for every preset; `trapping --solve`,
   with and without `--out`, for every chain preset and the random
   scenario (those with Omega3 = 0 or Gamma1 != Gamma3 exit 4);
@@ -103,6 +106,16 @@ SWEEPS = {
                                           "mag1", "--range", "0:2:11",
                                           "--grid=-14:14:29"])
        for m in ANALYTIC},
+    # neighbouring peaks of equal height: the doublet at every value, the
+    # quartet at mag4 = 5
+    **{f"{name} {m}": (m, ["--preset", name, "--vary", "mag4", "--range",
+                           "0:10:21"])
+       for name in ("at-quartet", "autler-townes-doublet")
+       for m in ("peak_count", "total_area")},
+    # exit 3: characteristic quartic overflows at mag1 = 5e199 and 1e200
+    "quartic overflow": ("peak_count",
+                         ["--preset", "fig2-trapping", "--vary", "mag1",
+                          "--range", "0:1e200:3"]),
     # the smallest sweep: --range takes at least two values
     **{f"two values {m}": (m, ["--preset", "fig2-trapping", "--vary",
                                "phase2", "--range", f"0:{TAU}:2"])

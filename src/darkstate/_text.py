@@ -223,7 +223,6 @@ def _shortest_digits(v: np.ndarray):
     zero = v == 0.0
     ok |= zero
     d[zero] = 0
-    e[zero] = 0
     return d, e, ok
 
 

@@ -85,28 +85,59 @@ def _prominent_maxima(x, prominence):
     both sides are strictly lower; a run counts once, at its middle index
     rounded down, and the two end samples never count.  A peak's base on
     each side extends to the nearest strictly higher sample (or the array
-    end); its prominence is its height minus the larger of the two base
-    minima.  Same indices as SciPy's find_peaks(x, prominence=...).
-    """
+    end), and a NaN stops it too; its prominence is its height minus the
+    larger of the two base minima.  Same indices as SciPy's
+    find_peaks(x, prominence=...).
+
+    The bases are found on the runs of equal samples.  Call the maxima
+    and the NaN runs stops.  No run between two neighbouring stops, or
+    between a stop and an array end, is higher than both ends of that
+    stretch: a higher one would be a maximum.  So the nearest higher
+    sample lies in the stretch next to the nearest stop that is higher or
+    NaN, and every run of that stretch beyond it is higher still.  A base
+    minimum is thus the minimum of the runs out to that stop, which
+    `_base_minima` finds for every stop in one pass."""
     x = np.asarray(x, dtype=float)
     if x.size < 3:
         return np.empty(0, dtype=np.intp)
-    start = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
-    end = np.append(start[1:], x.size) - 1
-    v = x[start]
-    inner = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
-    mids = (start[inner] + end[inner]) // 2
-    keep = []
-    for i in mids:
-        h = x[i]
-        # `not <=` also stops a base at NaN, as SciPy's scan does
-        left = np.flatnonzero(~(x[:i] <= h))
-        right = np.flatnonzero(~(x[i + 1:] <= h))
-        lo = left[-1] + 1 if left.size else 0
-        hi = i + 1 + right[0] if right.size else x.size
-        base = max(x[lo:i + 1].min(), x[i:hi].min())
-        keep.append(h - base >= prominence)
-    return mids[np.array(keep, dtype=bool)]
+    new = x[1:] != x[:-1]
+    plain = new.all()  # no two neighbours equal: each run one sample
+    start = (np.arange(x.size) if plain
+             else np.flatnonzero(np.concatenate(([True], new))))
+    # the run values between two NaN stops that stand for the array ends
+    v = np.concatenate(([np.nan], x if plain else x[start], [np.nan]))
+    peak = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
+    stops = np.concatenate(
+        ([0], np.flatnonzero(peak | np.isnan(v[1:-1])) + 1, [len(v) - 1]))
+    heights = v[stops].tolist()
+    # stretch t: the runs after stop t through stop t + 1 (left bases),
+    # and those from stop t up to stop t + 1 (right bases)
+    left = _base_minima(
+        heights, np.minimum.reduceat(v, stops[:-1] + 1).tolist())
+    right = _base_minima(
+        heights[::-1], np.minimum.reduceat(v[:-1], stops[:-1])[::-1].tolist())
+    keep = [k for k, h in enumerate(heights)
+            if h - max(left[k], right[-1 - k]) >= prominence]
+    runs = stops[keep] - 1  # a maximum is never the last run
+    return (start[runs] + start[runs + 1] - 1) // 2
+
+
+def _base_minima(heights, stretches):
+    """For each stop k, the minimum of stretches[t] over the stretches
+    t < k out to the nearest earlier stop whose height is not <= heights[k]:
+    the base minimum on the side of lower k, given the minimum of each
+    stretch between stops t and t + 1.  Stop 0 is NaN, which no height
+    passes; the value at a NaN stop is never read.  A stack holds the
+    stops that no later stop has passed yet, with their minima."""
+    minima = [heights[0]]
+    stack = [0]
+    for k in range(1, len(heights)):
+        h, low = heights[k], stretches[k - 1]
+        while heights[stack[-1]] <= h:
+            low = min(low, minima[stack.pop()])
+        minima.append(low)
+        stack.append(k)
+    return minima
 
 
 def check_spacing(grid, lines):
@@ -132,16 +163,26 @@ def _check_line_spacing(spec: SpectrumResult):
                               for terms in spec.branch_poles for t in terms))
 
 
+def trapezoid(y, spacings) -> float:
+    """The trapezoid integral of y over a grid whose spacings are
+    np.diff(grid), bit for bit float(np.trapezoid(y, grid)): the same
+    products and halves, in place, and the same pairwise sum.  The
+    spacings are taken once for all the rows of a grid."""
+    out = y[1:] + y[:-1]
+    out *= spacings
+    out /= 2.0
+    return float(out.sum())
+
+
 def spectral_areas(spec: SpectrumResult):
     """Trapezoid integrals of the total and per-branch intensities.
 
     Warns GridTooCoarse when the grid spacing exceeds a tenth of the
     narrowest line width."""
-    grid = spec.grid
     _check_line_spacing(spec)
-    total = float(np.trapezoid(spec.total, grid))
-    branches = tuple(float(np.trapezoid(b, grid)) for b in spec.branch_intensity)
-    return total, branches
+    spacings = np.diff(spec.grid)
+    return trapezoid(spec.total, spacings), tuple(
+        trapezoid(b, spacings) for b in spec.branch_intensity)
 
 
 def peak_indices(total):
@@ -221,7 +262,7 @@ def conservation_check(sys, span_factor: float = 2.3,
     n = max(int(round(2.0 * span / spacing)) + 1, 1001)
     grid = np.linspace(-span, span, n)
     spec = spectrum_analytic(sys, grid)
-    emitted_spectral = float(np.trapezoid(spec.total, grid))
+    emitted_spectral = trapezoid(spec.total, np.diff(grid))
     trapped = trapped_fraction(sys, t_final=t_final, require_plateau=False)
     emitted_dynamic = 1.0 - trapped
     return ConservationResult(

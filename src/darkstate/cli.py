@@ -30,6 +30,7 @@ from .analysis import (
     default_grid,
     find_peaks,
     peak_indices,
+    trapezoid,
 )
 from .dynamics import MAX_TIME_SAMPLES, spectrum_time_domain, trapped_fraction
 from .errors import (DarkstateError, DivisionByZeroDrive, GridOverflow,
@@ -480,14 +481,18 @@ def _apply_sweep_value(system: D2System, param: str, value: float) -> D2System:
 def _sweep_metric(systems, metric: str, grid) -> list:
     """The analytic sweep values of systems, each bit for bit that of
     `spectrum_analytic` with `spectral_areas` or `find_peaks`, from only
-    what metric reads; one batch (`intensity_rows`) per sweep."""
+    what metric reads; one batch (`intensity_rows`) per sweep, and the
+    grid spacings of the areas taken once.  grid is a finite float grid,
+    as `_parse_grid` gives it."""
+    spacings = np.diff(grid)
+
     def value(grid, rows, lines):
         check_spacing(grid, lines)
         if metric == "central_area":
-            return float(np.trapezoid(rows[0], grid))
+            return trapezoid(rows[0], spacings)
         total = rows.sum(axis=0)  # the order of spectrum_analytic's total
         if metric == "total_area":
-            return float(np.trapezoid(total, grid))
+            return trapezoid(total, spacings)
         return float(len(peak_indices(total)))
 
     branches = (2,) if metric == "central_area" else (1, 2, 3)

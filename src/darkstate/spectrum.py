@@ -30,9 +30,13 @@ bits whatever the array around it, so every row is np.roots' and its
 polish bit for bit; a spectrum is a batch of one.  The grid arithmetic
 still runs one system at a time, and each intensity row is filled as soon
 as its amplitude is known, so no grid-length array is kept per value.
+Past it, a system's scalars (drive amplitudes, quartic coefficients, the
+pole-hit scale) are Python numbers: numpy multiplies two complex scalars by
+Python's formula, so they keep numpy's bits at a fraction of the cost.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,24 +106,30 @@ def coupling_matrix(sys: D2System) -> np.ndarray:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def quartic_coeffs_s(sys: D2System) -> np.ndarray:
     """Coefficients (descending) of Q(s) = det(sI - M), a monic quartic.
 
     Raises NonFiniteValue when a coefficient overflows, as products of two
     drive powers do once the drive magnitudes reach ~1e77 to ~1e154.
     """
-    g1, g2, g3 = (g / 2.0 for g in sys.gamma)
-    o1, o2, o3, o4 = sys.rabi
-    w1, w2, w3, w4 = (abs(o) ** 2 for o in sys.rabi)
-    loop = np.conj(o1) * o2 * o3 * o4
+    return np.array(_quartic(_drive_constants(sys)), dtype=complex)
+
+
+def _quartic(const) -> tuple:
+    """`quartic_coeffs_s` as Python floats, from the system's
+    `_drive_constants` (or `_constants`).  Every coefficient is real, and
+    each has the bits of numpy's complex scalars: numpy multiplies two of
+    them by Python's formula, without a fused multiply-add."""
+    (g1, g2, g3), (o1, o2, o3, o4), (w1, w2, w3, w4) = const[:3]
+    loop = o1.conjugate() * o2 * o3 * o4
     q3 = g1 + g2 + g3
     q2 = g1 * g2 + g1 * g3 + g2 * g3 + w1 + w2 + w3 + w4
     q1 = (g1 * g2 * g3 + g1 * w3 + g3 * w2 + (g1 + g2) * w4 + (g2 + g3) * w1)
     q0 = g1 * g2 * w4 + g2 * g3 * w1 + w1 * w3 + w2 * w4 - 2.0 * loop.real
-    q = np.array([1.0, q3, q2, q1, q0], dtype=complex)
-    if not np.all(np.isfinite(q)):
-        raise NonFiniteValue(f"characteristic quartic overflows: {q.tolist()}")
+    q = (1.0, q3, q2, q1, q0)
+    if not all(map(math.isfinite, q)):
+        raise NonFiniteValue("characteristic quartic overflows: "
+                             f"{[complex(c) for c in q]}")
     return q
 
 
@@ -138,20 +148,21 @@ def _polyval(coeffs, x):
 
 
 def _poly_scale(coeffs, x):
-    """Sum of |coefficient| * |x|**k, for pole-proximity tests."""
-    ax = np.abs(np.asarray(x))
-    out = np.zeros_like(ax)
+    """Sum of |coefficient| * |x|**k, for pole-proximity tests: a Horner
+    sum from zero, on Python floats for a float x."""
+    ax = abs(x)
+    out = 0.0
     for c in coeffs:
         out = out * ax + abs(c)
     return out
 
 
 def _hit_scale(q, smax):
-    """The scale of Q's terms at smax = max|s|, which `_pole_hits` screens
-    with; GridOverflow where it overflows, as Q(s) then can."""
-    with np.errstate(over="ignore"):
-        top = _poly_scale(q, smax)
-    if not np.isfinite(top):
+    """The scale of Q's terms at the float smax = max|s|, which
+    `_pole_hits` screens with; GridOverflow where it overflows, as Q(s)
+    then can."""
+    top = _poly_scale(q, smax)
+    if not math.isfinite(top):
         raise GridOverflow(
             f"the detuning grid reaches |delta + shift| = {smax:.6g}, where "
             "the terms of the characteristic quartic overflow")
@@ -170,13 +181,11 @@ def _pole_hits(q, s, top):
     den = _polyval(q, s)
     mag = np.abs(den)
 
-    def tol(scale):
-        return POLE_HIT_RTOL * np.maximum(scale, 1e-300)
-
     # an array even for a 0-d s, so that it can be assigned to
-    hit = np.asarray(mag < tol(top))
+    hit = np.asarray(mag < POLE_HIT_RTOL * max(top, 1e-300))
     if hit.any():
-        hit[hit] = mag[hit] < tol(_poly_scale(q, s[hit]))
+        hit[hit] = mag[hit] < POLE_HIT_RTOL * np.maximum(
+            _poly_scale(q, s[hit]), 1e-300)
     return den, hit
 
 
@@ -193,38 +202,68 @@ def branch_numerator_s(sys: D2System, branch: int, s):
     return _numerator(_constants(sys), branch, s)
 
 
+def _square_modulus(z):
+    """|z| ** 2 of a Python number, the bits of numpy's scalars, and inf
+    where it overflows: numpy returns inf there, where Python raises
+    OverflowError (as `_dop853._square` has it)."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _drive_constants(sys: D2System) -> tuple:
+    """The halved rates, the drive amplitudes and their squared moduli, as
+    Python numbers: what `_quartic` reads."""
+    rabi = tuple([d.amplitude for d in sys.drives])
+    return (tuple([g / 2.0 for g in sys.gamma]), rabi,
+            tuple([_square_modulus(o) for o in rabi]))
+
+
 def _constants(sys: D2System) -> tuple:
-    """The per-system constants of `_numerator`: the halved rates, the drive
-    amplitudes and their squared moduli, A(0) and its nonzero indices."""
-    rabi, a0 = tuple(sys.rabi), sys.initial_vector()
-    return (tuple(g / 2.0 for g in sys.gamma), rabi,
-            tuple(abs(o) ** 2 for o in rabi), a0, np.flatnonzero(a0).tolist())
+    """The per-system constants of `_numerator`: `_drive_constants`, A(0)
+    and its nonzero indices."""
+    a0 = sys.initial_vector()
+    return (*_drive_constants(sys), a0, a0.nonzero()[0].tolist())
 
 
 def _numerator(const, branch: int, s):
     (g1, g2, g3), (o1, o2, o3, o4), (w1, w2, w3, w4), a0, weighted = const
     s = np.asarray(s, dtype=complex)
     d = s
-    conj = np.conj
+    conj = complex.conjugate
+
+    # the branch arguments s + Gamma_k / 2, each built where a cofactor
+    # reads it, so that no two are held at once
+    def a():
+        return s + g1
+
+    def b():
+        return s + g2
+
+    def c():
+        return s + g3
+
     if branch == 1:  # the cofactors C_k1, k = 1..4
-        b, c = s + g2, s + g3
-        cof = (lambda: b * c * d + b * w4 + d * w3,
-               lambda: -1j * (o2 * (c * d + w4) - o1 * conj(o3) * conj(o4)),
-               lambda: -(o2 * o3 * d + o1 * conj(o4) * b),
-               lambda: 1j * (o2 * o3 * o4 - o1 * (b * c + w3)))
+        cof = (lambda: (b_ := b()) * c() * d + b_ * w4 + d * w3,
+               lambda: -1j * (o2 * (c() * d + w4)
+                              - o1 * conj(o3) * conj(o4)),
+               lambda: -(o2 * o3 * d + o1 * conj(o4) * b()),
+               lambda: 1j * (o2 * o3 * o4 - o1 * (b() * c() + w3)))
     elif branch == 2:
-        a, c = s + g1, s + g3
-        cof = (lambda: -1j * (conj(o2) * (c * d + w4) - conj(o1) * o3 * o4),
-               lambda: a * c * d + a * w4 + c * w1,
-               lambda: -1j * (a * d * o3 + w1 * o3 - o1 * conj(o2) * conj(o4)),
-               lambda: -(a * o3 * o4 + c * o1 * conj(o2)))
+        cof = (lambda: -1j * (conj(o2) * (c() * d + w4)
+                              - conj(o1) * o3 * o4),
+               lambda: (a_ := a()) * (c_ := c()) * d + a_ * w4 + c_ * w1,
+               lambda: -1j * (a() * d * o3 + w1 * o3
+                              - o1 * conj(o2) * conj(o4)),
+               lambda: -(a() * o3 * o4 + c() * o1 * conj(o2)))
     else:
-        a, b = s + g1, s + g2
-        cof = (lambda: -(d * conj(o2) * conj(o3) + b * conj(o1) * o4),
-               lambda: -1j * (a * d * conj(o3) + w1 * conj(o3)
+        cof = (lambda: -(d * conj(o2) * conj(o3) + b() * conj(o1) * o4),
+               lambda: -1j * (a() * d * conj(o3) + w1 * conj(o3)
                               - conj(o1) * o2 * o4),
-               lambda: a * b * d + w2 * d + w1 * b,
-               lambda: -1j * (a * b * o4 + w2 * o4 - o1 * conj(o2) * conj(o3)))
+               lambda: a() * (b_ := b()) * d + w2 * d + w1 * b_,
+               lambda: -1j * (a() * b() * o4 + w2 * o4
+                              - o1 * conj(o2) * conj(o3)))
     out = 0.0  # a sum from zero: a -0 part of the first term reads +0
     for k in weighted:
         term = cof[k]()
@@ -266,6 +305,10 @@ def _cluster_roots(roots, slopes):
             [complex(slopes[m[0]]) if len(m) == 1 else None for m in members])
 
 
+#: the index pairs (i < j) of a quartic's four roots
+_PAIRS = np.triu_indices(4, 1)
+
+
 def _root_clusters(qs):
     """(clusters, slopes) for each row of qs, a (B, 5) stack of monic
     quartics (descending coefficients), as an iterator: the roots as
@@ -281,7 +324,9 @@ def _root_clusters(qs):
     np.roots builds it, after np.roots' trimming of trailing zero
     coefficients, whose zero roots come last, and the eigenvalues are
     taken as one stack per trimmed degree.  The Newton steps and the
-    slopes are elementwise, so each row's bits are those of its own."""
+    slopes are elementwise, so each row's bits are those of its own.  Only
+    the rows where some pair of roots is close go through
+    `_cluster_roots`; the others are four simple roots."""
     qs = np.asarray(qs, dtype=complex).reshape(-1, 5)
     roots = np.zeros((len(qs), 4), dtype=complex)
     degree = 4 - np.argmax(qs[:, ::-1] != 0, axis=1)
@@ -305,7 +350,18 @@ def _root_clusters(qs):
             step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
             roots = roots - np.where(np.abs(step) < NEWTON_MAX_STEP, step, 0.0)
         slopes = _polyval(dcols, roots)
-    return map(_cluster_roots, roots, slopes)
+        # |r_i - r_j| against _cluster_tol for each pair of a row at once,
+        # with a margin: the scalar abs of `_cluster_roots` and numpy's
+        # array abs may differ in the last bit
+        mag = np.abs(roots)
+        gap = np.abs(roots[:, _PAIRS[0]] - roots[:, _PAIRS[1]])
+        tol = 3e-5 * np.maximum(np.maximum(mag[:, _PAIRS[0]],
+                                           mag[:, _PAIRS[1]]), 1.0)
+        close = (gap < np.maximum(tol, ROOT_CLUSTER_TOL) * (1.0 + 1e-9)).any(
+            axis=1)
+    # a row without a close pair has simple roots only
+    return (_cluster_roots(r, d) if c else ([[x] for x in r], d.tolist())
+            for r, d, c in zip(roots, slopes, close.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +395,8 @@ def _branch_args(sys: D2System, grid, branches, smax):
         shift = shifts[branch - 1]
         s = -1j * np.asarray(grid + shift)
         if shift not in smax:
-            smax[shift] = np.fmax.reduce(np.abs(s), axis=None, initial=0.0)
+            smax[shift] = float(np.fmax.reduce(np.abs(s), axis=None,
+                                               initial=0.0))
         yield branch, shift, s, smax[shift]
 
 
@@ -362,7 +419,8 @@ def steady_state_amplitudes(sys: D2System, delta):
     _require_analytic(sys)
     scalar = np.ndim(delta) == 0
     x = _finite_detuning(delta)
-    q, const = quartic_coeffs_s(sys), _constants(sys)
+    const = _constants(sys)
+    q = _quartic(const)
     out = []
     for branch, _, s, s_max in _branch_args(sys, x, (1, 2, 3), {}):
         vals, hit = _quotient(q, const, branch, s, s_max)
@@ -503,9 +561,11 @@ def _batch(systems, grid):
             _require_analytic(sys)
             if not k:
                 grid = _finite_detuning(grid)
-            qs.append(quartic_coeffs_s(sys))
+            qs.append(_quartic(_drive_constants(sys)))
     except DarkstateError as exc:  # raised after earlier rows
         failure = exc
+    # a row's constants are built again when it is reached: kept for the
+    # whole batch, they would hold about 0.5 kB more per system
     return grid, ((sys, q, const, *r) for sys, q, const, r in zip(
         systems, qs, map(_constants, systems), _root_clusters(qs))), failure
 

@@ -26,9 +26,11 @@ from darkstate.analysis import (
     d1_grid,
     default_grid,
     spectral_areas,
+    trapezoid,
 )
 from darkstate.cli import _sweep_metric
 from darkstate.errors import GridTooCoarse
+from test_sweep_identity import GRIDS as SWEEP_GRIDS
 
 
 class TestProminentMaxima:
@@ -54,6 +56,43 @@ class TestProminentMaxima:
                     _prominent_maxima(x, prominence),
                     scipy_find_peaks(x, prominence=prominence)[0])
 
+    @staticmethod
+    def _same_as_scipy(x):
+        for prominence in range(5):
+            np.testing.assert_array_equal(
+                _prominent_maxima(x, prominence),
+                scipy_find_peaks(x, prominence=prominence)[0])
+
+    def test_matches_scipy_with_nan(self):
+        """A NaN stops a base, as SciPy's scan stops there, and is never a
+        maximum; nor is a sample next to it."""
+        rng = np.random.default_rng(19)
+        for _ in range(4000):
+            size, levels = rng.integers(0, 30), rng.integers(1, 6)
+            x = rng.integers(0, levels, size).astype(float)
+            x[rng.random(size) < rng.uniform(0.05, 0.4)] = np.nan
+            self._same_as_scipy(x)
+
+    def test_matches_scipy_on_equal_height_maxima(self):
+        """A neighbouring maximum of equal height does not end a base;
+        maxima alternate with valleys, the maxima of two heights only."""
+        x = np.array([0, 3, 1, 3, 0, 2, 3, 3, 2, 3, 1], dtype=float)
+        # no maximum is higher than another, so every base runs to both
+        # array ends: 1 and 3 have a 0 on each side (prominence 3), 6 (the
+        # middle of 6..7) and 9 only the 1 at the right end (prominence 2)
+        assert _prominent_maxima(x, 2.0).tolist() == [1, 3, 6, 9]
+        assert _prominent_maxima(x, 3.0).tolist() == [1, 3]
+        self._same_as_scipy(x)
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            count = int(rng.integers(1, 8))
+            x = np.empty(2 * count + 1)
+            x[1::2] = rng.choice([3.0, 4.0], count)
+            x[::2] = rng.integers(0, 3, count + 1)
+            # a few plateaus: a sample repeated
+            x = np.repeat(x, rng.choice([1, 1, 1, 2], x.size))
+            self._same_as_scipy(x)
+
     @pytest.mark.parametrize("name", preset_names())
     def test_matches_scipy_on_preset_spectra(self, name):
         system = preset(name).system
@@ -65,6 +104,48 @@ class TestProminentMaxima:
                     np.testing.assert_array_equal(
                         _prominent_maxima(curve, prominence),
                         scipy_find_peaks(curve, prominence=prominence)[0])
+
+
+class TestTrapezoid:
+    """The one trapezoid rule of the areas is np.trapezoid's, by bytes, so
+    neither `spectral_areas` nor a sweep can drift from it."""
+
+    @staticmethod
+    def _same(y, grid):
+        got = trapezoid(y, np.diff(grid))
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == \
+            np.float64(np.trapezoid(y, grid)).tobytes()
+
+    @pytest.mark.parametrize("k", range(len(SWEEP_GRIDS)))
+    def test_sweep_grids(self, k):
+        grid = SWEEP_GRIDS[k]
+        rng = np.random.default_rng(k)
+        spec = spectrum_analytic(preset("fig2-notrapping").system, grid)
+        for y in (spec.total, *spec.branch_intensity):
+            self._same(y, grid)
+        for _ in range(50):
+            # intensities over many decades, a zero row and a negative one
+            y = rng.uniform(0.0, 1.0, grid.size) * 10.0 ** rng.integers(
+                -30, 5, grid.size)
+            self._same(y, grid)
+            self._same(-y, grid)
+        self._same(np.zeros(grid.size), grid)
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            size = int(rng.integers(1, 300))
+            grid = np.sort(rng.uniform(-50.0, 50.0, size))
+            self._same(rng.normal(size=size), grid)
+
+    def test_spectral_areas(self):
+        grid = SWEEP_GRIDS[0]
+        spec = spectrum_analytic(preset("at-quartet").system, grid)
+        assert spectral_areas(spec) == (
+            float(np.trapezoid(spec.total, grid)),
+            tuple(float(np.trapezoid(b, grid))
+                  for b in spec.branch_intensity))
 
 
 def _scanned_width(grid, total, idx):
