@@ -33,10 +33,14 @@ The CLI runs in-process (`darkstate.cli.main`) in a temporary directory:
 - `spectrum` on two chain files whose spectrum is zero: undriven (the
   "no emission" warning) and driven on the inner fields only (the
   "identically zero" note);
-- the time-domain spectrum on the two runs that fail (exit 3): a D1 file
-  with Gamma = 2e3 and four unit fields, which spends its step budget
-  (NotConverged), and `fig2-notrapping` driven at |Omega1| = 1e200,
-  whose step size underflows before any sample (StepSizeUnderflow);
+- the time-domain spectrum of a D1 file with Gamma = 2e3 and four unit
+  fields, whose decay the sample grid does not resolve: its drift is
+  constant, so the sample-step operator computes it;
+- the time-domain spectrum on the two runs that fail (exit 3): a chain
+  file with all rates 2e3, four unit fields and a detuned Omega1, whose
+  stage-kernel run spends its step budget (NotConverged), and
+  `fig2-notrapping` driven at |Omega1| = 1e200, whose step size
+  underflows before any sample (StepSizeUnderflow);
 - `make_figures.py` and `reproduction_report.py`, run in-process.
 
 Each command's exit code, stdout and stderr count as outputs, as do its
@@ -154,9 +158,14 @@ STAGE_KERNEL = {"detuned": {"detunings": (0.3, 0.1, 0.1, 0.1)},
 #: magnitudes
 ZERO_SPECTRUM = {"undriven": (0.0, 0.0, 0.0, 0.0),
                  "inner fields": (0.0, 1.0, 1.0, 0.0)}
-#: a D1 file whose decay the sample grid does not resolve: its time-domain
-#: run spends its step budget (NotConverged)
-D1_BUDGET = {"system": "d1", "gamma": [2e3], "fields": [{"mag": 1.0}] * 4}
+#: a D1 file whose decay the sample grid does not resolve; its drift is
+#: constant, so the sample-step operator computes it
+D1_STIFF = {"system": "d1", "gamma": [2e3], "fields": [{"mag": 1.0}] * 4}
+#: a chain file as stiff, with a detuned Omega1: its time-dependent drift
+#: takes the stage kernel, whose run spends its step budget (NotConverged)
+DETUNED_STIFF = {"system": "d2", "gamma": [2e3] * 3, "omega12": 13.0,
+                 "omega23": 13.0, "detunings": [0.5, 0.0, 0.0, 0.0],
+                 "fields": [{"mag": 1.0}] * 4, "initial": "B"}
 
 
 def _random_system(seed=7):
@@ -294,13 +303,17 @@ def digests() -> dict:
                 _run(f"spectrum {label}", ["spectrum", "--config", "s.json",
                                            "--out", "s.csv"], found)
                 os.remove("s.json")
-            # the two failing ends of a time-domain run: the step budget,
-            # and a step size below the spacing of t before any sample
-            with open("budget.json", "w", encoding="utf-8") as fh:
-                json.dump(D1_BUDGET, fh)
+            # a stiff resonant run, and the two failing ends of a
+            # time-domain run: the stage kernel's step budget, and a step
+            # size below the spacing of t before any sample
+            for path, data in (("stiff.json", D1_STIFF),
+                               ("budget.json", DETUNED_STIFF)):
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(data, fh)
             save_scenario(base.with_drives((DriveField(1e200),
                                             *base.drives[1:])), "huge.json")
-            for label, path in (("d1 budget", "budget.json"),
+            for label, path in (("d1 stiff", "stiff.json"),
+                                ("detuned budget", "budget.json"),
                                 ("fig2-notrapping Omega1 1e200", "huge.json")):
                 _run(f"spectrum {label} timedomain",
                      ["spectrum", "--config", path, "--method", "timedomain",

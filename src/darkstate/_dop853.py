@@ -16,21 +16,11 @@ block at a time, with the arithmetic of a step-by-step evaluation
 (`_Dense`).  It integrates a complex state forward from t=0 to the last
 sample time at the tolerances DEFAULT_TOL and ATOL, optionally until a
 predicate of the state holds and within a budget of step attempts, and
-nothing else.  A step attempt takes one of two kernels:
-
-- the stage kernel, for a callable fun(t, y), evaluates fun at the 12
-  stages (and the 4 extra stages of the interpolant) with SciPy's
-  floating-point operations in SciPy's order (the real tables are cast to
-  complex once, as np.dot would cast them on each call), so its samples
-  and evaluation counts are identical to SciPy's;
-- the matrix kernel, for y' = M y with a constant drift matrix M, uses
-  that each stage is then h K_s = Q_s(hM) y for a fixed polynomial Q_s
-  of degree s + 1, so that the end state, the error estimates and the
-  interpolant of an attempt are each a fixed polynomial of degree <= 16
-  in hM applied to y (`_polynomial_table`).  It is the same method, with
-  the same initial step (f = M y as np.matvec computes it), step control
-  and sampling; only the roundoff of an attempt differs, which moves the
-  samples of the presets by <= 2.1e-12.
+nothing else.  A step attempt evaluates fun at the 12 stages (and the 4
+extra stages of the interpolant) with SciPy's floating-point operations
+in SciPy's order (the real tables are cast to complex once, as np.dot
+would cast them on each call), so its samples and evaluation counts are
+identical to SciPy's (`_Stages`).
 
 One core, `_integrate`, steps a batch of B rows in lockstep; one system
 is the batch of one.  An iteration makes one step attempt for every row
@@ -43,6 +33,15 @@ the stages of all rows is one BLAS gemv, np.vecdot one BLAS dot per row,
 np.matmul one product per row) and the step-size control runs per row on
 Python floats.  Finished rows stay in the arrays with a zero step, so an
 iteration costs about the same for any B.
+
+For y' = M y with a constant drift matrix M, each stage is h K_s =
+Q_s(hM) y for a fixed polynomial Q_s, so a step and its error estimates
+are fixed polynomials in hM applied to y (`_polynomial_table`).  On a
+uniform sample grid `solve_ivp` then takes no adaptive loop: a step h =
+dt / 2^j of the sample step dt, small enough that the error norm accepts
+it from any state of norm <= 1, gives DOP853's step operator, which j
+squarings make the sample-step operator, and the samples are its powers
+(`_operator_runs`).  It uses only M and the tableau.
 
 The step factor SAFETY * err ** ERROR_EXPONENT, the squared error norms
 and the initial step take the power of a Python float or numpy scalar,
@@ -284,6 +283,9 @@ class Solution:
     nfev: int
     accepted: int  # accepted steps
     rejected: int  # rejected step attempts
+    # of a sample-step operator run only (see `_operator_runs`):
+    halvings: int | None = None  # j, the step being the sample step / 2^j
+    error_bound: float | None = None  # the norm that chose j
 
 
 class Solutions(list):
@@ -400,8 +402,15 @@ class _Stages:
         the attempted step, shape (7, B, n)."""
         for s, a in _EXTRA_STAGES:
             self._stage(s, a, y)
-        return _dense_terms(y, y_new, self.f, self.f_new, self.hcol,
-                            self.flat)
+        rows, n = y.shape
+        F = np.empty((INTERPOLATOR_POWER, rows, n), dtype=complex)
+        delta_y = y_new - y
+        F[0] = delta_y
+        F[1] = self.hcol * self.f - delta_y
+        F[2] = 2 * delta_y - self.hcol * (self.f_new + self.f)
+        F[3:] = self.hcol * np.dot(_D, self.flat).reshape(
+            INTERPOLATOR_POWER - 3, rows, n)
+        return F
 
     def accept(self, keep):
         """Move f to the new states: of every row when keep is None, else
@@ -410,66 +419,24 @@ class _Stages:
                   else np.where(keep, self.f, self.f_new))
 
 
-#: the highest power of hM in a step attempt of y' = M y: one per stage
-DEGREE = N_STAGES_EXTENDED
+#: the highest power of hM in a step of y' = M y and its error estimates:
+#: one per method stage, and one for the stage f(t + h, y_new)
+DEGREE = N_STAGES + 1
 
 
 @cache
 def _polynomial_table():
-    """The coefficients c_pk of z^k, k = 1 .. DEGREE, of the matrix
-    kernel's outputs p: the 7 continuous-extension terms of `_dense_terms`
-    (term 0 is y_new - y), then h err5 and h err3.  Stage s of y' = M y is
-    h K_s = Q_s(hM) y, with Q_0(z) = z and Q_s(z) = z (1 + sum_j a_sj
-    Q_j(z)), so each output is a fixed polynomial in hM applied to y.
-    Shape (9, DEGREE), complex."""
-    q = np.zeros((N_STAGES_EXTENDED, DEGREE + 1))  # q[s, k]: z^k in Q_s
-    for s in range(N_STAGES_EXTENDED):
+    """The coefficients c_pk of z^k, k = 1 .. DEGREE, of the outputs p of
+    a step of y' = M y: the increment y_new - y, then h err5 and h err3.
+    Stage s is h K_s = Q_s(hM) y, with Q_0(z) = z and Q_s(z) = z (1 +
+    sum_j a_sj Q_j(z)); stage N_STAGES, whose a_sj are the weights b_j, is
+    h f(t + h, y_new).  So each output is a fixed polynomial in hM applied
+    to y.  Shape (3, DEGREE)."""
+    q = np.zeros((N_STAGES + 1, DEGREE + 1))  # q[s, k]: z^k in Q_s
+    for s in range(N_STAGES + 1):
         q[s, 1] = 1.0
         q[s, 2:] = A[s, :s] @ q[:s, 1:-1]
-    step = B @ q[:N_STAGES]
-    table = np.vstack([step, q[0] - step, 2 * step - q[0] - q[N_STAGES],
-                       D @ q, E5 @ q[:N_STAGES + 1], E3 @ q[:N_STAGES + 1]])
-    return table[:, 1:].astype(complex)
-
-
-class _Powers:
-    """The matrix kernel, for y' = M y with a constant drift matrix M per
-    row: an attempt is `_polynomial_table` applied to the vectors
-    (hM)^k y.  The powers (M / sigma)^k, sigma the largest |M_ij| of the
-    row (1 for M = 0), are formed once, so that none overflows, and
-    stacked as one (DEGREE n, n) matrix per row; an attempt is then one
-    matmul giving every (M / sigma)^k y and one matmul, weighted by
-    (h sigma)^k, through the table."""
-
-    def __init__(self, m):
-        rows, n, _ = m.shape
-        sigma = np.max(np.abs(m), axis=(1, 2))
-        self.sigma = np.where(sigma > 0, sigma, 1.0)
-        powers = np.empty((rows, DEGREE, n, n), dtype=complex)
-        powers[:, 0] = m / self.sigma[:, None, None]
-        for k in range(1, DEGREE):
-            np.matmul(powers[:, k - 1], powers[:, 0], out=powers[:, k])
-        self.powers = powers.reshape(rows, DEGREE * n, n)
-
-    def attempt(self, y, t, h):
-        """As `_Stages.attempt`."""
-        rows, n = y.shape
-        # (h sigma)^k by repeated products, whose bits do not depend on
-        # the batch, as those of a vectorized np.power may
-        weights = np.multiply.accumulate(
-            np.outer(h * self.sigma, np.ones(DEGREE)), axis=1)
-        terms = np.matmul(self.powers, y[:, :, None]).reshape(rows, DEGREE,
-                                                              n)
-        terms *= weights[:, :, None]
-        self.out = np.matmul(_polynomial_table(), terms).transpose(1, 0, 2)
-        return y + self.out[0], self.out[7:] / h[:, None]
-
-    def dense(self, y, y_new):
-        """As `_Stages.dense`."""
-        return self.out[:7]
-
-    def accept(self, keep):
-        """Nothing to carry: an attempt needs only y."""
+    return np.vstack([B @ q[:N_STAGES], E5 @ q, E3 @ q])[:, 1:]
 
 
 def _square(x):
@@ -555,19 +522,17 @@ class _Dense:
 
 
 def _integrate(fun, y0, t_eval, stop, max_tries):
-    """Step the rows of y0, shape (B, n), in lockstep (see the module
-    docstring) from t=0 to t_bound = t_eval[-1] and return a Solution per
-    row; fun is a callable or a drift matrix stack, as `solve_ivp` takes
-    it.  The per-row state is kept in Python lists of Python floats and
-    bools; a row that is done (at any of ENDS) takes zero steps from then
-    on."""
+    """Step the rows of y0, shape (B, n), of y' = fun(t, y) in lockstep
+    (see the module docstring) from t=0 to t_bound = t_eval[-1] and return
+    a Solution per row.  The per-row state is kept in Python lists of
+    Python floats and bools; a row that is done (at any of ENDS) takes
+    zero steps from then on."""
     rows, n = y0.shape
     y = y0
     t_bound = float(t_eval[-1])
-    rhs = fun if callable(fun) else (lambda t, y: np.matvec(fun, y))
-    f = np.asarray(rhs(np.zeros(rows), y), dtype=complex)
-    h_abs = _initial_step(rhs, y, f, t_bound).tolist()
-    kernel = _Stages(fun, f) if callable(fun) else _Powers(fun)
+    f = np.asarray(fun(np.zeros(rows), y), dtype=complex)
+    h_abs = _initial_step(fun, y, f, t_bound).tolist()
+    kernel = _Stages(fun, f)
     # the sample times, read as Python floats without a list of them
     grid = memoryview(t_eval)
     t = [0.0] * rows
@@ -656,17 +621,130 @@ def _integrate(fun, y0, t_eval, stop, max_tries):
             for b in range(rows)]
 
 
-def _dense_terms(y_old, y, f_old, f, hcol, flat):
-    """The 7 coefficient vectors of each row's continuous extension, shape
-    (7, B, n), from the stages in flat (all 16 filled)."""
+#: a drift stack's t_eval is read as the uniform grid (first + k) dt when
+#: every time lies within this fraction of t_eval[-1] of its grid point
+UNIFORM_TOL = 1e-13
+
+#: powers of the sample-step operator formed per block of samples
+SAMPLE_BLOCK = 64
+
+
+def _uniform_grid(t_eval):
+    """(first, dt) with t_eval[k] = (first + k) dt, first a whole number,
+    to UNIFORM_TOL; ValueError for any other t_eval."""
+    count, t_bound = len(t_eval), float(t_eval[-1])
+    first = (1 if count == 1
+             else round(float(t_eval[0]) * (count - 1)
+                        / (t_bound - float(t_eval[0]))))
+    dt = t_bound / (first + count - 1)
+    if not (np.max(np.abs(t_eval - (first + np.arange(count)) * dt))
+            <= UNIFORM_TOL * t_bound):
+        raise ValueError("t_eval of a drift matrix stack must be a uniform "
+                         "grid of multiples of one step")
+    return first, dt
+
+
+def _orbit(op, y, count):
+    """y, op y, ..., op^(count - 1) y of each row, shape (B, count, n), for
+    op of shape (B, n, n) and y of shape (B, n): blocks of SAMPLE_BLOCK
+    samples, all of them one matmul per row of the powers op^i, i <
+    SAMPLE_BLOCK, with the blocks' starts, which are the orbit of
+    op^SAMPLE_BLOCK.  The samples are written once, in their order."""
     rows, n = y.shape
-    F = np.empty((INTERPOLATOR_POWER, rows, n), dtype=complex)
-    delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = hcol * f_old - delta_y
-    F[2] = 2 * delta_y - hcol * (f + f_old)
-    F[3:] = hcol * np.dot(_D, flat).reshape(INTERPOLATOR_POWER - 3, rows, n)
-    return F
+    size = min(count, SAMPLE_BLOCK)
+    # powers[:, i] = op^i by doubling, op^(i + d) = op^i op^d with op^d
+    # the square of the last op^(d / 2); the powers op^i, i < d, stacked
+    # as one (d n, n) matrix per row take one product
+    powers = np.empty((rows, size * n, n), dtype=complex)
+    powers[:, :n] = np.eye(n)
+    done = 1
+    while done < size:
+        width = min(done, size - done)
+        np.matmul(powers[:, :width * n], op,
+                  out=powers[:, done * n:(done + width) * n])
+        op = op @ op
+        done += width
+    starts = (y[:, None] if count <= size
+              else _orbit(op, y, -(-count // size)))
+    # sample b size + i is (op^i s_b)^T = s_b^T (op^i)^T
+    out = np.matmul(starts, powers.reshape(rows, size, n, n).transpose(
+        0, 3, 1, 2).reshape(rows, n, size * n))
+    return out.reshape(rows, starts.shape[1] * size, n)[:, :count]
+
+
+def _operator_runs(m, y0, t_eval):
+    """The Solutions of y' = M y for the drift stack m, shape (B, n, n),
+    from the rows of y0 at t=0, sampled at the uniform grid t_eval (see
+    `solve_ivp`).
+
+    Row b takes the step h = dt / 2^j of the sample step dt, for the least
+    j whose two error polynomials (`_polynomial_table`) at hM have
+    Frobenius norms, which bound their 2-norms, at most ATOL: from a state
+    of norm <= 1, as a drift whose norm never grows keeps it, a step of
+    size h then has error estimates of norm <= ATOL, below their scale,
+    so DOP853's error norm accepts it.  Its step operator S(h) = I +
+    sum_k c_k (hM)^k, squared j times, is the sample-step operator; the
+    state at t_eval[0] is a power of it by binary powering, and the
+    samples are its powers (`_orbit`).  The powers of hM are those of dt M,
+    formed once, scaled by 2^(-jk), which is exact.  A row whose step
+    would fall below 10 ulp of t_eval[-1] fails before any sample; one
+    whose samples overflow keeps those before the first that is not
+    finite.  Each row's products are those of its run alone."""
+    rows, n, _ = m.shape
+    count = len(t_eval)
+    first, dt = _uniform_grid(t_eval)
+    t_bound = float(t_eval[-1])
+    min_step = 10 * (math.nextafter(t_bound, math.inf) - t_bound)
+    powers = np.empty((rows, DEGREE, n, n), dtype=complex)
+    powers[:, 0] = dt * m
+    for k in range(1, DEGREE):
+        np.matmul(powers[:, k - 1], powers[:, 0], out=powers[:, k])
+    powers = powers.reshape(rows, DEGREE, n * n)
+    halvings, bounds = [None] * rows, [None] * rows
+    step = np.empty((rows, n, n), dtype=complex)  # S(h) - I
+    pending, j = np.arange(rows), 0
+    while len(pending) and dt / 2 ** j >= min_step:
+        weights = _polynomial_table() * 0.5 ** (j * np.arange(1, DEGREE + 1))
+        poly = np.matmul(weights, powers[pending]).reshape(-1, 3, n, n)
+        # NaN where a power overflows, which no j meets
+        norms = np.linalg.norm(poly[:, 1:], axis=(2, 3)).max(axis=1)
+        met = norms <= ATOL
+        step[pending[met]] = poly[met, 0]
+        for b, bound in zip(pending[met].tolist(), norms[met].tolist()):
+            halvings[b], bounds[b] = j, bound
+        pending = pending[~met]
+        j += 1
+
+    live = [b for b in range(rows) if halvings[b] is not None]
+    op = np.eye(n) + step[live]
+    for i in range(max((halvings[b] for b in live), default=0)):
+        square = [k for k, b in enumerate(live) if halvings[b] > i]
+        op[square] = op[square] @ op[square]
+    y, power, e = y0[live], op, first
+    while e:
+        if e & 1:
+            y = np.matvec(power, y)
+        e >>= 1
+        if e:
+            power = power @ power
+    samples = _orbit(op, y, count)
+    reached = [count] * len(live)
+    if not np.isfinite(samples).all():
+        finite = np.isfinite(samples).all(axis=2)
+        reached = np.where(finite.all(axis=1), count,
+                           finite.argmin(axis=1)).tolist()
+
+    sols = [Solution(t=t_eval[:0], y=np.empty((0, n), dtype=complex),
+                     end="failed", nfev=0, accepted=0, rejected=0)
+            for _ in range(rows)]
+    for k, b in enumerate(live):
+        sols[b] = Solution(
+            t=t_eval[:reached[k]], y=samples[k, :reached[k]],
+            end="t_final" if reached[k] == count else "failed", nfev=0,
+            accepted=(2 ** halvings[b] * (first + reached[k] - 1)
+                      if reached[k] else 0),
+            rejected=0, halvings=halvings[b], error_bound=bounds[b])
+    return sols
 
 
 def solve_ivp(fun, y0, t_eval, max_tries, stop=None):
@@ -681,17 +759,25 @@ def solve_ivp(fun, y0, t_eval, max_tries, stop=None):
     bit.  The stage states passed to fun share one buffer, so fun must not
     keep y.
 
-    fun may instead be a stack of constant drift matrices M, shape (B, n,
-    n), for y' = M y: the matrix kernel then takes each step attempt as
-    one polynomial in hM (see the module docstring), and nfev counts the
-    evaluations of M y that the stage kernel would make.
-
     A row ends as one of ENDS: "t_final" at t_eval[-1]; "decay_floor"
     after the first accepted step whose end state y satisfies stop(y) (the
     steps before it are those of a run without stop); "failed" with a step
     size below 10 ulp of t, or NaN; "budget" when it has made max_tries
     step attempts and would make another (SciPy has no such bound).  Its
     solution holds the samples reached.
+
+    fun may instead be a stack of constant drift matrices M, shape (B, n,
+    n), for y' = M y, with t_eval a uniform grid of multiples of one step
+    dt (else ValueError): each row's samples are then powers of its
+    sample-step operator, DOP853's step polynomial in hM for h = dt / 2^j
+    squared j times (`_operator_runs`).  Such a row ignores stop and
+    max_tries and ends as "t_final", or as "failed" when h would fall
+    below 10 ulp of t_eval[-1] or a sample overflows.  It evaluates no
+    right-hand side, so nfev = 0; accepted counts the DOP853 steps of
+    size h from t=0 to its last sample, and rejected = 0, as every such
+    step passes the error norm; halvings is j and error_bound the norm of
+    the error polynomials that chose it (both None where no step met
+    ATOL).
     """
     t_eval = np.asarray(t_eval)
     if not (t_eval.ndim == 1 and t_eval.size and t_eval[0] >= 0.0
@@ -701,11 +787,12 @@ def solve_ivp(fun, y0, t_eval, max_tries, stop=None):
     y0 = np.asarray(y0, dtype=complex)
     if y0.ndim != 2:
         raise ValueError("y0 must have shape (B, n): one row per system")
-    if not callable(fun):
+    # overflow and NaN end in a NaN error norm, which the step control
+    # reports as "failed", or in a sample that is not finite
+    with np.errstate(all="ignore"):
+        if callable(fun):
+            return Solutions(_integrate(fun, y0, t_eval, stop, max_tries))
         fun = np.asarray(fun, dtype=complex)
         if fun.shape != (*y0.shape, y0.shape[1]):
             raise ValueError("a drift matrix stack must have shape (B, n, n)")
-    # overflow and NaN end in a NaN error norm, which the step control
-    # reports as "failed"
-    with np.errstate(all="ignore"):
-        return Solutions(_integrate(fun, y0, t_eval, stop, max_tries))
+        return Solutions(_operator_runs(fun, y0, t_eval))

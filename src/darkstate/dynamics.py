@@ -11,27 +11,31 @@ evaluated with a Filon-type rule that treats the oscillatory factor exactly.
 
 The trajectory is sampled only where it is read: `propagate` on its whole
 uniform grid, `trapped_fraction` on the plateau window at the grid's end.
-Integrator steps that hold no sample build no interpolant.
-`trapped_fraction` stops integrating once the population has provably
-decayed: when the decay matrix Gamma is positive semidefinite the norm
-never grows, so once it falls below a floor far under `PLATEAU_TOL` every
-later sample lies between 0 and that floor.
 
 A resonant system free of cross-damping has a constant drift matrix M,
-and its runs take DOP853's matrix kernel, which steps y' = M y as one
-polynomial in hM per attempt; any other system takes the stage kernel on
-the time-dependent M(t) (`_kernel`).  Both are the same method, to
-roundoff, and the route stays independent of the closed form: no
-eigendecomposition or resolvent is used.
+and its runs take DOP853's sample-step operator: DOP853's step polynomial
+in hM, for a step h that divides the sample step by a power of 2 and that
+the error norm accepts from any state of norm <= 1, squared up to the
+sample step.  The state at the window's start is a power of that operator
+by binary powering, and each sample one 4x4 product, so the run's cost
+follows the samples, not the stiffness.  Any other system takes the
+adaptive stage kernel on the time-dependent M(t) (`_kernel`), which
+evaluates no step that holds no sample and, in `trapped_fraction`, stops
+once the population has provably decayed: when the decay matrix Gamma is
+positive semidefinite the norm never grows, so once it falls below a
+floor far under `PLATEAU_TOL` every later sample lies between 0 and that
+floor.  Both take only M (or M(t)) and DOP853's tableau, so the route
+stays independent of the closed form: no eigendecomposition of M,
+quartic or resolvent is used.
 
-Systems are integrated as lockstep batches of the one DOP853 core: given a
-sequence of systems (a sweep, or the trapped checks of `validate`, one
-batch per command), `trapped_fraction` steps all those that share a sample
-grid and a kernel together, each row with its own steps, stop test and
-failure, and each row's samples, steps and value equal those of its run
-alone bit for bit; errors are raised for the first failing system in
-order, as a loop over the systems would.  `propagate` and a single
-`trapped_fraction` are batches of one.
+Systems are integrated as lockstep batches: given a sequence of systems
+(a sweep, or the trapped checks of `validate`, one batch per command),
+`trapped_fraction` integrates all those that share a sample grid and a
+kernel together, each row with its own step (and stop test) and failure,
+and each row's samples and value equal those of its run alone bit for
+bit; errors are raised for the first failing system in order, as a loop
+over the systems would.  `propagate` and a single `trapped_fraction` are
+batches of one.
 
 A spectrum's Filon transforms are one call (`_filon_linear`): every
 branch, eps value and Richardson pass.  Both passes, summed by parts, need
@@ -97,9 +101,9 @@ class AmplitudeTrajectory:
 
 
 def _kernel(sys: D2System) -> str:
-    """The DOP853 kernel of a run of sys: "matrix" when its drift matrix is
-    constant (resonant and free of cross-damping), else "stages"."""
-    return ("matrix" if not any(sys.detunings) and not any(sys.alignments)
+    """The DOP853 kernel of a run of sys: "operator" when its drift matrix
+    is constant (resonant and free of cross-damping), else "stages"."""
+    return ("operator" if not any(sys.detunings) and not any(sys.alignments)
             else "stages")
 
 
@@ -194,23 +198,22 @@ def _sample_times(sys: D2System, t_final: float) -> np.ndarray:
 
 def _solve(systems, times, max_tries, stop=None):
     """Integrate the systems from t=0 to times[-1] as one lockstep batch at
-    DEFAULT_TOL, sampled at the ascending times: the kernel taken and a
-    Solution per system.  The batch takes the matrix kernel, with the
-    stack of constant drift matrices, when every system's `_kernel` is
-    "matrix", else the stage kernel with `_rhs_builder`'s M(t); a row
-    equals its run alone when all rows are of one kernel.  A row ends
-    after max_tries step attempts, the sample count of the full uniform
-    grid, so the work follows the output's size.  The presets take at
-    most 0.07 attempts per sample.  A run takes more, and ends as
+    DEFAULT_TOL, sampled at the ascending times (a uniform grid's tail):
+    the kernel taken and a Solution per system.  The batch takes the
+    sample-step operator, with the stack of constant drift matrices, when
+    every system's `_kernel` is "operator", else the stage kernel with
+    `_rhs_builder`'s M(t); a row equals its run alone when all rows are of
+    one kernel.  An operator row's cost follows the samples whatever its
+    rates; it ignores max_tries and stop.  A stage row ends after
+    max_tries step attempts, the sample count of the full uniform grid,
+    so the work follows the output's size, and takes more, ending as
     `budget`, when its decay rates or drives, which the grid does not
-    resolve, force a shorter step (measured with splittings 13 at t_final
-    = 60: a D1 loop with Gamma above about 1.65e3, or with all four drives
-    above about 42).  With stop, a row ends at the first step whose end
-    state satisfies stop (evaluated per row); only steps that hold a
-    sample are interpolated."""
-    if all(_kernel(s) == "matrix" for s in systems):
-        kernel, drift = "matrix", np.array([coupling_matrix(s)
-                                            for s in systems])
+    resolve, force a shorter step; with stop, it ends at the first step
+    whose end state satisfies stop (evaluated per row); only its steps
+    that hold a sample are interpolated."""
+    if all(_kernel(s) == "operator" for s in systems):
+        kernel, drift = "operator", np.array([coupling_matrix(s)
+                                              for s in systems])
     else:
         kernel, drift = "stages", _rhs_builder(systems)
     return kernel, solve_ivp(drift,
@@ -221,9 +224,13 @@ def _solve(systems, times, max_tries, stop=None):
 def _run_record(sol, kernel: str) -> dict:
     """The integrator diagnostics of the run sol: nfev, accepted and
     rejected steps, how it ended (one of `_dop853.ENDS`) and the kernel it
-    took."""
-    return {"nfev": sol.nfev, "accepted": sol.accepted,
-            "rejected": sol.rejected, "end": sol.end, "kernel": kernel}
+    took; for the sample-step operator also its halvings and error_bound
+    (see `_dop853.solve_ivp`)."""
+    record = {"nfev": sol.nfev, "accepted": sol.accepted,
+              "rejected": sol.rejected, "end": sol.end, "kernel": kernel}
+    if kernel == "operator":
+        record.update(halvings=sol.halvings, error_bound=sol.error_bound)
+    return record
 
 
 def _raise_failure(sol):
@@ -519,8 +526,7 @@ def trapped_fraction(sys, t_final: float = 150.0,
     lockstep batches (one per sample grid and kernel) and give a list of
     values, each the value of its system alone.  Errors are raised for the
     first failing system in order.  A list given as runs receives, per
-    system, its integrator diagnostics: nfev, accepted and rejected steps,
-    how the run ended (one of `_dop853.ENDS`) and the kernel it took.
+    system, its integrator diagnostics (`_run_record`).
 
     The population is sampled only on the last 10% of propagate's uniform
     grid of n samples, from sample min(int(0.9 n), n - 2) on, so that it
@@ -528,26 +534,29 @@ def trapped_fraction(sys, t_final: float = 150.0,
     must agree to PLATEAU_TOL, else NotConverged is raised (or, with
     require_plateau=False, the late-window mean is returned anyway).
 
-    When the decay matrix is positive semidefinite (see _norm_never_grows)
-    the population never grows, and the integration stops at the first
-    step that ends with it below DECAY_FLOOR * PLATEAU_TOL.  The window
-    samples not reached then count as 0, each within that floor of its
-    value; a stop before the window returns 0.0.
+    On the stage kernel, when the decay matrix is positive semidefinite
+    (see _norm_never_grows) the population never grows, and the
+    integration stops at the first step that ends with it below
+    DECAY_FLOOR * PLATEAU_TOL.  The window samples not reached then count
+    as 0, each within that floor of its value; a stop before the window
+    returns 0.0.  The sample-step operator computes every window sample.
     """
     systems = [sys] if isinstance(sys, D2System) else list(sys)
     floor = DECAY_FLOOR * PLATEAU_TOL
     batches = {}
     for k, s in enumerate(systems):
         # t_final is shared, so the grid follows from its length
-        times = _sample_times(s, t_final)
-        batches.setdefault((len(times), _kernel(s)),
-                           (times, []))[1].append(k)
+        batches.setdefault((_sample_count(s, t_final), _kernel(s)),
+                           []).append(k)
     integrated = [None] * len(systems)
-    for times, group in batches.values():
-        stoppable = np.array([_norm_never_grows(systems[k]) for k in group])
+    for (count, kernel), group in batches.items():
+        times = np.linspace(0.0, t_final, count)
+        stoppable = np.array([kernel == "stages"
+                              and _norm_never_grows(systems[k])
+                              for k in group])
         stop = ((lambda y: stoppable & (np.vecdot(y, y).real < floor))
                 if stoppable.any() else None)
-        window = times[min(int(0.9 * len(times)), len(times) - 2):]
+        window = times[min(int(0.9 * count), count - 2):]
         kernel, sols = _solve([systems[k] for k in group], window,
                               len(times), stop)
         for k, sol in zip(group, sols):
@@ -558,7 +567,9 @@ def trapped_fraction(sys, t_final: float = 150.0,
     for window, _, sol in integrated:
         _raise_failure(sol)
         tail = np.zeros(len(window))
-        tail[:len(sol.y)] = np.sum(np.abs(sol.y) ** 2, axis=1)
+        # the components' |A|^2 added in order, as np.sum adds them, but
+        # without its slow reduction along an axis of 4
+        tail[:len(sol.y)] = sum(np.abs(sol.y.T) ** 2)
         half = len(tail) // 2
         m1 = float(np.mean(tail[:half]))
         m2 = float(np.mean(tail[half:]))

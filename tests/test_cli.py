@@ -129,9 +129,13 @@ class TestSpectrumCommand:
             propagate(preset("fig2-notrapping").system, runs=alone)
             assert manifest["integrator"] == [{**alone[0],
                                                "eps_extrapolated": False}]
-            assert alone[0]["end"] == "t_final" and alone[0]["nfev"] > 0
-            # a resonant preset without cross-damping: a constant drift
-            assert alone[0]["kernel"] == "matrix"
+            # a resonant preset without cross-damping: a constant drift,
+            # whose sample-step operator evaluates no right-hand side and
+            # halves the sample step until its error bound meets atol
+            assert alone[0]["end"] == "t_final" and alone[0]["nfev"] == 0
+            assert alone[0]["kernel"] == "operator"
+            assert alone[0]["halvings"] >= 0 and alone[0]["rejected"] == 0
+            assert 0 < alone[0]["error_bound"] <= 1e-10
 
     @pytest.mark.parametrize("name, trapped", [
         ("fig2-notrapping", False), ("d1-fig3a", True), ("d1-trapping", True)])

@@ -2,12 +2,14 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
+from scipy.linalg import expm
 
 from conftest import random_admissible_system
 from darkstate import (
@@ -31,7 +33,7 @@ from darkstate import _dop853, dynamics
 from darkstate.analysis import compare_spectra
 from darkstate.cli import main
 from darkstate.dynamics import _filon_linear, _filon_weights
-from darkstate.spectrum import branch_shifts
+from darkstate.spectrum import branch_shifts, coupling_matrix
 
 
 def _scipy_rhs(system):
@@ -619,12 +621,14 @@ def _phase2_sweep():
 
 
 class TestTrappedFractionEarlyExit:
-    """trapped_fraction stops once the population is below DECAY_FLOOR *
-    PLATEAU_TOL when the decay matrix is positive semidefinite."""
+    """On the stage kernel, trapped_fraction stops once the population is
+    below DECAY_FLOOR * PLATEAU_TOL when the decay matrix is positive
+    semidefinite; the resonant systems here are forced onto it."""
 
     @staticmethod
     def _spy(monkeypatch, force_full):
         calls = []
+        monkeypatch.setattr(dynamics, "_kernel", lambda sys: "stages")
         integrate = dynamics.solve_ivp
 
         def spy(*args, **kwargs):
@@ -665,7 +669,14 @@ class TestTrappedFractionEarlyExit:
         for k in set(range(len(systems))) - set(stopped):
             assert early_calls[k][1] == full_calls[k][1]
 
-    def test_decayed_value_is_exactly_zero(self):
+    def test_decayed_value_is_exactly_zero(self, monkeypatch):
+        # the sample-step operator computes the whole window: below the
+        # floor, not 0
+        floor = dynamics.DECAY_FLOOR * dynamics.PLATEAU_TOL
+        systems = [_bare("A1"), *_phase2_sweep()[::5]]
+        assert all(0.0 < value <= floor
+                   for value in trapped_fraction(systems, t_final=60.0))
+        monkeypatch.setattr(dynamics, "_kernel", lambda sys: "stages")
         assert trapped_fraction(_bare("A1"), t_final=60.0) == 0.0
         for s in _phase2_sweep()[::5]:
             assert trapped_fraction(s) == 0.0
@@ -746,8 +757,10 @@ class TestSampling:
     def test_matches_dense_output(self, k):
         """The stage kernel on propagate's grid and budget samples SciPy's
         dense output to 1e-14.  propagate and trapped_fraction take the
-        matrix kernel on these resonant systems, and agree with it to
-        MATRIX_KERNEL_TOL."""
+        sample-step operator on these resonant systems: its samples lie
+        within 1e-11 of expm (1.6e-12 at most here, on the trapped D1
+        presets at t = 150), and trapped_fraction's window, a power of its
+        operator, gives the plateau of propagate's samples to 1e-11."""
         s = _reference_systems()[k]
         times, amps = _dense_reference(s, 150.0)
         (stages,) = dynamics.solve_ivp(
@@ -756,9 +769,10 @@ class TestSampling:
         assert np.max(np.abs(stages.y - amps)) <= 1e-14
         traj = propagate(s, t_final=150.0)
         assert np.array_equal(traj.times, times)
-        assert np.max(np.abs(traj.amps - stages.y)) <= MATRIX_KERNEL_TOL
+        assert _expm_error(s, SimpleNamespace(y=traj.amps), times, 97) <= \
+            1e-11
         assert abs(trapped_fraction(s, require_plateau=False)
-                   - _plateau(stages.y)) <= MATRIX_KERNEL_TOL
+                   - _plateau(traj.amps)) <= 1e-11
 
     def test_trapped_fraction_samples_only_the_window(self, monkeypatch):
         calls = []
@@ -782,7 +796,8 @@ class TestSampling:
     def test_integrator_failure(self, reached, monkeypatch, tmp_path,
                                 capsys):
         failed = SimpleNamespace(end="failed", t=reached, nfev=0,
-                                 accepted=0, rejected=0)
+                                 accepted=0, rejected=0, halvings=None,
+                                 error_bound=None)
         # one failed solution per row of the batch
         monkeypatch.setattr(dynamics, "solve_ivp",
                             lambda fun, y0, **k: [failed] * len(y0))
@@ -799,9 +814,18 @@ class TestSampling:
 
 
 #: stiff but valid D1 loops (Gamma, drive magnitude) either side of the
-#: step budget at t_final = 5, and whether they are within it
+#: stage kernel's step budget at t_final = 5, and whether they are within it
 BUDGET_EDGE = [(1e3, 1.0, True), (2e3, 1.0, False), (1.0, 25.0, True),
                (1.0, 50.0, False)]
+
+
+def _detuned_d1(gamma, mag):
+    """The D1 loop with rate gamma and four fields of magnitude mag, its
+    first field detuned by 0.5: a time-dependent drift, so that its runs
+    take the stage kernel and its step budget, on the grid of the
+    resonant loop."""
+    return replace(d1_system(gamma, *[DriveField(mag)] * 4),
+                   detunings=(0.5, 0.0, 0.0, 0.0))
 
 
 class TestSampleCap:
@@ -818,7 +842,6 @@ class TestSampleCap:
         ({"omega12": 0.5, "omega23": 0.5}, 2e4, "t_final = 20000 needs 2e+06"),
     ])
     def test_check_names_the_field(self, change, t_final, cause):
-        from dataclasses import replace
         system = replace(preset("fig2-notrapping").system, **change)
         with pytest.raises(TooManySamples, match=re.escape(cause)):
             dynamics._sample_count(system, t_final)
@@ -849,10 +872,11 @@ class TestSampleCap:
         assert list(tmp_path.iterdir()) == []
 
     def test_step_budget_is_the_sample_count(self):
-        """A row that would make more step attempts than its run's full
-        grid has samples ends as `budget` and raises NotConverged; the
-        other rows of its batch keep their own runs."""
-        stiff = d1_system(1e6, *[DriveField(1.0)] * 4)
+        """A stage-kernel row that would make more step attempts than its
+        run's full grid has samples ends as `budget` and raises
+        NotConverged; the other rows of its batch keep their own runs."""
+        stiff = _detuned_d1(1e6, 1.0)
+        assert dynamics._kernel(stiff) == "stages"
         runs = []
         with pytest.raises(NotConverged, match="budget of 131 step"):
             propagate(stiff, t_final=1.0, runs=runs)
@@ -876,12 +900,14 @@ class TestSampleCap:
 
     @pytest.mark.parametrize("gamma, mag, within", BUDGET_EDGE)
     def test_step_budget_edge(self, gamma, mag, within):
-        """Stiff but valid D1 loops either side of the budget, as the README
-        documents: the grid resolves the splittings, not Gamma or the
-        drives, so Gamma = 2e3 or four drives of 50 need more than one step
-        attempt per sample (the budget) and raise NotConverged, where
-        Gamma = 1e3 and drives of 25 pass."""
-        system = d1_system(gamma, *[DriveField(mag)] * 4)
+        """Stiff but valid detuned D1 loops either side of the stage
+        kernel's budget, as the README documents: the grid resolves the
+        splittings, not Gamma or the drives, so Gamma = 2e3 or four drives
+        of 50 need more than one step attempt per sample (the budget) and
+        raise NotConverged, where Gamma = 1e3 and drives of 25 pass.  The
+        resonant loops take the sample-step operator and compute
+        (`TestMatrixKernel.test_stiff_d1_loops_compute`)."""
+        system = _detuned_d1(gamma, mag)
         runs = []
         if within:
             propagate(system, t_final=5.0, runs=runs)
@@ -1005,6 +1031,18 @@ def _decaying_system():
     return random_admissible_system(np.random.default_rng(3))
 
 
+def _stop_floor():
+    """A floor that the stage kernel's run of `_decaying_system` crosses
+    at t ~ 142: its population at the sample there."""
+    system = _decaying_system()
+    times = dynamics._sample_times(system, 150.0)
+    (late,) = dynamics.solve_ivp(dynamics._rhs_builder([system]),
+                                 system.initial_vector()[None],
+                                 t_eval=times, max_tries=len(times))
+    return np.sum(np.abs(late.y) ** 2, axis=1)[np.searchsorted(times,
+                                                               142.0)]
+
+
 def _recorded_run(system, times, stop):
     """Integrate with stop, recording at each accepted step (each call of
     stop) the evaluation count and the latest time fun was evaluated at."""
@@ -1112,9 +1150,7 @@ class TestBatch:
         systems = [*_INTEGRATOR_CASES.values(), _decaying_system(),
                    _overflowing_system()]
         floors = np.full(len(systems), 1e-9)
-        late = propagate(_decaying_system(), t_final=150.0)
-        floors[-2] = np.sum(np.abs(late.amps) ** 2, axis=1)[
-            np.searchsorted(late.times, 142.0)]
+        floors[-2] = _stop_floor()
         times = dynamics._sample_times(systems[0], 150.0)
         budget = len(times)
         if grid == "window":
@@ -1170,9 +1206,11 @@ class TestBatch:
         with pytest.raises(StepSizeUnderflow, match="no sample reached"):
             trapped_fraction([good, bad, good], require_plateau=False,
                              runs=runs)
-        assert [run["end"] for run in runs] == ["decay_floor", "failed",
-                                                "decay_floor"]
-        assert runs[1]["nfev"] > 2 and runs[1]["accepted"] == 0
+        # the operator computes the whole window of the good rows; the bad
+        # one's step would fall below 10 ulp of t_final
+        assert [run["end"] for run in runs] == ["t_final", "failed",
+                                                "t_final"]
+        assert runs[1]["halvings"] is None and runs[1]["accepted"] == 0
 
         # of two failing rows, the first in order is raised
         integrate = dynamics.solve_ivp
@@ -1181,7 +1219,8 @@ class TestBatch:
             sols = integrate(*args, **kwargs)
             for k, t in ((1, [135.5, 136.0]), (2, [135.0])):
                 sols[k] = SimpleNamespace(t=np.array(t), end="failed",
-                                          nfev=0, accepted=0, rejected=0)
+                                          nfev=0, accepted=0, rejected=0,
+                                          halvings=None, error_bound=None)
             return sols
 
         monkeypatch.setattr(dynamics, "solve_ivp", fail_rows)
@@ -1190,15 +1229,16 @@ class TestBatch:
         assert info.value.t_reached == 136.0
 
 
-#: how far the matrix kernel's samples may lie from the stage kernel's on
-#: a run of the same steps: roundoff, grown over the run (2.1e-12 at most
-#: on the presets)
-MATRIX_KERNEL_TOL = 1e-11
+#: how far the sample-step operator's samples may lie from scipy's expm on
+#: the presets to t = 60 and on seeded draws to t = 150: the roundoff of
+#: its step operator, grown over its powers (6.5e-13 at most there, on
+#: the trapped D1 presets; 3.2e-14 on the draws)
+EXPM_TOL = 1e-12
 
 
 def _both_kernels(run):
-    """run() as the systems choose their kernel (the matrix kernel for a
-    resonant, uncoupled one), then with every system on the stage
+    """run() as the systems choose their kernel (the sample-step operator
+    for a resonant, uncoupled one), then with every system on the stage
     kernel."""
     chosen = run()
     with pytest.MonkeyPatch.context() as patch:
@@ -1213,75 +1253,166 @@ def _solve_alone(system, t_final):
     return sol
 
 
+def _expm_error(system, sol, times, every):
+    """The largest distance of every every-th sample of sol, and the last,
+    from exp(M t) y0 by scipy.linalg.expm."""
+    m = coupling_matrix(system)
+    k = np.r_[0:len(times):every, len(times) - 1]
+    want = np.array([expm(m * times[i]) @ system.initial_vector() for i in k])
+    return np.max(np.abs(sol.y[k] - want))
+
+
+def _stage_steps(system, sol, times, every):
+    """The largest distance of the samples k + 1 of sol, for every every-th
+    k, from the stage kernel's adaptive run over one sample step from its
+    sample k; and the rows of that batch."""
+    k = np.arange(0, len(times) - 1, every)
+    steps = dynamics.solve_ivp(dynamics._rhs_builder([system] * len(k)),
+                               sol.y[k], t_eval=times[1:2], max_tries=10**5)
+    assert {step.end for step in steps} == {"t_final"}
+    return np.max(np.abs(np.array([step.y[0] for step in steps])
+                         - sol.y[k + 1]))
+
+
+def _step_polynomial(z, row):
+    """sum_k c_k z^k for the coefficients c of `_polynomial_table` row row
+    (0 the step's increment, 1 and 2 h err5 and h err3), z of shape (n,
+    n)."""
+    power, total = np.eye(len(z)), np.zeros_like(z)
+    for c in _dop853._polynomial_table()[row]:
+        power = power @ z
+        total = total + c * power
+    return total
+
+
 class TestMatrixKernel:
-    """A system whose drift matrix M is constant takes each DOP853 attempt
-    as one polynomial in hM: the method of the stage kernel, within
-    roundoff of its samples, and with the same lockstep batches."""
+    """A system whose drift matrix M is constant takes the sample-step
+    operator: DOP853's step of size h = dt / 2^j, squared j times up to the
+    sample step dt, and the samples are its powers."""
 
     @pytest.mark.parametrize("name", preset_names())
     def test_presets_take_the_stage_kernels_steps(self, name):
+        """Each step of the operator is the stage kernel's step of size h,
+        to roundoff, from states all along the run, and the stage kernel's
+        error norm accepts it; the samples lie within EXPM_TOL of expm."""
         system = preset(name).system
-        for t_final in (60.0, 150.0):
-            matrix, stages = _both_kernels(
-                lambda: _solve_alone(system, t_final))
-            assert dynamics._kernel(system) == "matrix"
-            assert (matrix.accepted, matrix.rejected) == \
-                (stages.accepted, stages.rejected)
-            assert matrix.end == stages.end == "t_final"
-            assert np.max(np.abs(matrix.y - stages.y)) <= MATRIX_KERNEL_TOL
+        times = dynamics._sample_times(system, 60.0)
+        sol = _solve_alone(system, 60.0)
+        assert dynamics._kernel(system) == "operator"
+        assert sol.end == "t_final" and len(sol.t) == len(times)
+        assert _expm_error(system, sol, times, 41) <= EXPM_TOL
+        k = np.arange(0, len(times), 97)
+        y, t = sol.y[k], times[k]
+        h = times[1] / 2 ** sol.halvings
+        fun = dynamics._rhs_builder([system] * len(k))
+        y_new, err = _dop853._Stages(fun, fun(t, y)).attempt(
+            y, t, np.full(len(k), h))
+        step = _step_polynomial(h * coupling_matrix(system), 0)
+        assert np.max(np.abs(y_new - (y + np.matvec(step, y)))) <= 1e-15
+        scale = _dop853.ATOL + np.maximum(np.abs(y), np.abs(y_new)) * \
+            _dop853.DEFAULT_TOL
+        err5, err3 = np.sqrt(_dop853._squared_norms(err / scale))
+        assert all(_dop853._error_norm(e5, e3, h, 4) < 1
+                   for e5, e3 in zip(err5.tolist(), err3.tolist()))
 
     def test_random_and_stiff_systems(self):
-        """Samples within tol of the stage kernel's, also where the
-        population has decayed below atol or the step is at the edge of
-        stability; bright spectra to 1e-12 of their peak."""
+        """Every operator sample is within DEFAULT_TOL of the stage
+        kernel's adaptive run over one sample step from the sample before
+        it, also where the population has decayed below atol, and on stiff
+        D1 loops on either side of the stage kernel's step budget.  (The
+        two kernels' whole runs differ by the stage kernel's global error,
+        up to 1.9e-7 on the trapped D1 presets at t = 150.)"""
         rng = np.random.default_rng(29)
-        grid = np.linspace(-30.0, 30.0, 61)
-        draws = [(random_admissible_system(rng), 150.0) for _ in range(50)]
-        edge = [(d1_system(gamma, *[DriveField(mag)] * 4), 5.0)
+        draws = [(random_admissible_system(rng), 150.0, 97)
+                 for _ in range(50)]
+        edge = [(d1_system(gamma, *[DriveField(mag)] * 4), 5.0, 13)
                 for gamma, mag, _ in BUDGET_EDGE]
-        for system, t_final in draws + edge:
-            matrix, stages = _both_kernels(
-                lambda: _solve_alone(system, t_final))
-            assert matrix.end == stages.end
-            assert matrix.y.shape == stages.y.shape
-            assert np.max(np.abs(matrix.y - stages.y)) <= dynamics.DEFAULT_TOL
-            if matrix.end != "t_final":
-                continue
-            matrix, stages = _both_kernels(lambda: spectrum_time_domain(
-                system, grid, t_final=min(t_final, 60.0)))
-            peak = np.max(stages.total)
-            assert peak > 1e-3
-            assert np.max(np.abs(matrix.branch_intensity
-                                 - stages.branch_intensity)) <= 1e-12 * peak
+        for system, t_final, every in draws + edge:
+            times = dynamics._sample_times(system, t_final)
+            sol = _solve_alone(system, t_final)
+            assert sol.end == "t_final" and len(sol.t) == len(times)
+            assert _stage_steps(system, sol, times, every) <= \
+                dynamics.DEFAULT_TOL
+
+    def test_random_draws_match_expm(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            system = random_admissible_system(rng)
+            times = dynamics._sample_times(system, 150.0)
+            sol = _solve_alone(system, 150.0)
+            assert _expm_error(system, sol, times, 401) <= EXPM_TOL
+
+    @pytest.mark.parametrize("gamma, mag", [(2e3, 1.0), (1.0, 50.0),
+                                            (5e3, 1.0), (1e5, 1.0)])
+    def test_stiff_d1_loops_compute(self, gamma, mag):
+        """The stiff D1 loops that spend the stage kernel's step budget
+        (NotConverged, exit 3) compute, within DEFAULT_TOL of expm: the
+        operator's cost follows the samples, its step only halves more
+        often."""
+        system = d1_system(gamma, *[DriveField(mag)] * 4)
+        runs = []
+        traj = propagate(system, t_final=5.0, runs=runs)
+        (run,) = runs
+        assert run["end"] == "t_final" and run["halvings"] >= 2
+        assert _expm_error(system, SimpleNamespace(y=traj.amps), traj.times,
+                           13) <= dynamics.DEFAULT_TOL
+
+    def test_run_record(self):
+        """An operator run records its halvings j, the least whose error
+        polynomials have norms at most ATOL, and that norm; it evaluates
+        no right-hand side, rejects no step and accepts the 2^j steps of
+        each sample step to t_final."""
+        system = preset("fig2-trapping").system
+        runs = []
+        traj = propagate(system, t_final=60.0, runs=runs)
+        (run,) = runs
+        j = run["halvings"]
+        assert run["kernel"] == "operator" and run["end"] == "t_final"
+        assert (run["nfev"], run["rejected"]) == (0, 0)
+        assert run["accepted"] == 2 ** j * (len(traj.times) - 1)
+        m = coupling_matrix(system)
+
+        def bound(halvings):
+            z = traj.times[1] / 2 ** halvings * m
+            return max(np.linalg.norm(_step_polynomial(z, row))
+                       for row in (1, 2))
+
+        assert j >= 1 and bound(j - 1) > _dop853.ATOL
+        assert run["error_bound"] == pytest.approx(bound(j), rel=1e-12)
+        assert run["error_bound"] <= _dop853.ATOL
+
+    @pytest.mark.parametrize("t_eval", [[0.1, 0.25, 1.0], [0.3, 1.0],
+                                        np.linspace(0.0, 1.0, 11) ** 2])
+    def test_non_uniform_grid_rejected(self, t_eval):
+        # the samples are powers of one sample-step operator
+        with pytest.raises(ValueError, match="uniform"):
+            dynamics.solve_ivp(-np.eye(2)[None], np.ones((1, 2)),
+                               t_eval=t_eval, max_tries=1)
 
     @pytest.mark.parametrize("grid", ["full", "window"])
     def test_rows_equal_runs_alone(self, grid):
-        # presets and seeded draws, a decaying draw that stops at t ~ 142,
-        # and the 1e200 drive, which fails
+        # presets and seeded draws, a draw that decays below 1e-9, and the
+        # 1e200 drive, which fails before any sample; stop and max_tries
+        # leave the operator's rows alone
         systems = [s for s in _INTEGRATOR_CASES.values()
-                   if dynamics._kernel(s) == "matrix"]
+                   if dynamics._kernel(s) == "operator"]
         systems += [_decaying_system(), _overflowing_system()]
-        floors = np.full(len(systems), 1e-9)
-        late = propagate(_decaying_system(), t_final=150.0)
-        floors[-2] = np.sum(np.abs(late.amps) ** 2, axis=1)[
-            np.searchsorted(late.times, 142.0)]
         times = dynamics._sample_times(systems[0], 150.0)
         budget = len(times)
         if grid == "window":
             times = times[int(0.9 * len(times)):]
         kernel, batch = dynamics._solve(
-            systems, times, budget,
-            lambda y: np.vecdot(y, y).real < floors)
-        assert kernel == "matrix"
-        for system, floor, row in zip(systems, floors, batch, strict=True):
-            _, (alone,) = dynamics._solve(
-                [system], times, budget,
-                lambda y, floor=floor: np.vecdot(y, y).real < floor)
+            systems, times, budget, lambda y: np.vecdot(y, y).real < 1e-9)
+        assert kernel == "operator"
+        for system, row in zip(systems, batch, strict=True):
+            _, (alone,) = dynamics._solve([system], times, 1)
             assert _same_run(row, alone)
+            assert (row.halvings, row.error_bound) == \
+                (alone.halvings, alone.error_bound)
         ends = [(sol.end, len(sol.t)) for sol in batch]
-        assert any(e == "decay_floor" and 0 < n < len(times) for e, n in ends)
-        assert batch[-2].end == "decay_floor"
+        assert ends[:-1] == [("t_final", len(times))] * (len(systems) - 1)
         assert ends[-1] == ("failed", 0)
+        assert batch[-1].halvings is None and batch[-1].accepted == 0
 
     def test_mixed_grid_batches_by_kernel(self):
         """Resonant and cross-damped systems on one sample grid: each row
@@ -1292,8 +1423,6 @@ class TestMatrixKernel:
                            omega23=s.omega23, drives=s.drives,
                            alignments=tuple(rng.uniform(-0.5, 0.5, 3)))
                   for s in draws[:2]]
-        # the D1 presets keep a population, which differs between the
-        # kernels in its last bits
         systems = [draws[0], damped[0], preset("d1-trapping").system,
                    draws[1], damped[1], preset("d1-fig3a").system,
                    draws[2]]
@@ -1307,8 +1436,8 @@ class TestMatrixKernel:
                                     runs=alone) == value
             assert alone == [run]
         assert [run["kernel"] for run in runs] == [
-            "matrix", "stages", "matrix", "matrix", "stages", "matrix",
-            "matrix"]
+            "operator", "stages", "operator", "operator", "stages",
+            "operator", "operator"]
 
 
 def _interpolate(F, y_old, t_old, h, times):
@@ -1364,8 +1493,10 @@ class TestRunInterpolation:
     @pytest.mark.parametrize("block", [13, _dop853.BLOCK])
     @pytest.mark.parametrize("name", preset_names())
     def test_presets(self, name, block, monkeypatch):
-        # blocks of 13 samples split steps and flush mid-run
+        # blocks of 13 samples split steps and flush mid-run; the presets
+        # are forced onto the stage kernel, which interpolates
         monkeypatch.setattr(_dop853, "BLOCK", block)
+        monkeypatch.setattr(dynamics, "_kernel", lambda sys: "stages")
         system = preset(name).system
         times = dynamics._sample_times(system, 60.0)
         sols, steps = _with_step_samples(monkeypatch, lambda: dynamics._solve(
@@ -1377,35 +1508,27 @@ class TestRunInterpolation:
     @pytest.mark.parametrize("grid", ["full", "window"])
     def test_mixed_batch_with_stop_and_failure(self, grid, block,
                                                monkeypatch):
-        """Both kernels' batches, with a row that stops, one that fails
+        """A stage-kernel batch, with a row that stops, one that fails
         before any sample (the 1e200 drive, "failed") and rows that
         reach the end."""
         monkeypatch.setattr(_dop853, "BLOCK", block)
         systems = [*_INTEGRATOR_CASES.values(), _decaying_system(),
                    _overflowing_system()]
         floors = np.full(len(systems), 1e-9)
-        late = propagate(_decaying_system(), t_final=150.0)
-        floors[-2] = np.sum(np.abs(late.amps) ** 2, axis=1)[
-            np.searchsorted(late.times, 142.0)]
+        floors[-2] = _stop_floor()
         times = dynamics._sample_times(systems[0], 150.0)
         budget = len(times)
         if grid == "window":
             times = times[int(0.9 * len(times)):]
-        for kernel in ("matrix", "stages"):
-            rows = [k for k, s in enumerate(systems)
-                    if kernel == "stages" or dynamics._kernel(s) == kernel]
-            subset = [systems[k] for k in rows]
-            sols, steps = _with_step_samples(
-                monkeypatch, lambda: dynamics._solve(
-                    subset, times, budget,
-                    lambda y: np.vecdot(y, y).real < floors[rows])[1])
-            monkeypatch.undo()
-            monkeypatch.setattr(_dop853, "BLOCK", block)
-            self._same_bits(sols, steps)
-            ends = [(sol.end, len(sol.t)) for sol in sols]
-            assert ends[-1] == ("failed", 0)
-            assert sols[-2].end == "decay_floor"
-            assert any(e == "t_final" and n == len(times) for e, n in ends)
+        sols, steps = _with_step_samples(
+            monkeypatch, lambda: dynamics._solve(
+                systems, times, budget,
+                lambda y: np.vecdot(y, y).real < floors)[1])
+        self._same_bits(sols, steps)
+        ends = [(sol.end, len(sol.t)) for sol in sols]
+        assert ends[-1] == ("failed", 0)
+        assert sols[-2].end == "decay_floor"
+        assert any(e == "t_final" and n == len(times) for e, n in ends)
 
 
 def _numpy_error_norm(err5, err3, h, n):
