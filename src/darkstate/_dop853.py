@@ -41,7 +41,10 @@ uniform sample grid `solve_ivp` then takes no adaptive loop: a step h =
 dt / 2^j of the sample step dt, small enough that the error norm accepts
 it from any state of norm <= 1, gives DOP853's step operator, which j
 squarings make the sample-step operator, and the samples are its powers
-(`_operator_runs`).  It uses only M and the tableau.
+(`_operator_runs`).  `window_means` takes the same operator to the mean
+of |y|^2 over each half of the grid without a sample: quadratic forms in
+Gram sums of its powers, built by binary doubling in O(log len(t_eval))
+products.  Both use only M and the tableau.
 
 The step factor SAFETY * err ** ERROR_EXPONENT, the squared error norms
 and the initial step take the power of a Python float or numpy scalar,
@@ -275,7 +278,8 @@ ENDS = ("t_final", "decay_floor", "failed", "budget")
 
 @dataclass
 class Solution:
-    """Samples y[k] at t[k] for the sample times reached; end is in ENDS."""
+    """Samples y[k] at t[k] for the sample times reached, except that a
+    `window_means` run holds no sample but its two means; end is in ENDS."""
 
     t: np.ndarray
     y: np.ndarray  # shape (len(t), state size)
@@ -286,6 +290,8 @@ class Solution:
     # of a sample-step operator run only (see `_operator_runs`):
     halvings: int | None = None  # j, the step being the sample step / 2^j
     error_bound: float | None = None  # the norm that chose j
+    # of a `window_means` run only: the mean |y|^2 over each half of t_eval
+    means: list | None = None
 
 
 class Solutions(list):
@@ -672,10 +678,14 @@ def _orbit(op, y, count):
     return out.reshape(rows, starts.shape[1] * size, n)[:, :count]
 
 
-def _operator_runs(m, y0, t_eval):
-    """The Solutions of y' = M y for the drift stack m, shape (B, n, n),
-    from the rows of y0 at t=0, sampled at the uniform grid t_eval (see
-    `solve_ivp`).
+def _sample_step_operator(m, y0, t_eval):
+    """The part that every sample-step operator run of y' = M y shares,
+    for the drift stack m, shape (B, n, n), from the rows of y0 at t=0 on
+    the uniform grid t_eval (see `solve_ivp`): (first, live, op, y,
+    halvings, bounds), with t_eval[0] = first dt, the rows live whose step
+    met ATOL, their sample-step operators op and their states y at
+    t_eval[0], and per row its halvings and error bound (None where no
+    step met ATOL).
 
     Row b takes the step h = dt / 2^j of the sample step dt, for the least
     j whose two error polynomials (`_polynomial_table`) at hM have
@@ -683,15 +693,12 @@ def _operator_runs(m, y0, t_eval):
     of norm <= 1, as a drift whose norm never grows keeps it, a step of
     size h then has error estimates of norm <= ATOL, below their scale,
     so DOP853's error norm accepts it.  Its step operator S(h) = I +
-    sum_k c_k (hM)^k, squared j times, is the sample-step operator; the
-    state at t_eval[0] is a power of it by binary powering, and the
-    samples are its powers (`_orbit`).  The powers of hM are those of dt M,
-    formed once, scaled by 2^(-jk), which is exact.  A row whose step
-    would fall below 10 ulp of t_eval[-1] fails before any sample; one
-    whose samples overflow keeps those before the first that is not
-    finite.  Each row's products are those of its run alone."""
+    sum_k c_k (hM)^k, squared j times, is the sample-step operator, and
+    the state at t_eval[0] is a power of it by binary powering.  The
+    powers of hM are those of dt M, formed once, scaled by 2^(-jk), which
+    is exact.  A row whose step would fall below 10 ulp of t_eval[-1] is
+    not live.  Each row's products are those of its run alone."""
     rows, n, _ = m.shape
-    count = len(t_eval)
     first, dt = _uniform_grid(t_eval)
     t_bound = float(t_eval[-1])
     min_step = 10 * (math.nextafter(t_bound, math.inf) - t_bound)
@@ -727,24 +734,121 @@ def _operator_runs(m, y0, t_eval):
         e >>= 1
         if e:
             power = power @ power
-    samples = _orbit(op, y, count)
-    reached = [count] * len(live)
-    if not np.isfinite(samples).all():
-        finite = np.isfinite(samples).all(axis=2)
-        reached = np.where(finite.all(axis=1), count,
-                           finite.argmin(axis=1)).tolist()
+    return first, live, op, y, halvings, bounds
 
+
+def _operator_solutions(t_eval, n, first, live, halvings, bounds, reached,
+                        samples, means=None):
+    """The Solution of each row of a sample-step operator run of an n-state
+    system (see `_sample_step_operator`): live row live[k] reached
+    reached[k] samples, samples[k] its y and means[k] its means; any other
+    row failed before any sample."""
     sols = [Solution(t=t_eval[:0], y=np.empty((0, n), dtype=complex),
                      end="failed", nfev=0, accepted=0, rejected=0)
-            for _ in range(rows)]
+            for _ in halvings]
     for k, b in enumerate(live):
         sols[b] = Solution(
-            t=t_eval[:reached[k]], y=samples[k, :reached[k]],
-            end="t_final" if reached[k] == count else "failed", nfev=0,
+            t=t_eval[:reached[k]], y=samples[k],
+            end="t_final" if reached[k] == len(t_eval) else "failed",
+            nfev=0,
             accepted=(2 ** halvings[b] * (first + reached[k] - 1)
                       if reached[k] else 0),
-            rejected=0, halvings=halvings[b], error_bound=bounds[b])
+            rejected=0, halvings=halvings[b], error_bound=bounds[b],
+            means=None if means is None else means[k])
     return sols
+
+
+def _reached(samples):
+    """How many samples of each row of samples, shape (B, count, n), come
+    before the first that is not finite."""
+    if np.isfinite(samples).all():
+        return [samples.shape[1]] * len(samples)
+    # a reduction along the short last axis costs 5x the check above
+    finite = np.isfinite(samples).all(axis=2)
+    return np.where(finite.all(axis=1), samples.shape[1],
+                    finite.argmin(axis=1)).tolist()
+
+
+def _operator_runs(m, y0, t_eval):
+    """The Solutions of y' = M y for the drift stack m, shape (B, n, n),
+    from the rows of y0 at t=0, sampled at the uniform grid t_eval (see
+    `solve_ivp`): the samples are the powers of the sample-step operator
+    (`_sample_step_operator`) applied to the state at t_eval[0]
+    (`_orbit`).  A row whose step would fall below 10 ulp of t_eval[-1]
+    fails before any sample; one whose samples overflow keeps those before
+    the first that is not finite."""
+    first, live, op, y, halvings, bounds = _sample_step_operator(m, y0,
+                                                                 t_eval)
+    samples = _orbit(op, y, len(t_eval))
+    reached = _reached(samples)
+    return _operator_solutions(
+        t_eval, m.shape[1], first, live, halvings, bounds, reached,
+        [samples[k, :reached[k]] for k in range(len(live))])
+
+
+def _gram_means(op, y, count):
+    """The mean of |op^i y|^2 over i < count // 2 and over count // 2 <= i
+    < count, for each row of op, shape (B, n, n), and y, shape (B, n).
+
+    A half of K samples from s sums s^H G_K s, for the Gram sum G_K =
+    sum_(i<K) (op^i)^H op^i.  G_K and op^K follow from G_1 = I by binary
+    doubling over the bits of K: G_2m = G_m + (op^m)^H G_m op^m, and
+    G_(m+1) = G_m + (op^m)^H op^m.  The second half starts at op^K y and,
+    for an odd count, adds its last sample op^2K y."""
+    half = count // 2
+    gram = np.broadcast_to(np.eye(op.shape[-1], dtype=complex),
+                           op.shape).copy()
+    power = op
+    for bit in bin(half)[3:]:
+        gram = gram + power.mT.conj() @ gram @ power
+        power = power @ power
+        if bit == "1":
+            gram = gram + power.mT.conj() @ power
+            power = power @ op
+    late = np.matvec(power, y)
+    early_sum = np.vecdot(y, np.matvec(gram, y)).real
+    late_sum = np.vecdot(late, np.matvec(gram, late)).real
+    if count - half > half:
+        last = np.matvec(power, late)
+        late_sum = late_sum + np.vecdot(last, last).real
+    return np.stack([early_sum / half, late_sum / (count - half)], axis=1)
+
+
+def window_means(m, y0, t_eval):
+    """The runs of y' = M y for the drift stack m, shape (B, n, n), from
+    the rows of y0 at t=0 over the uniform grid t_eval of two times or
+    more, as `solve_ivp` takes them on the sample-step operator, but
+    reduced to the mean of |y|^2 over the first len(t_eval) // 2 samples
+    and over the rest: a Solution per row whose means holds the two, and
+    whose y holds no sample.
+
+    From the state at t_eval[0] (`_sample_step_operator`), the means are
+    quadratic forms in the Gram sums of the sample-step operator
+    (`_gram_means`), the discrete form of Van Loan's integrals of the
+    matrix exponential (IEEE TAC 23, 1978): O(log len(t_eval)) n x n
+    products for the batch, and no sample.  A row fails as in
+    `_operator_runs`, with means None: before any sample when its step
+    would fall below 10 ulp of t_eval[-1]; and, when its samples overflow,
+    after the last finite one, which only a row whose means are not
+    finite samples its orbit to find.  end, accepted, halvings and
+    error_bound are those of its `solve_ivp` run.  Each row's products
+    are those of its run alone."""
+    count, n = len(t_eval), y0.shape[1]
+    with np.errstate(all="ignore"):
+        first, live, op, y, halvings, bounds = _sample_step_operator(
+            m, y0, t_eval)
+        means = _gram_means(op, y, count)
+        reached = [count] * len(live)
+        (bad,) = np.nonzero(~np.isfinite(means).all(axis=1))
+        if len(bad):
+            for k, r in zip(bad.tolist(),
+                            _reached(_orbit(op[bad], y[bad], count))):
+                reached[k] = r
+    return Solutions(_operator_solutions(
+        t_eval, n, first, live, halvings, bounds, reached,
+        [np.empty((0, n), dtype=complex)] * len(live),
+        [pair if r == count else None
+         for pair, r in zip(means.tolist(), reached)]))
 
 
 def solve_ivp(fun, y0, t_eval, max_tries, stop=None):

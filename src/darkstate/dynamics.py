@@ -10,7 +10,8 @@ one-branch emission amplitude integral_0^inf exp(i x t) A_n(t) dt is
 evaluated with a Filon-type rule that treats the oscillatory factor exactly.
 
 The trajectory is sampled only where it is read: `propagate` on its whole
-uniform grid, `trapped_fraction` on the plateau window at the grid's end.
+uniform grid, `trapped_fraction` on the stage kernel on the plateau window
+at the grid's end, and not at all on the sample-step operator.
 
 A resonant system free of cross-damping has a constant drift matrix M,
 and its runs take DOP853's sample-step operator: DOP853's step polynomial
@@ -18,7 +19,9 @@ in hM, for a step h that divides the sample step by a power of 2 and that
 the error norm accepts from any state of norm <= 1, squared up to the
 sample step.  The state at the window's start is a power of that operator
 by binary powering, and each sample one 4x4 product, so the run's cost
-follows the samples, not the stiffness.  Any other system takes the
+follows the samples, not the stiffness; a trapped fraction's window means
+are quadratic forms in Gram sums of its powers, O(log n) 4x4 products for
+n samples (`_dop853.window_means`).  Any other system takes the
 adaptive stage kernel on the time-dependent M(t) (`_kernel`), which
 evaluates no step that holds no sample and, in `trapped_fraction`, stops
 once the population has provably decayed: when the decay matrix Gamma is
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import fft, ifft
 
-from ._dop853 import DEFAULT_TOL, solve_ivp
+from ._dop853 import DEFAULT_TOL, solve_ivp, window_means
 from .errors import NotConverged, StepSizeUnderflow, TooManySamples
 from .model import D2System
 from .spectrum import (SpectrumResult, _finite_detuning, _intensity,
@@ -212,13 +215,21 @@ def _solve(systems, times, max_tries, stop=None):
     whose end state satisfies stop (evaluated per row); only its steps
     that hold a sample are interpolated."""
     if all(_kernel(s) == "operator" for s in systems):
-        kernel, drift = "operator", np.array([coupling_matrix(s)
-                                              for s in systems])
+        kernel, drift = "operator", _drift_stack(systems)
     else:
         kernel, drift = "stages", _rhs_builder(systems)
-    return kernel, solve_ivp(drift,
-                             np.array([s.initial_vector() for s in systems]),
-                             t_eval=times, max_tries=max_tries, stop=stop)
+    return kernel, solve_ivp(drift, _initial_states(systems), t_eval=times,
+                             max_tries=max_tries, stop=stop)
+
+
+def _drift_stack(systems):
+    """The constant drift matrices M of the systems, shape (B, 4, 4)."""
+    return np.array([coupling_matrix(s) for s in systems])
+
+
+def _initial_states(systems):
+    """The initial amplitude vectors of the systems, shape (B, 4)."""
+    return np.array([s.initial_vector() for s in systems])
 
 
 def _run_record(sol, kernel: str) -> dict:
@@ -526,20 +537,24 @@ def trapped_fraction(sys, t_final: float = 150.0,
     lockstep batches (one per sample grid and kernel) and give a list of
     values, each the value of its system alone.  Errors are raised for the
     first failing system in order.  A list given as runs receives, per
-    system, its integrator diagnostics (`_run_record`).
+    system, its integrator diagnostics (`_run_record`) and `window_means`,
+    the two means below (None for a run that failed).
 
-    The population is sampled only on the last 10% of propagate's uniform
+    The population is read only on the last 10% of propagate's uniform
     grid of n samples, from sample min(int(0.9 n), n - 2) on, so that it
     holds two samples or more.  That window is split in two; their means
     must agree to PLATEAU_TOL, else NotConverged is raised (or, with
     require_plateau=False, the late-window mean is returned anyway).
 
-    On the stage kernel, when the decay matrix is positive semidefinite
-    (see _norm_never_grows) the population never grows, and the
-    integration stops at the first step that ends with it below
-    DECAY_FLOOR * PLATEAU_TOL.  The window samples not reached then count
-    as 0, each within that floor of its value; a stop before the window
-    returns 0.0.  The sample-step operator computes every window sample.
+    On the sample-step operator the means take no sample: each is a
+    quadratic form in a Gram sum of the operator's powers, built by
+    binary doubling (`_dop853.window_means`), so a window costs O(log n)
+    4x4 products.  The stage kernel samples the window.  When the decay
+    matrix is positive semidefinite (see _norm_never_grows) the
+    population never grows, and its integration stops at the first step
+    that ends with it below DECAY_FLOOR * PLATEAU_TOL.  The window samples
+    not reached then count as 0, each within that floor of its value; a
+    stop before the window returns 0.0.
     """
     systems = [sys] if isinstance(sys, D2System) else list(sys)
     floor = DECAY_FLOOR * PLATEAU_TOL
@@ -551,33 +566,46 @@ def trapped_fraction(sys, t_final: float = 150.0,
     integrated = [None] * len(systems)
     for (count, kernel), group in batches.items():
         times = np.linspace(0.0, t_final, count)
-        stoppable = np.array([kernel == "stages"
-                              and _norm_never_grows(systems[k])
-                              for k in group])
-        stop = ((lambda y: stoppable & (np.vecdot(y, y).real < floor))
-                if stoppable.any() else None)
         window = times[min(int(0.9 * count), count - 2):]
-        kernel, sols = _solve([systems[k] for k in group], window,
-                              len(times), stop)
-        for k, sol in zip(group, sols):
-            integrated[k] = window, kernel, sol
+        batch = [systems[k] for k in group]
+        if kernel == "operator":
+            sols = window_means(_drift_stack(batch), _initial_states(batch),
+                                window)
+            means = [sol.means for sol in sols]
+        else:
+            stoppable = np.array([_norm_never_grows(s) for s in batch])
+            stop = ((lambda y: stoppable & (np.vecdot(y, y).real < floor))
+                    if stoppable.any() else None)
+            _, sols = _solve(batch, window, len(times), stop)
+            means = [_sample_means(sol, len(window)) for sol in sols]
+        for k, sol, pair in zip(group, sols, means):
+            integrated[k] = kernel, sol, pair
     if runs is not None:
-        runs += [_run_record(sol, kernel) for _, kernel, sol in integrated]
+        runs += [{**_run_record(sol, kernel), "window_means": means}
+                 for kernel, sol, means in integrated]
     values = []
-    for window, _, sol in integrated:
+    for _, sol, means in integrated:
         _raise_failure(sol)
-        tail = np.zeros(len(window))
-        # the components' |A|^2 added in order, as np.sum adds them, but
-        # without its slow reduction along an axis of 4
-        tail[:len(sol.y)] = sum(np.abs(sol.y.T) ** 2)
-        half = len(tail) // 2
-        m1 = float(np.mean(tail[:half]))
-        m2 = float(np.mean(tail[half:]))
+        m1, m2 = means
         if abs(m1 - m2) > PLATEAU_TOL and require_plateau:
             raise NotConverged(f"population has not settled: window means "
                                f"{m1:.6g}, {m2:.6g}")
         values.append(min(max(m2, 0.0), 1.0))
     return values[0] if isinstance(sys, D2System) else values
+
+
+def _sample_means(sol, size):
+    """The mean population over each half of a window of size samples, of
+    which sol, a stage-kernel run, holds the leading ones: those not
+    reached count as 0.  None for a run that failed."""
+    if sol.end in ("failed", "budget"):
+        return None
+    tail = np.zeros(size)
+    # the components' |A|^2 added in order, as np.sum adds them, but
+    # without its slow reduction along an axis of 4
+    tail[:len(sol.y)] = sum(np.abs(sol.y.T) ** 2)
+    half = size // 2
+    return [float(np.mean(tail[:half])), float(np.mean(tail[half:]))]
 
 
 def spectrum_time_domain(sys: D2System, grid,

@@ -759,8 +759,9 @@ class TestSampling:
         dense output to 1e-14.  propagate and trapped_fraction take the
         sample-step operator on these resonant systems: its samples lie
         within 1e-11 of expm (1.6e-12 at most here, on the trapped D1
-        presets at t = 150), and trapped_fraction's window, a power of its
-        operator, gives the plateau of propagate's samples to 1e-11."""
+        presets at t = 150), and trapped_fraction's window means, Gram
+        sums of its operator's powers that take no sample, give the
+        plateau of propagate's samples to 1e-11 (8.2e-14 at most here)."""
         s = _reference_systems()[k]
         times, amps = _dense_reference(s, 150.0)
         (stages,) = dynamics.solve_ivp(
@@ -775,32 +776,45 @@ class TestSampling:
                    - _plateau(traj.amps)) <= 1e-11
 
     def test_trapped_fraction_samples_only_the_window(self, monkeypatch):
+        """A stage-kernel row samples only the window; an operator row
+        hands the window's times to `window_means` and draws no sample at
+        all: neither solve_ivp nor `_orbit` runs."""
         calls = []
-        integrate = dynamics.solve_ivp
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return integrate(*args, **kwargs)
+        def spy(name, integrate):
+            def run(fun, y0, t_eval, **kwargs):
+                calls.append((name, t_eval))
+                return integrate(fun, y0, t_eval, **kwargs)
+            return run
 
-        monkeypatch.setattr(dynamics, "solve_ivp", spy)
+        def no_samples(*args):
+            raise AssertionError("an operator row drew samples")
+
+        monkeypatch.setattr(dynamics, "solve_ivp",
+                            spy("solve_ivp", dynamics.solve_ivp))
+        monkeypatch.setattr(dynamics, "window_means",
+                            spy("window_means", dynamics.window_means))
+        monkeypatch.setattr(_dop853, "_orbit", no_samples)
         s = preset("fig2-trapping").system
-        times = propagate(s, t_final=20.0).times
-        calls.clear()
-        trapped_fraction(s, t_final=20.0, require_plateau=False)
-        (kwargs,) = calls
-        assert not kwargs.get("dense_output", False)
-        assert np.array_equal(kwargs["t_eval"],
-                              times[int(0.9 * len(times)):])
+        times = dynamics._sample_times(s, 20.0)
+        window = times[int(0.9 * len(times)):]
+        for kernel in ("window_means", "solve_ivp"):
+            calls.clear()
+            trapped_fraction(s, t_final=20.0, require_plateau=False)
+            ((name, t_eval),) = calls
+            assert name == kernel and np.array_equal(t_eval, window)
+            monkeypatch.setattr(dynamics, "_kernel", lambda sys: "stages")
 
     @pytest.mark.parametrize("reached", [[], [0.0, 0.01]])
     def test_integrator_failure(self, reached, monkeypatch, tmp_path,
                                 capsys):
         failed = SimpleNamespace(end="failed", t=reached, nfev=0,
                                  accepted=0, rejected=0, halvings=None,
-                                 error_bound=None)
-        # one failed solution per row of the batch
-        monkeypatch.setattr(dynamics, "solve_ivp",
-                            lambda fun, y0, **k: [failed] * len(y0))
+                                 error_bound=None, means=None)
+        # one failed solution per row of the batch; every system here takes
+        # the sample-step operator, whose window means take no sample
+        monkeypatch.setattr(dynamics, "window_means",
+                            lambda m, y0, t_eval: [failed] * len(y0))
         with pytest.raises(StepSizeUnderflow) as info:
             trapped_fraction(_bare("A1"), t_final=20.0)
         assert info.value.t_reached == (reached[-1] if reached else None)
@@ -1206,24 +1220,27 @@ class TestBatch:
         with pytest.raises(StepSizeUnderflow, match="no sample reached"):
             trapped_fraction([good, bad, good], require_plateau=False,
                              runs=runs)
-        # the operator computes the whole window of the good rows; the bad
+        # the operator reaches the whole window of the good rows; the bad
         # one's step would fall below 10 ulp of t_final
         assert [run["end"] for run in runs] == ["t_final", "failed",
                                                 "t_final"]
         assert runs[1]["halvings"] is None and runs[1]["accepted"] == 0
+        assert runs[1]["window_means"] is None
+        assert runs[0] == runs[2] and len(runs[0]["window_means"]) == 2
 
         # of two failing rows, the first in order is raised
-        integrate = dynamics.solve_ivp
+        integrate = dynamics.window_means
 
-        def fail_rows(*args, **kwargs):
-            sols = integrate(*args, **kwargs)
+        def fail_rows(*args):
+            sols = integrate(*args)
             for k, t in ((1, [135.5, 136.0]), (2, [135.0])):
                 sols[k] = SimpleNamespace(t=np.array(t), end="failed",
                                           nfev=0, accepted=0, rejected=0,
-                                          halvings=None, error_bound=None)
+                                          halvings=None, error_bound=None,
+                                          means=None)
             return sols
 
-        monkeypatch.setattr(dynamics, "solve_ivp", fail_rows)
+        monkeypatch.setattr(dynamics, "window_means", fail_rows)
         with pytest.raises(StepSizeUnderflow) as info:
             trapped_fraction([good] * 3, require_plateau=False)
         assert info.value.t_reached == 136.0
@@ -1439,6 +1456,124 @@ class TestMatrixKernel:
             "operator", "stages", "operator", "operator", "stages",
             "operator", "operator"]
 
+
+#: how far `window_means` may lie from the means of the sample-step
+#: operator's samples: the roundoff of the Gram sums' doubling (8.3e-14 at
+#: most on the presets' windows to t = 150, 3.5e-14 on the stiff D1 loops)
+GRAM_TOL = 1e-12
+
+#: tracemalloc peak of the 21-value phase2 trapped_fraction batch, measured
+#: at 0.346 MB (Python 3.11, numpy 2.4) plus 10%, rounded up to 10 kB:
+#: below the 2.6 MB block of its 21 x 1951 complex window samples, which
+#: the Gram sums no longer form (the peak was 3.32 MB with them)
+TRAPPED_SWEEP_PEAK = 390_000
+
+
+def _window(system, t_final):
+    """trapped_fraction's window of the sample grid of system."""
+    times = dynamics._sample_times(system, t_final)
+    return times[min(int(0.9 * len(times)), len(times) - 2):]
+
+
+def _window_runs(systems, t_eval):
+    """The operator's `solve_ivp` runs of the systems on t_eval, with
+    their samples, and their `window_means` runs."""
+    m = dynamics._drift_stack(systems)
+    y0 = dynamics._initial_states(systems)
+    return (dynamics.solve_ivp(m, y0, t_eval=t_eval, max_tries=1),
+            dynamics.window_means(m, y0, t_eval))
+
+
+class TestWindowMeans:
+    """`window_means` gives the mean population over each half of a
+    window from Gram sums of the sample-step operator, with no sample:
+    within GRAM_TOL of the means of that operator's samples, with the
+    same run record."""
+
+    @staticmethod
+    def _check(systems, t_eval):
+        runs, grams = _window_runs(systems, t_eval)
+        half = len(t_eval) // 2
+        for run, gram in zip(runs, grams, strict=True):
+            assert (gram.end, gram.nfev, gram.accepted, gram.rejected,
+                    gram.halvings, gram.error_bound) == \
+                (run.end, run.nfev, run.accepted, run.rejected,
+                 run.halvings, run.error_bound)
+            assert np.array_equal(gram.t, run.t) and gram.y.shape == (0, 4)
+            norms = np.sum(np.abs(run.y) ** 2, axis=1)
+            want = [np.mean(norms[:half]), np.mean(norms[half:])]
+            assert np.max(np.abs(np.subtract(gram.means, want))) <= GRAM_TOL
+        return runs
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_presets(self, name):
+        system = preset(name).system
+        self._check([system], _window(system, 150.0))
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(41)
+        draws = [random_admissible_system(rng) for _ in range(30)]
+        for system in draws:
+            self._check([system], _window(system, 150.0))
+
+    @pytest.mark.parametrize("gamma", [5e3, 1e5])
+    @pytest.mark.parametrize("t_final", [5.0, 150.0])
+    def test_stiff_d1_loops(self, gamma, t_final):
+        system = d1_system(gamma, *[DriveField(1.0)] * 4)
+        (run,) = self._check([system], _window(system, t_final))
+        assert run.halvings >= 8
+
+    @pytest.mark.parametrize("length", [2, 3, 4, 63, 64, 65, 1000, 1001])
+    @pytest.mark.parametrize("first", [0, 1, 14000])
+    def test_window_lengths(self, length, first):
+        # odd lengths add the last sample to the second half; a window from
+        # t = 0 starts at y0
+        rng = np.random.default_rng(length)
+        systems = [preset("fig2-notrapping").system,
+                   preset("d1-trapping").system,
+                   random_admissible_system(rng)]
+        self._check(systems, (first + np.arange(length)) * 0.01)
+
+    def test_rows_equal_runs_alone(self):
+        """Bit for bit, with a row whose step would fall below 10 ulp of
+        t_final (no sample) and one whose samples overflow (A1 grows as
+        exp(5.0025 t), past the largest float at t = 141.885): both fail,
+        with means None, after the samples the operator's run reaches."""
+        growing = _bare("A1", gamma=(-10.005, 1.0, 1.0))
+        systems = [*_phase2_sweep()[::5], _overflowing_system(),
+                   preset("d1-trapping").system, growing,
+                   random_admissible_system(np.random.default_rng(3))]
+        window = _window(systems[0], 150.0)
+        runs, grams = _window_runs(systems, window)
+        for system, gram in zip(systems, grams, strict=True):
+            (alone,) = _window_runs([system], window)[1]
+            assert _same_run(gram, alone)
+            assert (gram.halvings, gram.error_bound, gram.means) == \
+                (alone.halvings, alone.error_bound, alone.means)
+        failing = [k for k, gram in enumerate(grams) if gram.end == "failed"]
+        assert failing == [5, 7]
+        for k in failing:
+            assert grams[k].means is None
+            assert (len(grams[k].t), grams[k].accepted) == \
+                (len(runs[k].t), runs[k].accepted)
+        assert len(grams[5].t) == 0 and grams[7].t[-1] == \
+            pytest.approx(141.88, abs=0.01)
+        with pytest.raises(StepSizeUnderflow) as info:
+            trapped_fraction(growing)
+        assert info.value.t_reached == grams[7].t[-1]
+
+    def test_trapped_sweep_memory(self):
+        systems = _phase2_sweep()
+        trapped_fraction(systems, require_plateau=False)
+        tracemalloc.start()
+        try:
+            trapped_fraction(systems, require_plateau=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= TRAPPED_SWEEP_PEAK
+        assert TRAPPED_SWEEP_PEAK < len(systems) * len(
+            _window(systems[0], 150.0)) * 4 * 16
 
 def _interpolate(F, y_old, t_old, h, times):
     """The 7th-order continuous extension with coefficients F over the step
