@@ -37,14 +37,16 @@ iteration costs about the same for any B.
 For y' = M y with a constant drift matrix M, each stage is h K_s =
 Q_s(hM) y for a fixed polynomial Q_s, so a step and its error estimates
 are fixed polynomials in hM applied to y (`_polynomial_table`).  On a
-uniform sample grid `solve_ivp` then takes no adaptive loop: a step h =
-dt / 2^j of the sample step dt, small enough that the error norm accepts
-it from any state of norm <= 1, gives DOP853's step operator, which j
-squarings make the sample-step operator, and the samples are its powers
-(`_operator_runs`).  `window_means` takes the same operator to the mean
-of |y|^2 over each half of the grid without a sample: quadratic forms in
-Gram sums of its powers, built by binary doubling in O(log len(t_eval))
-products.  Both use only M and the tableau.
+uniform sample grid no adaptive loop is needed: a step h = dt / 2^j of
+the sample step dt, small enough that the error norm accepts it from any
+state of norm <= 1, gives DOP853's step operator, which j squarings make
+the sample-step operator.  Its two entries take the drift stack, the
+grid times = np.linspace(0, t_final, n) and the index first of the first
+sample: `operator_runs` samples its powers at times[first:], and
+`window_means` takes it to the mean of |y|^2 over each half of those
+times without a sample: quadratic forms in Gram sums of its powers,
+built by binary doubling in O(log n) products.  Both use only M and the
+tableau.
 
 The step factor SAFETY * err ** ERROR_EXPONENT, the squared error norms
 and the initial step take the power of a Python float or numpy scalar,
@@ -287,7 +289,7 @@ class Solution:
     nfev: int
     accepted: int  # accepted steps
     rejected: int  # rejected step attempts
-    # of a sample-step operator run only (see `_operator_runs`):
+    # of a sample-step operator run only (see `operator_runs`):
     halvings: int | None = None  # j, the step being the sample step / 2^j
     error_bound: float | None = None  # the norm that chose j
     # of a `window_means` run only: the mean |y|^2 over each half of t_eval
@@ -627,27 +629,8 @@ def _integrate(fun, y0, t_eval, stop, max_tries):
             for b in range(rows)]
 
 
-#: a drift stack's t_eval is read as the uniform grid (first + k) dt when
-#: every time lies within this fraction of t_eval[-1] of its grid point
-UNIFORM_TOL = 1e-13
-
 #: powers of the sample-step operator formed per block of samples
 SAMPLE_BLOCK = 64
-
-
-def _uniform_grid(t_eval):
-    """(first, dt) with t_eval[k] = (first + k) dt, first a whole number,
-    to UNIFORM_TOL; ValueError for any other t_eval."""
-    count, t_bound = len(t_eval), float(t_eval[-1])
-    first = (1 if count == 1
-             else round(float(t_eval[0]) * (count - 1)
-                        / (t_bound - float(t_eval[0]))))
-    dt = t_bound / (first + count - 1)
-    if not (np.max(np.abs(t_eval - (first + np.arange(count)) * dt))
-            <= UNIFORM_TOL * t_bound):
-        raise ValueError("t_eval of a drift matrix stack must be a uniform "
-                         "grid of multiples of one step")
-    return first, dt
 
 
 def _orbit(op, y, count):
@@ -678,29 +661,29 @@ def _orbit(op, y, count):
     return out.reshape(rows, starts.shape[1] * size, n)[:, :count]
 
 
-def _sample_step_operator(m, y0, t_eval):
+def _sample_step_operator(m, y0, times, first):
     """The part that every sample-step operator run of y' = M y shares,
     for the drift stack m, shape (B, n, n), from the rows of y0 at t=0 on
-    the uniform grid t_eval (see `solve_ivp`): (first, live, op, y,
-    halvings, bounds), with t_eval[0] = first dt, the rows live whose step
-    met ATOL, their sample-step operators op and their states y at
-    t_eval[0], and per row its halvings and error bound (None where no
-    step met ATOL).
+    the uniform grid times from 0, sampled from times[first] on: (live,
+    op, y, halvings, bounds), the rows live whose step met ATOL, their
+    sample-step operators op and their states y at times[first], and per
+    row its halvings and error bound (None where no step met ATOL).
 
-    Row b takes the step h = dt / 2^j of the sample step dt, for the least
-    j whose two error polynomials (`_polynomial_table`) at hM have
-    Frobenius norms, which bound their 2-norms, at most ATOL: from a state
-    of norm <= 1, as a drift whose norm never grows keeps it, a step of
-    size h then has error estimates of norm <= ATOL, below their scale,
-    so DOP853's error norm accepts it.  Its step operator S(h) = I +
-    sum_k c_k (hM)^k, squared j times, is the sample-step operator, and
-    the state at t_eval[0] is a power of it by binary powering.  The
-    powers of hM are those of dt M, formed once, scaled by 2^(-jk), which
-    is exact.  A row whose step would fall below 10 ulp of t_eval[-1] is
-    not live.  Each row's products are those of its run alone."""
+    Row b takes the step h = dt / 2^j of the sample step dt = times[-1] /
+    (len(times) - 1), for the least j whose two error polynomials
+    (`_polynomial_table`) at hM have Frobenius norms, which bound their
+    2-norms, at most ATOL: from a state of norm <= 1, as a drift whose
+    norm never grows keeps it, a step of size h then has error estimates
+    of norm <= ATOL, below their scale, so DOP853's error norm accepts it.
+    Its step operator S(h) = I + sum_k c_k (hM)^k, squared j times, is the
+    sample-step operator, and the state at times[first] is its power
+    first by binary powering.  The powers of hM are those of dt M, formed
+    once, scaled by 2^(-jk), which is exact.  A row whose step would fall
+    below 10 ulp of times[-1] is not live.  Each row's products are those
+    of its run alone."""
     rows, n, _ = m.shape
-    first, dt = _uniform_grid(t_eval)
-    t_bound = float(t_eval[-1])
+    t_bound = float(times[-1])
+    dt = t_bound / (len(times) - 1)
     min_step = 10 * (math.nextafter(t_bound, math.inf) - t_bound)
     powers = np.empty((rows, DEGREE, n, n), dtype=complex)
     powers[:, 0] = dt * m
@@ -734,18 +717,19 @@ def _sample_step_operator(m, y0, t_eval):
         e >>= 1
         if e:
             power = power @ power
-    return first, live, op, y, halvings, bounds
+    return live, op, y, halvings, bounds
 
 
-def _operator_solutions(t_eval, n, first, live, halvings, bounds, reached,
+def _operator_solutions(times, first, n, live, halvings, bounds, reached,
                         samples, means=None):
-    """The Solution of each row of a sample-step operator run of an n-state
-    system (see `_sample_step_operator`): live row live[k] reached
-    reached[k] samples, samples[k] its y and means[k] its means; any other
-    row failed before any sample."""
-    sols = [Solution(t=t_eval[:0], y=np.empty((0, n), dtype=complex),
-                     end="failed", nfev=0, accepted=0, rejected=0)
-            for _ in halvings]
+    """The Solutions of a sample-step operator run of an n-state system
+    on times[first:] (see `_sample_step_operator`): live row live[k]
+    reached reached[k] samples, samples[k] its y and means[k] its means;
+    any other row failed before any sample."""
+    t_eval = times[first:]
+    sols = Solutions(Solution(t=t_eval[:0], y=np.empty((0, n), dtype=complex),
+                              end="failed", nfev=0, accepted=0, rejected=0)
+                     for _ in halvings)
     for k, b in enumerate(live):
         sols[b] = Solution(
             t=t_eval[:reached[k]], y=samples[k],
@@ -769,20 +753,29 @@ def _reached(samples):
                     finite.argmin(axis=1)).tolist()
 
 
-def _operator_runs(m, y0, t_eval):
-    """The Solutions of y' = M y for the drift stack m, shape (B, n, n),
-    from the rows of y0 at t=0, sampled at the uniform grid t_eval (see
-    `solve_ivp`): the samples are the powers of the sample-step operator
-    (`_sample_step_operator`) applied to the state at t_eval[0]
-    (`_orbit`).  A row whose step would fall below 10 ulp of t_eval[-1]
-    fails before any sample; one whose samples overflow keeps those before
-    the first that is not finite."""
-    first, live, op, y, halvings, bounds = _sample_step_operator(m, y0,
-                                                                 t_eval)
-    samples = _orbit(op, y, len(t_eval))
-    reached = _reached(samples)
+def operator_runs(m, y0, times, first):
+    """The runs of y' = M y for the drift stack m, shape (B, n, n), from
+    the rows of y0, shape (B, n), at t=0, on the grid times =
+    np.linspace(0, t_final, N), N >= 2, sampled at times[first:] for 0 <=
+    first < N: a Solution per row, whose samples are the powers of the
+    sample-step operator (`_sample_step_operator`) applied to the state at
+    times[first] (`_orbit`).
+
+    A row ends as "t_final", or as "failed" before any sample when its
+    step h would fall below 10 ulp of times[-1], or after the last finite
+    sample when its samples overflow.  It evaluates no right-hand side, so
+    nfev = 0; accepted counts the DOP853 steps of size h from t=0 to its
+    last sample, and rejected = 0, as every such step passes the error
+    norm; halvings is j and error_bound the norm of the error polynomials
+    that chose it (both None where no step met ATOL).  Each row's products
+    are those of its run alone."""
+    with np.errstate(all="ignore"):
+        live, op, y, halvings, bounds = _sample_step_operator(m, y0, times,
+                                                              first)
+        samples = _orbit(op, y, len(times) - first)
+        reached = _reached(samples)
     return _operator_solutions(
-        t_eval, m.shape[1], first, live, halvings, bounds, reached,
+        times, first, m.shape[1], live, halvings, bounds, reached,
         [samples[k, :reached[k]] for k in range(len(live))])
 
 
@@ -814,29 +807,27 @@ def _gram_means(op, y, count):
     return np.stack([early_sum / half, late_sum / (count - half)], axis=1)
 
 
-def window_means(m, y0, t_eval):
-    """The runs of y' = M y for the drift stack m, shape (B, n, n), from
-    the rows of y0 at t=0 over the uniform grid t_eval of two times or
-    more, as `solve_ivp` takes them on the sample-step operator, but
-    reduced to the mean of |y|^2 over the first len(t_eval) // 2 samples
-    and over the rest: a Solution per row whose means holds the two, and
-    whose y holds no sample.
+def window_means(m, y0, times, first):
+    """The runs of `operator_runs(m, y0, times, first)`, with count =
+    len(times) - first >= 2 samples, reduced to the mean of |y|^2 over the
+    first count // 2 samples and over the rest: a Solution per row whose
+    means holds the two, and whose y holds no sample.
 
-    From the state at t_eval[0] (`_sample_step_operator`), the means are
-    quadratic forms in the Gram sums of the sample-step operator
+    From the state at times[first] (`_sample_step_operator`), the means
+    are quadratic forms in the Gram sums of the sample-step operator
     (`_gram_means`), the discrete form of Van Loan's integrals of the
-    matrix exponential (IEEE TAC 23, 1978): O(log len(t_eval)) n x n
-    products for the batch, and no sample.  A row fails as in
-    `_operator_runs`, with means None: before any sample when its step
-    would fall below 10 ulp of t_eval[-1]; and, when its samples overflow,
-    after the last finite one, which only a row whose means are not
-    finite samples its orbit to find.  end, accepted, halvings and
-    error_bound are those of its `solve_ivp` run.  Each row's products
-    are those of its run alone."""
-    count, n = len(t_eval), y0.shape[1]
+    matrix exponential (IEEE TAC 23, 1978): O(log count) n x n products
+    for the batch, and no sample.  A row fails as in `operator_runs`, with
+    means None: before any sample when its step would fall below 10 ulp of
+    times[-1]; and, when its samples overflow, after the last finite one,
+    which only a row whose means are not finite samples its orbit to find.
+    end, accepted, halvings and error_bound are those of its
+    `operator_runs` run.  Each row's products are those of its run
+    alone."""
+    count, n = len(times) - first, y0.shape[1]
     with np.errstate(all="ignore"):
-        first, live, op, y, halvings, bounds = _sample_step_operator(
-            m, y0, t_eval)
+        live, op, y, halvings, bounds = _sample_step_operator(m, y0, times,
+                                                              first)
         means = _gram_means(op, y, count)
         reached = [count] * len(live)
         (bad,) = np.nonzero(~np.isfinite(means).all(axis=1))
@@ -844,11 +835,11 @@ def window_means(m, y0, t_eval):
             for k, r in zip(bad.tolist(),
                             _reached(_orbit(op[bad], y[bad], count))):
                 reached[k] = r
-    return Solutions(_operator_solutions(
-        t_eval, n, first, live, halvings, bounds, reached,
+    return _operator_solutions(
+        times, first, n, live, halvings, bounds, reached,
         [np.empty((0, n), dtype=complex)] * len(live),
         [pair if r == count else None
-         for pair, r in zip(means.tolist(), reached)]))
+         for pair, r in zip(means.tolist(), reached)])
 
 
 def solve_ivp(fun, y0, t_eval, max_tries, stop=None):
@@ -869,19 +860,6 @@ def solve_ivp(fun, y0, t_eval, max_tries, stop=None):
     size below 10 ulp of t, or NaN; "budget" when it has made max_tries
     step attempts and would make another (SciPy has no such bound).  Its
     solution holds the samples reached.
-
-    fun may instead be a stack of constant drift matrices M, shape (B, n,
-    n), for y' = M y, with t_eval a uniform grid of multiples of one step
-    dt (else ValueError): each row's samples are then powers of its
-    sample-step operator, DOP853's step polynomial in hM for h = dt / 2^j
-    squared j times (`_operator_runs`).  Such a row ignores stop and
-    max_tries and ends as "t_final", or as "failed" when h would fall
-    below 10 ulp of t_eval[-1] or a sample overflows.  It evaluates no
-    right-hand side, so nfev = 0; accepted counts the DOP853 steps of
-    size h from t=0 to its last sample, and rejected = 0, as every such
-    step passes the error norm; halvings is j and error_bound the norm of
-    the error polynomials that chose it (both None where no step met
-    ATOL).
     """
     t_eval = np.asarray(t_eval)
     if not (t_eval.ndim == 1 and t_eval.size and t_eval[0] >= 0.0
@@ -892,11 +870,6 @@ def solve_ivp(fun, y0, t_eval, max_tries, stop=None):
     if y0.ndim != 2:
         raise ValueError("y0 must have shape (B, n): one row per system")
     # overflow and NaN end in a NaN error norm, which the step control
-    # reports as "failed", or in a sample that is not finite
+    # reports as "failed"
     with np.errstate(all="ignore"):
-        if callable(fun):
-            return Solutions(_integrate(fun, y0, t_eval, stop, max_tries))
-        fun = np.asarray(fun, dtype=complex)
-        if fun.shape != (*y0.shape, y0.shape[1]):
-            raise ValueError("a drift matrix stack must have shape (B, n, n)")
-        return Solutions(_operator_runs(fun, y0, t_eval))
+        return Solutions(_integrate(fun, y0, t_eval, stop, max_tries))

@@ -13,23 +13,25 @@ The trajectory is sampled only where it is read: `propagate` on its whole
 uniform grid, `trapped_fraction` on the stage kernel on the plateau window
 at the grid's end, and not at all on the sample-step operator.
 
-A resonant system free of cross-damping has a constant drift matrix M,
-and its runs take DOP853's sample-step operator: DOP853's step polynomial
-in hM, for a step h that divides the sample step by a power of 2 and that
-the error norm accepts from any state of norm <= 1, squared up to the
-sample step.  The state at the window's start is a power of that operator
-by binary powering, and each sample one 4x4 product, so the run's cost
-follows the samples, not the stiffness; a trapped fraction's window means
-are quadratic forms in Gram sums of its powers, O(log n) 4x4 products for
-n samples (`_dop853.window_means`).  Any other system takes the
-adaptive stage kernel on the time-dependent M(t) (`_kernel`), which
-evaluates no step that holds no sample and, in `trapped_fraction`, stops
-once the population has provably decayed: when the decay matrix Gamma is
-positive semidefinite the norm never grows, so once it falls below a
-floor far under `PLATEAU_TOL` every later sample lies between 0 and that
-floor.  Both take only M (or M(t)) and DOP853's tableau, so the route
-stays independent of the closed form: no eigendecomposition of M,
-quartic or resolvent is used.
+`_kernel` is the one place a run's kernel is chosen.  A resonant system
+free of cross-damping has a constant drift matrix M, and its runs take
+DOP853's sample-step operator (`_dop853.operator_runs`): DOP853's step
+polynomial in hM, for a step h that divides the sample step by a power of
+2 and that the error norm accepts from any state of norm <= 1, squared up
+to the sample step.  The state at the window's start is a power of that
+operator by binary powering, and each sample one 4x4 product, so the
+run's cost follows the samples, not the stiffness; a trapped fraction's
+window means are quadratic forms in Gram sums of its powers, O(log n) 4x4
+products for n samples (`_dop853.window_means`).  Any other system takes
+the adaptive stage kernel, `solve_ivp`, on the time-dependent M(t)
+(`_rhs_builder`), within one step attempt per sample of the full grid
+(NotConverged past it).  It evaluates no step that holds no sample and,
+in `trapped_fraction`, stops once the population has provably decayed:
+when the decay matrix Gamma is positive semidefinite the norm never
+grows, so once it falls below a floor far under `PLATEAU_TOL` every
+later sample lies between 0 and that floor.  Both take only M (or M(t))
+and DOP853's tableau, so the route stays independent of the closed form:
+no eigendecomposition of M, quartic or resolvent is used.
 
 Systems are integrated as lockstep batches: given a sequence of systems
 (a sweep, or the trapped checks of `validate`, one batch per command),
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import fft, ifft
 
-from ._dop853 import DEFAULT_TOL, solve_ivp, window_means
+from ._dop853 import DEFAULT_TOL, operator_runs, solve_ivp, window_means
 from .errors import NotConverged, StepSizeUnderflow, TooManySamples
 from .model import D2System
 from .spectrum import (SpectrumResult, _finite_detuning, _intensity,
@@ -199,29 +201,6 @@ def _sample_times(sys: D2System, t_final: float) -> np.ndarray:
     return np.linspace(0.0, t_final, _sample_count(sys, t_final))
 
 
-def _solve(systems, times, max_tries, stop=None):
-    """Integrate the systems from t=0 to times[-1] as one lockstep batch at
-    DEFAULT_TOL, sampled at the ascending times (a uniform grid's tail):
-    the kernel taken and a Solution per system.  The batch takes the
-    sample-step operator, with the stack of constant drift matrices, when
-    every system's `_kernel` is "operator", else the stage kernel with
-    `_rhs_builder`'s M(t); a row equals its run alone when all rows are of
-    one kernel.  An operator row's cost follows the samples whatever its
-    rates; it ignores max_tries and stop.  A stage row ends after
-    max_tries step attempts, the sample count of the full uniform grid,
-    so the work follows the output's size, and takes more, ending as
-    `budget`, when its decay rates or drives, which the grid does not
-    resolve, force a shorter step; with stop, it ends at the first step
-    whose end state satisfies stop (evaluated per row); only its steps
-    that hold a sample are interpolated."""
-    if all(_kernel(s) == "operator" for s in systems):
-        kernel, drift = "operator", _drift_stack(systems)
-    else:
-        kernel, drift = "stages", _rhs_builder(systems)
-    return kernel, solve_ivp(drift, _initial_states(systems), t_eval=times,
-                             max_tries=max_tries, stop=stop)
-
-
 def _drift_stack(systems):
     """The constant drift matrices M of the systems, shape (B, 4, 4)."""
     return np.array([coupling_matrix(s) for s in systems])
@@ -236,7 +215,7 @@ def _run_record(sol, kernel: str) -> dict:
     """The integrator diagnostics of the run sol: nfev, accepted and
     rejected steps, how it ended (one of `_dop853.ENDS`) and the kernel it
     took; for the sample-step operator also its halvings and error_bound
-    (see `_dop853.solve_ivp`)."""
+    (see `_dop853.operator_runs`)."""
     record = {"nfev": sol.nfev, "accepted": sol.accepted,
               "rejected": sol.rejected, "end": sol.end, "kernel": kernel}
     if kernel == "operator":
@@ -274,7 +253,12 @@ def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
     the run's integrator diagnostics, as trapped_fraction's does.
     """
     times = _sample_times(sys, t_final)
-    kernel, (sol,) = _solve([sys], times, len(times))
+    kernel, y0 = _kernel(sys), _initial_states([sys])
+    if kernel == "operator":
+        (sol,) = operator_runs(_drift_stack([sys]), y0, times, 0)
+    else:
+        (sol,) = solve_ivp(_rhs_builder([sys]), y0, t_eval=times,
+                           max_tries=len(times))
     if runs is not None:
         runs.append(_run_record(sol, kernel))
     _raise_failure(sol)
@@ -544,7 +528,9 @@ def trapped_fraction(sys, t_final: float = 150.0,
     grid of n samples, from sample min(int(0.9 n), n - 2) on, so that it
     holds two samples or more.  That window is split in two; their means
     must agree to PLATEAU_TOL, else NotConverged is raised (or, with
-    require_plateau=False, the late-window mean is returned anyway).
+    require_plateau=False, the late-window mean is returned anyway).  A
+    mean that is not finite or exceeds 1 + PLATEAU_TOL, a population
+    grown past its initial norm, raises NotConverged either way.
 
     On the sample-step operator the means take no sample: each is a
     quadratic form in a Gram sum of the operator's powers, built by
@@ -566,18 +552,19 @@ def trapped_fraction(sys, t_final: float = 150.0,
     integrated = [None] * len(systems)
     for (count, kernel), group in batches.items():
         times = np.linspace(0.0, t_final, count)
-        window = times[min(int(0.9 * count), count - 2):]
+        first = min(int(0.9 * count), count - 2)
         batch = [systems[k] for k in group]
+        y0 = _initial_states(batch)
         if kernel == "operator":
-            sols = window_means(_drift_stack(batch), _initial_states(batch),
-                                window)
+            sols = window_means(_drift_stack(batch), y0, times, first)
             means = [sol.means for sol in sols]
         else:
             stoppable = np.array([_norm_never_grows(s) for s in batch])
             stop = ((lambda y: stoppable & (np.vecdot(y, y).real < floor))
                     if stoppable.any() else None)
-            _, sols = _solve(batch, window, len(times), stop)
-            means = [_sample_means(sol, len(window)) for sol in sols]
+            sols = solve_ivp(_rhs_builder(batch), y0, t_eval=times[first:],
+                             max_tries=count, stop=stop)
+            means = [_sample_means(sol, count - first) for sol in sols]
         for k, sol, pair in zip(group, sols, means):
             integrated[k] = kernel, sol, pair
     if runs is not None:
@@ -587,6 +574,10 @@ def trapped_fraction(sys, t_final: float = 150.0,
     for _, sol, means in integrated:
         _raise_failure(sol)
         m1, m2 = means
+        if not all(math.isfinite(m) and m <= 1.0 + PLATEAU_TOL
+                   for m in means):
+            raise NotConverged(f"population grows past its initial norm "
+                               f"of 1: window means {m1:.6g}, {m2:.6g}")
         if abs(m1 - m2) > PLATEAU_TOL and require_plateau:
             raise NotConverged(f"population has not settled: window means "
                                f"{m1:.6g}, {m2:.6g}")

@@ -106,20 +106,14 @@ def coupling_matrix(sys: D2System) -> np.ndarray:
     )
 
 
-def quartic_coeffs_s(sys: D2System) -> np.ndarray:
-    """Coefficients (descending) of Q(s) = det(sI - M), a monic quartic.
-
-    Raises NonFiniteValue when a coefficient overflows, as products of two
-    drive powers do once the drive magnitudes reach ~1e77 to ~1e154.
-    """
-    return np.array(_quartic(_drive_constants(sys)), dtype=complex)
-
-
 def _quartic(const) -> tuple:
-    """`quartic_coeffs_s` as Python floats, from the system's
-    `_drive_constants` (or `_constants`).  Every coefficient is real, and
-    each has the bits of numpy's complex scalars: numpy multiplies two of
-    them by Python's formula, without a fused multiply-add."""
+    """Coefficients (descending) of Q(s) = det(sI - M), a monic quartic,
+    as Python floats, from the system's `_drive_constants` (or
+    `_constants`).  Every coefficient is real, and each has the bits of
+    numpy's complex scalars: numpy multiplies two of them by Python's
+    formula, without a fused multiply-add.  Raises NonFiniteValue when a
+    coefficient overflows, as products of two drive powers do once the
+    drive magnitudes reach ~1e77 to ~1e154."""
     (g1, g2, g3), (o1, o2, o3, o4), (w1, w2, w3, w4) = const[:3]
     loop = o1.conjugate() * o2 * o3 * o4
     q3 = g1 + g2 + g3

@@ -1,8 +1,8 @@
 """Trapping-condition analysis: the field-generated conditions that darken
 the central bare state (chain system) or the whole atom (simple-loss
 system).  The vacuum-generated route has no code here: it needs the
-quartic's constant term `quartic_coeffs_s(sys)[4]` to vanish, which
-positive decay rates and any nonzero drive product forbid."""
+quartic's constant term `spectrum._quartic(_drive_constants(sys))[4]` to
+vanish, which positive decay rates and any nonzero drive product forbid."""
 from __future__ import annotations
 
 import math

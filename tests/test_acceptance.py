@@ -28,8 +28,8 @@ from darkstate import (
     trapped_fraction,
 )
 from darkstate.dynamics import branch_amplitude_numeric
-from darkstate.spectrum import (_poly_scale, _polyval, _root_clusters,
-                                branch_numerator_s, quartic_coeffs_s)
+from darkstate.spectrum import (_drive_constants, _poly_scale, _polyval,
+                                _quartic, _root_clusters, branch_numerator_s)
 
 
 def report(num, name, ok, detail):
@@ -114,7 +114,7 @@ def test_criterion_04_sgc_infeasibility():
         g1, g2, g3 = (g / 2.0 for g in s.gamma)
         bound = (g1 * g2 * o4 ** 2 + g2 * g3 * o1 ** 2
                  + (o2 * o4 - o1 * o3) ** 2)
-        c0 = quartic_coeffs_s(s)[4].real
+        c0 = _quartic(_drive_constants(s))[4]
         if c0 <= 0.0 or c0 < bound - 1e-9:
             counterexamples += 1
     report(4, "SGC infeasibility", counterexamples == 0,
@@ -179,7 +179,7 @@ def test_criterion_07_limiting_cases():
     residual_ok = True
     worst_res = 0.0
     for name in preset_names():
-        q = quartic_coeffs_s(preset(name).system)
+        q = _quartic(_drive_constants(preset(name).system))
         [(clusters, _)] = _root_clusters([q])
         # each cluster's root, as the spectrum's poles take it
         roots = np.array([sum(c) / len(c) for c in clusters])

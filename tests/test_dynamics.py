@@ -776,34 +776,39 @@ class TestSampling:
                    - _plateau(traj.amps)) <= 1e-11
 
     def test_trapped_fraction_samples_only_the_window(self, monkeypatch):
-        """A stage-kernel row samples only the window; an operator row
-        hands the window's times to `window_means` and draws no sample at
-        all: neither solve_ivp nor `_orbit` runs."""
+        """An operator row hands propagate's grid and the window's first
+        index, min(int(0.9 n), n - 2), to `window_means` and draws no
+        sample at all: neither solve_ivp nor `_orbit` runs.  A stage-kernel
+        row samples only the window."""
         calls = []
+        integrate, means = dynamics.solve_ivp, dynamics.window_means
 
-        def spy(name, integrate):
-            def run(fun, y0, t_eval, **kwargs):
-                calls.append((name, t_eval))
-                return integrate(fun, y0, t_eval, **kwargs)
-            return run
+        def stages(fun, y0, t_eval, **kwargs):
+            calls.append(("solve_ivp", t_eval))
+            return integrate(fun, y0, t_eval, **kwargs)
+
+        def operator(m, y0, times, first):
+            calls.append(("window_means", times, first))
+            return means(m, y0, times, first)
 
         def no_samples(*args):
             raise AssertionError("an operator row drew samples")
 
-        monkeypatch.setattr(dynamics, "solve_ivp",
-                            spy("solve_ivp", dynamics.solve_ivp))
-        monkeypatch.setattr(dynamics, "window_means",
-                            spy("window_means", dynamics.window_means))
+        monkeypatch.setattr(dynamics, "solve_ivp", stages)
+        monkeypatch.setattr(dynamics, "window_means", operator)
         monkeypatch.setattr(_dop853, "_orbit", no_samples)
         s = preset("fig2-trapping").system
         times = dynamics._sample_times(s, 20.0)
-        window = times[int(0.9 * len(times)):]
-        for kernel in ("window_means", "solve_ivp"):
-            calls.clear()
-            trapped_fraction(s, t_final=20.0, require_plateau=False)
-            ((name, t_eval),) = calls
-            assert name == kernel and np.array_equal(t_eval, window)
-            monkeypatch.setattr(dynamics, "_kernel", lambda sys: "stages")
+        first = min(int(0.9 * len(times)), len(times) - 2)
+        trapped_fraction(s, t_final=20.0, require_plateau=False)
+        ((name, got, start),) = calls
+        assert name == "window_means" and start == first
+        assert np.array_equal(got, times)
+        calls.clear()
+        monkeypatch.setattr(dynamics, "_kernel", lambda sys: "stages")
+        trapped_fraction(s, t_final=20.0, require_plateau=False)
+        ((name, t_eval),) = calls
+        assert name == "solve_ivp" and np.array_equal(t_eval, times[first:])
 
     @pytest.mark.parametrize("reached", [[], [0.0, 0.01]])
     def test_integrator_failure(self, reached, monkeypatch, tmp_path,
@@ -814,7 +819,7 @@ class TestSampling:
         # one failed solution per row of the batch; every system here takes
         # the sample-step operator, whose window means take no sample
         monkeypatch.setattr(dynamics, "window_means",
-                            lambda m, y0, t_eval: [failed] * len(y0))
+                            lambda m, y0, times, first: [failed] * len(y0))
         with pytest.raises(StepSizeUnderflow) as info:
             trapped_fraction(_bare("A1"), t_final=20.0)
         assert info.value.t_reached == (reached[-1] if reached else None)
@@ -1017,13 +1022,6 @@ class TestDop853:
         with pytest.raises(ValueError, match="shape"):
             dynamics.solve_ivp(lambda t, y: -y, np.ones(2, dtype=complex),
                                t_eval=[1.0], max_tries=1)
-
-    def test_drift_stack_of_another_shape_rejected(self):
-        for shape in [(2, 2, 2), (1, 2, 3), (1, 2)]:
-            with pytest.raises(ValueError, match=r"\(B, n, n\)"):
-                dynamics.solve_ivp(-np.ones(shape),
-                                   np.ones((1, 2), dtype=complex),
-                                   t_eval=[1.0], max_tries=1)
 
     @pytest.mark.parametrize("rtol,atol", [(0.0, 0.0), (math.nan, 1e-10),
                                            (math.inf, 1e-10)])
@@ -1264,9 +1262,12 @@ def _both_kernels(run):
 
 
 def _solve_alone(system, t_final):
-    """propagate's run of system, as a Solution even where it fails."""
-    times = dynamics._sample_times(system, t_final)
-    _, (sol,) = dynamics._solve([system], times, len(times))
+    """propagate's sample-step operator run of system, as a Solution even
+    where it fails."""
+    assert dynamics._kernel(system) == "operator"
+    (sol,) = dynamics.operator_runs(
+        dynamics._drift_stack([system]), dynamics._initial_states([system]),
+        dynamics._sample_times(system, t_final), 0)
     return sol
 
 
@@ -1398,36 +1399,29 @@ class TestMatrixKernel:
         assert run["error_bound"] == pytest.approx(bound(j), rel=1e-12)
         assert run["error_bound"] <= _dop853.ATOL
 
-    @pytest.mark.parametrize("t_eval", [[0.1, 0.25, 1.0], [0.3, 1.0],
-                                        np.linspace(0.0, 1.0, 11) ** 2])
-    def test_non_uniform_grid_rejected(self, t_eval):
-        # the samples are powers of one sample-step operator
-        with pytest.raises(ValueError, match="uniform"):
-            dynamics.solve_ivp(-np.eye(2)[None], np.ones((1, 2)),
-                               t_eval=t_eval, max_tries=1)
-
     @pytest.mark.parametrize("grid", ["full", "window"])
     def test_rows_equal_runs_alone(self, grid):
         # presets and seeded draws, a draw that decays below 1e-9, and the
-        # 1e200 drive, which fails before any sample; stop and max_tries
-        # leave the operator's rows alone
+        # 1e200 drive, which fails before any sample
         systems = [s for s in _INTEGRATOR_CASES.values()
                    if dynamics._kernel(s) == "operator"]
         systems += [_decaying_system(), _overflowing_system()]
+        assert {dynamics._kernel(s) for s in systems} == {"operator"}
         times = dynamics._sample_times(systems[0], 150.0)
-        budget = len(times)
-        if grid == "window":
-            times = times[int(0.9 * len(times)):]
-        kernel, batch = dynamics._solve(
-            systems, times, budget, lambda y: np.vecdot(y, y).real < 1e-9)
-        assert kernel == "operator"
-        for system, row in zip(systems, batch, strict=True):
-            _, (alone,) = dynamics._solve([system], times, 1)
+        first = int(0.9 * len(times)) if grid == "window" else 0
+        m = dynamics._drift_stack(systems)
+        y0 = dynamics._initial_states(systems)
+        batch = dynamics.operator_runs(m, y0, times, first)
+        for k, row in enumerate(batch):
+            (alone,) = dynamics.operator_runs(m[k:k + 1], y0[k:k + 1], times,
+                                              first)
             assert _same_run(row, alone)
             assert (row.halvings, row.error_bound) == \
                 (alone.halvings, alone.error_bound)
+        assert len(batch) == len(systems)
         ends = [(sol.end, len(sol.t)) for sol in batch]
-        assert ends[:-1] == [("t_final", len(times))] * (len(systems) - 1)
+        assert ends[:-1] == [("t_final", len(times) - first)] * (
+            len(systems) - 1)
         assert ends[-1] == ("failed", 0)
         assert batch[-1].halvings is None and batch[-1].accepted == 0
 
@@ -1470,18 +1464,19 @@ TRAPPED_SWEEP_PEAK = 390_000
 
 
 def _window(system, t_final):
-    """trapped_fraction's window of the sample grid of system."""
+    """trapped_fraction's sample grid of system and the index of its
+    window's first sample."""
     times = dynamics._sample_times(system, t_final)
-    return times[min(int(0.9 * len(times)), len(times) - 2):]
+    return times, min(int(0.9 * len(times)), len(times) - 2)
 
 
-def _window_runs(systems, t_eval):
-    """The operator's `solve_ivp` runs of the systems on t_eval, with
+def _window_runs(systems, times, first):
+    """The systems' `operator_runs` on times from times[first], with
     their samples, and their `window_means` runs."""
     m = dynamics._drift_stack(systems)
     y0 = dynamics._initial_states(systems)
-    return (dynamics.solve_ivp(m, y0, t_eval=t_eval, max_tries=1),
-            dynamics.window_means(m, y0, t_eval))
+    return (dynamics.operator_runs(m, y0, times, first),
+            dynamics.window_means(m, y0, times, first))
 
 
 class TestWindowMeans:
@@ -1491,9 +1486,9 @@ class TestWindowMeans:
     same run record."""
 
     @staticmethod
-    def _check(systems, t_eval):
-        runs, grams = _window_runs(systems, t_eval)
-        half = len(t_eval) // 2
+    def _check(systems, times, first):
+        runs, grams = _window_runs(systems, times, first)
+        half = (len(times) - first) // 2
         for run, gram in zip(runs, grams, strict=True):
             assert (gram.end, gram.nfev, gram.accepted, gram.rejected,
                     gram.halvings, gram.error_bound) == \
@@ -1508,19 +1503,19 @@ class TestWindowMeans:
     @pytest.mark.parametrize("name", preset_names())
     def test_presets(self, name):
         system = preset(name).system
-        self._check([system], _window(system, 150.0))
+        self._check([system], *_window(system, 150.0))
 
     def test_random_draws(self):
         rng = np.random.default_rng(41)
         draws = [random_admissible_system(rng) for _ in range(30)]
         for system in draws:
-            self._check([system], _window(system, 150.0))
+            self._check([system], *_window(system, 150.0))
 
     @pytest.mark.parametrize("gamma", [5e3, 1e5])
     @pytest.mark.parametrize("t_final", [5.0, 150.0])
     def test_stiff_d1_loops(self, gamma, t_final):
         system = d1_system(gamma, *[DriveField(1.0)] * 4)
-        (run,) = self._check([system], _window(system, t_final))
+        (run,) = self._check([system], *_window(system, t_final))
         assert run.halvings >= 8
 
     @pytest.mark.parametrize("length", [2, 3, 4, 63, 64, 65, 1000, 1001])
@@ -1532,7 +1527,7 @@ class TestWindowMeans:
         systems = [preset("fig2-notrapping").system,
                    preset("d1-trapping").system,
                    random_admissible_system(rng)]
-        self._check(systems, (first + np.arange(length)) * 0.01)
+        self._check(systems, np.arange(first + length) * 0.01, first)
 
     def test_rows_equal_runs_alone(self):
         """Bit for bit, with a row whose step would fall below 10 ulp of
@@ -1544,9 +1539,9 @@ class TestWindowMeans:
                    preset("d1-trapping").system, growing,
                    random_admissible_system(np.random.default_rng(3))]
         window = _window(systems[0], 150.0)
-        runs, grams = _window_runs(systems, window)
+        runs, grams = _window_runs(systems, *window)
         for system, gram in zip(systems, grams, strict=True):
-            (alone,) = _window_runs([system], window)[1]
+            (alone,) = _window_runs([system], *window)[1]
             assert _same_run(gram, alone)
             assert (gram.halvings, gram.error_bound, gram.means) == \
                 (alone.halvings, alone.error_bound, alone.means)
@@ -1572,8 +1567,26 @@ class TestWindowMeans:
         finally:
             tracemalloc.stop()
         assert peak <= TRAPPED_SWEEP_PEAK
-        assert TRAPPED_SWEEP_PEAK < len(systems) * len(
-            _window(systems[0], 150.0)) * 4 * 16
+        times, first = _window(systems[0], 150.0)
+        assert TRAPPED_SWEEP_PEAK < len(systems) * (len(times) - first) * \
+            4 * 16
+
+
+@pytest.mark.parametrize("require_plateau", [False, True])
+@pytest.mark.parametrize("gamma1", [-4.8, -0.5])
+def test_growing_population_is_not_trapped(gamma1, require_plateau):
+    """A population that grows past its initial norm of 1 raises
+    NotConverged naming both window means, whatever require_plateau is;
+    it is not clipped to a trapped fraction of 1.0.  The means are 3.1e295
+    and inf at Gamma1 = -4.8, 2.3e30 and 9.7e31 at -0.5."""
+    runs = []
+    with pytest.raises(NotConverged, match="grows") as info:
+        trapped_fraction(_bare("A1", gamma=(gamma1, 1.0, 1.0)),
+                         require_plateau=require_plateau, runs=runs)
+    m1, m2 = runs[0]["window_means"]
+    assert m2 > 1e30
+    assert f"window means {m1:.6g}, {m2:.6g}" in str(info.value)
+
 
 def _interpolate(F, y_old, t_old, h, times):
     """The 7th-order continuous extension with coefficients F over the step
@@ -1589,6 +1602,13 @@ def _interpolate(F, y_old, t_old, h, times):
             out *= 1 - x
     out += y_old
     return out
+
+
+def _stage_runs(systems, t_eval, max_tries, stop=None):
+    """The stage kernel's runs of the systems, sampled at t_eval."""
+    return dynamics.solve_ivp(dynamics._rhs_builder(systems),
+                              dynamics._initial_states(systems),
+                              t_eval=t_eval, max_tries=max_tries, stop=stop)
 
 
 def _with_step_samples(monkeypatch, run):
@@ -1629,13 +1649,12 @@ class TestRunInterpolation:
     @pytest.mark.parametrize("name", preset_names())
     def test_presets(self, name, block, monkeypatch):
         # blocks of 13 samples split steps and flush mid-run; the presets
-        # are forced onto the stage kernel, which interpolates
+        # run on the stage kernel, which interpolates
         monkeypatch.setattr(_dop853, "BLOCK", block)
-        monkeypatch.setattr(dynamics, "_kernel", lambda sys: "stages")
         system = preset(name).system
         times = dynamics._sample_times(system, 60.0)
-        sols, steps = _with_step_samples(monkeypatch, lambda: dynamics._solve(
-            [system], times, len(times))[1])
+        sols, steps = _with_step_samples(monkeypatch, lambda: _stage_runs(
+            [system], times, len(times)))
         assert len(sols[0].t) == len(times)
         self._same_bits(sols, steps)
 
@@ -1656,9 +1675,9 @@ class TestRunInterpolation:
         if grid == "window":
             times = times[int(0.9 * len(times)):]
         sols, steps = _with_step_samples(
-            monkeypatch, lambda: dynamics._solve(
+            monkeypatch, lambda: _stage_runs(
                 systems, times, budget,
-                lambda y: np.vecdot(y, y).real < floors)[1])
+                lambda y: np.vecdot(y, y).real < floors))
         self._same_bits(sols, steps)
         ends = [(sol.end, len(sol.t)) for sol in sols]
         assert ends[-1] == ("failed", 0)

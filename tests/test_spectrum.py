@@ -36,13 +36,14 @@ from darkstate import (
 from darkstate import dynamics, spectrum
 from darkstate.cli import _apply_sweep_value, _sweep_metric
 from darkstate.spectrum import (
+    _drive_constants,
     _polyval,
+    _quartic,
     _reconstruct,
     _root_clusters,
     branch_numerator_s,
     branch_shifts,
     intensity_rows,
-    quartic_coeffs_s,
 )
 
 
@@ -67,13 +68,13 @@ class TestQuarticCoefficients:
     def test_matches_characteristic_polynomial(self, rng):
         for _ in range(20):
             s = random_admissible_system(rng)
-            q = quartic_coeffs_s(s)
+            q = _quartic(_drive_constants(s))
             ref = np.poly(coupling_matrix(s))
             assert np.allclose(q, ref, atol=1e-10)
 
     def test_c3_is_sum_of_half_rates(self, rng):
         s = random_admissible_system(rng)
-        assert quartic_coeffs_s(s)[1] == pytest.approx(
+        assert _quartic(_drive_constants(s))[1] == pytest.approx(
             0.5 * sum(s.gamma), abs=1e-12)
 
     def test_c2_rate_products_plus_drive_powers(self, rng):
@@ -81,13 +82,14 @@ class TestQuarticCoefficients:
         g1, g2, g3 = (g / 2 for g in s.gamma)
         expected = (g1 * g2 + g1 * g3 + g2 * g3
                     + float(np.sum(np.abs(s.rabi) ** 2)))
-        assert quartic_coeffs_s(s)[2] == pytest.approx(expected, abs=1e-12)
+        assert _quartic(_drive_constants(s))[2] == pytest.approx(
+            expected, abs=1e-12)
 
     def test_c0_real_positive_at_trapping_phases(self):
         # with real outer drives the loop term is -2|prod|cos(phi2+phi3),
         # purely real; at phi2+phi3=pi it adds +2|prod|
         s = preset("fig2-trapping").system
-        q0 = quartic_coeffs_s(s)[4]
+        q0 = _quartic(_drive_constants(s))[4]
         assert abs(q0.imag) < 1e-12
         assert q0.real > 0
 
@@ -97,7 +99,7 @@ def _undriven_clusters():
     {-1/2 (x3), 0}; in the detuning variable x = -is they are {i/2 (x3), 0}."""
     s = D2System(gamma=(1, 1, 1), omega12=13, omega23=13,
                  drives=(DriveField(0),) * 4, initial="A1")
-    [(clusters, _)] = _root_clusters([quartic_coeffs_s(s)])
+    [(clusters, _)] = _root_clusters([_quartic(_drive_constants(s))])
     return clusters
 
 
@@ -106,7 +108,7 @@ class TestRoots:
 
     def test_simple_roots_satisfy_polynomial(self, rng):
         for _ in range(10):
-            q = quartic_coeffs_s(random_admissible_system(rng))
+            q = _quartic(_drive_constants(random_admissible_system(rng)))
             [(clusters, _)] = _root_clusters([q])
             assert [len(c) for c in clusters] == [1, 1, 1, 1]
             roots = np.array([c[0] for c in clusters])
@@ -131,7 +133,7 @@ class TestRoots:
         # systems: Re(s) <= 0
         for _ in range(10):
             [(clusters, _)] = _root_clusters(
-                [quartic_coeffs_s(random_admissible_system(rng))])
+                [_quartic(_drive_constants(random_admissible_system(rng)))])
             assert all(r.real < 1e-12 for c in clusters for r in c)
 
 
@@ -212,7 +214,7 @@ _GRID11 = np.linspace(-5.0, 5.0, 11)
 #: every numeric entry point that takes a system
 ENTRY_POINTS = {
     "coupling_matrix": coupling_matrix,
-    "quartic_coeffs_s": quartic_coeffs_s,
+    "quartic_coeffs_s": lambda s: _quartic(_drive_constants(s)),
     "branch_numerator_s": lambda s: branch_numerator_s(s, 2, 0.5j),
     "steady_state_amplitudes": lambda s: steady_state_amplitudes(s, _GRID11),
     "laplace_solve_oracle": lambda s: laplace_solve_oracle(s, _GRID11),
@@ -334,11 +336,12 @@ def test_empty_grid_gives_empty_results(call):
 
 def test_empty_time_domain_grid_takes_no_run(monkeypatch):
     """spectrum_time_domain returns the empty rows of an empty grid before
-    any integration."""
+    any integration, on either kernel."""
     def no_run(*args, **kwargs):
         raise AssertionError("integrated for an empty grid")
 
-    monkeypatch.setattr(dynamics, "solve_ivp", no_run)
+    for kernel in ("solve_ivp", "operator_runs", "window_means"):
+        monkeypatch.setattr(dynamics, kernel, no_run)
     runs = []
     got = spectrum_time_domain(preset("fig2-notrapping").system, [],
                                runs=runs)
@@ -427,7 +430,7 @@ class TestPoleResidueDecomposition:
         for _ in range(10):
             s = random_admissible_system(rng)
             spec = spectrum_analytic(s, grid)
-            q = quartic_coeffs_s(s)
+            q = _quartic(_drive_constants(s))
             for branch, (terms, shift) in enumerate(
                     zip(spec.branch_poles, branch_shifts(s)), start=1):
                 x = grid + shift

@@ -15,7 +15,8 @@ from darkstate import (D2System, DriveField, PoleHit, preset, preset_names,
                        spectrum_analytic, steady_state_amplitudes)
 from darkstate import spectrum
 from darkstate.spectrum import (branch_shifts, _constants, _cluster_roots,
-                                _poly_scale, _reconstruct, quartic_coeffs_s)
+                                _drive_constants, _poly_scale, _quartic,
+                                _reconstruct)
 
 
 def _polyval(coeffs, x):
@@ -23,6 +24,12 @@ def _polyval(coeffs, x):
     for c in coeffs:
         out = out * x + c
     return out
+
+
+def _complex_quartic(sys):
+    """The characteristic quartic's coefficients as the complex array the
+    earlier kernel took."""
+    return np.array(_quartic(_drive_constants(sys)), dtype=complex)
 
 
 def _pole_hits(q, s):
@@ -74,7 +81,7 @@ class Reference:
         scalar = np.isscalar(delta)
         out = []
         for branch, _, vals, hit in cls._quotients(
-                sys, quartic_coeffs_s(sys), _constants(sys), delta):
+                sys, _complex_quartic(sys), _constants(sys), delta):
             if scalar and hit:
                 raise PoleHit(f"branch {branch}")
             out.append(complex(vals) if scalar
@@ -84,7 +91,7 @@ class Reference:
     @classmethod
     def spectrum(cls, sys, grid):
         grid = np.asarray(grid, dtype=float)
-        q = quartic_coeffs_s(sys)
+        q = _complex_quartic(sys)
         const = _constants(sys)
         roots = np.roots(q)
         dq = np.polyder(np.poly1d(q))

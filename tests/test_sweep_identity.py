@@ -25,7 +25,7 @@ from darkstate import cli
 from darkstate.analysis import find_peaks, spectral_areas
 from darkstate.cli import _apply_sweep_value, _sweep_metric
 from darkstate.spectrum import (NEWTON_MAX_STEP, _cluster_roots,
-                                _root_clusters, quartic_coeffs_s)
+                                _drive_constants, _quartic, _root_clusters)
 
 METRICS = ("central_area", "total_area", "peak_count")
 
@@ -160,7 +160,10 @@ def test_stacked_roots_are_np_roots():
     systems += [_apply_sweep_value(systems[0], "mag1", m)
                 for m in (0.0, 0.3, 0.0, 1.7)]
     order = rng.permutation(len(systems))
-    qs = np.array([quartic_coeffs_s(systems[k]) for k in order])
+    # complex, as `_root_clusters` stacks them, so that np.roots takes the
+    # same eigenvalue routine
+    qs = np.array([_quartic(_drive_constants(systems[k])) for k in order],
+                  dtype=complex)
     trailing_zeros = {4 - np.flatnonzero(q)[-1] for q in qs}
     assert trailing_zeros == {0, 1, 2, 3, 4}
     got = [repr(([[complex(r) for r in c] for c in clusters], slopes))

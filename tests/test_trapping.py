@@ -18,7 +18,7 @@ from darkstate import (
     preset,
     spectrum_analytic,
 )
-from darkstate.spectrum import branch_numerator_s, quartic_coeffs_s
+from darkstate.spectrum import _drive_constants, _quartic, branch_numerator_s
 
 
 def _central_numerator(s, deltas):
@@ -34,7 +34,7 @@ class TestSgcInfeasibility:
     def test_constant_term_positive_on_random_systems(self, rng):
         for _ in range(200):
             s = random_admissible_system(rng)
-            c0 = quartic_coeffs_s(s)[4]
+            c0 = _quartic(_drive_constants(s))[4]
             g1, g2, g3 = (g / 2.0 for g in s.gamma)
             o1, o2, o3, o4 = np.abs(s.rabi)
             bound = (g1 * g2 * o4 ** 2 + g2 * g3 * o1 ** 2
@@ -47,7 +47,7 @@ class TestSgcInfeasibility:
         # undriven, the term vanishes trivially: there is nothing to trap
         s = D2System(gamma=(1, 1, 1), omega12=13, omega23=13,
                      drives=(DriveField(0),) * 4)
-        assert quartic_coeffs_s(s)[4] == 0
+        assert _quartic(_drive_constants(s))[4] == 0
 
 
 class TestFgcCondition:
