@@ -30,6 +30,10 @@ The CLI runs in-process (`darkstate.cli.main`) in a temporary directory:
 - on a detuned and on a cross-damped copy of `fig2-notrapping`, which take
   DOP853's stage kernel: the time-domain spectrum at 601 points and a
   `trapped_fraction` sweep;
+- on a copy of `fig2-notrapping` with omega23 = 9, unequal splittings
+  that the closed form and the sample-step operator take: `spectrum` as
+  CSV and as JSON, `--method both` at 1201 points, and a `central_area`
+  sweep;
 - `spectrum` on two chain files whose spectrum is zero: undriven (the
   "no emission" warning) and driven on the inner fields only (the
   "identically zero" note);
@@ -154,6 +158,8 @@ TIME_DOMAIN = ("fig2-notrapping", "d1-fig3a")
 #: fields
 STAGE_KERNEL = {"detuned": {"detunings": (0.3, 0.1, 0.1, 0.1)},
                 "cross-damped": {"alignments": (0.5, 0.2, 0.3)}}
+#: fig2-notrapping with unequal splittings: the changed field
+UNEVEN = {"omega23": 9.0}
 #: chain systems initially in B with a zero spectrum, by label: their drive
 #: magnitudes
 ZERO_SPECTRUM = {"undriven": (0.0, 0.0, 0.0, 0.0),
@@ -297,6 +303,19 @@ def digests() -> dict:
                       "--range", f"0:{TAU}:5", "--metric", "trapped_fraction",
                       "--out", "sweep.csv"], found)
                 os.remove("s.json")
+            save_scenario(dataclasses.replace(base, **UNEVEN), "uneven.json")
+            src, label = ["--config", "uneven.json"], "spectrum omega23=9"
+            _run(f"{label} csv", ["spectrum", *src, "--out", "s.csv"], found)
+            _run(f"{label} json", ["spectrum", *src, "--format", "json",
+                                   "--out", "s.json"], found)
+            _run(f"{label} both", ["spectrum", *src, "--method", "both",
+                                   "--grid=-30:30:1201", "--out", "s.csv"],
+                 found)
+            _run("sweep omega23=9 central_area",
+                 ["sweep", *src, "--vary", "phase2", "--range",
+                  f"0:{TAU}:61", "--metric", "central_area", "--out",
+                  "sweep.csv"], found)
+            os.remove("uneven.json")
             for label, mags in ZERO_SPECTRUM.items():
                 save_scenario(base.with_drives(tuple(map(DriveField, mags))),
                               "s.json")

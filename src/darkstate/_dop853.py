@@ -720,37 +720,22 @@ def _sample_step_operator(m, y0, times, first):
     return live, op, y, halvings, bounds
 
 
-def _operator_solutions(times, first, n, live, halvings, bounds, reached,
-                        samples, means=None):
+def _operator_solutions(times, first, n, live, halvings, bounds, samples,
+                        means):
     """The Solutions of a sample-step operator run of an n-state system
-    on times[first:] (see `_sample_step_operator`): live row live[k]
-    reached reached[k] samples, samples[k] its y and means[k] its means;
-    any other row failed before any sample."""
+    on times[first:] (see `_sample_step_operator`): live row live[k] ends
+    at t_final with samples[k] as its y and means[k] as its means; any
+    other row failed before any sample."""
     t_eval = times[first:]
     sols = Solutions(Solution(t=t_eval[:0], y=np.empty((0, n), dtype=complex),
                               end="failed", nfev=0, accepted=0, rejected=0)
                      for _ in halvings)
     for k, b in enumerate(live):
         sols[b] = Solution(
-            t=t_eval[:reached[k]], y=samples[k],
-            end="t_final" if reached[k] == len(t_eval) else "failed",
-            nfev=0,
-            accepted=(2 ** halvings[b] * (first + reached[k] - 1)
-                      if reached[k] else 0),
-            rejected=0, halvings=halvings[b], error_bound=bounds[b],
-            means=None if means is None else means[k])
+            t=t_eval, y=samples[k], end="t_final", nfev=0,
+            accepted=2 ** halvings[b] * (len(times) - 1), rejected=0,
+            halvings=halvings[b], error_bound=bounds[b], means=means[k])
     return sols
-
-
-def _reached(samples):
-    """How many samples of each row of samples, shape (B, count, n), come
-    before the first that is not finite."""
-    if np.isfinite(samples).all():
-        return [samples.shape[1]] * len(samples)
-    # a reduction along the short last axis costs 5x the check above
-    finite = np.isfinite(samples).all(axis=2)
-    return np.where(finite.all(axis=1), samples.shape[1],
-                    finite.argmin(axis=1)).tolist()
 
 
 def operator_runs(m, y0, times, first):
@@ -761,22 +746,19 @@ def operator_runs(m, y0, times, first):
     sample-step operator (`_sample_step_operator`) applied to the state at
     times[first] (`_orbit`).
 
-    A row ends as "t_final", or as "failed" before any sample when its
-    step h would fall below 10 ulp of times[-1], or after the last finite
-    sample when its samples overflow.  It evaluates no right-hand side, so
-    nfev = 0; accepted counts the DOP853 steps of size h from t=0 to its
-    last sample, and rejected = 0, as every such step passes the error
-    norm; halvings is j and error_bound the norm of the error polynomials
-    that chose it (both None where no step met ATOL).  Each row's products
-    are those of its run alone."""
+    A row ends as "t_final" with all its samples, or as "failed" before
+    any sample when its step h would fall below 10 ulp of times[-1].  It
+    evaluates no right-hand side, so nfev = 0; accepted counts the DOP853
+    steps of size h from t=0 to times[-1], and rejected = 0, as every such
+    step passes the error norm; halvings is j and error_bound the norm of
+    the error polynomials that chose it (both None where no step met
+    ATOL).  Each row's products are those of its run alone."""
     with np.errstate(all="ignore"):
         live, op, y, halvings, bounds = _sample_step_operator(m, y0, times,
                                                               first)
         samples = _orbit(op, y, len(times) - first)
-        reached = _reached(samples)
-    return _operator_solutions(
-        times, first, m.shape[1], live, halvings, bounds, reached,
-        [samples[k, :reached[k]] for k in range(len(live))])
+    return _operator_solutions(times, first, m.shape[1], live, halvings,
+                               bounds, samples, [None] * len(live))
 
 
 def _gram_means(op, y, count):
@@ -818,41 +800,31 @@ def window_means(m, y0, times, first):
     (`_gram_means`), the discrete form of Van Loan's integrals of the
     matrix exponential (IEEE TAC 23, 1978): O(log count) n x n products
     for the batch, and no sample.  A row fails as in `operator_runs`, with
-    means None: before any sample when its step would fall below 10 ulp of
-    times[-1]; and, when its samples overflow, after the last finite one,
-    which only a row whose means are not finite samples its orbit to find.
-    end, accepted, halvings and error_bound are those of its
+    means None; end, accepted, halvings and error_bound are those of its
     `operator_runs` run.  Each row's products are those of its run
     alone."""
-    count, n = len(times) - first, y0.shape[1]
+    n = y0.shape[1]
     with np.errstate(all="ignore"):
         live, op, y, halvings, bounds = _sample_step_operator(m, y0, times,
                                                               first)
-        means = _gram_means(op, y, count)
-        reached = [count] * len(live)
-        (bad,) = np.nonzero(~np.isfinite(means).all(axis=1))
-        if len(bad):
-            for k, r in zip(bad.tolist(),
-                            _reached(_orbit(op[bad], y[bad], count))):
-                reached[k] = r
-    return _operator_solutions(
-        times, first, n, live, halvings, bounds, reached,
-        [np.empty((0, n), dtype=complex)] * len(live),
-        [pair if r == count else None
-         for pair, r in zip(means.tolist(), reached)])
+        means = _gram_means(op, y, len(times) - first)
+    return _operator_solutions(times, first, n, live, halvings, bounds,
+                               [np.empty((0, n), dtype=complex)] * len(live),
+                               means.tolist())
 
 
 def solve_ivp(fun, y0, t_eval, max_tries, stop=None):
     """Integrate y' = fun(t, y) from t=0 to t_eval[-1] and return the state
-    at the ascending times t_eval.
+    at the times t_eval, ascending from 0 or later to a positive last
+    time, as the caller's grid holds them.
 
-    y0 of shape (B, n) is a batch of B systems stepped in lockstep (one
-    system is the batch of one): fun(t, y) takes t of shape (B,) and y of
-    shape (B, n) and returns the derivative of each row, stop(y) returns a
-    bool per row, and the result is a Solution per row.  Each row takes
-    the steps, samples, evaluation count and end of its run alone, bit for
-    bit.  The stage states passed to fun share one buffer, so fun must not
-    keep y.
+    y0, complex of shape (B, n), is a batch of B systems stepped in
+    lockstep (one system is the batch of one): fun(t, y) takes t of shape
+    (B,) and y of shape (B, n) and returns the derivative of each row,
+    stop(y) returns a bool per row, and the result is a Solution per row.
+    Each row takes the steps, samples, evaluation count and end of its run
+    alone, bit for bit.  The stage states passed to fun share one buffer,
+    so fun must not keep y.
 
     A row ends as one of ENDS: "t_final" at t_eval[-1]; "decay_floor"
     after the first accepted step whose end state y satisfies stop(y) (the
@@ -861,15 +833,8 @@ def solve_ivp(fun, y0, t_eval, max_tries, stop=None):
     step attempts and would make another (SciPy has no such bound).  Its
     solution holds the samples reached.
     """
-    t_eval = np.asarray(t_eval)
-    if not (t_eval.ndim == 1 and t_eval.size and t_eval[0] >= 0.0
-            and t_eval[-1] > 0.0 and np.all(np.diff(t_eval) > 0)):
-        raise ValueError("t_eval must be ascending times from 0, the last "
-                         "one positive")
-    y0 = np.asarray(y0, dtype=complex)
-    if y0.ndim != 2:
-        raise ValueError("y0 must have shape (B, n): one row per system")
     # overflow and NaN end in a NaN error norm, which the step control
     # reports as "failed"
     with np.errstate(all="ignore"):
-        return Solutions(_integrate(fun, y0, t_eval, stop, max_tries))
+        return Solutions(_integrate(fun, y0, np.asarray(t_eval), stop,
+                                    max_tries))

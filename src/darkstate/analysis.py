@@ -254,11 +254,11 @@ def conservation_check(sys, span_factor: float = 2.3,
                        t_final: float = 200.0) -> ConservationResult:
     """Compare the spectral integral with 1 - trapped population.
 
-    The grid spans +-span_factor*omega12 so the margin beyond the outer
-    branches grows with the splitting (the truncated Lorentzian tails are the
-    dominant defect contribution).
+    The grid spans +-span_factor times the larger splitting, so the margin
+    beyond both outer branches grows with it (the truncated Lorentzian
+    tails are the dominant defect contribution).
     """
-    span = span_factor * sys.omega12
+    span = span_factor * max(sys.omega12, sys.omega23)
     n = max(int(round(2.0 * span / spacing)) + 1, 1001)
     grid = np.linspace(-span, span, n)
     spec = spectrum_analytic(sys, grid)

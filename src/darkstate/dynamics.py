@@ -13,16 +13,18 @@ The trajectory is sampled only where it is read: `propagate` on its whole
 uniform grid, `trapped_fraction` on the stage kernel on the plateau window
 at the grid's end, and not at all on the sample-step operator.
 
-`_kernel` is the one place a run's kernel is chosen.  A resonant system
-free of cross-damping has a constant drift matrix M, and its runs take
-DOP853's sample-step operator (`_dop853.operator_runs`): DOP853's step
-polynomial in hM, for a step h that divides the sample step by a power of
-2 and that the error norm accepts from any state of norm <= 1, squared up
-to the sample step.  The state at the window's start is a power of that
-operator by binary powering, and each sample one 4x4 product, so the
-run's cost follows the samples, not the stiffness; a trapped fraction's
-window means are quadratic forms in Gram sums of its powers, O(log n) 4x4
-products for n samples (`_dop853.window_means`).  Any other system takes
+`_kernel` chooses a run's kernel by `model.analytic_admissible`, the
+predicate the closed form reads too: a resonant system free of
+cross-damping has a constant drift matrix M, whatever its splittings,
+and its runs take DOP853's sample-step operator
+(`_dop853.operator_runs`): DOP853's step polynomial in hM, for a step h
+that divides the sample step by a power of 2 and that the error norm
+accepts from any state of norm <= 1, squared up to the sample step.
+The state at the window's start is a power of that operator by binary
+powering, and each sample one 4x4 product, so the run's cost follows the
+samples, not the stiffness; a trapped fraction's window means are
+quadratic forms in Gram sums of its powers, O(log n) 4x4 products for n
+samples (`_dop853.window_means`).  Any other system takes
 the adaptive stage kernel, `solve_ivp`, on the time-dependent M(t)
 (`_rhs_builder`), within one step attempt per sample of the full grid
 (NotConverged past it).  It evaluates no step that holds no sample and,
@@ -64,8 +66,9 @@ import numpy as np
 from numpy.fft import fft, ifft
 
 from ._dop853 import DEFAULT_TOL, operator_runs, solve_ivp, window_means
-from .errors import NotConverged, StepSizeUnderflow, TooManySamples
-from .model import D2System
+from .errors import (NonFiniteValue, NotConverged, StepSizeUnderflow,
+                     TooManySamples)
+from .model import D2System, analytic_admissible
 from .spectrum import (SpectrumResult, _finite_detuning, _intensity,
                        _spectrum, branch_shifts, coupling_matrix)
 
@@ -99,7 +102,7 @@ PSD_ROUNDOFF = 1e-12
 
 @dataclass
 class AmplitudeTrajectory:
-    """Uniformly resampled trajectory of the complex 4-vector (A1, A2, A3, B)."""
+    """Samples of the complex 4-vector (A1, A2, A3, B) on a uniform grid."""
 
     times: np.ndarray
     amps: np.ndarray  # shape (len(times), 4)
@@ -107,9 +110,8 @@ class AmplitudeTrajectory:
 
 def _kernel(sys: D2System) -> str:
     """The DOP853 kernel of a run of sys: "operator" when its drift matrix
-    is constant (resonant and free of cross-damping), else "stages"."""
-    return ("operator" if not any(sys.detunings) and not any(sys.alignments)
-            else "stages")
+    is constant (`analytic_admissible`), else "stages"."""
+    return "operator" if analytic_admissible(sys) else "stages"
 
 
 def _cross_damping(sys: D2System) -> np.ndarray:
@@ -129,20 +131,21 @@ def _rhs_builder(systems):
     exp(i W t) (elementwise): the drive terms with their detuning phases
     R, then the cross-damping terms X = -p sqrt(Gamma_i Gamma_j) / 2 with
     their splitting phases W, conjugate below the diagonal.  A resonant,
-    uncoupled row has R = 0 and X = 0, so its M(t) is M exactly.
+    uncoupled row has R = 0 and X = 0, so its M(t) is M exactly; X is
+    filled only for a row with a nonzero alignment, so a negative rate
+    enters no square root there.
     """
-    m = np.array([coupling_matrix(s) for s in systems])
-
     def antisymmetric(r12, r13, r23, r14, r34):
         upper = np.array([[0.0, r12, r13, r14], [0.0, 0.0, r23, 0.0],
                           [0.0, 0.0, 0.0, r34], [0.0, 0.0, 0.0, 0.0]])
         return upper - upper.T
 
     coefs = np.zeros((len(systems), 2, 4, 4), dtype=complex)
+    coefs[:, 0] = _drift_stack(systems)
     rates = np.zeros((len(systems), 2, 4, 4))
     for k, s in enumerate(systems):
-        coefs[k, 0] = m[k]
-        coefs[k, 1, :3, :3] = -0.5 * _cross_damping(s)
+        if any(s.alignments):
+            coefs[k, 1, :3, :3] = -0.5 * _cross_damping(s)
         d1, d2, d3, d4 = s.detunings
         w12, w23 = s.omega12, s.omega23
         rates[k, 0] = antisymmetric(d2, 0.0, d3, d1, d4)
@@ -250,7 +253,9 @@ def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
 
     The returned trajectory is sampled on a uniform grid fine enough for
     the oscillatory quadrature downstream.  A list given as runs receives
-    the run's integrator diagnostics, as trapped_fraction's does.
+    the run's integrator diagnostics, as trapped_fraction's does.  Samples
+    that overflow raise NonFiniteValue naming the first such sample's
+    time.
     """
     times = _sample_times(sys, t_final)
     kernel, y0 = _kernel(sys), _initial_states([sys])
@@ -262,6 +267,10 @@ def propagate(sys: D2System, t_final: float = DEFAULT_T_FINAL,
     if runs is not None:
         runs.append(_run_record(sol, kernel))
     _raise_failure(sol)
+    if not np.isfinite(sol.y).all():
+        k = np.isfinite(sol.y).all(axis=1).argmin()
+        raise NonFiniteValue(f"the amplitudes overflow: first non-finite "
+                             f"sample at t={times[k]}")
     return AmplitudeTrajectory(times=times, amps=sol.y)
 
 

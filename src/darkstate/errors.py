@@ -12,7 +12,8 @@ class NonPositiveRate(DarkstateError):
 
 class NonFiniteValue(DarkstateError):
     """A drive magnitude, drive phase or detuning is NaN or infinite, or a
-    quantity computed from finite inputs overflows."""
+    quantity computed from finite inputs overflows, as the amplitudes of a
+    growing `propagate` run can."""
 
 
 class UnnormalizedInitialState(DarkstateError):
@@ -29,7 +30,7 @@ class UnknownPreset(DarkstateError):
 
 class NotAnalyticAdmissible(DarkstateError):
     """System violates the preconditions of the closed-form spectrum path
-    (resonant drives, equal splittings, zero cross-damping)."""
+    (resonant drives, zero cross-damping)."""
 
 
 class StepSizeUnderflow(DarkstateError):
@@ -41,8 +42,8 @@ class StepSizeUnderflow(DarkstateError):
 
 
 class NotConverged(DarkstateError):
-    """An integration spent its step budget, or no plateau was found in the
-    surviving population."""
+    """An integration spent its step budget, or the surviving population
+    found no plateau or grew past its initial norm."""
 
 
 class PoleHit(DarkstateError):

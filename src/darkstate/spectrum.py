@@ -270,8 +270,8 @@ def _numerator(const, branch: int, s):
 def _require_analytic(sys: D2System):
     if not analytic_admissible(sys):
         raise NotAnalyticAdmissible(
-            "closed-form path needs resonant drives, omega12 == omega23 "
-            "and zero alignments; use the time-domain path instead"
+            "closed-form path needs resonant drives and zero alignments; "
+            "use the time-domain path instead"
         )
 
 

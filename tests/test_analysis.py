@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -300,6 +301,13 @@ class TestConservation:
         r = conservation_check(s)
         assert r.emitted_spectral == pytest.approx(r.emitted_dynamic,
                                                    abs=0.05)
+
+    @pytest.mark.parametrize("omega23", [9.0, 40.0])
+    def test_unequal_splittings_budget_closes(self, omega23):
+        # the grid reaches past the outer branch at +omega23 (0.34 of the
+        # emission lies beyond +-2.3 omega12 when omega23 = 40)
+        s = replace(preset("fig2-notrapping").system, omega23=omega23)
+        assert conservation_check(s).defect < 2e-4
 
     def test_d1_trapped_budget(self):
         r = conservation_check(preset("d1-trapping").system)

@@ -201,9 +201,9 @@ class TestSpectrumCommand:
 
     def test_numerical_failure_exit_code(self, tmp_path):
         from darkstate import D2System, DriveField
-        s = D2System(gamma=(1, 1, 1), omega12=13, omega23=14,
-                     drives=(DriveField(1),) * 4)
-        cfg = tmp_path / "uneven.json"
+        s = D2System(gamma=(1, 1, 1), omega12=13, omega23=13,
+                     drives=(DriveField(1),) * 4, detunings=(0.5, 0, 0, 0))
+        cfg = tmp_path / "detuned.json"
         save_scenario(s, cfg)
         code = run("spectrum", "--config", str(cfg), "--grid=-5:5:11",
                    "--method", "analytic", "--out", str(tmp_path / "x.csv"))

@@ -16,9 +16,11 @@ from darkstate import (
     D1System,
     D2System,
     DriveField,
+    NonFiniteValue,
     NotConverged,
     StepSizeUnderflow,
     TooManySamples,
+    analytic_admissible,
     branch_amplitude_numeric,
     d1_system,
     preset,
@@ -1009,20 +1011,6 @@ class TestDop853:
         assert ours.t[-1] == ref.t[-1] and ours.y[-1, 0] == ref.y[0, -1]
         assert _same_solution(ours, ref)
 
-    @pytest.mark.parametrize("t_eval", [[], [0.0], [0.5, 0.4], [-1.0, 1.0],
-                                        [0.5, math.nan, 1.0], [[1.0]]])
-    def test_bad_t_eval_rejected(self, t_eval):
-        # the run goes from t=0 to t_eval[-1] > 0 through ascending times
-        with pytest.raises(ValueError, match="t_eval"):
-            dynamics.solve_ivp(lambda t, y: -y, np.ones((1, 1), dtype=complex),
-                               t_eval=t_eval, max_tries=1)
-
-    def test_one_dimensional_y0_rejected(self):
-        # one system is the batch of one, y0 of shape (1, n)
-        with pytest.raises(ValueError, match="shape"):
-            dynamics.solve_ivp(lambda t, y: -y, np.ones(2, dtype=complex),
-                               t_eval=[1.0], max_tries=1)
-
     @pytest.mark.parametrize("rtol,atol", [(0.0, 0.0), (math.nan, 1e-10),
                                            (math.inf, 1e-10)])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1303,6 +1291,22 @@ def _step_polynomial(z, row):
     return total
 
 
+@pytest.mark.parametrize("name", preset_names())
+def test_kernel_follows_analytic_admissible(name):
+    """A run takes the sample-step operator exactly where the closed form
+    applies: the preset, and its detuned, cross-damped and unevenly split
+    copies."""
+    s = preset(name).system
+    copies = [s, replace(s, detunings=(0.0, 0.3, 0.0, 0.0)),
+              replace(s, alignments=(0.0, 0.0, 0.5)),
+              replace(s, omega23=s.omega23 + 4.0),
+              replace(s, omega23=s.omega23 / 2.0, detunings=(0.1,) * 4)]
+    kernels = [dynamics._kernel(c) for c in copies]
+    assert kernels == ["operator" if analytic_admissible(c) else "stages"
+                       for c in copies]
+    assert kernels[1:] == ["stages", "stages", "operator", "stages"]
+
+
 class TestMatrixKernel:
     """A system whose drift matrix M is constant takes the sample-step
     operator: DOP853's step of size h = dt / 2^j, squared j times up to the
@@ -1531,9 +1535,10 @@ class TestWindowMeans:
 
     def test_rows_equal_runs_alone(self):
         """Bit for bit, with a row whose step would fall below 10 ulp of
-        t_final (no sample) and one whose samples overflow (A1 grows as
-        exp(5.0025 t), past the largest float at t = 141.885): both fail,
-        with means None, after the samples the operator's run reaches."""
+        t_final, which fails before any sample with means None, and one
+        whose samples overflow (A1 grows as exp(5.0025 t), past the largest
+        float at t = 141.885), which ends at t_final with its means not
+        finite, as trapped_fraction reads a grown population."""
         growing = _bare("A1", gamma=(-10.005, 1.0, 1.0))
         systems = [*_phase2_sweep()[::5], _overflowing_system(),
                    preset("d1-trapping").system, growing,
@@ -1543,19 +1548,21 @@ class TestWindowMeans:
         for system, gram in zip(systems, grams, strict=True):
             (alone,) = _window_runs([system], *window)[1]
             assert _same_run(gram, alone)
-            assert (gram.halvings, gram.error_bound, gram.means) == \
-                (alone.halvings, alone.error_bound, alone.means)
+            assert (gram.halvings, gram.error_bound) == \
+                (alone.halvings, alone.error_bound)
+            assert (gram.means is None) == (alone.means is None)
+            assert gram.means is None or \
+                np.array_equal(gram.means, alone.means, equal_nan=True)
         failing = [k for k, gram in enumerate(grams) if gram.end == "failed"]
-        assert failing == [5, 7]
-        for k in failing:
-            assert grams[k].means is None
-            assert (len(grams[k].t), grams[k].accepted) == \
-                (len(runs[k].t), runs[k].accepted)
-        assert len(grams[5].t) == 0 and grams[7].t[-1] == \
-            pytest.approx(141.88, abs=0.01)
-        with pytest.raises(StepSizeUnderflow) as info:
+        assert failing == [5]
+        assert grams[5].means is None and len(grams[5].t) == 0
+        assert (len(runs[5].t), runs[5].accepted, grams[5].accepted) == \
+            (0, 0, 0)
+        assert grams[7].end == runs[7].end == "t_final"
+        assert np.array_equal(grams[7].t, runs[7].t)
+        assert not np.isfinite(grams[7].means).all()
+        with pytest.raises(NotConverged, match="grows"):
             trapped_fraction(growing)
-        assert info.value.t_reached == grams[7].t[-1]
 
     def test_trapped_sweep_memory(self):
         systems = _phase2_sweep()
@@ -1586,6 +1593,46 @@ def test_growing_population_is_not_trapped(gamma1, require_plateau):
     m1, m2 = runs[0]["window_means"]
     assert m2 > 1e30
     assert f"window means {m1:.6g}, {m2:.6g}" in str(info.value)
+
+
+def test_growing_population_on_the_stage_kernel(monkeypatch):
+    """The stage kernel runs a system with a negative rate and no
+    alignment, with no warning, to the operator's NotConverged and window
+    means (2.28181e+30 and 9.73081e+31 at Gamma1 = -0.5): a zero alignment
+    fills no cross-damping term, whose sqrt(Gamma) would be NaN."""
+    system = _bare("A1", gamma=(-0.5, 1.0, 1.0))
+    messages = []
+    for kernel in ("operator", "stages"):
+        monkeypatch.setattr(dynamics, "_kernel", lambda s: kernel)
+        runs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConverged, match="grows") as info:
+                trapped_fraction(system, require_plateau=False, runs=runs)
+        assert runs[0]["kernel"] == kernel
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "window means 2.28181e+30, 9.73081e+31" in messages[1]
+
+
+def test_propagate_names_the_first_overflowing_sample():
+    """A1 grows as exp(5.0025 t) and passes the largest float at t =
+    141.885: the operator's run reaches t_final, and propagate raises
+    NonFiniteValue at the first sample that overflows."""
+    growing = _bare("A1", gamma=(-10.005, 1.0, 1.0))
+    runs = []
+    with pytest.raises(NonFiniteValue, match="overflow") as info:
+        propagate(growing, 150.0, runs=runs)
+    assert runs[0]["end"] == "t_final"
+    t = float(re.search(r"t=(\S+)$", str(info.value)).group(1))
+    assert t == pytest.approx(141.89, abs=0.01)
+    times = dynamics._sample_times(growing, 150.0)
+    k = np.searchsorted(times, t)
+    assert times[k] == t
+    amps = dynamics.operator_runs(dynamics._drift_stack([growing]),
+                                  dynamics._initial_states([growing]),
+                                  times, 0)[0].y
+    assert np.isfinite(amps[:k]).all() and not np.isfinite(amps[k]).all()
 
 
 def _interpolate(F, y_old, t_old, h, times):

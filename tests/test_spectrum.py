@@ -1,6 +1,9 @@
 import dataclasses
+import importlib.util
 import pickle
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +190,66 @@ class TestClosedFormVsLinearSolve:
                            drives=s.drives, detunings=(0.5, 0, 0, 0))
         with pytest.raises(NotAnalyticAdmissible):
             steady_state_amplitudes(detuned, 1.0)
+
+
+#: chain presets run with unequal splittings, omega23 of 9 and of 17
+#: against omega12 = 13
+UNEVEN_PRESETS = ("fig2-notrapping", "fig2-trapping", "at-quartet",
+                  "autler-townes-doublet", "two-level")
+UNEVEN_SPLITTINGS = (9.0, 17.0)
+
+
+def _uneven_systems():
+    """{label: system} of the UNEVEN_PRESETS at each of UNEVEN_SPLITTINGS,
+    and of six seeded random draws with omega23 drawn in [5, 20]."""
+    systems = {f"{name} omega23={w:g}": replace(preset(name).system,
+                                                omega23=w)
+               for name in UNEVEN_PRESETS for w in UNEVEN_SPLITTINGS}
+    rng = np.random.default_rng(34)
+    for k in range(6):
+        s = random_admissible_system(rng)
+        systems[f"random {k}"] = replace(s, omega23=rng.uniform(5.0, 20.0))
+    return systems
+
+
+def _crosscheck_error():
+    """`crosscheck_error` of bench/checks.py: the closed form's largest
+    error against the linear solve per branch, relative to the branch's
+    amplitude scale, as `validate` measures it."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)  # for its `workloads` import
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "bench_checks", Path(bench) / "checks.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(bench)
+    return module.crosscheck_error
+
+
+class TestUnequalSplittings:
+    """A resonant system free of cross-damping has a constant drift matrix
+    whatever its splittings, which enter only the branch shifts: the
+    closed form takes it, and agrees with the linear solve and with the
+    time-domain route."""
+
+    @pytest.mark.parametrize("label", list(_uneven_systems()))
+    def test_closed_form_matches_linear_solve(self, label):
+        s = _uneven_systems()[label]
+        assert s.omega12 != s.omega23
+        deltas = np.linspace(-20.0, 20.0, 101) + 0.0137
+        err = _crosscheck_error()(steady_state_amplitudes(s, deltas),
+                                  laplace_solve_oracle(s, deltas))
+        assert err <= 1e-10
+
+    @pytest.mark.parametrize("label", list(_uneven_systems()))
+    def test_closed_form_matches_time_domain(self, label):
+        s = _uneven_systems()[label]
+        grid = np.linspace(-30.0, 30.0, 1201)
+        a = spectrum_analytic(s, grid)
+        t = spectrum_time_domain(s, grid)
+        assert np.max(np.abs(a.total - t.total)) <= 1e-4 * np.max(a.total)
 
 
 class TestNumerator:
